@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -62,17 +63,26 @@ using MessagePtr = std::shared_ptr<const Message>;
 // still see, so Message immutability holds for every observer.
 //
 // The freelist is shared-ownership: messages returned after the pool is
-// destroyed are freed normally.  Pools are single-threaded, like the
-// simulation sessions that own them.
+// destroyed are freed normally.  acquire() runs on the owner's thread, but
+// under the parallel kernel the last reference to a message can drop on
+// another region's worker (the tail of a remote delivery chain), so the
+// freelist is guarded by a mutex.  It is uncontended in practice: the two
+// sides meet only when a remote chain ends while its sender acquires.
 template <typename T>
 class MessagePool {
  public:
   template <typename... Args>
   std::shared_ptr<T> acquire(Args&&... args) {
+    std::unique_ptr<T> recycled;
+    {
+      const std::lock_guard<std::mutex> lock(store_->mu);
+      if (!store_->free.empty()) {
+        recycled = std::move(store_->free.back());
+        store_->free.pop_back();
+      }
+    }
     T* raw = nullptr;
-    if (!store_->free.empty()) {
-      std::unique_ptr<T> recycled = std::move(store_->free.back());
-      store_->free.pop_back();
+    if (recycled) {
       recycled->rebind(std::forward<Args>(args)...);
       raw = recycled.release();
     } else {
@@ -81,6 +91,7 @@ class MessagePool {
     // The deleter returns the object to the freelist instead of freeing it
     // (bounded; overflow deletes).  It keeps the store alive by value.
     return std::shared_ptr<T>(raw, [store = store_](T* p) {
+      const std::lock_guard<std::mutex> lock(store->mu);
       if (store->free.size() < kMaxFree) {
         store->free.emplace_back(p);
       } else {
@@ -89,7 +100,10 @@ class MessagePool {
     });
   }
 
-  std::size_t free_count() const { return store_->free.size(); }
+  std::size_t free_count() const {
+    const std::lock_guard<std::mutex> lock(store_->mu);
+    return store_->free.size();
+  }
 
  private:
   // One multicast keeps at most one message in flight per sender; the cap
@@ -97,6 +111,7 @@ class MessagePool {
   static constexpr std::size_t kMaxFree = 64;
 
   struct Store {
+    std::mutex mu;
     std::vector<std::unique_ptr<T>> free;
   };
   std::shared_ptr<Store> store_ = std::make_shared<Store>();

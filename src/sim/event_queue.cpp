@@ -1,6 +1,7 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -101,6 +102,11 @@ EventHandle EventQueue::schedule_at(Time t, std::function<void()> fn) {
 
 EventHandle EventQueue::schedule_at_seq(Time t, std::uint64_t seq,
                                         std::function<void()> fn) {
+  // A NaN time compares false against everything and would silently break
+  // the heap order, so non-finite times are rejected along with past ones.
+  if (!std::isfinite(t)) {
+    throw std::invalid_argument("EventQueue::schedule_at: non-finite time");
+  }
   if (t < now_) {
     throw std::invalid_argument("EventQueue::schedule_at: time in the past");
   }
@@ -127,8 +133,9 @@ EventHandle EventQueue::schedule_at_seq(Time t, std::uint64_t seq,
 }
 
 EventHandle EventQueue::schedule_after(Time dt, std::function<void()> fn) {
-  if (dt < 0.0) {
-    throw std::invalid_argument("EventQueue::schedule_after: negative delay");
+  if (!std::isfinite(dt) || dt < 0.0) {
+    throw std::invalid_argument(
+        "EventQueue::schedule_after: negative or non-finite delay");
   }
   return schedule_at(now_ + dt, std::move(fn));
 }

@@ -66,9 +66,9 @@ class EventQueue {
 
   Time now() const { return now_; }
 
-  // Schedules fn at absolute virtual time t (must be >= now()).
+  // Schedules fn at absolute virtual time t (finite, >= now()).
   EventHandle schedule_at(Time t, std::function<void()> fn);
-  // Schedules fn after dt seconds of virtual time (dt >= 0).
+  // Schedules fn after dt seconds of virtual time (finite, >= 0).
   EventHandle schedule_after(Time dt, std::function<void()> fn);
 
   // Reserves n consecutive FIFO tie-break sequence numbers and returns the
@@ -82,9 +82,9 @@ class EventQueue {
     next_seq_ += n;
     return first;
   }
-  // Schedules fn at time t (>= now()) with a sequence number previously
-  // reserved via allocate_seqs().  Each reserved seq may be used at most
-  // once; reusing one breaks the queue's strict ordering.
+  // Schedules fn at time t (finite, >= now()) with a sequence number
+  // previously reserved via allocate_seqs().  Each reserved seq may be used
+  // at most once; reusing one breaks the queue's strict ordering.
   EventHandle schedule_at_seq(Time t, std::uint64_t seq,
                               std::function<void()> fn);
 

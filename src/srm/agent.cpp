@@ -90,14 +90,7 @@ SrmAgent::SrmAgent(std::unique_ptr<transport::Transport> owned,
       // Per-host clock skew: distance estimation must not depend on
       // synchronized clocks, so every host gets a different offset.
       clock_(transport_->queue(), rng_.uniform(0.0, 1000.0)),
-      // Hierarchy mode gives each estimator a private member index: the
-      // shared directory index interns every member of the session, so the
-      // estimator's dense per-peer vectors would grow to the full group at
-      // every agent — O(G^2) memory at G=50k.  A private index scales them
-      // with the peers this member actually hears (its local area plus the
-      // representatives; ARCHITECTURE.md §12).
-      estimator_(clock_,
-                 config.hierarchy.enabled ? nullptr : &directory.index()),
+      estimator_(clock_),
       session_scheduler_(config.session, rng_.fork()),
       request_tuner_(config.adaptive,
                      AdaptiveTuner::Bounds{config.adaptive.c1_min,

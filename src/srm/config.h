@@ -127,10 +127,9 @@ struct FecConfig {
 // lowest live Source-ID) aggregates into global session messages carrying a
 // per-area digest.  When enabled, the harness drives reporting through
 // srm::SessionHierarchy (batched timer wheels, struct-of-arrays liveness
-// state sharded per area) instead of the agent's flat session schedule, and
-// each agent's DistanceEstimator switches to a private member index so its
-// peer tables scale with the peers actually heard (its area plus the
-// representatives), not with the whole group.
+// state sharded per area) instead of the agent's flat session schedule.  An
+// agent's DistanceEstimator then hears, and keeps records for, only its area
+// plus the representatives.
 struct HierarchyConfig {
   bool enabled = false;
   // Scope of local session messages; must reach the representative.

@@ -1,15 +1,18 @@
 // Session-scoped dense member indexing.
 //
 // Source-IDs are sparse 32-bit values, so every per-peer table keyed by
-// SourceId used to be a hash map — one hash + probe per distance lookup,
-// per echo fold, per suppression check, G times per session round.  A
+// SourceId used to be a hash map — one hash + probe per lookup.  A
 // MemberIndex interns each Source-ID into a small dense integer the first
-// time it is seen; hot per-peer state (DistanceEstimator's peer records and
-// estimates, the agent's oracle-distance cache) then lives in plain vectors
-// indexed by it.  Indices are stable for the lifetime of the session and
-// never recycled: a member that leaves and re-joins (same persistent
-// Source-ID, Sec. II-C) keeps its slot, which is exactly the behavior the
-// protocol wants for state that must survive re-joins.
+// time it is seen; session-wide per-member state (the agent's
+// oracle-distance cache, SessionHierarchy's member slots) then lives in
+// plain vectors indexed by it.  The index is shared by the whole session and
+// its direct map is sized by the largest Source-ID, so it is never copied
+// per agent: state a member keeps only for the peers it hears
+// (DistanceEstimator) uses its own sorted records instead.  Indices are
+// stable for the lifetime of the session and never recycled: a member that
+// leaves and re-joins (same persistent Source-ID, Sec. II-C) keeps its
+// slot, which is exactly the behavior the protocol wants for state that
+// must survive re-joins.
 #pragma once
 
 #include <cstdint>

@@ -7,18 +7,13 @@ namespace srm {
 void DistanceEstimator::on_session_message(const SessionMessage& msg,
                                            SourceId self) {
   const sim::Time t2 = clock_->now();
-  const std::uint32_t idx = index_->intern(msg.sender());
-  if (idx >= slots_.size()) slots_.resize(index_->size());
-  PeerSlot& slot = slots_[idx];
-  if (!slot.heard) {
-    slot.heard = true;
-    const auto pos = std::lower_bound(
-        heard_.begin(), heard_.end(), msg.sender(),
-        [](const auto& entry, SourceId id) { return entry.first < id; });
-    heard_.insert(pos, {msg.sender(), idx});
+  auto it = std::lower_bound(heard_.begin(), heard_.end(), msg.sender());
+  if (it == heard_.end() || it->id != msg.sender()) {
+    it = heard_.insert(it, Peer{msg.sender()});
   }
-  slot.peer_timestamp = msg.sender_timestamp();
-  slot.arrival = t2;
+  Peer& peer = *it;
+  peer.peer_timestamp = msg.sender_timestamp();
+  peer.arrival = t2;
 
   const auto echo = msg.echoes().find(self);
   if (echo != msg.echoes().end()) {
@@ -27,8 +22,8 @@ void DistanceEstimator::on_session_message(const SessionMessage& msg,
     // cancel and only the peer's hold-time measurement matters.
     const double rtt = t2 - echo->second.peer_timestamp - echo->second.hold_time;
     // Guard against transient negatives from pathological hold times.
-    slot.estimate = std::max(0.0, rtt / 2.0);
-    slot.has_estimate = true;
+    peer.estimate = std::max(0.0, rtt / 2.0);
+    peer.has_estimate = true;
   }
 }
 
@@ -39,10 +34,9 @@ void DistanceEstimator::build_echoes(SessionMessage::Echoes& out,
   const std::size_t n = heard_.size();
   const auto emit = [&](std::size_t from, std::size_t to) {
     for (std::size_t i = from; i < to; ++i) {
-      const auto& [peer, idx] = heard_[i];
-      const PeerSlot& slot = slots_[idx];
-      out[peer] =
-          SessionMessage::Echo{slot.peer_timestamp, now - slot.arrival};
+      const Peer& peer = heard_[i];
+      out[peer.id] =
+          SessionMessage::Echo{peer.peer_timestamp, now - peer.arrival};
     }
   };
   if (max_echoes == 0 || max_echoes >= n) {
@@ -63,12 +57,11 @@ void DistanceEstimator::build_echoes(SessionMessage::Echoes& out,
 }
 
 std::optional<double> DistanceEstimator::distance(SourceId peer) const {
-  const std::uint32_t idx = index_->find(peer);
-  if (idx == MemberIndex::kNoIndex || idx >= slots_.size() ||
-      !slots_[idx].has_estimate) {
+  const auto it = std::lower_bound(heard_.begin(), heard_.end(), peer);
+  if (it == heard_.end() || it->id != peer || !it->has_estimate) {
     return std::nullopt;
   }
-  return slots_[idx].estimate;
+  return it->estimate;
 }
 
 void AreaLiveTable::resize(std::uint32_t areas) {

@@ -14,7 +14,6 @@
 // The estimate assumes roughly symmetric paths (the paper's assumption).
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -22,29 +21,23 @@
 #include "sim/event_queue.h"
 #include "sim/timer.h"
 #include "srm/config.h"
-#include "srm/member_index.h"
 #include "srm/messages.h"
 #include "srm/names.h"
 #include "util/rng.h"
 
 namespace srm {
 
-// Per-peer state lives in dense vectors indexed by a MemberIndex (normally
-// the MemberDirectory's session-wide index, so every agent shares one
-// interning table); a standalone estimator owns a private index.  Folding
-// in a session message costs one hash lookup (the intern) and direct
-// vector stores; the echo table for the next outgoing message is one
-// linear walk of the heard list — no per-entry node allocations, which is
-// what made large-group session rounds O(G^2) allocations before.
+// Per-peer state is one record per peer this member has heard, in a vector
+// sorted by Source-ID: memory is O(peers heard), not O(session size) — in
+// hierarchy mode that is the member's own area plus the representatives
+// (ARCHITECTURE.md §12).  Folding in a session message is a binary search
+// plus plain stores (an O(H) insert only on the first message from a new
+// peer); the echo table for the next outgoing message is one in-order walk
+// of the same vector, so it comes out sorted with no per-entry allocations.
 class DistanceEstimator {
  public:
-  // `clock` is this member's (possibly skewed) local clock.  `index` is the
-  // shared dense member index; nullptr constructs a private one.
-  explicit DistanceEstimator(const sim::LocalClock& clock,
-                             MemberIndex* index = nullptr)
-      : clock_(&clock),
-        owned_index_(index ? nullptr : std::make_unique<MemberIndex>()),
-        index_(index ? index : owned_index_.get()) {}
+  // `clock` is this member's (possibly skewed) local clock.
+  explicit DistanceEstimator(const sim::LocalClock& clock) : clock_(&clock) {}
 
   // Records the receipt of a session message from `peer`, and folds in any
   // echo addressed to us.
@@ -75,22 +68,19 @@ class DistanceEstimator {
   std::size_t peers_heard() const { return heard_.size(); }
 
  private:
-  struct PeerSlot {
+  struct Peer {
+    SourceId id = 0;
+    bool has_estimate = false;
     sim::Time peer_timestamp = 0.0;  // sender clock value in their message
     sim::Time arrival = 0.0;         // our clock when it arrived
     double estimate = 0.0;
-    bool heard = false;
-    bool has_estimate = false;
+
+    // Orders records against a Source-ID key for binary search.
+    friend bool operator<(const Peer& p, SourceId id) { return p.id < id; }
   };
 
   const sim::LocalClock* clock_;
-  std::unique_ptr<MemberIndex> owned_index_;  // when not sharing one
-  MemberIndex* index_;
-  std::vector<PeerSlot> slots_;  // dense member index -> peer state
-  // Peers heard from, as (Source-ID, dense index) ascending by Source-ID:
-  // one linear walk emits a sorted echo table.  Insertion is O(H) but only
-  // on the first message from a new peer.
-  std::vector<std::pair<SourceId, std::uint32_t>> heard_;
+  std::vector<Peer> heard_;          // ascending by Source-ID
   std::size_t rotation_cursor_ = 0;  // next echo-rotation window start
 };
 

@@ -1,5 +1,6 @@
 #include "transport/wire.h"
 
+#include <cmath>
 #include <cstring>
 #include <optional>
 #include <utility>
@@ -55,10 +56,13 @@ class Reader {
   bool u16(std::uint16_t& v) { return fixed(v); }
   bool u32(std::uint32_t& v) { return fixed(v); }
   bool u64(std::uint64_t& v) { return fixed(v); }
+  // Every double on the wire is a time or a distance: a NaN, infinite or
+  // negative one is a malformed field, rejected before it can reach a timer.
   bool f64(double& v) {
     std::uint64_t bits;
     if (!u64(bits)) return false;
     std::memcpy(&v, &bits, sizeof v);
+    if (!std::isfinite(v) || v < 0.0) return fail();
     return true;
   }
   bool bytes(std::uint8_t* dst, std::size_t n) {

@@ -15,8 +15,9 @@
 //   18      u16  reserved (0)
 //   20      kind-specific body (see wire.cpp)
 //
-// All integers little-endian; doubles are IEEE-754 bit patterns.  Decoding
-// is defensive: any truncated, oversized or unknown frame is rejected
+// All integers little-endian; doubles are IEEE-754 bit patterns, each a
+// time or a distance.  Decoding is defensive: any truncated, oversized or
+// unknown frame, or one carrying a non-finite or negative double, is rejected
 // (decode returns false) rather than trusted — the socket is a public
 // input.  Decoded REQUEST/REPAIR/SESSION messages come from
 // net::MessagePool freelists (DecodePools), so a steady receive stream

@@ -1,5 +1,6 @@
 #include "util/rng.h"
 
+#include <algorithm>
 #include <cassert>
 #include <numeric>
 #include <stdexcept>
@@ -35,39 +36,83 @@ double keyed_unit(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
   return static_cast<double>(keyed_u64(seed, a, b, c) >> 11) * 0x1.0p-53;
 }
 
-Rng::Rng(std::uint64_t seed) {
+SplitmixSeedSeq::SplitmixSeedSeq(std::uint64_t seed) {
   // Expand the seed through splitmix64 so that adjacent user seeds (0, 1, 2,
   // ...) still produce uncorrelated mt19937_64 states.
   std::uint64_t s = seed;
-  std::seed_seq seq{static_cast<std::uint32_t>(splitmix64(s)),
-                    static_cast<std::uint32_t>(splitmix64(s)),
-                    static_cast<std::uint32_t>(splitmix64(s)),
-                    static_cast<std::uint32_t>(splitmix64(s))};
-  engine_.seed(seq);
+  for (std::uint32_t& w : words_) {
+    w = static_cast<std::uint32_t>(splitmix64(s));
+  }
 }
 
-Rng Rng::fork() { return Rng(engine_()); }
+void SplitmixSeedSeq::generate(std::uint32_t* begin,
+                               std::uint32_t* end) const {
+  // [rand.util.seedseq] generate() with s = 4 input words.  Every index the
+  // standard writes "mod n" stays below 2n here, so one conditional
+  // subtraction replaces the division.
+  constexpr std::size_t s = 4;
+  const std::size_t n = static_cast<std::size_t>(end - begin);
+  assert(n > s);  // so m = max(s + 1, n) = n; mt19937_64 asks for 624
+  const std::size_t t = n >= 623  ? 11
+                        : n >= 68 ? 7
+                        : n >= 39 ? 5
+                        : n >= 7  ? 3
+                                  : (n - 1) / 2;
+  const std::size_t p = (n - t) / 2;
+  const std::size_t q = p + t;
+  const auto wrap = [n](std::size_t i) { return i < n ? i : i - n; };
+  const auto mix = [](std::uint32_t x) { return x ^ (x >> 27); };
+  std::fill(begin, end, 0x8b8b8b8bu);
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t kp = wrap(k + p);
+    const std::size_t kq = wrap(k + q);
+    const std::size_t km = k == 0 ? n - 1 : k - 1;
+    const std::uint32_t r1 = 1664525u * mix(begin[k] ^ begin[kp] ^ begin[km]);
+    std::uint32_t r2 = r1 + static_cast<std::uint32_t>(k);
+    if (k == 0) {
+      r2 += s;
+    } else if (k <= s) {
+      r2 += words_[k - 1];
+    }
+    begin[kp] += r1;
+    begin[kq] += r2;
+    begin[k] = r2;
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t kp = wrap(k + p);
+    const std::size_t kq = wrap(k + q);
+    const std::size_t km = k == 0 ? n - 1 : k - 1;
+    const std::uint32_t r3 =
+        1566083941u * mix(begin[k] + begin[kp] + begin[km]);
+    const std::uint32_t r4 = r3 - static_cast<std::uint32_t>(k);
+    begin[kp] ^= r3;
+    begin[kq] ^= r4;
+    begin[k] = r4;
+  }
+}
+
+Rng Rng::fork() { return Rng(engine()()); }
 
 double Rng::uniform(double lo, double hi) {
   if (lo > hi) throw std::invalid_argument("Rng::uniform: lo > hi");
   if (lo == hi) return lo;
-  return std::uniform_real_distribution<double>(lo, hi)(engine_);
+  return std::uniform_real_distribution<double>(lo, hi)(engine());
 }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   if (lo > hi) throw std::invalid_argument("Rng::uniform_int: lo > hi");
-  return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
+  return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine());
 }
 
 bool Rng::chance(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
-  return std::bernoulli_distribution(p)(engine_);
+  return std::bernoulli_distribution(p)(engine());
 }
 
 double Rng::exponential(double mean) {
   if (mean <= 0.0) throw std::invalid_argument("Rng::exponential: mean <= 0");
-  return std::exponential_distribution<double>(1.0 / mean)(engine_);
+  return std::exponential_distribution<double>(1.0 / mean)(engine());
 }
 
 std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
@@ -94,6 +139,6 @@ std::size_t Rng::index(std::size_t n) {
       uniform_int(0, static_cast<std::int64_t>(n) - 1));
 }
 
-std::uint64_t Rng::next_u64() { return engine_(); }
+std::uint64_t Rng::next_u64() { return engine()(); }
 
 }  // namespace srm::util

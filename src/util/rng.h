@@ -32,11 +32,33 @@ std::uint64_t keyed_u64(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
 double keyed_unit(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
                   std::uint64_t c);
 
+// The seed sequence an Rng seeds its engine from: std::seed_seq's
+// generate() algorithm over the four 32-bit words splitmix64 expands a seed
+// into, with the algorithm's index arithmetic done without division.  An
+// engine seeded from it equals one seeded from the std::seed_seq of the
+// same words (tests/util/rng_test.cpp checks this), at a fraction of the
+// cost, which matters because every simulated host builds its own Rng.
+class SplitmixSeedSeq {
+ public:
+  using result_type = std::uint32_t;
+
+  explicit SplitmixSeedSeq(std::uint64_t seed);
+
+  // Fills [begin, end), which must hold more than four words.
+  void generate(std::uint32_t* begin, std::uint32_t* end) const;
+
+ private:
+  std::uint32_t words_[4] = {};
+};
+
 // A seeded random source.  Thin wrapper over mt19937_64 with the handful of
 // distributions the simulator needs.  Copyable (copies the full state).
+// The engine is seeded on the first draw, so a generator that is built but
+// never drawn from (a disabled component's fork) costs no seeding; the
+// stream is the same either way.
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed);
+  explicit Rng(std::uint64_t seed) : seed_(seed) {}
 
   // A new generator whose stream is independent of this one; deterministic
   // given this generator's current state.
@@ -74,6 +96,17 @@ class Rng {
   std::uint64_t next_u64();
 
  private:
+  std::mt19937_64& engine() {
+    if (!seeded_) {
+      SplitmixSeedSeq seq(seed_);
+      engine_.seed(seq);
+      seeded_ = true;
+    }
+    return engine_;
+  }
+
+  std::uint64_t seed_;
+  bool seeded_ = false;
   std::mt19937_64 engine_;
 };
 

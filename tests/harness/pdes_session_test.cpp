@@ -5,8 +5,10 @@
 // identical to the sequential kernel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include "fault/checker.h"
@@ -478,6 +480,109 @@ TEST(PdesSessionTest, MembershipChurnWorksUnderParallelKernel) {
   EXPECT_FALSE(session.has_member(15));
   session.run();
   EXPECT_EQ(session.member_count(), 4u);
+}
+
+// --- pooled messages on concurrent region workers ---------------------------
+
+struct BurstOutcome {
+  net::NetworkStats stats;
+  std::uint64_t requests = 0;
+  std::uint64_t repairs = 0;
+  std::uint64_t recoveries = 0;
+  double end_time = 0.0;
+};
+
+// A burst of data from four sources with scripted and keyed Gilbert-Elliott
+// loss, run until the queue drains, so request and repair traffic crosses
+// region boundaries throughout.  kernel_threads == 0 runs the sequential
+// kernel.
+BurstOutcome run_burst(std::uint64_t seed, unsigned kernel_threads) {
+  constexpr std::size_t kNodes = 400;
+  constexpr std::size_t kMembers = 80;
+  constexpr std::size_t kSources = 4;
+  constexpr std::size_t kPackets = 10;
+  util::Rng rng(seed);
+  net::Topology topo = topo::make_bounded_degree_tree(kNodes, 4);
+  std::vector<net::NodeId> all(kNodes);
+  std::iota(all.begin(), all.end(), net::NodeId{0});
+  rng.shuffle(all);
+  std::vector<net::NodeId> members(all.begin(), all.begin() + kMembers);
+  std::sort(members.begin(), members.end());
+
+  SrmConfig cfg;
+  cfg.timers = paper_fixed_params(kMembers);
+  cfg.backoff_factor = 3.0;
+  harness::SimSession::Options opts{cfg, seed, /*group=*/1};
+  opts.kernel_threads = kernel_threads;
+  opts.kernel_regions = kernel_threads > 0 ? 8 : 0;
+  harness::SimSession session(std::move(topo), members, opts);
+
+  // Each source loses every third data packet on one congested link; the
+  // keyed chain drops on every hop, requests and repairs included.
+  auto drops = std::make_shared<net::CompositeDrop>();
+  for (std::size_t s = 0; s < kSources; ++s) {
+    const harness::DirectedLink link = harness::choose_congested_link(
+        session.network().routing(), members[s], members, rng);
+    const auto id = static_cast<SourceId>(members[s]);
+    drops->add(std::make_shared<net::ScriptedLinkDrop>(
+        link.from, link.to,
+        [id](const net::Packet& p) {
+          const auto* d = dynamic_cast<const DataMessage*>(p.payload.get());
+          return d != nullptr && d->name().page.creator == id &&
+                 d->name().seq % 3 == 0;
+        },
+        /*max_drops=*/std::size_t{1} << 30));
+  }
+  session.network().set_drop_policy(drops);
+  net::GilbertElliottDrop::Params ge;
+  ge.p_good_bad = 0.02;
+  ge.p_bad_good = 0.5;
+  session.network().set_fault_drop_policy(
+      std::make_shared<net::GilbertElliottDrop>(ge, seed ^ 0x6E5EEDull));
+  for (std::size_t s = 0; s < kSources; ++s) {
+    SrmAgent& agent = session.agent_at(members[s]);
+    for (std::size_t i = 0; i < kPackets; ++i) {
+      const double when = 1.0 + 0.04 * static_cast<double>(s) +
+                          0.25 * static_cast<double>(i);
+      session.queue().schedule_at(when, [&agent, s] {
+        agent.send_data(PageId{agent.id(), 0}, Payload{std::uint8_t(s)});
+      });
+    }
+  }
+  session.run();
+
+  BurstOutcome out;
+  out.stats = session.network_stats();
+  for (std::size_t i = 0; i < session.member_count(); ++i) {
+    const AgentMetrics& m = session.agent(i).metrics();
+    out.requests += m.requests_sent;
+    out.repairs += m.repairs_sent;
+    out.recoveries += m.recoveries;
+  }
+  out.end_time = session.now();
+  return out;
+}
+
+// A pooled request or repair is often released by another region's worker
+// (the one firing the last delivery of a remote chain) while the sender's
+// worker acquires from the same freelist.  Under ThreadSanitizer an
+// unguarded net::MessagePool freelist is reported here as a data race.
+// Several worlds, because whether two workers meet at a freelist depends on
+// wall-clock scheduling.
+TEST(PdesPoolTest, CrossRegionRequestRepairTrafficOnFourWorkers) {
+  for (std::uint64_t seed : {12, 13, 14}) {
+    SCOPED_TRACE(seed);
+    const BurstOutcome seq = run_burst(seed, 0);
+    const BurstOutcome par = run_burst(seed, 4);
+    EXPECT_GT(seq.requests, 0u);
+    EXPECT_GT(seq.repairs, 0u);
+    EXPECT_GT(seq.recoveries, 0u);
+    expect_stats_identical(seq.stats, par.stats, "sequential vs 4 workers");
+    EXPECT_EQ(seq.requests, par.requests);
+    EXPECT_EQ(seq.repairs, par.repairs);
+    EXPECT_EQ(seq.recoveries, par.recoveries);
+    EXPECT_EQ(seq.end_time, par.end_time);
+  }
 }
 
 }  // namespace

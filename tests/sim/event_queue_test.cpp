@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 namespace srm::sim {
@@ -44,6 +45,22 @@ TEST(EventQueueTest, RejectsPastAndNegative) {
   q.run();
   EXPECT_THROW(q.schedule_at(1.0, [] {}), std::invalid_argument);
   EXPECT_THROW(q.schedule_after(-0.1, [] {}), std::invalid_argument);
+}
+
+TEST(EventQueueTest, RejectsNonFiniteTimes) {
+  // NaN compares false against now(), so only an explicit finiteness check
+  // keeps it (and infinities) out of the heap.
+  EventQueue q;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(q.schedule_at(nan, [] {}), std::invalid_argument);
+  EXPECT_THROW(q.schedule_at(inf, [] {}), std::invalid_argument);
+  EXPECT_THROW(q.schedule_at_seq(nan, q.allocate_seqs(1), [] {}),
+               std::invalid_argument);
+  EXPECT_THROW(q.schedule_after(nan, [] {}), std::invalid_argument);
+  EXPECT_THROW(q.schedule_after(inf, [] {}), std::invalid_argument);
+  EXPECT_EQ(q.pending_events(), 0u);
+  EXPECT_EQ(q.run(), 0u);
 }
 
 TEST(EventQueueTest, RejectsEmptyFunction) {

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
+#include <vector>
 
 #include "topo/builders.h"
 #include "harness/session.h"
@@ -131,39 +133,72 @@ TEST(DistanceEstimatorTest, EchoRotationWindowsRotateAndStaySorted) {
             (std::vector<SourceId>{10, 20, 30, 40, 50}));
 }
 
-TEST(DistanceEstimatorTest, MatchesMapBasedReferenceOnRecordedExchange) {
-  // Reference implementation: the std::map-based estimator this PR replaced,
-  // transcribed directly.  Replay one recorded randomized exchange through
-  // both and require identical observable state.
-  struct RefEstimator {
-    struct Peer {
-      double timestamp = 0.0;
-      double arrival = 0.0;
-    };
-    std::map<SourceId, Peer> peers;
-    std::map<SourceId, double> estimates;
-
-    void on_session_message(const SessionMessage& msg, SourceId self,
-                            double now) {
-      Peer& p = peers[msg.sender()];
-      p.timestamp = msg.sender_timestamp();
-      p.arrival = now;
-      const auto echo = msg.echoes().find(self);
-      if (echo != msg.echoes().end()) {
-        const double rtt =
-            now - echo->second.peer_timestamp - echo->second.hold_time;
-        estimates[msg.sender()] = std::max(0.0, rtt / 2.0);
-      }
-    }
-    std::map<SourceId, SessionMessage::Echo> build_echoes(double now) const {
-      std::map<SourceId, SessionMessage::Echo> out;
-      for (const auto& [id, p] : peers) {
-        out[id] = SessionMessage::Echo{p.timestamp, now - p.arrival};
-      }
-      return out;
-    }
+// Reference implementation: the std::map-based estimator the flat store
+// replaced, transcribed directly, plus the echo-rotation window written as
+// modular positions over its sorted peers.
+struct RefEstimator {
+  struct Peer {
+    double timestamp = 0.0;
+    double arrival = 0.0;
   };
+  std::map<SourceId, Peer> peers;
+  std::map<SourceId, double> estimates;
+  std::size_t cursor = 0;
 
+  void on_session_message(const SessionMessage& msg, SourceId self,
+                          double now) {
+    Peer& p = peers[msg.sender()];
+    p.timestamp = msg.sender_timestamp();
+    p.arrival = now;
+    const auto echo = msg.echoes().find(self);
+    if (echo != msg.echoes().end()) {
+      const double rtt =
+          now - echo->second.peer_timestamp - echo->second.hold_time;
+      estimates[msg.sender()] = std::max(0.0, rtt / 2.0);
+    }
+  }
+  std::map<SourceId, SessionMessage::Echo> build_echoes(double now,
+                                                        std::size_t k = 0) {
+    std::vector<SourceId> ids;
+    for (const auto& [id, p] : peers) ids.push_back(id);
+    const std::size_t n = ids.size();
+    std::vector<SourceId> window = ids;
+    if (k != 0 && k < n) {
+      window.clear();
+      for (std::size_t i = 0; i < k; ++i) {
+        window.push_back(ids[(cursor + i) % n]);
+      }
+      cursor = (cursor % n + k) % n;
+    }
+    std::map<SourceId, SessionMessage::Echo> out;
+    for (SourceId id : window) {
+      out[id] = SessionMessage::Echo{peers[id].timestamp,
+                                     now - peers[id].arrival};
+    }
+    return out;
+  }
+};
+
+// Same entries, in the same iteration order.
+void expect_same_echoes(const SessionMessage::Echoes& got,
+                        const std::map<SourceId, SessionMessage::Echo>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  auto it = got.begin();
+  for (const auto& [peer, echo] : want) {
+    EXPECT_EQ(it->first, peer);
+    EXPECT_DOUBLE_EQ(it->second.peer_timestamp, echo.peer_timestamp);
+    EXPECT_DOUBLE_EQ(it->second.hold_time, echo.hold_time);
+    ++it;
+  }
+}
+
+// Replays one recorded randomized exchange through the estimator and the
+// reference and requires identical observable state.  Senders are drawn
+// from `ids`; `descending_first` first hears every id once in descending
+// order (each a front insert); `rotation` > 0 builds a K-capped echo table
+// after every message, so the rotation window moves across inserts.
+void replay_against_reference(const std::vector<SourceId>& ids,
+                              bool descending_first, std::size_t rotation) {
   sim::EventQueue q;
   sim::LocalClock clock(q, 0.0);
   DistanceEstimator est(clock);
@@ -171,10 +206,17 @@ TEST(DistanceEstimatorTest, MatchesMapBasedReferenceOnRecordedExchange) {
   const SourceId self = 5;
   util::Rng rng(99);
 
+  std::vector<SourceId> first_heard;
+  if (descending_first) {
+    first_heard = ids;
+    std::sort(first_heard.rbegin(), first_heard.rend());
+  }
   double t = 0.0;
-  for (int i = 0; i < 300; ++i) {
+  for (std::size_t i = 0; i < 300; ++i) {
     t += rng.uniform(0.01, 2.0);
-    const auto sender = static_cast<SourceId>(rng.index(12));
+    const SourceId sender = i < first_heard.size()
+                                ? first_heard[i]
+                                : ids[rng.index(ids.size())];
     const double sender_ts = rng.uniform(0.0, 50.0);
     SessionMessage::Echoes echoes;
     if (rng.index(3) != 0) {
@@ -183,16 +225,23 @@ TEST(DistanceEstimatorTest, MatchesMapBasedReferenceOnRecordedExchange) {
       echoes[self] = SessionMessage::Echo{rng.uniform(0.0, t),
                                           rng.uniform(0.0, t + 10.0)};
     }
-    q.schedule_at(t, [&est, &ref, &q, sender, sender_ts, echoes] {
+    q.schedule_at(t, [&, sender, sender_ts, echoes] {
       SessionMessage msg(sender, sender_ts, {}, echoes);
       est.on_session_message(msg, self);
       ref.on_session_message(msg, self, q.now());
+      if (rotation > 0) {
+        expect_same_echoes(est.build_echoes(rotation),
+                           ref.build_echoes(q.now(), rotation));
+      }
     });
   }
-  const double t_end = t + 1.0;
-  q.schedule_at(t_end, [&] {
-    // Per-peer estimates match the reference exactly (bit-for-bit).
-    for (SourceId peer = 0; peer < 12; ++peer) {
+  q.schedule_at(t + 1.0, [&] {
+    // Per-peer estimates match the reference exactly (bit-for-bit); the
+    // probes include ids between and beyond the heard ones.
+    std::vector<SourceId> probes = ids;
+    for (const SourceId id : ids) probes.push_back(id + 1);
+    probes.push_back(self);
+    for (const SourceId peer : probes) {
       const auto got = est.distance(peer);
       const auto want = ref.estimates.find(peer);
       if (want == ref.estimates.end()) {
@@ -202,21 +251,39 @@ TEST(DistanceEstimatorTest, MatchesMapBasedReferenceOnRecordedExchange) {
         EXPECT_DOUBLE_EQ(*got, want->second) << "peer " << peer;
       }
     }
-    // The echo table we would send next matches entry-for-entry, in the
-    // same iteration order.
-    const auto ref_echoes = ref.build_echoes(q.now());
-    const auto flat_echoes = est.build_echoes();
-    ASSERT_EQ(flat_echoes.size(), ref_echoes.size());
-    auto fit = flat_echoes.begin();
-    for (const auto& [peer, echo] : ref_echoes) {
-      EXPECT_EQ(fit->first, peer);
-      EXPECT_DOUBLE_EQ(fit->second.peer_timestamp, echo.peer_timestamp);
-      EXPECT_DOUBLE_EQ(fit->second.hold_time, echo.hold_time);
-      ++fit;
-    }
+    // The full echo table we would send next matches entry-for-entry.
+    expect_same_echoes(est.build_echoes(), ref.build_echoes(q.now()));
   });
   q.run();
   EXPECT_EQ(est.peers_heard(), ref.peers.size());
+}
+
+TEST(DistanceEstimatorTest, MatchesMapBasedReferenceOnRecordedExchange) {
+  std::vector<SourceId> small(12);
+  std::iota(small.begin(), small.end(), SourceId{0});
+  {
+    SCOPED_TRACE("ids 0..11, random order");
+    replay_against_reference(small, false, 0);
+  }
+  {
+    SCOPED_TRACE("Source-IDs at and above 2^16");
+    replay_against_reference({65536, 65537, 70000, 1u << 20, 0x7FFFFFFFu,
+                              0xFFFFFFF0u, 0xFFFFFFFEu, 3, 65535, 123456789},
+                             false, 0);
+  }
+  {
+    SCOPED_TRACE("peers first heard in descending order");
+    replay_against_reference({90, 80, 70, 60, 50, 40, 30, 20, 10, 1}, true,
+                             0);
+  }
+  {
+    SCOPED_TRACE("echo rotation across inserts");
+    std::vector<SourceId> many(24);
+    for (std::size_t i = 0; i < many.size(); ++i) {
+      many[i] = static_cast<SourceId>(7 * i + 1);
+    }
+    replay_against_reference(many, false, 5);
+  }
 }
 
 // --- End-to-end: agents exchanging real session messages --------------------

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -184,6 +185,44 @@ TEST(WireCodec, RejectsMalformedFrames) {
   bad = frame;
   bad[5] = 77;  // kind
   EXPECT_FALSE(decode_frame(bad.data(), bad.size(), pools, out));
+}
+
+TEST(WireCodec, RejectsNonFiniteOrNegativeTimes) {
+  // Every double on the wire is a distance, a timestamp or a hold time; a
+  // hostile one must be rejected at decode, before it can become a timer.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const DataName name{9, PageId{9, 1}, 5};
+  const auto session = [](double timestamp, SessionMessage::Echo echo) {
+    SessionMessage::Echoes echoes;
+    echoes.insert_or_assign(SourceId{2}, echo);
+    return std::make_shared<SessionMessage>(
+        5, timestamp, SessionMessage::StateReport{}, echoes);
+  };
+  const std::vector<net::MessagePtr> hostile = {
+      std::make_shared<RequestMessage>(name, 4, nan, 31),
+      std::make_shared<RequestMessage>(name, 4, -0.5, 31),
+      std::make_shared<RepairMessage>(name, nullptr, 6, 4, inf, 15, false),
+      session(nan, SessionMessage::Echo{1.5, 0.25}),
+      session(-2.0, SessionMessage::Echo{1.5, 0.25}),
+      session(2.75, SessionMessage::Echo{inf, 0.25}),
+      session(2.75, SessionMessage::Echo{1.5, nan}),
+      session(2.75, SessionMessage::Echo{1.5, -1.0}),
+  };
+  DecodePools pools;
+  for (std::size_t i = 0; i < hostile.size(); ++i) {
+    std::vector<std::uint8_t> frame;
+    ASSERT_TRUE(encode_frame(base_packet(hostile[i]), frame)) << i;
+    net::Packet out;
+    EXPECT_FALSE(decode_frame(frame.data(), frame.size(), pools, out)) << i;
+    EXPECT_EQ(out.payload, nullptr) << i;
+  }
+  // Zero is a legal time and distance.
+  std::vector<std::uint8_t> frame;
+  ASSERT_TRUE(encode_frame(
+      base_packet(session(0.0, SessionMessage::Echo{0.0, 0.0})), frame));
+  net::Packet out;
+  EXPECT_TRUE(decode_frame(frame.data(), frame.size(), pools, out));
 }
 
 TEST(WireCodec, RejectsOversizedCounts) {

@@ -6,13 +6,19 @@
 #include <fstream>
 #include <string>
 
+#include <unistd.h>
+
 namespace srm::util {
 namespace {
 
 class PerfJsonTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "perf_json_test.json";
+    // ctest runs each case as its own process, in parallel: a file per test
+    // and process keeps them from clobbering one another.
+    path_ = ::testing::TempDir() + "perf_json_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            "_" + std::to_string(::getpid()) + ".json";
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <random>
 #include <set>
+#include <vector>
 
 namespace srm::util {
 namespace {
@@ -199,6 +202,66 @@ TEST(RngTest, ShuffleIsPermutation) {
   auto reshuffled = v;
   std::sort(reshuffled.begin(), reshuffled.end());
   EXPECT_EQ(reshuffled, sorted);
+}
+
+// The four splitmix64 words a seed expands into.
+std::vector<std::uint32_t> seed_words(std::uint64_t seed) {
+  std::vector<std::uint32_t> words(4);
+  for (std::uint32_t& w : words) {
+    w = static_cast<std::uint32_t>(splitmix64(seed));
+  }
+  return words;
+}
+
+// Reference: the engine std::seed_seq seeds from those words, whose stream
+// every Rng(seed) must produce.
+std::mt19937_64 std_seeded_engine(std::uint64_t seed) {
+  const std::vector<std::uint32_t> words = seed_words(seed);
+  std::seed_seq seq(words.begin(), words.end());
+  return std::mt19937_64(seq);
+}
+
+TEST(RngTest, SeedSequenceMatchesStdSeedSeq) {
+  // Small seeds as the harnesses use them, then splitmix64-spread ones.
+  std::uint64_t spread = 0;
+  for (std::uint64_t i = 0; i < 10000; ++i) {
+    const std::uint64_t seed = i < 5000 ? i : splitmix64(spread);
+    SplitmixSeedSeq fast(seed);
+    const std::mt19937_64 got(fast);
+    ASSERT_TRUE(got == std_seeded_engine(seed)) << "seed " << seed;
+  }
+  // Output lengths on both sides of each of the algorithm's thresholds.
+  for (std::size_t n : {5, 6, 7, 38, 39, 67, 68, 622, 623, 624, 999}) {
+    const std::vector<std::uint32_t> words = seed_words(77);
+    std::seed_seq ref(words.begin(), words.end());
+    std::vector<std::uint32_t> want(n), got(n);
+    ref.generate(want.begin(), want.end());
+    SplitmixSeedSeq(77).generate(got.data(), got.data() + n);
+    EXPECT_EQ(got, want) << "n = " << n;
+  }
+}
+
+TEST(RngTest, LazySeedingKeepsEveryStream) {
+  // Copied before any draw: both copies, and the original, replay the
+  // eagerly seeded stream.
+  Rng original(1234);
+  Rng copy = original;
+  std::mt19937_64 want = std_seeded_engine(1234);
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t expected = want();
+    ASSERT_EQ(original.next_u64(), expected) << i;
+    ASSERT_EQ(copy.next_u64(), expected) << i;
+  }
+  // Forked before any draw: fork() still consumes the parent's first
+  // draw, so parent and child streams are unchanged.
+  Rng parent(99);
+  Rng child = parent.fork();
+  std::mt19937_64 want_parent = std_seeded_engine(99);
+  std::mt19937_64 want_child = std_seeded_engine(want_parent());
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_EQ(child.next_u64(), want_child()) << i;
+    ASSERT_EQ(parent.next_u64(), want_parent()) << i;
+  }
 }
 
 }  // namespace
