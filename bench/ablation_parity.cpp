@@ -2,13 +2,15 @@
 //
 // A 20-member tree session streams ADUs through a lossy link.  Without
 // parity, every loss costs a request + repair round (control traffic and a
-// recovery delay of a couple RTT).  With one parity ADU per k data ADUs,
-// isolated losses are rebuilt locally: control traffic drops sharply at the
-// cost of 1/k extra data bandwidth.
+// recovery delay of a couple RTT).  With one XOR parity ADU per k data ADUs
+// (fec::FecSession with its budget pinned at K = 1), isolated losses are
+// rebuilt locally: control traffic drops sharply at the cost of 1/k extra
+// data bandwidth.
+#include <cstdint>
 #include <memory>
 
 #include "common.h"
-#include "srm/parity.h"
+#include "srm/fec/session.h"
 
 int main(int argc, char** argv) {
   using namespace srm;
@@ -36,12 +38,18 @@ int main(int argc, char** argv) {
     const net::NodeId source = members[0];
     SrmAgent& tx_agent = session.agent_at(source);
 
-    std::vector<std::unique_ptr<parity::ParitySession>> sessions;
-    parity::ParitySession* tx = nullptr;
+    std::vector<std::unique_ptr<fec::FecSession>> sessions;
+    fec::FecSession* tx = nullptr;
     if (k > 0) {
+      // One generation per k data ADUs, sealed with exactly one XOR parity:
+      // the budget starts and stays at K = 1 (no raise past max_k, no decay).
+      FecConfig fec_cfg;
+      fec_cfg.generation_size = static_cast<std::size_t>(k);
+      fec_cfg.max_k = fec_cfg.initial_k = 1;
+      fec_cfg.decay_after_quiet = SIZE_MAX;
       for (net::NodeId m : members) {
-        sessions.push_back(std::make_unique<parity::ParitySession>(
-            session.agent_at(m), static_cast<std::size_t>(k)));
+        sessions.push_back(
+            std::make_unique<fec::FecSession>(session.agent_at(m), fec_cfg));
         if (m == source) tx = sessions.back().get();
       }
     }
@@ -96,16 +104,13 @@ int main(int argc, char** argv) {
     for (const auto& s : sessions) {
       if (s.get() != tx) reconstructions += s->stats().reconstructions;
     }
+    // Every seq the source's stream reached, data and parity alike.
     bool complete = true;
-    const SeqNo per_block = k > 0 ? static_cast<SeqNo>(k + 1) : 1;
-    const SeqNo total_seqs =
-        k > 0 ? static_cast<SeqNo>(adus) / k * per_block +
-                    static_cast<SeqNo>(adus) % static_cast<SeqNo>(k)
-              : static_cast<SeqNo>(adus);
+    const auto last = tx_agent.advertised_max(StreamKey{tx_agent.id(), page});
+    const SeqNo total_seqs = last ? *last + 1 : 0;
     for (net::NodeId m : members) {
       for (SeqNo q = 0; q < total_seqs; ++q) {
-        if (!session.agent_at(m).has_data(DataName{
-                static_cast<SourceId>(source), page, q})) {
+        if (!session.agent_at(m).has_data(DataName{tx_agent.id(), page, q})) {
           complete = false;
         }
       }

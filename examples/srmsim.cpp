@@ -163,6 +163,147 @@ BuiltTopology build_topology(const std::string& kind, std::size_t nodes,
   throw std::invalid_argument("unknown --topo: " + kind);
 }
 
+// The loss rounds' source member and congested link, drawn from `rng`.
+harness::RoundSpec round_spec(harness::SimSession& session,
+                              const std::vector<net::NodeId>& members,
+                              util::Rng& rng) {
+  harness::RoundSpec spec;
+  spec.source_node = members[rng.index(members.size())];
+  spec.congested = harness::choose_congested_link(
+      session.network().routing(), spec.source_node, members, rng);
+  spec.page = PageId{static_cast<SourceId>(spec.source_node), 0};
+  return spec;
+}
+
+// Coded repair: one FecSession per member, layered over each agent's
+// AppHooks, with the rounds' sends routed through the source's session.
+// arm_faults() keeps the map in step with membership churn and floors every
+// budget during Gilbert-Elliott bursts.  Adaptive-K transitions are
+// count-based, so both kernels of --pdes-verify see the same budget.
+class CodedRepair {
+ public:
+  CodedRepair(harness::SimSession& session, const FecConfig& config)
+      : session_(&session), config_(config) {
+    for (net::NodeId m : session.member_nodes()) add(m);
+  }
+  // route() hands out closures over `this`.
+  CodedRepair(const CodedRepair&) = delete;
+  CodedRepair& operator=(const CodedRepair&) = delete;
+
+  void add(net::NodeId node) {
+    auto fs = std::make_unique<fec::FecSession>(session_->agent_at(node),
+                                                config_);
+    if (burst_epoch_) fs->set_burst_epoch(true);
+    sessions_[node] = std::move(fs);
+  }
+  // A departing member's FecSession must die before its agent.
+  void remove(net::NodeId node) { sessions_.erase(node); }
+  void set_burst_epoch(bool active) {
+    burst_epoch_ = active;
+    for (auto& [node, fs] : sessions_) fs->set_burst_epoch(active);
+  }
+  void route(harness::RoundSpec& spec) {
+    spec.send_fn = [this](SrmAgent& agent, const PageId& page,
+                          Payload payload) {
+      return sessions_.at(agent.node())->send(page, std::move(payload));
+    };
+  }
+  // Parity ADUs consume sequence numbers, so each round's dropped seq comes
+  // from where the source's stream actually is rather than the fixed
+  // 2-per-round arithmetic; it stays put while the source is churned out.
+  SeqNo next_round_seq(const harness::RoundSpec& spec) {
+    try {
+      const SrmAgent& agent = session_->agent_at(spec.source_node);
+      const auto adv = agent.advertised_max(StreamKey{agent.id(), spec.page});
+      if (adv) round_seq_ = *adv + 1;
+    } catch (const std::exception&) {
+      // Source currently churned out; the round will report it.
+    }
+    return round_seq_;
+  }
+
+ private:
+  harness::SimSession* session_;
+  FecConfig config_;
+  std::unordered_map<net::NodeId, std::unique_ptr<fec::FecSession>> sessions_;
+  bool burst_epoch_ = false;
+  SeqNo round_seq_ = 0;
+};
+
+// Hierarchical sessions: let two report intervals elapse so every area has
+// heard its members and elected a representative, print the steady state
+// to `report` (if any), then stop reporting so the loss rounds drain the
+// queue.  Both kernels of --pdes-verify warm up identically, so its stats
+// diff also covers hierarchy determinism.
+void warm_up_hierarchy(harness::SimSession& session, const SrmConfig& cfg,
+                       std::ostream* report) {
+  SessionHierarchy* hier = session.hierarchy();
+  if (hier == nullptr) return;
+  const double warm = 2.0 * cfg.hierarchy.report_interval;
+  session.run_until(warm);
+  if (report != nullptr) {
+    std::size_t reps = 0;
+    for (std::size_t i = 0; i < session.member_count(); ++i) {
+      if (hier->is_representative(session.agent(i))) ++reps;
+    }
+    const SrmAgent& probe = session.agent(0);
+    *report << "hierarchy: " << hier->area_count() << " areas, " << reps
+            << " representatives, local TTL " << cfg.hierarchy.local_ttl
+            << "\n  warm-up " << warm << "s: " << hier->local_reports_sent()
+            << " local + " << hier->global_reports_sent()
+            << " global reports, " << hier->pending_wheel_buckets()
+            << " timer buckets for " << hier->pending_wheel_items()
+            << " pending reports\n  node " << probe.node()
+            << " estimates group size " << hier->estimated_group_size(probe)
+            << "\n";
+  }
+  hier->stop();
+}
+
+// Arms `plan` before the first round.  Membership churn drives the session
+// and, with coded repair, its FecSessions and burst-epoch budget floor.
+std::unique_ptr<fault::FaultInjector> arm_faults(harness::SimSession& session,
+                                                 fault::FaultPlan plan,
+                                                 CodedRepair* coded) {
+  auto injector = std::make_unique<fault::FaultInjector>(
+      session.queue(), session.mutable_topology(), session.network(),
+      std::move(plan), session.rng().fork());
+  fault::MembershipHooks membership = harness::membership_hooks(session);
+  if (coded != nullptr) {
+    auto inner = std::move(membership);
+    membership.join = [coded, inner](net::NodeId node) {
+      if (inner.join) inner.join(node);
+      coded->add(node);
+    };
+    membership.leave = [coded, inner](net::NodeId node, bool graceful) {
+      coded->remove(node);
+      if (inner.leave) inner.leave(node, graceful);
+    };
+    injector->set_epoch_observer(
+        [coded](bool active, const net::GilbertElliottDrop::Params&) {
+          coded->set_burst_epoch(active);
+        });
+  }
+  injector->set_membership_hooks(std::move(membership));
+  // Under the parallel kernel the injector's events (global queue) must
+  // emit into the global trace lane so they join the deterministic merge.
+  injector->set_tracer(session.control_tracer());
+  injector->arm();
+  return injector;
+}
+
+// The recovery-invariant verdict over a captured trace: every loss at a
+// surviving member repaired within the (window-extended) deadline, with no
+// repair storms.
+fault::CheckerReport check_recovery(const std::vector<trace::Event>& events,
+                                    const fault::FaultInjector& injector,
+                                    sim::Time end, double deadline) {
+  fault::CheckerOptions copts;
+  copts.deadline = deadline;
+  return fault::RecoveryInvariantChecker(copts).check(
+      events, injector.disruption_windows(), end);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -323,6 +464,12 @@ int main(int argc, char** argv) {
                     : "")
             << "\n";
 
+  const auto session_options = [&](unsigned kthreads) {
+    harness::SimSession::Options opts{cfg, seed, /*group=*/1};
+    opts.kernel_threads = kthreads;
+    opts.kernel_regions = kernel_regions;
+    return opts;
+  };
   if (pdes_verify) {
     // Run the identical scenario on both kernels and diff everything the
     // harness measures.  The parallel kernel's claim is event-order
@@ -338,6 +485,15 @@ int main(int argc, char** argv) {
            << y;
         diffs.push_back(os.str());
       }
+    };
+    const auto net_diff = [&](const net::NetworkStats& a,
+                              const net::NetworkStats& b) {
+      stat_diff("multicasts", a.multicasts_sent, b.multicasts_sent);
+      stat_diff("unicasts", a.unicasts_sent, b.unicasts_sent);
+      stat_diff("link transmissions", a.link_transmissions,
+                b.link_transmissions);
+      stat_diff("deliveries", a.deliveries, b.deliveries);
+      stat_diff("drops", a.drops, b.drops);
     };
     if (!fault_plan.empty()) {
       // With a fault plan the scenario includes stochastic (keyed
@@ -355,29 +511,17 @@ int main(int argc, char** argv) {
       };
       const auto run_fault_mode = [&](unsigned kthreads) {
         FaultModeResult mr;
-        harness::SimSession::Options opts{cfg, seed, /*group=*/1};
-        opts.kernel_threads = kthreads;
-        opts.kernel_regions = kernel_regions;
-        harness::SimSession session(net::Topology(built.topo), members, opts);
+        harness::SimSession session(net::Topology(built.topo), members,
+                                    session_options(kthreads));
         trace::VectorSink capture;
         trace::Tracer vtracer;
         vtracer.set_sink(&capture);
         vtracer.set_mask(static_cast<std::uint32_t>(trace::Category::kSrm) |
                          static_cast<std::uint32_t>(trace::Category::kFault));
         session.set_tracer(&vtracer);
-        fault::FaultInjector injector(
-            session.queue(), session.mutable_topology(), session.network(),
-            fault_plan, session.rng().fork());
-        injector.set_membership_hooks(harness::membership_hooks(session));
-        injector.set_tracer(session.control_tracer());
-        injector.arm();
+        const auto injector = arm_faults(session, fault_plan, nullptr);
         util::Rng pick(seed * 2 + 1);
-        const net::NodeId src = members[pick.index(members.size())];
-        harness::RoundSpec rspec;
-        rspec.source_node = src;
-        rspec.congested = harness::choose_congested_link(
-            session.network().routing(), src, members, pick);
-        rspec.page = PageId{static_cast<SourceId>(src), 0};
+        const harness::RoundSpec rspec = round_spec(session, members, pick);
         for (int r = 0; r < rounds; ++r) {
           try {
             harness::run_loss_round(session, rspec,
@@ -386,11 +530,8 @@ int main(int argc, char** argv) {
             ++mr.disrupted;  // the plan ate the round; all runs must agree
           }
         }
-        fault::CheckerOptions copts;
-        copts.deadline = fault_deadline;
-        mr.report = fault::RecoveryInvariantChecker(copts).check(
-            capture.events(), injector.disruption_windows(),
-            session.queue().now());
+        mr.report = check_recovery(capture.events(), *injector,
+                                   session.queue().now(), fault_deadline);
         mr.events = capture.events();
         mr.stats = session.network_stats();
         return mr;
@@ -398,12 +539,6 @@ int main(int argc, char** argv) {
       const FaultModeResult seq = run_fault_mode(0);
       const FaultModeResult p1 = run_fault_mode(1);
       const FaultModeResult pkt = run_fault_mode(kt);
-      const auto events_equal = [](const trace::Event& a,
-                                   const trace::Event& b) {
-        return a.type == b.type && a.t == b.t && a.actor == b.actor &&
-               a.a == b.a && a.b == b.b && a.c == b.c && a.d == b.d &&
-               a.e == b.e && a.x == b.x && a.y == b.y;
-      };
       if (p1.events.size() != pkt.events.size()) {
         std::ostringstream os;
         os << "parallel trace length: 1-thread " << p1.events.size()
@@ -411,7 +546,7 @@ int main(int argc, char** argv) {
         diffs.push_back(os.str());
       } else {
         for (std::size_t i = 0; i < p1.events.size(); ++i) {
-          if (!events_equal(p1.events[i], pkt.events[i])) {
+          if (p1.events[i] != pkt.events[i]) {
             std::ostringstream os;
             os << "parallel traces diverge at event " << i << " (t="
                << p1.events[i].t << " vs t=" << pkt.events[i].t << ")";
@@ -420,13 +555,7 @@ int main(int argc, char** argv) {
           }
         }
       }
-      stat_diff("multicasts", seq.stats.multicasts_sent,
-                pkt.stats.multicasts_sent);
-      stat_diff("unicasts", seq.stats.unicasts_sent, pkt.stats.unicasts_sent);
-      stat_diff("link transmissions", seq.stats.link_transmissions,
-                pkt.stats.link_transmissions);
-      stat_diff("deliveries", seq.stats.deliveries, pkt.stats.deliveries);
-      stat_diff("drops", seq.stats.drops, pkt.stats.drops);
+      net_diff(seq.stats, pkt.stats);
       stat_diff("checker losses", seq.report.losses, pkt.report.losses);
       stat_diff("checker recovered", seq.report.recovered,
                 pkt.report.recovered);
@@ -452,57 +581,23 @@ int main(int argc, char** argv) {
       net::NetworkStats stats;
     };
     const auto run_mode = [&](unsigned kthreads) {
-      harness::SimSession::Options opts{cfg, seed, /*group=*/1};
-      opts.kernel_threads = kthreads;
-      opts.kernel_regions = kernel_regions;
-      harness::SimSession session(net::Topology(built.topo), members, opts);
-      if (session.hierarchy() != nullptr) {
-        // Two-level reporting warms up identically on both kernels, so the
-        // stats diff below also covers hierarchy determinism; reporting
-        // then stops so the rounds drain the queue.
-        session.run_until(2.0 * cfg.hierarchy.report_interval);
-        session.hierarchy()->stop();
-      }
+      harness::SimSession session(net::Topology(built.topo), members,
+                                  session_options(kthreads));
+      warm_up_hierarchy(session, cfg, nullptr);
       // Same pick seed in both modes -> same source and congested link
       // (routing depends only on the topology, which is identical).
       util::Rng pick(seed * 2 + 1);
-      const net::NodeId src = members[pick.index(members.size())];
-      const auto cong = harness::choose_congested_link(
-          session.network().routing(), src, members, pick);
-      harness::RoundSpec rspec;
-      rspec.source_node = src;
-      rspec.congested = cong;
-      rspec.page = PageId{static_cast<SourceId>(src), 0};
-      // Coded repair composes with the verify: one FecSession per member,
-      // the round's sends routed through the source's session.  Adaptive-K
-      // transitions are count-based, so both kernels see the same budget.
-      std::unordered_map<net::NodeId, std::unique_ptr<fec::FecSession>>
-          fec_sessions;
+      harness::RoundSpec rspec = round_spec(session, members, pick);
+      std::unique_ptr<CodedRepair> coded;
       if (fec) {
-        for (net::NodeId m : members) {
-          fec_sessions.emplace(m, std::make_unique<fec::FecSession>(
-                                      session.agent_at(m), cfg.fec));
-        }
-        rspec.send_fn = [&fec_sessions](SrmAgent& agent, const PageId& page,
-                                        Payload payload) {
-          return fec_sessions.at(agent.node())->send(page,
-                                                     std::move(payload));
-        };
+        coded = std::make_unique<CodedRepair>(session, cfg.fec);
+        coded->route(rspec);
       }
       ModeResult mr;
-      SeqNo next_seq = 0;
       for (int r = 0; r < rounds; ++r) {
-        mr.rounds.push_back(harness::run_loss_round(session, rspec, next_seq));
-        if (fec) {
-          // Parity ADUs consume sequence numbers, so the next round's
-          // dropped seq is whatever the source's stream advanced to.
-          const SrmAgent& agent = session.agent_at(src);
-          const auto adv = agent.advertised_max(
-              StreamKey{agent.id(), rspec.page});
-          next_seq = adv ? *adv + 1 : next_seq + 2;
-        } else {
-          next_seq += 2;
-        }
+        const SeqNo seq = coded ? coded->next_round_seq(rspec)
+                                : static_cast<SeqNo>(r) * 2;
+        mr.rounds.push_back(harness::run_loss_round(session, rspec, seq));
       }
       mr.stats = session.network_stats();
       return mr;
@@ -543,13 +638,7 @@ int main(int argc, char** argv) {
                         " repair-time vectors differ");
       }
     }
-    stat_diff("multicasts", seq.stats.multicasts_sent,
-              par.stats.multicasts_sent);
-    stat_diff("unicasts", seq.stats.unicasts_sent, par.stats.unicasts_sent);
-    stat_diff("link transmissions", seq.stats.link_transmissions,
-              par.stats.link_transmissions);
-    stat_diff("deliveries", seq.stats.deliveries, par.stats.deliveries);
-    stat_diff("drops", seq.stats.drops, par.stats.drops);
+    net_diff(seq.stats, par.stats);
     if (diffs.empty()) {
       std::cout << "pdes-verify: OK (" << rounds
                 << " rounds bit-identical, sequential vs " << kt
@@ -561,10 +650,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  harness::SimSession::Options session_opts{cfg, seed, /*group=*/1};
-  session_opts.kernel_threads = kernel_threads;
-  session_opts.kernel_regions = kernel_regions;
-  harness::SimSession session(std::move(built.topo), members, session_opts);
+  harness::SimSession session(std::move(built.topo), members,
+                              session_options(kernel_threads));
   if (session.kernel() != nullptr) {
     std::cout << "parallel kernel: " << session.region_map().count
               << " regions, lookahead " << session.region_map().lookahead
@@ -630,78 +717,12 @@ int main(int argc, char** argv) {
     session.set_tracer(&tracer);
   }
 
-  // Hierarchical sessions: let two report intervals elapse so every area
-  // has heard its members and elected a representative, print the steady
-  // state, then stop reporting so the loss rounds below drain the queue.
-  if (session.hierarchy() != nullptr) {
-    SessionHierarchy& hier = *session.hierarchy();
-    const double warm = 2.0 * cfg.hierarchy.report_interval;
-    session.run_until(warm);
-    std::size_t reps = 0;
-    for (std::size_t i = 0; i < session.member_count(); ++i) {
-      if (hier.is_representative(session.agent(i))) ++reps;
-    }
-    const SrmAgent& probe = session.agent(0);
-    std::cout << "hierarchy: " << hier.area_count() << " areas, " << reps
-              << " representatives, local TTL " << cfg.hierarchy.local_ttl
-              << "\n  warm-up " << warm << "s: " << hier.local_reports_sent()
-              << " local + " << hier.global_reports_sent()
-              << " global reports, " << hier.pending_wheel_buckets()
-              << " timer buckets for " << hier.pending_wheel_items()
-              << " pending reports\n  node " << probe.node()
-              << " estimates group size " << hier.estimated_group_size(probe)
-              << "\n";
-    hier.stop();
-  }
-
-  // Coded repair: one FecSession per member, layered over each agent's
-  // AppHooks.  Membership churn (below) keeps the map in step with the
-  // session, and the fault injector's epoch observer floors every budget
-  // during Gilbert-Elliott bursts.
-  std::unordered_map<net::NodeId, std::unique_ptr<fec::FecSession>>
-      fec_sessions;
-  bool burst_epoch_now = false;
-  const auto add_fec_session = [&](net::NodeId node) {
-    auto fs = std::make_unique<fec::FecSession>(session.agent_at(node),
-                                                cfg.fec);
-    if (burst_epoch_now) fs->set_burst_epoch(true);
-    fec_sessions[node] = std::move(fs);
-  };
-  if (fec) {
-    for (net::NodeId m : session.member_nodes()) add_fec_session(m);
-  }
-
-  // Fault injection: arm the plan before the first round.
+  warm_up_hierarchy(session, cfg, &std::cout);
+  std::unique_ptr<CodedRepair> coded;
+  if (fec) coded = std::make_unique<CodedRepair>(session, cfg.fec);
   std::unique_ptr<fault::FaultInjector> injector;
   if (!fault_plan.empty()) {
-    injector = std::make_unique<fault::FaultInjector>(
-        session.queue(), session.mutable_topology(), session.network(),
-        std::move(fault_plan), session.rng().fork());
-    fault::MembershipHooks membership = harness::membership_hooks(session);
-    if (fec) {
-      // Keep the FEC layer in step with churn: a departing member's
-      // FecSession must die before its agent, and a (re)joining member gets
-      // a fresh one over the new agent's hooks.
-      auto inner = std::move(membership);
-      membership.join = [&, inner](net::NodeId node) {
-        if (inner.join) inner.join(node);
-        add_fec_session(node);
-      };
-      membership.leave = [&, inner](net::NodeId node, bool graceful) {
-        fec_sessions.erase(node);
-        if (inner.leave) inner.leave(node, graceful);
-      };
-      injector->set_epoch_observer(
-          [&](bool active, const net::GilbertElliottDrop::Params&) {
-            burst_epoch_now = active;
-            for (auto& [node, fs] : fec_sessions) fs->set_burst_epoch(active);
-          });
-    }
-    injector->set_membership_hooks(std::move(membership));
-    // Under the parallel kernel the injector's events (global queue) must
-    // emit into the global trace lane so they join the deterministic merge.
-    injector->set_tracer(session.control_tracer());
-    injector->arm();
+    injector = arm_faults(session, std::move(fault_plan), coded.get());
     std::cout << "fault plan: " << faults_path << " ("
               << injector->plan().size() << " events, deadline "
               << fault_deadline << "s)\n";
@@ -716,46 +737,19 @@ int main(int argc, char** argv) {
         });
   }
 
-  const net::NodeId source = members[rng.index(members.size())];
-  const auto congested = harness::choose_congested_link(
-      session.network().routing(), source, members, rng);
-  std::cout << "source node " << source << ", congested link ("
-            << congested.from << " -> " << congested.to << ")\n\n";
+  harness::RoundSpec spec = round_spec(session, members, rng);
+  std::cout << "source node " << spec.source_node << ", congested link ("
+            << spec.congested.from << " -> " << spec.congested.to << ")\n\n";
+  if (coded) coded->route(spec);
 
   util::Table table({"round", "affected", "requests", "repairs",
                      "last delay (s)", "last delay/RTT"});
-  harness::RoundSpec spec;
-  spec.source_node = source;
-  spec.congested = congested;
-  spec.page = PageId{static_cast<SourceId>(source), 0};
-  if (fec) {
-    spec.send_fn = [&fec_sessions](SrmAgent& agent, const PageId& page,
-                                   Payload payload) {
-      return fec_sessions.at(agent.node())->send(page, std::move(payload));
-    };
-  }
-  // With coded repair, parity ADUs consume sequence numbers, so each
-  // round's dropped seq comes from where the source's stream actually is
-  // rather than the fixed 2-per-round arithmetic.
-  const auto next_round_seq = [&](SeqNo fallback) -> SeqNo {
-    if (!fec) return fallback;
-    try {
-      const SrmAgent& agent = session.agent_at(source);
-      const auto adv =
-          agent.advertised_max(StreamKey{agent.id(), spec.page});
-      return adv ? *adv + 1 : fallback;
-    } catch (const std::exception&) {
-      return fallback;  // source currently churned out; round will report it
-    }
-  };
   std::size_t total_requests = 0;
   std::size_t total_repairs = 0;
-  SeqNo fec_seq = 0;
   for (int r = 0; r < rounds; ++r) {
     harness::RoundResult res;
     const SeqNo round_seq =
-        fec ? (fec_seq = next_round_seq(fec_seq))
-            : static_cast<SeqNo>(r) * 2;
+        coded ? coded->next_round_seq(spec) : static_cast<SeqNo>(r) * 2;
     try {
       res = harness::run_loss_round(session, spec, round_seq);
     } catch (const std::exception& e) {
@@ -829,16 +823,11 @@ int main(int argc, char** argv) {
   }
   // With faults active the conformance checker sees duplicate repairs and
   // timer restarts that are legitimate under churn, so the pass/fail verdict
-  // comes from the recovery-invariant checker instead: every loss at a
-  // surviving member must be repaired within the (window-extended) deadline,
-  // with no repair storms.
+  // comes from the recovery-invariant checker instead.
   if (injector != nullptr) {
-    fault::CheckerOptions copts;
-    copts.deadline = fault_deadline;
     const fault::CheckerReport report =
-        fault::RecoveryInvariantChecker(copts).check(
-            fault_capture.events(), injector->disruption_windows(),
-            session.queue().now());
+        check_recovery(fault_capture.events(), *injector,
+                       session.queue().now(), fault_deadline);
     std::cout << "\n" << report.summary();
     const auto& fs = injector->stats();
     std::cout << "fault totals: " << fs.links_taken_down << " links down, "

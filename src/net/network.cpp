@@ -23,6 +23,7 @@ MulticastNetwork::MulticastNetwork(sim::EventQueue& queue,
       routing_(topo),
       sinks_(topo.node_count(), nullptr),
       drop_policy_(std::make_shared<NoDrop>()),
+      peers_{this},
       attached_(topo.node_count(), 0),
       send_ordinal_(topo.node_count(), 0) {}
 
@@ -48,35 +49,19 @@ void MulticastNetwork::attach(NodeId n, PacketSink* sink) {
   }
   assert(region_map_ == nullptr || region_map_->of[n] == self_region_);
   sinks_[n] = sink;
-  if (peers_.empty()) {
-    attached_[n] = 1;
-  } else {
-    for (MulticastNetwork* p : peers_) p->attached_[n] = 1;
-  }
+  for (MulticastNetwork* p : peers_) p->attached_[n] = 1;
 }
 
 void MulticastNetwork::detach(NodeId n) {
   sinks_.at(n) = nullptr;
-  if (peers_.empty()) {
-    attached_[n] = 0;
-  } else {
-    for (MulticastNetwork* p : peers_) p->attached_[n] = 0;
-  }
+  for (MulticastNetwork* p : peers_) p->attached_[n] = 0;
 }
 
 void MulticastNetwork::join(GroupId g, NodeId n) {
-  if (peers_.empty()) {
-    join_local(g, n);
-    return;
-  }
   for (MulticastNetwork* p : peers_) p->join_local(g, n);
 }
 
 void MulticastNetwork::leave(GroupId g, NodeId n) {
-  if (peers_.empty()) {
-    leave_local(g, n);
-    return;
-  }
   for (MulticastNetwork* p : peers_) p->leave_local(g, n);
 }
 
@@ -120,70 +105,42 @@ const std::vector<NodeId>& MulticastNetwork::members(GroupId g) const {
 void MulticastNetwork::set_drop_policy(std::shared_ptr<DropPolicy> policy) {
   // Size any per-link policy state now, while no walk is consulting it
   // (installation is only legal from setup or a serialized phase).
-  if (policy) policy->prepare(topo_->link_count());
-  if (peers_.empty()) {
-    set_drop_policy_local(std::move(policy));
-    return;
+  if (policy) {
+    policy->prepare(topo_->link_count());
+  } else {
+    policy = std::make_shared<NoDrop>();
   }
   // Every region consults the same policy object: stateful budgets count
   // globally exactly as they do sequentially, and every stochastic policy
   // keys its draws by stable hop coordinates (drop_policy.h), so sharing
   // the object across concurrent walks is race-free.
-  for (MulticastNetwork* p : peers_) p->set_drop_policy_local(policy);
-}
-
-void MulticastNetwork::set_drop_policy_local(
-    std::shared_ptr<DropPolicy> policy) {
-  drop_policy_ = policy ? std::move(policy) : std::make_shared<NoDrop>();
+  for (MulticastNetwork* p : peers_) p->drop_policy_ = policy;
 }
 
 void MulticastNetwork::set_fault_drop_policy(
     std::shared_ptr<DropPolicy> policy) {
   if (policy) policy->prepare(topo_->link_count());
-  if (peers_.empty()) {
-    fault_drop_policy_ = std::move(policy);
-    return;
-  }
   for (MulticastNetwork* p : peers_) p->fault_drop_policy_ = policy;
 }
 
-const MulticastNetwork::PrunedTree& MulticastNetwork::pruned(NodeId root,
-                                                             GroupId group) {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(root) << 32) | static_cast<std::uint64_t>(group);
-  PrunedTree& entry = pruned_cache_[key];
+bool MulticastNetwork::current(PrunedTree& entry) const {
   if (entry.membership_version == membership_version_ &&
       entry.topology_version == topo_->version()) {
-    return entry;
+    return true;
   }
-
-  const Spt& t = routing_.spt(root);
   entry.membership_version = membership_version_;
   entry.topology_version = topo_->version();
   entry.steps.clear();
   entry.edges.clear();
+  return false;
+}
 
-  // need[n]: node n lies on a path from the root to some group member.
-  need_scratch_.assign(topo_->node_count(), false);
-  const auto git = groups_.find(group);
-  const GroupState* gs = git != groups_.end() ? &git->second : nullptr;
-  if (gs != nullptr) {
-    for (NodeId m : gs->sorted) {
-      // Mark the path from the member back to the root; stop early when we
-      // reach an already-marked node (shared prefix).
-      NodeId v = m;
-      while (!need_scratch_[v]) {
-        need_scratch_[v] = true;
-        if (v == root) break;
-        if (t.parent[v] == kInvalidNode) break;  // unreachable member
-        v = t.parent[v];
-      }
-    }
-  }
-
-  // Flatten the needed subtree in the stack-DFS order described in the
-  // header.  parents[] remembers each step's parent step for the
-  // subtree-extent pass below.
+template <typename Children>
+void MulticastNetwork::flatten(PrunedTree& entry, NodeId root,
+                               const GroupState* gs,
+                               const Children& children) {
+  // parents[] remembers each step's parent step for the subtree-extent pass
+  // below.
   struct BuildFrame {
     NodeId node;
     std::uint32_t parent_step;
@@ -201,19 +158,13 @@ const MulticastNetwork::PrunedTree& MulticastNetwork::pruned(NodeId root,
     step.subtree_end = step_index + 1;
     step.first_edge = static_cast<std::uint32_t>(entry.edges.size());
     step.edge_count = 0;
-    for (NodeId child : t.children[f.node]) {
-      if (!need_scratch_[child]) continue;
-      const Link& l = topo_->link(t.parent_link[child]);
-      TraceEdge edge;
-      edge.child = child;
-      edge.link = t.parent_link[child];
-      edge.delay = l.delay;
-      edge.threshold = l.threshold;
-      edge.child_step = 0;  // patched when the child's step is emitted
-      entry.edges.push_back(edge);
+    children(f.node, [&](NodeId child, LinkId link) {
+      const Link& l = topo_->link(link);
+      // child_step is patched when the child's step is emitted.
+      entry.edges.push_back(TraceEdge{child, link, l.delay, l.threshold, 0});
       stack.push_back(BuildFrame{child, step_index});
       ++step.edge_count;
-    }
+    });
     entry.steps.push_back(step);
     parents.push_back(f.parent_step);
     if (f.node != root) {
@@ -238,20 +189,45 @@ const MulticastNetwork::PrunedTree& MulticastNetwork::pruned(NodeId root,
     TraceStep& p = entry.steps[parents[j]];
     p.subtree_end = std::max(p.subtree_end, entry.steps[j].subtree_end);
   }
+}
+
+const MulticastNetwork::PrunedTree& MulticastNetwork::pruned(NodeId root,
+                                                             GroupId group) {
+  const std::uint64_t key =
+      (static_cast<std::uint64_t>(root) << 32) | static_cast<std::uint64_t>(group);
+  PrunedTree& entry = pruned_cache_[key];
+  if (current(entry)) return entry;
+  const Spt& t = routing_.spt(root);
+
+  // need[n]: node n lies on a path from the root to some group member.
+  need_scratch_.assign(topo_->node_count(), false);
+  const auto git = groups_.find(group);
+  const GroupState* gs = git != groups_.end() ? &git->second : nullptr;
+  if (gs != nullptr) {
+    for (NodeId m : gs->sorted) {
+      // Mark the path from the member back to the root; stop early when we
+      // reach an already-marked node (shared prefix).
+      NodeId v = m;
+      while (!need_scratch_[v]) {
+        need_scratch_[v] = true;
+        if (v == root) break;
+        if (t.parent[v] == kInvalidNode) break;  // unreachable member
+        v = t.parent[v];
+      }
+    }
+  }
+  flatten(entry, root, gs, [&](NodeId node, const auto& emit) {
+    for (NodeId child : t.children[node]) {
+      if (need_scratch_[child]) emit(child, t.parent_link[child]);
+    }
+  });
   return entry;
 }
 
 const MulticastNetwork::PrunedTree& MulticastNetwork::pruned_scoped(
     NodeId root, GroupId group, int ttl) {
   PrunedTree& entry = scoped_cache_[std::make_tuple(root, group, ttl)];
-  if (entry.membership_version == membership_version_ &&
-      entry.topology_version == topo_->version()) {
-    return entry;
-  }
-  entry.membership_version = membership_version_;
-  entry.topology_version = topo_->version();
-  entry.steps.clear();
-  entry.edges.clear();
+  if (current(entry)) return entry;
 
   const std::size_t n = topo_->node_count();
   if (scoped_stamp_.size() < n) {
@@ -324,73 +300,24 @@ const MulticastNetwork::PrunedTree& MulticastNetwork::pruned_scoped(
   }
 
   // Children lists in canonical (ascending child id per parent) order, as a
-  // sorted pair vector consumed via equal_range during the flatten.
+  // sorted pair vector consumed via equal_range during the flatten.  With no
+  // in-radius member the list is empty and the tree is the bare root step
+  // multicast()'s walk needs.
   for (NodeId v : scoped_visited_) {
     if (v != root && scoped_need_[v] == gen) {
       scoped_children_.emplace_back(scoped_parent_[v], v);
     }
   }
   std::sort(scoped_children_.begin(), scoped_children_.end());
-
-  // Flatten in the exact stack-DFS order pruned() uses.
-  struct BuildFrame {
-    NodeId node;
-    std::uint32_t parent_step;
-  };
-  std::vector<BuildFrame> stack;
-  std::vector<std::uint32_t> parents;
-  if (scoped_need_[root] == gen) stack.push_back(BuildFrame{root, 0});
-  while (!stack.empty()) {
-    const BuildFrame f = stack.back();
-    stack.pop_back();
-    const auto step_index = static_cast<std::uint32_t>(entry.steps.size());
-    TraceStep step;
-    step.node = f.node;
-    step.member = f.node != root && gs != nullptr && gs->test(f.node);
-    step.subtree_end = step_index + 1;
-    step.first_edge = static_cast<std::uint32_t>(entry.edges.size());
-    step.edge_count = 0;
+  flatten(entry, root, gs, [&](NodeId node, const auto& emit) {
     const auto range = std::equal_range(
         scoped_children_.begin(), scoped_children_.end(),
-        std::make_pair(f.node, NodeId{0}),
+        std::make_pair(node, NodeId{0}),
         [](const auto& a, const auto& b) { return a.first < b.first; });
     for (auto it = range.first; it != range.second; ++it) {
-      const NodeId child = it->second;
-      const Link& l = topo_->link(scoped_parent_link_[child]);
-      TraceEdge edge;
-      edge.child = child;
-      edge.link = scoped_parent_link_[child];
-      edge.delay = l.delay;
-      edge.threshold = l.threshold;
-      edge.child_step = 0;  // patched when the child's step is emitted
-      entry.edges.push_back(edge);
-      stack.push_back(BuildFrame{child, step_index});
-      ++step.edge_count;
+      emit(it->second, scoped_parent_link_[it->second]);
     }
-    entry.steps.push_back(step);
-    parents.push_back(f.parent_step);
-    if (f.node != root) {
-      TraceStep& p = entry.steps[f.parent_step];
-      for (std::uint32_t e = p.first_edge; e < p.first_edge + p.edge_count;
-           ++e) {
-        if (entry.edges[e].child == f.node) {
-          entry.edges[e].child_step = step_index;
-          break;
-        }
-      }
-    }
-  }
-  for (std::uint32_t i = static_cast<std::uint32_t>(entry.steps.size()); i > 1;
-       --i) {
-    const std::uint32_t j = i - 1;
-    TraceStep& p = entry.steps[parents[j]];
-    p.subtree_end = std::max(p.subtree_end, entry.steps[j].subtree_end);
-  }
-  // An empty scoped tree (no in-radius member) still needs the root step so
-  // multicast()'s walk can run unconditionally.
-  if (entry.steps.empty()) {
-    entry.steps.push_back(TraceStep{root, false, 1, 0, 0});
-  }
+  });
   return entry;
 }
 
@@ -442,69 +369,13 @@ bool MulticastNetwork::hop_allowed(const Packet& packet, int ttl_at_from,
   return true;
 }
 
-void MulticastNetwork::schedule_delivery(
-    const std::shared_ptr<const Packet>& packet, NodeId to, double delay,
-    int hops_taken) {
-  PacketSink* sink = sinks_.at(to);
-  if (sink == nullptr) return;
-  std::uint32_t index;
-  if (!free_deliveries_.empty()) {
-    index = free_deliveries_.back();
-    free_deliveries_.pop_back();
-  } else {
-    index = static_cast<std::uint32_t>(delivery_pool_.size());
-    delivery_pool_.emplace_back();
-  }
-  PendingDelivery& pd = delivery_pool_[index];
-  pd.packet = packet;
-  pd.info.receiver = to;
-  pd.info.path_delay = delay;
-  pd.info.hops = hops_taken;
-  pd.info.remaining_ttl = packet->ttl - hops_taken;
-  pd.dropped = false;
-  ++stats_.deliveries;
-  // [this, index] fits std::function's inline buffer: no allocation per
-  // receiver, and the Packet is shared rather than copied per closure.
-  queue_->schedule_after(delay, [this, index] { fire_delivery(index); });
-}
-
-void MulticastNetwork::fire_delivery(std::uint32_t index) {
-  PendingDelivery& pd = delivery_pool_[index];
-  const std::shared_ptr<const Packet> packet = std::move(pd.packet);
-  const DeliveryInfo info = pd.info;
-  const bool dropped = pd.dropped;
-  free_deliveries_.push_back(index);  // freed first: the sink may multicast
-  // Re-resolve the sink: the receiver may have detached (member crash or
-  // leave) after this delivery was scheduled.
-  PacketSink* const sink = sinks_[info.receiver];
-  if (dropped) return;
-  if (sink == nullptr) {
-    --stats_.deliveries;
-    ++stats_.in_flight_invalidated;
-    return;
-  }
-  if (tracer_->wants(trace::Category::kNet)) {
-    trace::Event ev;
-    ev.type = trace::EventType::kNetDeliver;
-    ev.t = queue_->now();
-    ev.actor = info.receiver;
-    ev.a = packet->group;
-    ev.b = kind_of(*packet);
-    ev.c = packet->source;
-    ev.d = static_cast<std::uint64_t>(info.hops);
-    ev.x = info.path_delay;
-    tracer_->emit(ev);
-  }
-  sink->on_receive(*packet, info);
-  if (delivery_observer_) delivery_observer_(*packet, info);
-}
-
-void MulticastNetwork::multicast(NodeId from, Packet packet) {
+std::uint64_t MulticastNetwork::begin_send(NodeId from, Packet& packet,
+                                           std::uint64_t& sent_counter) {
   if (from >= topo_->node_count()) {
-    throw std::out_of_range("MulticastNetwork::multicast: bad sender");
+    throw std::out_of_range("MulticastNetwork: bad sender");
   }
   packet.source = from;
-  ++stats_.multicasts_sent;
+  ++sent_counter;
   // Per-source transmission ordinal: a node's sends execute in the same
   // order under every kernel (its events all live in its own region's
   // queue), so this counter is a stable coordinate for keyed drop draws.
@@ -521,7 +392,12 @@ void MulticastNetwork::multicast(NodeId from, Packet packet) {
     ev.d = static_cast<std::uint64_t>(packet.scope);
     tracer_->emit(ev);
   }
+  return packet_ordinal;
+}
 
+void MulticastNetwork::multicast(NodeId from, Packet packet) {
+  const std::uint64_t packet_ordinal =
+      begin_send(from, packet, stats_.multicasts_sent);
   const bool scoped = scoped_trees_enabled_ && packet.ttl < kMaxTtl &&
                       packet.scope == Scope::kGlobal;
   const PrunedTree& tree = scoped ? pruned_scoped(from, packet.group, packet.ttl)
@@ -529,10 +405,8 @@ void MulticastNetwork::multicast(NodeId from, Packet packet) {
   const auto shared = std::make_shared<const Packet>(std::move(packet));
   const Packet& pkt = *shared;
 
-  const std::uint32_t chain_index = acquire_chain();
+  const std::uint32_t chain_index = acquire_chain(shared);
   DeliveryChain& chain = chain_pool_[chain_index];
-  chain.packet = shared;
-  chain.cursor = 0;
 
   // Linear walk of the flattened tree.  Each directed link is traversed
   // (and the drop policy consulted) at most once; a suppressed hop skips
@@ -551,7 +425,7 @@ void MulticastNetwork::multicast(NodeId from, Packet packet) {
     if (s.member && attached_[s.node]) {
       const std::uint32_t reg =
           region_map_ != nullptr ? region_map_->of[s.node] : self_region_;
-      if (peers_.empty() || reg == self_region_) {
+      if (reg == self_region_) {
         chain.items.push_back(ChainItem{st.delay, 0, s.node, st.hops});
         ++stats_.deliveries;
       } else {
@@ -602,14 +476,19 @@ void MulticastNetwork::multicast(NodeId from, Packet packet) {
   }
 }
 
-std::uint32_t MulticastNetwork::acquire_chain() {
+std::uint32_t MulticastNetwork::acquire_chain(
+    std::shared_ptr<const Packet> packet) {
+  std::uint32_t index;
   if (!free_chains_.empty()) {
-    const std::uint32_t index = free_chains_.back();
+    index = free_chains_.back();
     free_chains_.pop_back();
-    return index;
+  } else {
+    index = static_cast<std::uint32_t>(chain_pool_.size());
+    chain_pool_.emplace_back();
   }
-  const auto index = static_cast<std::uint32_t>(chain_pool_.size());
-  chain_pool_.emplace_back();
+  DeliveryChain& chain = chain_pool_[index];
+  chain.packet = std::move(packet);
+  chain.cursor = 0;
   return index;
 }
 
@@ -658,11 +537,9 @@ void MulticastNetwork::drain_remote() {
               return a.origin_seq < b.origin_seq;
             });
   for (RemoteChain& rc : remote_merge_scratch_) {
-    const std::uint32_t index = acquire_chain();
+    const std::uint32_t index = acquire_chain(std::move(rc.packet));
     DeliveryChain& chain = chain_pool_[index];
-    chain.packet = std::move(rc.packet);
     chain.items = std::move(rc.items);
-    chain.cursor = 0;
     for (const ChainItem& item : chain.items) {
       // Items invalidated while still in the inbox (a cut during the same
       // global phase as the send) were never counted as deliveries here.
@@ -755,10 +632,6 @@ bool MulticastNetwork::path_uses_link(NodeId src, NodeId dst, LinkId link) {
 }
 
 void MulticastNetwork::invalidate_in_flight(LinkId link) {
-  if (peers_.empty()) {
-    invalidate_in_flight_local(link);
-    return;
-  }
   for (MulticastNetwork* p : peers_) p->invalidate_in_flight_local(link);
 }
 
@@ -774,14 +647,6 @@ void MulticastNetwork::invalidate_in_flight_local(LinkId link) {
         --stats_.deliveries;
         ++stats_.in_flight_invalidated;
       }
-    }
-  }
-  for (PendingDelivery& pd : delivery_pool_) {
-    if (!pd.packet || pd.dropped) continue;
-    if (path_uses_link(pd.packet->source, pd.info.receiver, link)) {
-      pd.dropped = true;
-      --stats_.deliveries;
-      ++stats_.in_flight_invalidated;
     }
   }
   // Chains still in inbox lanes (sent in this same global phase, not yet
@@ -801,22 +666,8 @@ void MulticastNetwork::invalidate_in_flight_local(LinkId link) {
 }
 
 void MulticastNetwork::unicast(NodeId from, NodeId to, Packet packet) {
-  packet.source = from;
-  ++stats_.unicasts_sent;
-  const std::uint64_t packet_ordinal = next_send_ordinal(from);
-  if (send_observer_) send_observer_(from, packet);
-  if (tracer_->wants(trace::Category::kNet)) {
-    trace::Event ev;
-    ev.type = trace::EventType::kNetSend;
-    ev.t = queue_->now();
-    ev.actor = from;
-    ev.a = packet.group;
-    ev.b = kind_of(packet);
-    ev.c = static_cast<std::uint64_t>(packet.ttl);
-    ev.d = static_cast<std::uint64_t>(packet.scope);
-    tracer_->emit(ev);
-  }
-
+  const std::uint64_t packet_ordinal =
+      begin_send(from, packet, stats_.unicasts_sent);
   const std::vector<NodeId> p = routing_.path(from, to);
   double delay = 0.0;
   int ttl = packet.ttl;
@@ -830,24 +681,25 @@ void MulticastNetwork::unicast(NodeId from, NodeId to, Packet packet) {
     delay += l.delay;
     --ttl;
   }
-  const int hops_taken = static_cast<int>(p.size()) - 1;
+  // A unicast to a departed member costs nothing.
+  if (!attached_[to]) return;
+  const ChainItem item{delay, 0, to, static_cast<int>(p.size()) - 1};
+  auto shared = std::make_shared<const Packet>(std::move(packet));
   const std::uint32_t dest_region =
       region_map_ != nullptr ? region_map_->of[to] : self_region_;
-  if (peers_.empty() || dest_region == self_region_) {
-    const auto shared = std::make_shared<const Packet>(std::move(packet));
-    schedule_delivery(shared, to, delay, hops_taken);
+  if (dest_region == self_region_) {
+    const std::uint32_t index = acquire_chain(std::move(shared));
+    chain_pool_[index].items.push_back(item);
+    ++stats_.deliveries;
+    dispatch_chain(index, queue_->now());
     return;
   }
-  // Cross-region unicast: a one-item remote chain, adopted and counted by
-  // the owning network.  Mirror schedule_delivery's detached-receiver check
-  // so a unicast to a departed member costs nothing in either mode.
-  if (!attached_[to]) return;
+  // Cross-region: a one-item remote chain, adopted and counted by the
+  // owning network.
   assert(kernel_ == nullptr || delay >= kernel_->lookahead());
-  std::vector<ChainItem> items{ChainItem{delay, 0, to, hops_taken}};
-  peers_[dest_region]->accept_remote_chain(
-      self_region_, remote_seq_++,
-      std::make_shared<const Packet>(std::move(packet)), std::move(items),
-      queue_->now());
+  peers_[dest_region]->accept_remote_chain(self_region_, remote_seq_++,
+                                           std::move(shared), {item},
+                                           queue_->now());
 }
 
 }  // namespace srm::net

@@ -46,14 +46,20 @@ struct NetworkStats {
 
 class MulticastNetwork {
  public:
+  // A sequential network is region 0 of one region: its own only peer.
+  // Peers (and, under the parallel kernel, the kernel's drain hook) hold
+  // `this`, so a network is never copied or moved.
   MulticastNetwork(sim::EventQueue& queue, const Topology& topo);
+  MulticastNetwork(const MulticastNetwork&) = delete;
+  MulticastNetwork& operator=(const MulticastNetwork&) = delete;
 
   // --- Conservative-PDES mode (region-scoped operation) ------------------
   // Under the parallel kernel there is one MulticastNetwork per region, each
-  // bound to that region's EventQueue.  A sender's network still walks the
-  // full member-pruned tree (the whole walk — TTL, scoping, drop-policy
-  // consultations — happens at send time on the sender's thread, exactly as
-  // in sequential mode), but receivers in other regions are bucketed per
+  // bound to that region's EventQueue; a sequential network is the same
+  // machinery with a single region whose only peer is itself.  A sender's
+  // network walks the full member-pruned tree (the whole walk — TTL,
+  // scoping, drop-policy consultations — happens at send time on the
+  // sender's thread), but receivers in other regions are bucketed per
   // region and handed to the owning peer as a remote delivery chain through
   // a single-writer inbox lane.  The kernel's drain pass adopts those chains
   // into the destination's pool — first-class, so link-failure invalidation
@@ -225,15 +231,25 @@ class MulticastNetwork {
 
   const PrunedTree& pruned(NodeId root, GroupId group);
   const PrunedTree& pruned_scoped(NodeId root, GroupId group, int ttl);
-  void schedule_delivery(const std::shared_ptr<const Packet>& packet,
-                         NodeId to, double delay, int hops_taken);
-  void fire_delivery(std::uint32_t index);
-  std::uint32_t acquire_chain();
+  // True if `entry` matches the current membership and topology; otherwise
+  // stamps it with both versions and empties it for a rebuild.
+  bool current(PrunedTree& entry) const;
+  // Flattens the tree below `root` into `entry` in the stack-DFS order
+  // described above.  children(node, emit) calls emit(child, link) for each
+  // child of `node` on a member path, in ascending child id (SPT) order.
+  template <typename Children>
+  void flatten(PrunedTree& entry, NodeId root, const GroupState* gs,
+               const Children& children);
+  // Send prologue shared by multicast() and unicast(): stamps the source,
+  // counts the send, notifies the send observer and traces kNetSend.
+  // Returns the packet's per-source transmission ordinal.
+  std::uint64_t begin_send(NodeId from, Packet& packet,
+                           std::uint64_t& sent_counter);
+  std::uint32_t acquire_chain(std::shared_ptr<const Packet> packet);
   void dispatch_chain(std::uint32_t index, double sent_at);
   void fire_chain(std::uint32_t index);
   void join_local(GroupId g, NodeId n);
   void leave_local(GroupId g, NodeId n);
-  void set_drop_policy_local(std::shared_ptr<DropPolicy> policy);
   void invalidate_in_flight_local(LinkId link);
   bool hop_allowed(const Packet& packet, int ttl_at_from, const LinkEnd& edge,
                    NodeId from, std::uint64_t packet_ordinal);
@@ -282,29 +298,21 @@ class MulticastNetwork {
   std::vector<WalkState> walk_scratch_;
   std::vector<bool> need_scratch_;
 
-  // In-flight deliveries.  Entries are referenced from event closures by
-  // index, so one multicast copies its Packet exactly once and each
-  // per-receiver closure stays within std::function's inline buffer.
-  // The sink is re-resolved at fire time (not captured here): the receiver
-  // may detach between scheduling and delivery (member crash/leave), and a
-  // link failure may mark the entry `dropped`.
-  struct PendingDelivery {
-    std::shared_ptr<const Packet> packet;
-    DeliveryInfo info;
-    bool dropped = false;
-  };
-  std::vector<PendingDelivery> delivery_pool_;
-  std::vector<std::uint32_t> free_deliveries_;
-
-  // One multicast's deliveries, chained: the walk collects every receiver,
-  // reserves the whole block of event-queue sequence numbers up front, and
-  // sorts by (delay, seq).  Only the chain's NEXT delivery lives in the
-  // event heap; each firing re-inserts the following one under its
-  // pre-assigned (time, seq) key.  That keeps the heap at one entry per
-  // in-flight multicast instead of one per receiver — a large-session round
-  // goes from hundreds of thousands of pending heap entries (every sift a
-  // cache miss) to a few hundred — while executing deliveries in exactly
-  // the order eager per-receiver scheduling would have.
+  // In-flight deliveries, one chain per transmission: a multicast's walk
+  // collects every receiver, reserves the whole block of event-queue
+  // sequence numbers up front, and sorts by (delay, seq); a unicast is a
+  // one-item chain.  Only the chain's NEXT delivery lives in the event heap;
+  // each firing re-inserts the following one under its pre-assigned
+  // (time, seq) key.  That keeps the heap at one entry per in-flight
+  // transmission instead of one per receiver — a large-session round goes
+  // from hundreds of thousands of pending heap entries (every sift a cache
+  // miss) to a few hundred — while executing deliveries in exactly the
+  // order eager per-receiver scheduling would have.  Chains are referenced
+  // from event closures by index, so a transmission copies its Packet once
+  // and each closure stays within std::function's inline buffer.  The sink
+  // is re-resolved at fire time: the receiver may detach between sending
+  // and delivery (member crash/leave), and a link failure may mark an item
+  // `dropped`.
   struct ChainItem {
     double delay;       // path delay from the sender
     std::uint64_t seq;  // pre-assigned event-queue tie-break
@@ -321,7 +329,7 @@ class MulticastNetwork {
   std::vector<DeliveryChain> chain_pool_;
   std::vector<std::uint32_t> free_chains_;
 
-  // --- PDES state (inert in sequential mode) -----------------------------
+  // --- Region state (one region, no inboxes, in sequential mode) ---------
   // A delivery chain crossing a region boundary, in flight between the
   // sender's walk and the destination's drain pass.  Items keep the path
   // delay measured from the original sender; the destination re-bases them
@@ -350,7 +358,7 @@ class MulticastNetwork {
   sim::ParallelKernel* kernel_ = nullptr;
   const RegionMap* region_map_ = nullptr;
   std::uint32_t self_region_ = 0;
-  std::vector<MulticastNetwork*> peers_;  // by region; empty when sequential
+  std::vector<MulticastNetwork*> peers_;  // by region; {this} when sequential
   // Global attachment map, maintained in every mode: region-scoped walks
   // must see remote receivers exactly as a sequential walk would see their
   // sinks.  In sequential mode attached_[n] mirrors sinks_[n] != nullptr.

@@ -164,8 +164,8 @@ class SrmAgent : public net::PacketSink {
   // contiguous from 0 per stream or the gap will be requested.
   void seed_data(const DataName& name, Payload payload);
 
-  // Supplies an ADU recovered out-of-band (e.g. reconstructed from a parity
-  // packet, see srm/parity.h): cancels any pending repair request for it,
+  // Supplies an ADU recovered out-of-band (e.g. reconstructed from parity
+  // ADUs, see srm/fec/session.h): cancels any pending repair request for it,
   // stores it so this member can answer others' requests, and delivers it
   // to the application.  Counted as a recovery when a request was pending.
   void supply_data(const DataName& name, Payload payload);

@@ -106,9 +106,9 @@ struct LocalRecoveryConfig {
 };
 
 // Coded repair (srm/fec; ARCHITECTURE.md §11): generation size and the
-// adaptive parity-budget hysteresis.  The budget knobs mirror
-// fec::BudgetConfig; FecSession copies them across so the whole FEC layer is
-// configured from the one SrmConfig the harness already threads everywhere.
+// adaptive parity-budget hysteresis (fec::ParityBudgetController reads the
+// budget knobs directly), so the whole FEC layer is configured from the one
+// SrmConfig the harness already threads everywhere.
 struct FecConfig {
   bool enabled = false;
   // Data ADUs per generation.  Small generations bound reconstruction

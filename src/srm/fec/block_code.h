@@ -5,8 +5,8 @@
 // scheme-id framing (SNIPPETS.md Snippet 1):
 //
 //   scheme 0 (kSchemeXor):   K == 1, parity_0 = XOR of all data symbols.
-//                            This is the ParitySession fast path: one table
-//                            free XOR pass, repairs any single erasure.
+//                            This is the K == 1 fast path: one table-free
+//                            XOR pass, repairs any single erasure.
 //   scheme 1 (kSchemeGf256): K in [2..4], parity_j = sum_i coeff(j,i)*data_i
 //                            with Cauchy coefficients, repairs any e <= K
 //                            erasures from any K surviving parities.

@@ -4,7 +4,7 @@
 
 namespace srm::fec {
 
-ParityBudgetController::ParityBudgetController(const BudgetConfig& config)
+ParityBudgetController::ParityBudgetController(const FecConfig& config)
     : config_(config), k_(std::min(config.initial_k, config.max_k)) {}
 
 void ParityBudgetController::note_loss_evidence(std::size_t count) {

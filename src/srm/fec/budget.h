@@ -22,19 +22,17 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "srm/config.h"
+
 namespace srm::fec {
 
-struct BudgetConfig {
-  std::size_t max_k = 4;           // hard ceiling (kMaxParity)
-  std::size_t initial_k = 1;       // starting budget: the XOR fast path
-  std::size_t raise_threshold = 2; // evidence per generation that raises K
-  std::size_t decay_after_quiet = 3;  // quiet generations before K decays
-  std::size_t burst_floor = 2;     // minimum K while a burst epoch is active
-};
-
+// Configured by srm::FecConfig's budget knobs (max_k, initial_k,
+// raise_threshold, decay_after_quiet, burst_floor).  initial_k and
+// burst_floor are clamped to max_k; a raise threshold or quiet count of 0
+// acts like 1.
 class ParityBudgetController {
  public:
-  explicit ParityBudgetController(const BudgetConfig& config);
+  explicit ParityBudgetController(const FecConfig& config);
 
   // K for the generation being assembled right now.  K == 0 means the
   // generation seals with no parity at all — the quiet-link steady state,
@@ -65,7 +63,7 @@ class ParityBudgetController {
  private:
   std::size_t floor_k() const;
 
-  BudgetConfig config_;
+  FecConfig config_;
   std::size_t k_;
   std::size_t evidence_ = 0;      // since the last seal
   std::size_t quiet_streak_ = 0;  // consecutive evidence-free generations

@@ -145,18 +145,8 @@ std::optional<ParityFrame> FecSession::parse_parity(const Payload& frame) {
 // Sender side
 // ---------------------------------------------------------------------------
 
-BudgetConfig FecSession::budget_config() const {
-  BudgetConfig b;
-  b.max_k = std::min(config_.max_k, kMaxParity);
-  b.initial_k = std::min(config_.initial_k, b.max_k);
-  b.raise_threshold = std::max<std::size_t>(1, config_.raise_threshold);
-  b.decay_after_quiet = std::max<std::size_t>(1, config_.decay_after_quiet);
-  b.burst_floor = std::min(config_.burst_floor, b.max_k);
-  return b;
-}
-
 FecSession::Outgoing& FecSession::outgoing_for(const PageId& page) {
-  auto [it, inserted] = outgoing_.try_emplace(page, budget_config());
+  auto [it, inserted] = outgoing_.try_emplace(page, config_);
   if (inserted && burst_active_) it->second.budget.set_burst_epoch(true);
   return it->second;
 }
@@ -164,7 +154,7 @@ FecSession::Outgoing& FecSession::outgoing_for(const PageId& page) {
 std::size_t FecSession::current_k(const PageId& page) const {
   const auto it = outgoing_.find(page);
   if (it != outgoing_.end()) return it->second.budget.current_k();
-  return std::min(config_.initial_k, std::min(config_.max_k, kMaxParity));
+  return std::min(config_.initial_k, config_.max_k);
 }
 
 DataName FecSession::send(const PageId& page, Payload app_payload) {

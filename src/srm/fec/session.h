@@ -1,10 +1,9 @@
 // FecSession: generation-framed coded repair over an SrmAgent
-// (ARCHITECTURE.md §11; the block-FEC successor to srm/parity.h's
-// fixed-XOR layout, per the Sec. VII-B FEC pointer).
+// (ARCHITECTURE.md §11, per the Sec. VII-B FEC pointer).
 //
-// Like ParitySession this lives entirely *above* the agent in ALF fashion:
-// the application's payloads are framed into *generations* of
-// `generation_size` data ADUs followed by K parity ADUs, K chosen per
+// It lives entirely *above* the agent in ALF fashion: the application's
+// payloads are framed into *generations* of `generation_size` data ADUs
+// followed by K parity ADUs, K chosen per
 // generation by a ParityBudgetController (srm/fec/budget.h).  A receiver
 // holding any N-e of a generation's N data ADUs plus any e of its parity
 // ADUs reconstructs the e missing ADUs locally and feeds them back with
@@ -134,7 +133,7 @@ class FecSession {
     std::uint64_t base_seq = 0;          // seq of the gen's first data ADU
     std::vector<Symbol> symbols;         // [u32 len][payload] per data ADU
     ParityBudgetController budget;
-    explicit Outgoing(const BudgetConfig& config) : budget(config) {}
+    explicit Outgoing(const FecConfig& config) : budget(config) {}
   };
 
   // ---- receiver side: per (stream, gen) reassembly ----
@@ -169,7 +168,6 @@ class FecSession {
   void try_reconstruct(const StreamKey& stream, std::uint32_t gen);
   void note_evidence(const DataName& name, std::size_t count);
 
-  BudgetConfig budget_config() const;
   void trace_fec(trace::EventType type, const StreamKey& stream, SeqNo seq,
                  std::uint64_t e, double x, double y);
 

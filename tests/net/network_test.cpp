@@ -200,6 +200,49 @@ TEST_F(NetworkTest, UnicastSubjectToDrops) {
   EXPECT_TRUE(sinks_[3]->received.empty());
 }
 
+TEST_F(NetworkTest, LinkFailureInvalidatesUnicastInFlight) {
+  build_chain(4);
+  net_->unicast(0, 3, make_packet(1));
+  EXPECT_EQ(net_->stats().deliveries, 1u);
+  net_->invalidate_in_flight(topo_->link_between(1, 2));
+  queue_.run();
+  EXPECT_TRUE(sinks_[3]->received.empty());
+  EXPECT_EQ(net_->stats().deliveries, 0u);
+  EXPECT_EQ(net_->stats().in_flight_invalidated, 1u);
+}
+
+TEST_F(NetworkTest, DetachBeforeArrivalInvalidatesUnicast) {
+  build_chain(4);
+  net_->unicast(0, 3, make_packet(1));
+  EXPECT_EQ(net_->stats().deliveries, 1u);
+  queue_.schedule_at(1.0, [&] { net_->detach(3); });
+  queue_.run();
+  EXPECT_TRUE(sinks_[3]->received.empty());
+  EXPECT_EQ(net_->stats().deliveries, 0u);
+  EXPECT_EQ(net_->stats().in_flight_invalidated, 1u);
+}
+
+TEST_F(NetworkTest, SimultaneousUnicastAndMulticastFireInSendOrder) {
+  build_chain(4);
+  net_->join(1, 3);
+  const auto tagged = [](int tag) {
+    Packet p = make_packet(1);
+    p.payload = std::make_shared<TestMessage>(tag);
+    return p;
+  };
+  net_->multicast(0, tagged(1));
+  net_->unicast(0, 3, tagged(2));
+  net_->multicast(0, tagged(3));
+  queue_.run();
+  const auto& rx = sinks_[3]->received;
+  ASSERT_EQ(rx.size(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_DOUBLE_EQ(rx[i].at, 3.0);
+    EXPECT_EQ(static_cast<const TestMessage&>(*rx[i].packet.payload).tag(),
+              i + 1);
+  }
+}
+
 TEST_F(NetworkTest, DeliveryTimingMatchesLinkDelays) {
   topo_ = std::make_unique<Topology>(3);
   topo_->add_link(0, 1, 1.5);

@@ -9,8 +9,8 @@
 namespace srm::fec {
 namespace {
 
-BudgetConfig cfg() {
-  BudgetConfig c;
+FecConfig cfg() {
+  FecConfig c;
   c.max_k = 4;
   c.initial_k = 1;
   c.raise_threshold = 2;
@@ -21,7 +21,7 @@ BudgetConfig cfg() {
 
 TEST(ParityBudgetTest, StartsAtInitialK) {
   EXPECT_EQ(ParityBudgetController(cfg()).current_k(), 1u);
-  BudgetConfig c = cfg();
+  FecConfig c = cfg();
   c.initial_k = 0;
   EXPECT_EQ(ParityBudgetController(c).current_k(), 0u);
 }
@@ -57,7 +57,7 @@ TEST(ParityBudgetTest, EvidenceIsPerGeneration) {
 }
 
 TEST(ParityBudgetTest, DecaysToZeroOnQuietLinks) {
-  BudgetConfig c = cfg();
+  FecConfig c = cfg();
   c.initial_k = 2;
   ParityBudgetController b(c);
   // decay_after_quiet = 3: two quiet seals keep K, the third decays it.
@@ -73,7 +73,7 @@ TEST(ParityBudgetTest, DecaysToZeroOnQuietLinks) {
 }
 
 TEST(ParityBudgetTest, AnyEvidenceRearmsFromZero) {
-  BudgetConfig c = cfg();
+  FecConfig c = cfg();
   c.initial_k = 0;
   ParityBudgetController b(c);
   // A single piece of evidence (below raise_threshold) steps 0 -> 1: a
@@ -83,7 +83,7 @@ TEST(ParityBudgetTest, AnyEvidenceRearmsFromZero) {
 }
 
 TEST(ParityBudgetTest, EvidenceClearsQuietStreak) {
-  BudgetConfig c = cfg();
+  FecConfig c = cfg();
   c.initial_k = 1;
   c.decay_after_quiet = 2;
   ParityBudgetController b(c);
@@ -95,7 +95,7 @@ TEST(ParityBudgetTest, EvidenceClearsQuietStreak) {
 }
 
 TEST(ParityBudgetTest, BurstEpochFloorsImmediately) {
-  BudgetConfig c = cfg();
+  FecConfig c = cfg();
   c.initial_k = 0;
   ParityBudgetController b(c);
   b.set_burst_epoch(true);
@@ -105,7 +105,7 @@ TEST(ParityBudgetTest, BurstEpochFloorsImmediately) {
 }
 
 TEST(ParityBudgetTest, DecayClampsAtBurstFloorDuringEpoch) {
-  BudgetConfig c = cfg();
+  FecConfig c = cfg();
   c.initial_k = 4;
   c.decay_after_quiet = 1;
   ParityBudgetController b(c);
@@ -121,7 +121,7 @@ TEST(ParityBudgetTest, DecayClampsAtBurstFloorDuringEpoch) {
 }
 
 TEST(ParityBudgetTest, BurstFloorClampedToMaxK) {
-  BudgetConfig c = cfg();
+  FecConfig c = cfg();
   c.max_k = 1;
   c.burst_floor = 3;
   ParityBudgetController b(c);

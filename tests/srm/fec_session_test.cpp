@@ -154,6 +154,29 @@ TEST(FecSessionTest, DeliversAppPayloadsAndHidesParity) {
   EXPECT_EQ(delivered.count(2), 0u);  // parity invisible to the app
 }
 
+TEST(FecSessionTest, EmitsParityEveryKthSend) {
+  harness::SimSession s(topo::make_chain(2), all_nodes(2), {cfg(), 1, 1});
+  FecSession tx(s.agent_at(0), fec_cfg(3, 1));
+  const PageId page{0, 0};
+  std::size_t data_seen = 0, parity_seen = 0;
+  s.network().set_send_observer([&](net::NodeId, const net::Packet& p) {
+    const auto* d = dynamic_cast<const DataMessage*>(p.payload.get());
+    if (d == nullptr) return;
+    if (FecSession::parse_parity(*d->payload())) {
+      ++parity_seen;
+    } else {
+      ++data_seen;
+    }
+  });
+  for (int i = 0; i < 7; ++i) {
+    tx.send(page, {static_cast<std::uint8_t>(i)});
+  }
+  s.queue().run();
+  EXPECT_EQ(data_seen, 7u);
+  EXPECT_EQ(parity_seen, 2u);  // after sends 3 and 6; send 7 stays unsealed
+  EXPECT_EQ(tx.stats().parity_sent, 2u);
+}
+
 TEST(FecSessionTest, ForeignPayloadsPassThroughUnframed) {
   harness::SimSession s(topo::make_chain(2), all_nodes(2), {cfg(), 2, 1});
   FecSession rx(s.agent_at(1), fec_cfg(2, 1));
@@ -188,6 +211,57 @@ TEST(FecSessionTest, XorReconstructionWithZeroControlTraffic) {
   EXPECT_EQ(s.agent_at(0).metrics().repairs_sent, 0u);
   EXPECT_EQ(s.agent_at(1).metrics().recoveries, 1u);
   EXPECT_EQ(s.agent_at(1).metrics().fec_reconstructions, 1u);
+}
+
+TEST(FecSessionTest, ReconstructedDataAnswersOthersRequests) {
+  // Member 1 reconstructs the loss from parity; member 2, which missed both
+  // the data AND the parity, recovers through SRM, and member 1 answers
+  // from its reconstructed copy.
+  harness::SimSession s(topo::make_chain(3), all_nodes(3), {cfg(), 4, 1});
+  FecSession tx(s.agent_at(0), fec_cfg(2, 1));
+  FecSession rx1(s.agent_at(1), fec_cfg(2, 1));
+  FecSession rx2(s.agent_at(2), fec_cfg(2, 1));
+  const PageId page{0, 0};
+  auto drops = std::make_shared<net::CompositeDrop>();
+  drops->add(drop_seqs(0, 1, {1}));  // everyone downstream loses seq 1
+  drops->add(drop_seqs(1, 2, {2}));  // member 2 also loses the parity
+  s.network().set_drop_policy(drops);
+  tx.send(page, {0x01});
+  tx.send(page, {0x02});  // seals: parity at seq 2
+  // One more generation so member 2 detects the gap from later traffic.
+  tx.send(page, {0x03});
+  tx.send(page, {0x04});
+  std::size_t rebuilt_repairs = 0;  // repairs of seq 1 sent by member 1
+  s.network().set_send_observer([&](net::NodeId from, const net::Packet& p) {
+    const auto* r = dynamic_cast<const RepairMessage*>(p.payload.get());
+    if (r != nullptr && from == 1 && r->name().seq == 1) ++rebuilt_repairs;
+  });
+  s.queue().run();
+  EXPECT_EQ(rx1.stats().reconstructions, 1u);
+  EXPECT_TRUE(s.agent_at(2).has_data(DataName{0, page, 1}));
+  EXPECT_GE(s.agent_at(2).metrics().recoveries, 1u);
+  EXPECT_GE(rebuilt_repairs, 1u);
+}
+
+TEST(FecSessionTest, LostParityIsHarmless) {
+  // Only the parity ADU is dropped.  SRM repairs it like any ADU revealed
+  // by later traffic, and the application stream is complete either way.
+  harness::SimSession s(topo::make_chain(2), all_nodes(2), {cfg(), 6, 1});
+  FecSession tx(s.agent_at(0), fec_cfg(2, 1));
+  FecSession rx(s.agent_at(1), fec_cfg(2, 1));
+  std::size_t app_payloads = 0;
+  rx.set_data_handler([&](const DataName&, const Payload&, bool) {
+    ++app_payloads;
+  });
+  const PageId page{0, 0};
+  s.network().set_drop_policy(drop_seqs(0, 1, {2}));  // the first parity
+  for (int i = 0; i < 4; ++i) {
+    tx.send(page, {static_cast<std::uint8_t>(i)});
+  }
+  s.queue().run();
+  EXPECT_EQ(app_payloads, 4u);
+  EXPECT_EQ(rx.stats().reconstructions, 0u);
+  EXPECT_TRUE(s.agent_at(1).has_data(DataName{0, page, 2}));
 }
 
 TEST(FecSessionTest, TwoErasuresRepairedByGf256Parities) {
@@ -260,7 +334,7 @@ TEST(FecSessionTest, GenerationWithAllDataLostAnchorsAtBaseSeq) {
 TEST(FecSessionTest, FallsThroughToSrmWhenErasuresExceedParity) {
   // Two erasures, one XOR parity: the code cannot cover it, SRM requests
   // fire, and once SRM has repaired one ADU the parity finishes the other
-  // — the schemes compose exactly as parity.h's did.
+  // — the two repair schemes compose.
   harness::SimSession s(topo::make_chain(2), all_nodes(2), {cfg(), 7, 1});
   FecSession tx(s.agent_at(0), fec_cfg(3, 1));
   FecSession rx(s.agent_at(1), fec_cfg(3, 1));
