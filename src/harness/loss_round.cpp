@@ -82,16 +82,18 @@ RoundResult run_loss_round(SimSession& session, const RoundSpec& spec,
   };
 
   // Snapshot per-agent sample counts so only this round's samples are read.
+  // Keyed by node: members may crash, leave or join during the round, which
+  // reorders the member list.  A node with no member at round start keeps
+  // zero counts — a member that joined mid-round has no earlier samples.
   struct Snapshot {
-    std::size_t recoveries;
-    std::size_t request_delays;
+    std::size_t recoveries = 0;
+    std::size_t request_delays = 0;
   };
-  std::vector<Snapshot> before;
-  before.reserve(session.member_count());
-  for (std::size_t i = 0; i < session.member_count(); ++i) {
-    const AgentMetrics& m = session.agent(i).metrics();
-    before.push_back(Snapshot{m.recovery_delay_seconds.values().size(),
-                              m.request_delay_rtt.values().size()});
+  std::vector<Snapshot> before(session.topology().node_count());
+  for (net::NodeId node : session.member_nodes()) {
+    const AgentMetrics& m = session.agent_at(node).metrics();
+    before[node] = Snapshot{m.recovery_delay_seconds.values().size(),
+                            m.request_delay_rtt.values().size()};
   }
   const std::uint64_t links_before = session.network_stats().link_transmissions;
 
@@ -169,10 +171,7 @@ RoundResult run_loss_round(SimSession& session, const RoundSpec& spec,
   for (net::NodeId m : affected) {
     SrmAgent& agent = session.agent_at(m);
     const AgentMetrics& metrics = agent.metrics();
-    const Snapshot& snap = before[std::distance(
-        session.member_nodes().begin(),
-        std::find(session.member_nodes().begin(),
-                  session.member_nodes().end(), m))];
+    const Snapshot& snap = before[m];
 
     const auto& delays = metrics.recovery_delay_seconds.values();
     const auto& delays_rtt = metrics.recovery_delay_rtt.values();

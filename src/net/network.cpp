@@ -130,8 +130,6 @@ bool MulticastNetwork::current(PrunedTree& entry) const {
   }
   entry.membership_version = membership_version_;
   entry.topology_version = topo_->version();
-  entry.steps.clear();
-  entry.edges.clear();
   return false;
 }
 
@@ -145,37 +143,41 @@ void MulticastNetwork::flatten(PrunedTree& entry, NodeId root,
     NodeId node;
     std::uint32_t parent_step;
   };
+  std::vector<TraceStep>& steps = trace_steps_scratch_;
+  std::vector<TraceEdge>& edges = trace_edges_scratch_;
+  steps.clear();
+  edges.clear();
   std::vector<BuildFrame> stack;
   std::vector<std::uint32_t> parents;
   stack.push_back(BuildFrame{root, 0});
   while (!stack.empty()) {
     const BuildFrame f = stack.back();
     stack.pop_back();
-    const auto step_index = static_cast<std::uint32_t>(entry.steps.size());
+    const auto step_index = static_cast<std::uint32_t>(steps.size());
     TraceStep step;
     step.node = f.node;
     step.member = f.node != root && gs != nullptr && gs->test(f.node);
     step.subtree_end = step_index + 1;
-    step.first_edge = static_cast<std::uint32_t>(entry.edges.size());
+    step.first_edge = static_cast<std::uint32_t>(edges.size());
     step.edge_count = 0;
     children(f.node, [&](NodeId child, LinkId link) {
       const Link& l = topo_->link(link);
       // child_step is patched when the child's step is emitted.
-      entry.edges.push_back(TraceEdge{child, link, l.delay, l.threshold, 0});
+      edges.push_back(TraceEdge{child, link, l.delay, l.threshold, 0});
       stack.push_back(BuildFrame{child, step_index});
       ++step.edge_count;
     });
-    entry.steps.push_back(step);
+    steps.push_back(step);
     parents.push_back(f.parent_step);
     if (f.node != root) {
       // Patch the parent's edge that leads here.  Edges of one parent are
       // consulted in SPT-children order but their subtrees are emitted in
       // reverse (stack order), so search the parent's edge range.
-      TraceStep& p = entry.steps[f.parent_step];
+      TraceStep& p = steps[f.parent_step];
       for (std::uint32_t e = p.first_edge; e < p.first_edge + p.edge_count;
            ++e) {
-        if (entry.edges[e].child == f.node) {
-          entry.edges[e].child_step = step_index;
+        if (edges[e].child == f.node) {
+          edges[e].child_step = step_index;
           break;
         }
       }
@@ -183,12 +185,16 @@ void MulticastNetwork::flatten(PrunedTree& entry, NodeId root,
   }
   // Subtree extents: children always follow their parent, so a reverse scan
   // folds each step's extent into its parent's.
-  for (std::uint32_t i = static_cast<std::uint32_t>(entry.steps.size()); i > 1;
+  for (std::uint32_t i = static_cast<std::uint32_t>(steps.size()); i > 1;
        --i) {
     const std::uint32_t j = i - 1;
-    TraceStep& p = entry.steps[parents[j]];
-    p.subtree_end = std::max(p.subtree_end, entry.steps[j].subtree_end);
+    TraceStep& p = steps[parents[j]];
+    p.subtree_end = std::max(p.subtree_end, steps[j].subtree_end);
   }
+  // A cached trace lives until membership or topology changes, so it is
+  // stored at its exact size rather than with push_back's doubling slack.
+  entry.steps = std::vector<TraceStep>(steps.begin(), steps.end());
+  entry.edges = std::vector<TraceEdge>(edges.begin(), edges.end());
 }
 
 const MulticastNetwork::PrunedTree& MulticastNetwork::pruned(NodeId root,
@@ -217,7 +223,8 @@ const MulticastNetwork::PrunedTree& MulticastNetwork::pruned(NodeId root,
     }
   }
   flatten(entry, root, gs, [&](NodeId node, const auto& emit) {
-    for (NodeId child : t.children[node]) {
+    for (NodeId child = t.first_child[node]; child != kInvalidNode;
+         child = t.next_sibling[child]) {
       if (need_scratch_[child]) emit(child, t.parent_link[child]);
     }
   });
@@ -550,11 +557,17 @@ void MulticastNetwork::drain_remote() {
   remote_merge_scratch_.clear();
 }
 
+void MulticastNetwork::release_chain(std::uint32_t index) {
+  DeliveryChain& chain = chain_pool_[index];
+  chain.packet = nullptr;
+  chain.items = std::vector<ChainItem>();  // frees; `= {}` would only clear
+  free_chains_.push_back(index);
+}
+
 void MulticastNetwork::dispatch_chain(std::uint32_t index, double sent_at) {
   DeliveryChain& chain = chain_pool_[index];
   if (chain.items.empty()) {
-    chain.packet = nullptr;
-    free_chains_.push_back(index);
+    release_chain(index);
     return;
   }
   chain.sent_at = sent_at;
@@ -588,8 +601,7 @@ void MulticastNetwork::fire_chain(std::uint32_t index) {
   } else {
     // Freed first: the sink may multicast and recycle this very chain.
     packet = std::move(chain.packet);
-    chain.items.clear();
-    free_chains_.push_back(index);
+    release_chain(index);
   }
   if (item.dropped) return;  // invalidated by a link failure while in flight
   // Re-resolve the sink at fire time: the receiver may have detached

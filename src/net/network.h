@@ -232,11 +232,12 @@ class MulticastNetwork {
   const PrunedTree& pruned(NodeId root, GroupId group);
   const PrunedTree& pruned_scoped(NodeId root, GroupId group, int ttl);
   // True if `entry` matches the current membership and topology; otherwise
-  // stamps it with both versions and empties it for a rebuild.
+  // stamps it with both versions for a rebuild.
   bool current(PrunedTree& entry) const;
-  // Flattens the tree below `root` into `entry` in the stack-DFS order
-  // described above.  children(node, emit) calls emit(child, link) for each
-  // child of `node` on a member path, in ascending child id (SPT) order.
+  // Flattens the tree below `root` into `entry`, replacing its trace with an
+  // exact-size one in the stack-DFS order described above.
+  // children(node, emit) calls emit(child, link) for each child of `node` on
+  // a member path, in ascending child id (SPT) order.
   template <typename Children>
   void flatten(PrunedTree& entry, NodeId root, const GroupState* gs,
                const Children& children);
@@ -246,6 +247,8 @@ class MulticastNetwork {
   std::uint64_t begin_send(NodeId from, Packet& packet,
                            std::uint64_t& sent_counter);
   std::uint32_t acquire_chain(std::shared_ptr<const Packet> packet);
+  // Returns a chain to the free list with its packet and item storage.
+  void release_chain(std::uint32_t index);
   void dispatch_chain(std::uint32_t index, double sent_at);
   void fire_chain(std::uint32_t index);
   void join_local(GroupId g, NodeId n);
@@ -287,6 +290,9 @@ class MulticastNetwork {
   std::vector<LinkId> scoped_parent_link_;
   std::vector<NodeId> scoped_visited_;       // finalized nodes, pop order
   std::vector<std::pair<NodeId, NodeId>> scoped_children_;  // (parent, child)
+  // flatten() builds here, then copies into the cache entry at exact size.
+  std::vector<TraceStep> trace_steps_scratch_;
+  std::vector<TraceEdge> trace_edges_scratch_;
   std::shared_ptr<DropPolicy> drop_policy_;
   std::shared_ptr<DropPolicy> fault_drop_policy_;
   NetworkStats stats_;
@@ -312,7 +318,9 @@ class MulticastNetwork {
   // and each closure stays within std::function's inline buffer.  The sink
   // is re-resolved at fire time: the receiver may detach between sending
   // and delivery (member crash/leave), and a link failure may mark an item
-  // `dropped`.
+  // `dropped`.  A chain gives its item storage back when its last delivery
+  // fires or when it dispatches empty, so the pool holds the items of the
+  // transmissions in flight, not the largest multicast each chain carried.
   struct ChainItem {
     double delay;       // path delay from the sender
     std::uint64_t seq;  // pre-assigned event-queue tie-break

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
+#include <tuple>
 
 namespace srm::net {
 
@@ -13,18 +14,30 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Sorted-vector child-list maintenance.  compute() emits children in
-// ascending node-id order, so repairs keep every list sorted and the two
-// construction paths agree byte for byte.
-void erase_child(std::vector<NodeId>& children, NodeId child) {
-  const auto it = std::lower_bound(children.begin(), children.end(), child);
-  if (it != children.end() && *it == child) children.erase(it);
+// Sibling-list maintenance.  compute() links every list in ascending
+// node-id order, so repairs keep every list sorted and the two construction
+// paths agree byte for byte.  Both walks are O(degree), as the sorted-vector
+// erase/insert they replace were.
+void erase_child(Spt& t, NodeId parent, NodeId child) {
+  NodeId* link = &t.first_child[parent];
+  while (*link != kInvalidNode && *link < child) link = &t.next_sibling[*link];
+  if (*link != child) return;
+  *link = t.next_sibling[child];
+  t.next_sibling[child] = kInvalidNode;
 }
 
-void insert_child(std::vector<NodeId>& children, NodeId child) {
-  const auto it = std::lower_bound(children.begin(), children.end(), child);
-  children.insert(it, child);
+void insert_child(Spt& t, NodeId parent, NodeId child) {
+  NodeId* link = &t.first_child[parent];
+  while (*link != kInvalidNode && *link < child) link = &t.next_sibling[*link];
+  t.next_sibling[child] = *link;
+  *link = child;
 }
+
+// std::greater over (dist, hops, node) keys, spelled with std::tie so the
+// heap orders them exactly as a priority queue of std::tuple keys would.
+constexpr auto kKeyGreater = [](const auto& a, const auto& b) {
+  return std::tie(b.dist, b.hops, b.node) < std::tie(a.dist, a.hops, a.node);
+};
 
 }  // namespace
 
@@ -45,7 +58,7 @@ const Spt& Routing::spt(NodeId src) {
     if (entry.version == topo_->version()) return entry.tree;
     if (try_repair(entry)) return entry.tree;
   }
-  entry.tree = compute(src);
+  compute(entry.tree, src);
   entry.version = topo_->version();
   ++stats_.full_builds;
   return entry.tree;
@@ -71,33 +84,44 @@ bool Routing::try_repair(Entry& entry) {
   return true;
 }
 
-Spt Routing::compute(NodeId src) const {
+// std::priority_queue::push and top-then-pop, step for step.
+void Routing::heap_push(double dist, int hops, NodeId node) {
+  heap_.push_back(HeapKey{dist, hops, node});
+  std::push_heap(heap_.begin(), heap_.end(), kKeyGreater);
+}
+
+Routing::HeapKey Routing::heap_pop() {
+  std::pop_heap(heap_.begin(), heap_.end(), kKeyGreater);
+  const HeapKey top = heap_.back();
+  heap_.pop_back();
+  return top;
+}
+
+void Routing::compute(Spt& t, NodeId src) {
   const std::size_t n = topo_->node_count();
   if (src >= n) throw std::out_of_range("Routing::compute: bad source");
 
-  Spt t;
   t.root = src;
   t.dist.assign(n, kInf);
   t.hops.assign(n, -1);
   t.parent.assign(n, kInvalidNode);
   t.parent_link.assign(n, 0);
-  t.children.assign(n, {});
+  t.first_child.assign(n, kInvalidNode);
+  t.next_sibling.assign(n, kInvalidNode);
 
   // Dijkstra with (dist, hops, node) keys: ties on distance are broken by
   // fewer hops then lower node id, giving a deterministic tree.
-  using Key = std::tuple<double, int, NodeId>;
-  std::priority_queue<Key, std::vector<Key>, std::greater<>> pq;
+  heap_.clear();
   t.dist[src] = 0.0;
   t.hops[src] = 0;
   t.parent[src] = src;
-  pq.emplace(0.0, 0, src);
+  heap_push(0.0, 0, src);
 
-  std::vector<bool> done(n, false);
-  while (!pq.empty()) {
-    const auto [d, h, u] = pq.top();
-    pq.pop();
-    if (done[u]) continue;
-    done[u] = true;
+  done_.assign(n, 0);
+  while (!heap_.empty()) {
+    const auto [d, h, u] = heap_pop();
+    if (done_[u]) continue;
+    done_[u] = 1;
     for (const LinkEnd& e : topo_->neighbors(u)) {
       const double nd = d + e.delay;
       const int nh = h + 1;
@@ -106,22 +130,23 @@ Spt Routing::compute(NodeId src) const {
           (nd == t.dist[e.peer] &&
            (nh < t.hops[e.peer] ||
             (nh == t.hops[e.peer] && u < t.parent[e.peer])));
-      if (!done[e.peer] && better) {
+      if (!done_[e.peer] && better) {
         t.dist[e.peer] = nd;
         t.hops[e.peer] = nh;
         t.parent[e.peer] = u;
         t.parent_link[e.peer] = e.link;
-        pq.emplace(nd, nh, e.peer);
+        heap_push(nd, nh, e.peer);
       }
     }
   }
 
-  for (NodeId v = 0; v < n; ++v) {
+  // Prepending in descending id order leaves every sibling list ascending.
+  for (NodeId v = static_cast<NodeId>(n); v-- > 0;) {
     if (v != src && t.parent[v] != kInvalidNode) {
-      t.children[t.parent[v]].push_back(v);
+      t.next_sibling[v] = t.first_child[t.parent[v]];
+      t.first_child[t.parent[v]] = v;
     }
   }
-  return t;
 }
 
 // Dynamic SPT repair, Ramalingam–Reps style, specialized to our canonical
@@ -139,8 +164,8 @@ Spt Routing::compute(NodeId src) const {
 //      because every path the stale tree recorded for them is intact and
 //      edge removal can only shrink the path set.
 //   2. Seed a (dist, hops, node)-keyed frontier: each orphan's best label
-//      over its surviving neighbors, plus both endpoints of every inserted
-//      link.
+//      over its surviving non-orphan neighbors, plus both endpoints of every
+//      inserted link.
 //   3. Run Dijkstra over the frontier with the same improvement predicate
 //      as compute().  Labels only ever move toward the canonical fixpoint
 //      (every candidate is dist[u] + w for a label dist[u] >= canonical),
@@ -158,7 +183,8 @@ void Routing::repair(Spt& t, const std::vector<TopoEdit>& edits) {
     t.hops.resize(n, -1);
     t.parent.resize(n, kInvalidNode);
     t.parent_link.resize(n, 0);
-    t.children.resize(n);
+    t.first_child.resize(n, kInvalidNode);
+    t.next_sibling.resize(n, kInvalidNode);
   }
   if (orphan_flag_.size() < n) {
     orphan_flag_.resize(n, 0);
@@ -167,9 +193,10 @@ void Routing::repair(Spt& t, const std::vector<TopoEdit>& edits) {
   orphans_.clear();
   touched_.clear();
 
-  // Phase 1: detach every subtree whose parent link went down.  Children
-  // lists are walked before any label is reset, then cleared; the subtree
-  // root is removed from its (necessarily surviving) parent's list.
+  // Phase 1: detach every subtree whose parent link went down.  The subtree
+  // root is unlinked from its (necessarily surviving) parent's list; every
+  // orphan's own list is walked before it is cleared, and its sibling link
+  // was read when its parent was expanded, so both reset safely.
   for (const TopoEdit& e : edits) {
     if (e.kind != TopoEdit::Kind::kLinkDown) continue;
     const Link& l = topo_->link(e.link);
@@ -180,15 +207,19 @@ void Routing::repair(Spt& t, const std::vector<TopoEdit>& edits) {
       cut_child = l.a;
     }
     if (cut_child == kInvalidNode) continue;  // not a tree edge (any more)
-    erase_child(t.children[t.parent[cut_child]], cut_child);
+    erase_child(t, t.parent[cut_child], cut_child);
     stack_scratch_.assign(1, cut_child);
     while (!stack_scratch_.empty()) {
       const NodeId v = stack_scratch_.back();
       stack_scratch_.pop_back();
       orphan_flag_[v] = 1;
       orphans_.push_back(v);
-      for (NodeId c : t.children[v]) stack_scratch_.push_back(c);
-      t.children[v].clear();
+      for (NodeId c = t.first_child[v]; c != kInvalidNode;
+           c = t.next_sibling[c]) {
+        stack_scratch_.push_back(c);
+      }
+      t.first_child[v] = kInvalidNode;
+      t.next_sibling[v] = kInvalidNode;
       t.dist[v] = kInf;
       t.hops[v] = -1;
       t.parent[v] = kInvalidNode;
@@ -219,17 +250,19 @@ void Routing::repair(Spt& t, const std::vector<TopoEdit>& edits) {
   };
 
   // Phase 2: seed the frontier.  Orphans scan their surviving neighbors
-  // (applying the predicate across all of them lands the lowest-id parent);
-  // inserted links seed both endpoints.  A link inserted but re-removed
-  // within the same batch is skipped — only the current graph matters.
-  using Key = std::tuple<double, int, NodeId>;
-  std::priority_queue<Key, std::vector<Key>, std::greater<>> pq;
+  // outside the detached region, whose labels are still canonical (applying
+  // the predicate across all of them lands the lowest-id parent); an orphan
+  // with none is left to phase 3 rather than seeded from another orphan's
+  // tentative label.  Inserted links seed both endpoints.  A link inserted
+  // but re-removed within the same batch is skipped — only the current
+  // graph matters.
+  heap_.clear();
   for (const NodeId v : orphans_) {
     for (const LinkEnd& e : topo_->neighbors(v)) {
-      if (t.dist[e.peer] == kInf) continue;
+      if (orphan_flag_[e.peer] || t.dist[e.peer] == kInf) continue;
       improve(v, t.dist[e.peer] + e.delay, t.hops[e.peer] + 1, e.peer, e.link);
     }
-    if (t.dist[v] != kInf) pq.emplace(t.dist[v], t.hops[v], v);
+    if (t.dist[v] != kInf) heap_push(t.dist[v], t.hops[v], v);
   }
   for (const TopoEdit& e : edits) {
     if (e.kind != TopoEdit::Kind::kLinkUp &&
@@ -240,44 +273,44 @@ void Routing::repair(Spt& t, const std::vector<TopoEdit>& edits) {
     if (!l.up) continue;
     if (t.dist[l.a] != kInf &&
         improve(l.b, t.dist[l.a] + l.delay, t.hops[l.a] + 1, l.a, e.link)) {
-      pq.emplace(t.dist[l.b], t.hops[l.b], l.b);
+      heap_push(t.dist[l.b], t.hops[l.b], l.b);
     }
     if (t.dist[l.b] != kInf &&
         improve(l.a, t.dist[l.b] + l.delay, t.hops[l.b] + 1, l.b, e.link)) {
-      pq.emplace(t.dist[l.a], t.hops[l.a], l.a);
+      heap_push(t.dist[l.a], t.hops[l.a], l.a);
     }
   }
 
   // Phase 3: Dijkstra over the affected region.  Stale queue entries (label
   // improved after the push) are skipped by key comparison.
-  while (!pq.empty()) {
-    const auto [d, h, u] = pq.top();
-    pq.pop();
+  while (!heap_.empty()) {
+    const auto [d, h, u] = heap_pop();
     if (d != t.dist[u] || h != t.hops[u]) continue;
     for (const LinkEnd& e : topo_->neighbors(u)) {
       if (improve(e.peer, d + e.delay, h + 1, u, e.link)) {
-        pq.emplace(t.dist[e.peer], t.hops[e.peer], e.peer);
+        heap_push(t.dist[e.peer], t.hops[e.peer], e.peer);
       }
     }
   }
 
-  // Phase 4: patch children lists.  Sorted insertion keeps every list in
-  // ascending node-id order, matching compute().
+  // Phase 4: patch the sibling lists.  Sorted insertion keeps every list
+  // in ascending node-id order, matching compute().
   for (const auto& [v, old_parent] : touched_) {
     touched_flag_[v] = 0;
     if (t.parent[v] == old_parent) continue;
-    if (old_parent != kInvalidNode) erase_child(t.children[old_parent], v);
-    insert_child(t.children[t.parent[v]], v);
+    if (old_parent != kInvalidNode) erase_child(t, old_parent, v);
+    insert_child(t, t.parent[v], v);
   }
   for (const NodeId v : orphans_) {
     orphan_flag_[v] = 0;
-    if (t.parent[v] != kInvalidNode) insert_child(t.children[t.parent[v]], v);
+    if (t.parent[v] != kInvalidNode) insert_child(t, t.parent[v], v);
   }
   stats_.repaired_nodes += orphans_.size() + touched_.size();
 }
 
-void Routing::verify_repair(const Spt& repaired) const {
-  const Spt fresh = compute(repaired.root);
+void Routing::verify_repair(const Spt& repaired) {
+  Spt fresh;
+  compute(fresh, repaired.root);
   const auto fail = [&](const char* field, NodeId node) {
     std::ostringstream os;
     os << "Routing: repaired SPT diverges from fresh Dijkstra (root "
@@ -293,7 +326,12 @@ void Routing::verify_repair(const Spt& repaired) const {
     if (repaired.hops[v] != fresh.hops[v]) fail("hops", v);
     if (repaired.parent[v] != fresh.parent[v]) fail("parent", v);
     if (repaired.parent_link[v] != fresh.parent_link[v]) fail("parent_link", v);
-    if (repaired.children[v] != fresh.children[v]) fail("children", v);
+    if (repaired.first_child[v] != fresh.first_child[v]) {
+      fail("first_child", v);
+    }
+    if (repaired.next_sibling[v] != fresh.next_sibling[v]) {
+      fail("next_sibling", v);
+    }
   }
 }
 

@@ -20,22 +20,26 @@
 #pragma once
 
 #include <cstdint>
-#include <queue>
-#include <tuple>
 #include <vector>
 
 #include "net/topology.h"
 
 namespace srm::net {
 
-// A shortest-path tree rooted at `root`.
+// A shortest-path tree rooted at `root`: six flat per-node arrays, no
+// per-node allocation.  Children are kept as ascending-id sibling lists —
+// first_child[n] is n's lowest-id child and next_sibling[c] the next-higher
+// id child of c's parent, kInvalidNode ending either list — so walking a
+// node's children visits them in exactly the ascending order the member-
+// pruned delivery walk consults them in.
 struct Spt {
   NodeId root = kInvalidNode;
   std::vector<double> dist;     // dist[n]: path delay root -> n (seconds)
   std::vector<int> hops;        // hops[n]: hop count root -> n
   std::vector<NodeId> parent;   // parent[n] on path to root; root's is self
-  std::vector<LinkId> parent_link;            // link to parent
-  std::vector<std::vector<NodeId>> children;  // downstream neighbors
+  std::vector<LinkId> parent_link;   // link to parent
+  std::vector<NodeId> first_child;   // lowest-id child, or kInvalidNode
+  std::vector<NodeId> next_sibling;  // next-higher-id sibling, or kInvalidNode
 };
 
 // How cached trees were brought up to date; bench/routing_dynamics and the
@@ -104,12 +108,24 @@ class Routing {
     std::uint64_t version = 0;   // Topology::version() the tree reflects
   };
 
-  Spt compute(NodeId src) const;
+  // Dijkstra's (dist, hops, node) frontier key.  The heap below orders
+  // these exactly as std::greater<std::tuple<double, int, NodeId>> would,
+  // so every pop, label and tie-break matches a tuple priority queue.
+  struct HeapKey {
+    double dist;
+    int hops;
+    NodeId node;
+  };
+
+  // Full Dijkstra from src, written into t's existing vectors.
+  void compute(Spt& t, NodeId src);
   // Brings `entry` up to date via the edit journal; false when the journal
   // is truncated, the batch exceeds the threshold, or repair is disabled.
   bool try_repair(Entry& entry);
   void repair(Spt& t, const std::vector<TopoEdit>& edits);
-  void verify_repair(const Spt& repaired) const;
+  void verify_repair(const Spt& repaired);
+  void heap_push(double dist, int hops, NodeId node);
+  HeapKey heap_pop();
 
   const Topology* topo_;
   // Indexed by source node; an entry whose tree root differs from its slot
@@ -124,8 +140,11 @@ class Routing {
   bool verify_ = false;
   RoutingStats stats_;
 
-  // Repair scratch, reused across calls to keep steady-state repairs
-  // allocation-free.  Flag vectors are sized to the node count and reset
+  // Dijkstra scratch shared by compute() and repair(), reused across calls
+  // so steady-state builds and repairs are allocation-free.
+  std::vector<HeapKey> heap_;
+  std::vector<char> done_;  // compute(): node settled
+  // Repair scratch.  Flag vectors are sized to the node count and reset
   // sparsely (only touched slots are cleared).
   std::vector<TopoEdit> edit_scratch_;
   std::vector<char> orphan_flag_;

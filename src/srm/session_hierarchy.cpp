@@ -231,11 +231,9 @@ void SessionHierarchy::tick(Member& m) {
     const std::uint32_t live = count_live(m, now, &max_seq);
     AreaLiveTable::build_digests(m.digest_scratch, m.area, live, max_seq);
     ++m.global_sent;
-    ++total_global_;
     m.agent->send_session_message(net::kMaxTtl, std::move(m.digest_scratch));
   } else {
     ++m.local_sent;
-    ++total_local_;
     m.agent->send_session_message(config_.local_ttl);
   }
   schedule_tick(m, /*initial=*/false);
@@ -281,6 +279,22 @@ std::size_t SessionHierarchy::estimated_group_size(
   const sim::Time now = agent.queue().now();
   return count_live(*m, now, nullptr) +
          m->area_table.live_elsewhere(m->area, now, staleness_horizon());
+}
+
+std::uint64_t SessionHierarchy::global_reports_sent() const {
+  std::uint64_t total = 0;
+  for (const auto& m : members_) {
+    if (m) total += m->global_sent;
+  }
+  return total;
+}
+
+std::uint64_t SessionHierarchy::local_reports_sent() const {
+  std::uint64_t total = 0;
+  for (const auto& m : members_) {
+    if (m) total += m->local_sent;
+  }
+  return total;
 }
 
 std::uint64_t SessionHierarchy::global_reports_sent(

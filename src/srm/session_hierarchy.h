@@ -98,8 +98,12 @@ class SessionHierarchy {
   // live counts of every fresh area digest it heard from representatives.
   std::size_t estimated_group_size(const SrmAgent& agent) const;
 
-  std::uint64_t global_reports_sent() const { return total_global_; }
-  std::uint64_t local_reports_sent() const { return total_local_; }
+  // Session-wide report totals, summed on demand over every member that
+  // ever attached (a member's record and counts outlive its detach).  Each
+  // member's counters are written only by its own region's worker, so no
+  // counter is shared between parallel-kernel workers.
+  std::uint64_t global_reports_sent() const;
+  std::uint64_t local_reports_sent() const;
   std::uint64_t global_reports_sent(const SrmAgent& agent) const;
   std::uint64_t local_reports_sent(const SrmAgent& agent) const;
 
@@ -153,8 +157,6 @@ class SessionHierarchy {
   std::uint32_t area_count_;
   std::uint64_t seed_;
   bool running_ = false;
-  std::uint64_t total_local_ = 0;
-  std::uint64_t total_global_ = 0;
 
   // Dense member id -> state.  unique_ptr keeps Member addresses stable
   // across attach-time growth (hook closures capture the pointer).  Grown

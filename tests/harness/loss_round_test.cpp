@@ -105,6 +105,37 @@ TEST(LossRoundTest, DeterministicGivenSeed) {
               a.max_delay_seconds != c.max_delay_seconds);
 }
 
+// Members crash and join while a round is in flight, which reorders the
+// member list.  Each member's round-start snapshot must follow its node, not
+// its position in that list; a member that joined during the round has no
+// snapshot, so all of its samples are the round's.
+TEST(LossRoundTest, ChurnDuringRoundKeepsSnapshotsWithTheirMembers) {
+  // Chain 0-1-...-7 with the source at node 7, so lower ids lie further
+  // downstream; node 0 starts outside the group.
+  SimSession s(topo::make_chain(8), {1, 2, 3, 4, 5, 6, 7},
+               {fixed_cfg(8), 3, 1});
+  RoundSpec spec;
+  spec.source_node = 7;
+  spec.page = PageId{0, 0};
+  spec.congested = DirectedLink{3, 2};
+  const auto first = run_loss_round(s, spec, 0);
+  ASSERT_EQ(first.affected, 2u);  // nodes 2 and 1
+  ASSERT_EQ(first.recovered, 2u);
+
+  // The second loss is one hop further upstream.  Before it is detected,
+  // node 1 (first in the member list) crashes and node 0 joins.
+  spec.congested = DirectedLink{4, 3};
+  s.queue().schedule_after(0.05, [&s] { s.remove_member(1, false); });
+  s.queue().schedule_after(0.1, [&s] { s.add_member(0); });
+  const auto r = run_loss_round(s, spec, 2);
+  EXPECT_EQ(r.affected, 3u);  // nodes 3, 2 and 0
+  EXPECT_EQ(r.recovered, 3u);
+  EXPECT_EQ(s.agent_at(3).metrics().recovery_delay_seconds.values().size(),
+            1u);
+  EXPECT_EQ(s.agent_at(2).metrics().recovery_delay_seconds.values().size(),
+            2u);
+}
+
 TEST(LossRoundTest, LinkTransmissionsCounted) {
   SimSession s(topo::make_chain(4), all_nodes(4), {fixed_cfg(4), 3, 1});
   RoundSpec spec;

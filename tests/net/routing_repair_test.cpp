@@ -1,7 +1,7 @@
 // Randomized equivalence tests for incremental SPT repair: after any
 // sequence of link down/up/add dynamics, a repaired tree must be
 // bit-identical to a fresh Dijkstra over the same topology — dist, hops,
-// parent, parent_link, and children order alike.
+// parent, parent_link, and children order (the sibling lists) alike.
 #include <cmath>
 #include <vector>
 
@@ -26,7 +26,8 @@ void expect_identical(const Spt& repaired, const Spt& fresh,
     EXPECT_EQ(repaired.hops[v], fresh.hops[v]);
     EXPECT_EQ(repaired.parent[v], fresh.parent[v]);
     EXPECT_EQ(repaired.parent_link[v], fresh.parent_link[v]);
-    EXPECT_EQ(repaired.children[v], fresh.children[v]);
+    EXPECT_EQ(repaired.first_child[v], fresh.first_child[v]);
+    EXPECT_EQ(repaired.next_sibling[v], fresh.next_sibling[v]);
   }
 }
 

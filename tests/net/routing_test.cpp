@@ -61,7 +61,12 @@ TEST(RoutingTest, SptChildrenPartitionTree) {
   const Spt& spt = r.spt(0);
   std::size_t edge_count = 0;
   for (NodeId v = 0; v < t.node_count(); ++v) {
-    edge_count += spt.children[v].size();
+    for (NodeId c = spt.first_child[v]; c != kInvalidNode;
+         c = spt.next_sibling[c]) {
+      ASSERT_LT(edge_count, t.node_count());  // no list may cycle
+      EXPECT_EQ(spt.parent[c], v);
+      ++edge_count;
+    }
   }
   EXPECT_EQ(edge_count, t.node_count() - 1);  // spanning tree
   EXPECT_EQ(spt.parent[0], 0u);               // root parents itself
