@@ -77,9 +77,6 @@ Flags (defaults in brackets):
                   (format: ARCHITECTURE.md)                 [off]
   --fault-deadline  recovery deadline in seconds for the
                   fault invariant checker                   [100]
-  --routing-verify  cross-check every journal-repaired
-                  routing tree against a fresh Dijkstra
-                  (same switch as SRM_ROUTING_VERIFY=1)     [false]
   --kernel-threads  parallel (PDES) kernel workers; 0 runs
                   the sequential kernel (capped at the
                   hardware concurrency)                     [0]
@@ -387,7 +384,6 @@ int main(int argc, char** argv) {
 
   const std::string faults_path = flags.get_string("faults", "");
   const double fault_deadline = flags.get_double("fault-deadline", 100.0);
-  const bool routing_verify = flags.get_bool("routing-verify", false);
   const long long kernel_threads_flag = flags.get_int("kernel-threads", 0);
   // srmsim runs one session, so the whole hardware budget belongs to the
   // kernel side (replication = 1); plan_thread_budget caps oversubscription.
@@ -657,11 +653,6 @@ int main(int argc, char** argv) {
               << " regions, lookahead " << session.region_map().lookahead
               << ", " << kernel_threads << " worker thread"
               << (kernel_threads == 1 ? "" : "s") << "\n";
-  }
-  if (routing_verify) {
-    for (std::size_t r = 0; r < session.network_count(); ++r) {
-      session.network(r).routing().set_verify(true);
-    }
   }
   // The conformance checker chains one network's observers, which under the
   // parallel kernel would see only one region's packets; --pdes-verify is

@@ -4,20 +4,26 @@
 Compares a freshly measured perf JSON (the two-level section -> metric ->
 value format written by util::PerfJson) against the baseline committed in
 the repository (BENCH_kernel.json, BENCH_session.json, BENCH_fault.json,
-BENCH_workload.json, ...) and fails when any metric regresses by more than
-the tolerance (default 20%).  The recovery-latency percentiles in
-BENCH_fault.json and BENCH_workload.json are virtual-time (``*_us``) and
-therefore machine-independent: any drift is a behavioral change, not
-measurement noise.  (scripts/check_bench_test.py pins this module's
-skip/direction/section rules.)
+BENCH_fec.json, BENCH_workload.json) and fails on any regression.  Every
+key falls in one of three classes, by name:
 
-Direction is inferred from the metric name:
-  * ``*_per_second``           -- higher is better
-  * ``*_ns_per_*``, ``*_us``   -- lower is better
-Bookkeeping keys (threads, replications, rounds, regions) are skipped, as
-are ``*wall_seconds`` keys (machine-dependent wall clock, recorded for
-information only) and metrics present on only one side (new benchmarks,
-retired benchmarks, or a filtered smoke run that captured a subset).
+  * Wall-clock keys — ``*_per_second`` (higher is better), ``*_ns_per_*``
+    and micro_kernel's ``loss_round_g100_us`` (lower is better) — fail
+    only when they regress by more than the tolerance (default 20%).
+  * Skipped keys — bookkeeping (threads, replications, rounds, regions),
+    ``*wall_seconds`` (machine-dependent wall clock, recorded for
+    information only) and speedup ratios.
+  * Every other key is deterministic and must equal its baseline exactly:
+    event, drop, loss, request, repair, byte, reconstruction and member
+    counts, the hierarchy's area and timer-wheel sizes, and the
+    virtual-time ``*_us`` latencies.  The simulator is deterministic for a
+    given seed, so any drift, in either direction, is a behavioral change
+    rather than measurement noise; an intended one ships with a
+    regenerated baseline.
+
+Metrics present on only one side (new benchmarks, retired benchmarks, or a
+filtered smoke run that captured a subset) are not compared.
+(scripts/check_bench_test.py pins this module's class/section rules.)
 
 A section named in ``--sections`` that exists in the current run but not
 in the baseline is *baseline-establishing*: its metrics are recorded, a
@@ -25,19 +31,19 @@ note is printed, and nothing is gated — committing the current JSON makes
 it the baseline.  A requested section present in neither file is an error
 (almost certainly a typo in the CI config).
 
-Direction is also section-aware: the ``pdes_kernel`` and ``pdes_stochastic``
-sections' throughput keys (``*_per_second``, ``speedup*``) depend on the CI
-runner's core count and are skipped, while their deterministic keys
-(``events_total`` implicitly, ``*_us`` explicitly) stay gated — the
-parallel kernel promises event-order equivalence, with or without keyed
-stochastic loss, so those must not drift at all.
+Classes are also section-aware: the ``pdes_kernel`` and
+``pdes_stochastic`` sections' throughput keys (``*_per_second``) depend on
+the CI runner's core count and are skipped, while their deterministic keys
+(``events_total``, ``stochastic_drops_total``, ``virtual_makespan_us``)
+are gated exactly — the parallel kernel promises event-order equivalence,
+with or without keyed stochastic loss, so those must not drift at all.
 
 Usage:
   scripts/check_bench.py --baseline BENCH_kernel.json --current /tmp/k.json
   scripts/check_bench.py --baseline B.json --current C.json \
       --sections micro_kernel,session_scaling --tolerance 0.25
 
-Exits non-zero with a report on any regression beyond tolerance.
+Exits non-zero with a report on any regression.
 """
 
 import argparse
@@ -47,24 +53,26 @@ import sys
 
 SKIP_KEYS = {"threads", "replications", "rounds", "regions"}
 
+# ``*_us`` keys that time the host (wall clock) rather than the simulation.
+WALL_CLOCK_US_KEYS = {"loss_round_g100_us"}
+
 # Sections whose throughput keys scale with the runner's thread count, not
-# with code quality: only their deterministic (virtual-time) keys are gated.
+# with code quality: only their deterministic keys are gated.
 THREAD_SCALED_SECTIONS = {"pdes_kernel", "pdes_stochastic"}
 
 
 def direction(key, section=""):
-    """'up' if larger values are better, 'down' if smaller, None to skip."""
-    if key in SKIP_KEYS or key.endswith("wall_seconds"):
-        return None  # wall clock is machine-dependent: informational only
-    if section in THREAD_SCALED_SECTIONS and (
-        key.endswith("_per_second") or key.startswith("speedup")
-    ):
-        return None  # events/sec at N threads depends on the machine's cores
+    """How `key` is gated: 'up' (larger is better) or 'down' (smaller is
+    better) within the tolerance, 'exact', or None to skip."""
+    if key in SKIP_KEYS or key.endswith("wall_seconds") or "speedup" in key:
+        return None  # bookkeeping, machine-dependent wall clock, ratios
     if key.endswith("_per_second"):
+        if section in THREAD_SCALED_SECTIONS:
+            return None  # events/sec at N threads depends on the cores
         return "up"
-    if "_ns_per_" in key or key.endswith("_us"):
+    if "_ns_per_" in key or key in WALL_CLOCK_US_KEYS:
         return "down"
-    return None
+    return "exact"  # a deterministic count or virtual time
 
 
 def load(path):
@@ -111,6 +119,14 @@ def compare(baseline, current, sections, tolerance):
                 continue
             base = float(base_metrics[key])
             cur = float(cur_metrics[key])
+            if sense == "exact":
+                compared += 1
+                if cur != base:
+                    regressions.append(
+                        f"  {section}.{key}: {base!r} -> {cur!r} "
+                        f"(deterministic, must match the baseline exactly)"
+                    )
+                continue
             if base <= 0:
                 continue
             compared += 1
@@ -137,7 +153,8 @@ def main():
                         help="comma-separated section filter "
                              "(default: sections present in both files)")
     parser.add_argument("--tolerance", type=float, default=0.20,
-                        help="allowed fractional regression (default 0.20)")
+                        help="allowed fractional regression of wall-clock "
+                             "keys (default 0.20)")
     args = parser.parse_args()
 
     for path in (args.baseline, args.current):
@@ -157,7 +174,7 @@ def main():
             print(line, file=sys.stderr)
         return 1
     if regressions:
-        print("check_bench: regressions beyond tolerance:", file=sys.stderr)
+        print("check_bench: regressions:", file=sys.stderr)
         for line in regressions:
             print(line, file=sys.stderr)
         return 1
@@ -165,8 +182,8 @@ def main():
         print("check_bench: warning: no comparable metrics found",
               file=sys.stderr)
     else:
-        print(f"check_bench: OK ({compared} metrics within "
-              f"{args.tolerance:.0%})")
+        print(f"check_bench: OK ({compared} metrics: deterministic keys "
+              f"exact, wall-clock keys within {args.tolerance:.0%})")
     return 0
 
 

@@ -2,14 +2,17 @@
 """Self-test for scripts/check_bench.py's gating logic.
 
 The regression gate guards every committed BENCH_*.json (kernel, session,
-fault, fec, routing, workload), so its skip/direction/section rules are
-themselves load-bearing: a typo that silently skipped ``*_us`` keys would
-disable the whole virtual-time gate.  These tests pin the behavior down:
+fault, fec, workload), so its key-class/section rules are themselves
+load-bearing: a typo that silently skipped ``*_us`` keys would disable the
+whole virtual-time gate.  These tests pin the behavior down:
 
-  * direction inference (``*_per_second`` up, ``*_us``/``*_ns_per_*`` down,
-    bookkeeping and wall-clock keys skipped, thread-scaled sections gating
-    only their deterministic keys),
-  * regression detection in both directions with the tolerance applied,
+  * key classes (``*_per_second`` up and ``*_ns_per_*`` and the wall-clock
+    ``loss_round_g100_us`` down within the tolerance; deterministic counts
+    and virtual-time ``*_us`` keys exact; bookkeeping, wall-clock seconds
+    and speedup ratios skipped; thread-scaled sections gating only their
+    deterministic keys),
+  * regression detection: tolerance keys in both directions with the
+    tolerance applied, exact keys on any drift,
   * section handling: baseline-establishing runs, sections absent from the
     current run, and the section-in-neither-file error.
 
@@ -32,9 +35,14 @@ def test_direction_per_second_is_up():
     assert check_bench.direction("replications_per_second") == "up"
 
 
-def test_direction_virtual_time_is_down():
-    assert check_bench.direction("recovery_p99_us") == "down"
+def test_direction_wall_clock_costs_are_down():
     assert check_bench.direction("event_ns_per_op") == "down"
+    assert check_bench.direction("loss_round_g100_us", "micro_kernel") == "down"
+
+
+def test_direction_virtual_time_is_exact():
+    assert check_bench.direction("recovery_p99_us") == "exact"
+    assert check_bench.direction("virtual_makespan_us", "pdes_kernel") == "exact"
 
 
 def test_direction_skips_bookkeeping_keys():
@@ -47,18 +55,29 @@ def test_direction_skips_wall_clock():
     assert check_bench.direction("sweep_wall_seconds") is None
 
 
-def test_direction_skips_plain_counters():
-    # Counters like `losses` carry no better/worse sense; they are recorded
-    # for diffing, never gated.
-    assert check_bench.direction("losses") is None
+def test_direction_skips_speedup_ratios():
+    assert check_bench.direction("speedup_vs_flat5000", "hierarchy") is None
+    assert check_bench.direction("churn2_speedup") is None
 
 
-def test_thread_scaled_section_skips_throughput_keeps_virtual_time():
+def test_direction_gates_plain_counters_exactly():
+    # Counters carry no better/worse sense, but the simulation is
+    # deterministic: any drift is a behavioral change.
+    for key in ("losses", "events_total", "stochastic_drops_total",
+                "churn10_losses", "churn10_unrecovered", "conference_requests",
+                "conference_repairs", "conference_scripted_drops",
+                "fec_on_parity_bytes", "fec_on_reconstructions", "members",
+                "g5000_areas", "g5000_wheel_buckets", "g5000_wheel_items"):
+        assert check_bench.direction(key) == "exact", key
+
+
+def test_thread_scaled_section_skips_throughput_keeps_deterministic_keys():
     for section in ("pdes_kernel", "pdes_stochastic"):
         assert section in check_bench.THREAD_SCALED_SECTIONS
         assert check_bench.direction("events_per_second", section) is None
         assert check_bench.direction("speedup_4_threads", section) is None
-        assert check_bench.direction("merge_p99_us", section) == "down"
+        assert check_bench.direction("merge_p99_us", section) == "exact"
+        assert check_bench.direction("events_total", section) == "exact"
     # The same keys gate normally outside the thread-scaled sections.
     assert check_bench.direction("events_per_second", "workload_suite") == "up"
 
@@ -71,10 +90,10 @@ def _compare(baseline, current, sections=(), tolerance=0.20):
 
 def test_lower_is_better_regression_detected():
     regressions, compared, notes, errors = _compare(
-        {"s": {"recovery_p50_us": 100.0}}, {"s": {"recovery_p50_us": 130.0}}
+        {"s": {"event_ns_per_op": 100.0}}, {"s": {"event_ns_per_op": 130.0}}
     )
     assert compared == 1
-    assert len(regressions) == 1 and "recovery_p50_us" in regressions[0]
+    assert len(regressions) == 1 and "event_ns_per_op" in regressions[0]
     assert not notes and not errors
 
 
@@ -87,18 +106,54 @@ def test_higher_is_better_regression_detected():
 
 def test_improvement_and_within_tolerance_pass():
     regressions, compared, _, _ = _compare(
-        {"s": {"recovery_p50_us": 100.0, "ops_per_second": 50.0}},
-        {"s": {"recovery_p50_us": 115.0, "ops_per_second": 60.0}},
+        {"s": {"event_ns_per_op": 100.0, "ops_per_second": 50.0}},
+        {"s": {"event_ns_per_op": 115.0, "ops_per_second": 60.0}},
     )
     assert compared == 2
     assert regressions == []
 
 
 def test_tolerance_is_respected():
-    baseline = {"s": {"recovery_p50_us": 100.0}}
-    current = {"s": {"recovery_p50_us": 130.0}}
+    baseline = {"s": {"event_ns_per_op": 100.0}}
+    current = {"s": {"event_ns_per_op": 130.0}}
     assert _compare(baseline, current, tolerance=0.20)[0]
     assert not _compare(baseline, current, tolerance=0.50)[0]
+
+
+def test_counter_off_by_one_fails():
+    regressions, compared, _, _ = _compare(
+        {"pdes_kernel": {"events_total": 1000}},
+        {"pdes_kernel": {"events_total": 1001}},
+    )
+    assert compared == 1
+    assert len(regressions) == 1 and "events_total" in regressions[0]
+
+
+def test_virtual_time_up_one_percent_fails():
+    regressions, _, _, _ = _compare(
+        {"s": {"recovery_p99_us": 100.0}}, {"s": {"recovery_p99_us": 101.0}}
+    )
+    assert len(regressions) == 1 and "recovery_p99_us" in regressions[0]
+
+
+def test_exact_keys_fail_on_drift_either_way_and_pass_when_equal():
+    baseline = {"s": {"recovery_p99_us": 100.0, "churn2_unrecovered": 0}}
+    assert _compare(baseline, {"s": {"recovery_p99_us": 99.0,
+                                     "churn2_unrecovered": 0}})[0]
+    # A zero baseline is compared too: 0 -> 1 unrecovered losses fails.
+    assert _compare(baseline, {"s": {"recovery_p99_us": 100.0,
+                                     "churn2_unrecovered": 1}})[0]
+    regressions, compared, _, _ = _compare(baseline, baseline)
+    assert regressions == [] and compared == 2
+
+
+def test_wall_clock_us_key_keeps_the_tolerance():
+    regressions, compared, _, _ = _compare(
+        {"micro_kernel": {"loss_round_g100_us": 100.0}},
+        {"micro_kernel": {"loss_round_g100_us": 110.0}},
+    )
+    assert compared == 1
+    assert regressions == []
 
 
 def test_one_sided_metrics_are_skipped():

@@ -130,8 +130,8 @@ void FaultInjector::apply_cut_run(const std::vector<FaultEvent>& events,
     }
   }
 
-  // Phase 2: mutate and narrate in event order.  All set_link_up calls land
-  // back to back, so the routing layer sees one journal delta batch.
+  // Phase 2: mutate and narrate in event order, now that every cut link's
+  // in-flight deliveries were invalidated against the pre-failure trees.
   for (std::size_t k = begin; k < end; ++k) {
     const FaultEvent& event = events[k];
     for (net::LinkId id : downs[k - begin]) down_link(id);

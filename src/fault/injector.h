@@ -6,10 +6,8 @@
 //
 //   link down:  invalidate in-flight deliveries crossing the link (they were
 //               routed over the pre-failure trees), then take the link down;
-//               routing repairs its cached trees from the topology's edit
-//               journal (or recomputes) lazily, and the pruned delivery
-//               trees and oracle distances revalidate via
-//               Topology::version().
+//               routing's cached trees, the pruned delivery trees and
+//               oracle distances revalidate lazily via Topology::version().
 //   link up:    bring the link back; caches revalidate the same way.
 //   partition:  take down every up link with exactly one endpoint in the
 //               island, remembering the cut so heal() can restore exactly
@@ -19,12 +17,9 @@
 // within a group every contiguous run of link-cutting events (link downs
 // and partitions) is applied in two phases: first the in-flight deliveries
 // of *every* cut link are invalidated against the pre-failure trees, then
-// the links are taken down back to back.  That keeps the whole run one
-// topology edit group — a partition cutting dozens of links costs the
-// routing layer a single repair pass on the next query instead of one
-// rebuild per link, and in-flight invalidation consults the trees the
-// packets were actually routed over rather than trees partially rebuilt
-// mid-cut.
+// the links are taken down back to back.  In-flight invalidation thus
+// consults the trees the packets were actually routed over rather than
+// trees partially rebuilt mid-cut.
 //   heal:       bring the remembered cut back up.
 //   join/leave/crash/rejoin:  delegated to MembershipHooks — the injector
 //               deliberately knows nothing about agents; the harness wires

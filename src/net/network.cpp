@@ -714,4 +714,14 @@ void MulticastNetwork::unicast(NodeId from, NodeId to, Packet packet) {
                                            queue_->now());
 }
 
+bool scoped_tree_exact(const Topology& topo) {
+  if (topo.connected() && topo.link_count() + 1 == topo.node_count()) {
+    return true;
+  }
+  const auto& links = topo.links();
+  return std::all_of(links.begin(), links.end(), [&](const Link& l) {
+    return l.delay == links.front().delay;
+  });
+}
+
 }  // namespace srm::net

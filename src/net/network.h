@@ -119,13 +119,14 @@ class MulticastNetwork {
   // canonical tie-breaks) that only ever visits nodes within `ttl` hops of
   // the sender — O(area) per sender instead of the O(nodes) full SPT, which
   // is what makes per-member local session reports affordable at G = 50k.
-  // Deliveries match the full-tree walk exactly on tree topologies and on
-  // uniform-delay graphs; on a non-tree topology with non-uniform delays a
-  // node whose canonical (min-delay) path exceeds `ttl` hops may still be
-  // reached over a longer-delay short-hop path (a delivery superset).
-  // TTL-prune counts and drop-policy consultation order also differ from
-  // the full walk (pruned subtrees are never materialized), so this is off
-  // by default and flat-path traces stay bit-identical.
+  // Deliveries match the full-tree walk exactly where scoped_tree_exact()
+  // holds; on a non-tree topology with non-uniform delays a node whose
+  // canonical (min-delay) path exceeds `ttl` hops may still be reached over
+  // a longer-delay short-hop path (a delivery superset).  TTL-prune counts
+  // and drop-policy consultation order also differ from the full walk
+  // (pruned subtrees are never materialized), so this is off by default and
+  // flat-path traces stay bit-identical.  harness::SimSession enables it for
+  // hierarchy sessions on topologies where scoped_tree_exact() holds.
   void set_scoped_tree_cache(bool on) { scoped_trees_enabled_ = on; }
   bool scoped_tree_cache() const { return scoped_trees_enabled_; }
 
@@ -382,5 +383,11 @@ class MulticastNetwork {
   std::vector<std::vector<ChainItem>> remote_buckets_;
   std::vector<std::uint32_t> touched_regions_;
 };
+
+// True when the TTL-scoped fast path delivers exactly what the full-tree
+// walk does on `topo`, also after any of its links go down or come back: a
+// connected tree (every path is unique) or a graph whose links all share
+// one delay (fewest hops and least delay then agree).
+bool scoped_tree_exact(const Topology& topo);
 
 }  // namespace srm::net

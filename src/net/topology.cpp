@@ -7,40 +7,11 @@ namespace srm::net {
 
 Topology::Topology(std::size_t n) : adjacency_(n), regions_(n, 0) {}
 
-void Topology::record_edit(TopoEdit::Kind kind, LinkId link, NodeId node) {
-  ++version_;
-  if (journal_capacity_ == 0) return;
-  journal_.push_back(TopoEdit{kind, version_, link, node});
-  while (journal_.size() > journal_capacity_) journal_.pop_front();
-}
-
-bool Topology::journal_since(std::uint64_t since_version,
-                             std::vector<TopoEdit>& out) const {
-  out.clear();
-  if (since_version == version_) return true;
-  if (since_version > version_) return false;  // snapshot from the future?
-  // Entries have consecutive versions, so the journal reaches back to
-  // `since_version` iff its oldest entry is the (since_version + 1) edit.
-  if (journal_.empty() || journal_.front().version > since_version + 1) {
-    return false;
-  }
-  for (const TopoEdit& e : journal_) {
-    if (e.version > since_version) out.push_back(e);
-  }
-  return true;
-}
-
-void Topology::set_journal_capacity(std::size_t capacity) {
-  journal_capacity_ = capacity;
-  while (journal_.size() > journal_capacity_) journal_.pop_front();
-}
-
 NodeId Topology::add_node() {
   adjacency_.emplace_back();
   regions_.push_back(0);
-  const auto id = static_cast<NodeId>(adjacency_.size() - 1);
-  record_edit(TopoEdit::Kind::kNodeAdded, 0, id);
-  return id;
+  ++version_;
+  return static_cast<NodeId>(adjacency_.size() - 1);
 }
 
 LinkId Topology::add_link(NodeId a, NodeId b, double delay, int threshold) {
@@ -63,7 +34,7 @@ LinkId Topology::add_link(NodeId a, NodeId b, double delay, int threshold) {
   links_.push_back(Link{a, b, delay, threshold, /*up=*/true});
   adjacency_[a].push_back(LinkEnd{b, id, delay, threshold});
   adjacency_[b].push_back(LinkEnd{a, id, delay, threshold});
-  record_edit(TopoEdit::Kind::kLinkAdded, id, 0);
+  ++version_;
   return id;
 }
 
@@ -86,7 +57,7 @@ void Topology::set_link_up(LinkId id, bool up) {
   l.up = up;
   rebuild_adjacency(l.a);
   rebuild_adjacency(l.b);
-  record_edit(up ? TopoEdit::Kind::kLinkUp : TopoEdit::Kind::kLinkDown, id, 0);
+  ++version_;
 }
 
 LinkId Topology::link_between(NodeId a, NodeId b) const {

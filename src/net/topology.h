@@ -6,14 +6,11 @@
 //
 // Topologies are mutable at runtime: links can be taken down and brought
 // back up (fault injection; see src/fault).  Every structural mutation bumps
-// version() and appends one entry to a bounded edit journal, so consumers
-// caching derived structures (shortest-path trees, pruned delivery trees)
-// can see *what* changed since the version they were built against — and
-// repair incrementally — instead of discarding everything on every bump.
+// version(), the stamp consumers caching derived structures (shortest-path
+// trees, pruned delivery trees) compare against to know they must rebuild.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -22,26 +19,6 @@
 namespace srm::net {
 
 using LinkId = std::uint32_t;
-
-// One structural topology mutation.  Each edit corresponds to exactly one
-// version() bump: `version` is the stamp the topology carried *after* the
-// edit was applied, so consecutive journal entries have consecutive
-// versions.
-struct TopoEdit {
-  enum class Kind : std::uint8_t {
-    kNodeAdded,  // add_node(): `node` is the new node's id
-    kLinkAdded,  // add_link(): `link` is the new link's id
-    kLinkDown,   // set_link_up(link, false)
-    kLinkUp,     // set_link_up(link, true)
-  };
-
-  Kind kind = Kind::kLinkDown;
-  std::uint64_t version = 0;  // version() after this edit
-  LinkId link = 0;            // kLinkAdded / kLinkDown / kLinkUp
-  NodeId node = 0;            // kNodeAdded
-
-  friend bool operator==(const TopoEdit&, const TopoEdit&) = default;
-};
 
 struct LinkEnd {
   NodeId peer;       // node on the other side
@@ -93,20 +70,6 @@ class Topology {
   // pruned delivery trees, oracle distances) revalidate against this.
   std::uint64_t version() const { return version_; }
 
-  // Appends to `out` every edit applied after `since_version`, oldest first,
-  // and returns true.  Returns false — leaving `out` cleared — when the
-  // bounded journal no longer reaches back that far (the consumer's snapshot
-  // predates the oldest retained edit and it must rebuild from scratch).
-  // `since_version == version()` succeeds with an empty delta.
-  bool journal_since(std::uint64_t since_version,
-                     std::vector<TopoEdit>& out) const;
-
-  // Number of edits the journal retains before discarding the oldest.
-  // Shrinking the capacity drops the oldest entries immediately; capacity 0
-  // disables journaling (every journal_since() on a stale version fails).
-  std::size_t journal_capacity() const { return journal_capacity_; }
-  void set_journal_capacity(std::size_t capacity);
-
   // Administrative scoping: nodes default to region 0.
   void set_admin_region(NodeId n, std::uint32_t region);
   std::uint32_t admin_region(NodeId n) const { return regions_.at(n); }
@@ -119,18 +82,11 @@ class Topology {
 
  private:
   void rebuild_adjacency(NodeId n);
-  void record_edit(TopoEdit::Kind kind, LinkId link, NodeId node);
 
   std::vector<std::vector<LinkEnd>> adjacency_;
   std::vector<Link> links_;
   std::vector<std::uint32_t> regions_;
   std::uint64_t version_ = 0;
-  // Edit journal: one entry per version bump, oldest first, bounded by
-  // journal_capacity_.  Sized so a burst of fault-plan dynamics (a partition
-  // cutting dozens of links, a churn epoch) stays repairable without letting
-  // an unconsulted journal grow with the run.
-  std::deque<TopoEdit> journal_;
-  std::size_t journal_capacity_ = 512;
 };
 
 }  // namespace srm::net

@@ -109,19 +109,6 @@ TEST(RoutingTest, DeterministicAcrossCalls) {
   }
 }
 
-TEST(RoutingTest, JournalRepairPicksUpAddedLink) {
-  Topology t(3);
-  t.add_link(0, 1, 5.0);
-  t.add_link(1, 2, 5.0);
-  Routing r(t);
-  r.set_verify(true);  // cross-check the repair against a fresh Dijkstra
-  EXPECT_DOUBLE_EQ(r.distance(0, 2), 10.0);
-  t.add_link(0, 2, 1.0);
-  EXPECT_DOUBLE_EQ(r.distance(0, 2), 1.0);
-  EXPECT_EQ(r.stats().repairs, 1u);
-  EXPECT_EQ(r.stats().verified, 1u);
-}
-
 TEST(RoutingTest, TryDistanceReadsUnreachableAsInfinity) {
   Topology t(3);
   t.add_link(0, 1);

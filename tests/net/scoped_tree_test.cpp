@@ -1,8 +1,10 @@
 // The TTL-scoped delivery-tree fast path (set_scoped_tree_cache;
-// ARCHITECTURE.md §12): on tree topologies every TTL-limited multicast must
-// deliver to exactly the receivers — with exactly the delays, hop counts
-// and arrival order — that the full canonical-tree walk produces, while
-// never materializing nodes beyond the TTL radius.
+// ARCHITECTURE.md §12): on tree topologies and uniform-delay graphs every
+// TTL-limited multicast must deliver to exactly the receivers — with
+// exactly the delays, hop counts and arrival order — that the full
+// canonical-tree walk produces, while never materializing nodes beyond the
+// TTL radius.  scoped_tree_exact() must accept those topologies and reject
+// one where the two walks differ.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -45,43 +47,65 @@ class Recorder : public PacketSink {
   NodeId self_;
 };
 
-// Runs the same TTL-sweep of multicasts over `topo` twice — full walk vs
-// scoped cache, in independently built worlds so caches cannot leak — and
+// The delivery log of a TTL sweep of multicasts over `topo`: every root
+// sends once at every TTL, in a world built for this run alone so caches
+// cannot leak between runs.
+std::vector<Rx> sweep_log(const Topology& topo,
+                          const std::vector<NodeId>& members,
+                          const std::vector<NodeId>& roots,
+                          const std::vector<int>& ttls, bool scoped) {
+  sim::EventQueue queue;
+  MulticastNetwork net(queue, topo);
+  net.set_scoped_tree_cache(scoped);
+  std::vector<Rx> log;
+  std::vector<std::unique_ptr<Recorder>> sinks;
+  for (NodeId m : members) {
+    sinks.push_back(std::make_unique<Recorder>(queue, log, m));
+    net.attach(m, sinks.back().get());
+    net.join(1, m);
+  }
+  for (NodeId root : roots) {
+    for (int ttl : ttls) {
+      Packet p;
+      p.group = 1;
+      p.ttl = ttl;
+      p.payload = std::make_shared<TestMessage>();
+      net.multicast(root, p);
+      queue.run();
+    }
+  }
+  return log;
+}
+
+// Runs the same sweep with the full walk and with the scoped cache and
 // requires identical delivery logs.
 void expect_sweep_identical(const Topology& topo,
                             const std::vector<NodeId>& members,
                             const std::vector<NodeId>& roots,
                             const std::vector<int>& ttls) {
-  auto run = [&](bool scoped) {
-    sim::EventQueue queue;
-    MulticastNetwork net(queue, topo);
-    net.set_scoped_tree_cache(scoped);
-    std::vector<Rx> log;
-    std::vector<std::unique_ptr<Recorder>> sinks;
-    for (NodeId m : members) {
-      sinks.push_back(std::make_unique<Recorder>(queue, log, m));
-      net.attach(m, sinks.back().get());
-      net.join(1, m);
-    }
-    for (NodeId root : roots) {
-      for (int ttl : ttls) {
-        Packet p;
-        p.group = 1;
-        p.ttl = ttl;
-        p.payload = std::make_shared<TestMessage>();
-        net.multicast(root, p);
-        queue.run();
-      }
-    }
-    return log;
-  };
-  const std::vector<Rx> full = run(false);
-  const std::vector<Rx> fast = run(true);
+  const std::vector<Rx> full = sweep_log(topo, members, roots, ttls, false);
+  const std::vector<Rx> fast = sweep_log(topo, members, roots, ttls, true);
   ASSERT_EQ(full.size(), fast.size());
   for (std::size_t i = 0; i < full.size(); ++i) {
     EXPECT_EQ(full[i], fast[i]) << "delivery " << i << " diverged";
   }
 }
+
+// Half the nodes (at least one) as members and three random roots.
+void sweep_random_members(const Topology& topo, util::Rng& rng,
+                          const std::vector<int>& ttls) {
+  const std::size_t n = topo.node_count();
+  std::vector<NodeId> members;
+  for (NodeId v = 0; v < n; ++v) {
+    if (rng.index(2) == 0) members.push_back(v);
+  }
+  if (members.empty()) members.push_back(static_cast<NodeId>(rng.index(n)));
+  std::vector<NodeId> roots;
+  for (int i = 0; i < 3; ++i) roots.push_back(static_cast<NodeId>(rng.index(n)));
+  expect_sweep_identical(topo, members, roots, ttls);
+}
+
+constexpr double kUniformDelays[] = {1.0, 0.3, 0.1};
 
 TEST(ScopedTreeTest, MatchesFullWalkOnTreeOfLans) {
   // Non-uniform delays (backbone 1.0, LAN 0.1) on a tree: paths are unique,
@@ -108,6 +132,52 @@ TEST(ScopedTreeTest, MatchesFullWalkOnUniformDelayRing) {
   std::vector<NodeId> members;
   for (NodeId n = 0; n < 12; ++n) members.push_back(n);
   expect_sweep_identical(topo, members, {0, 5}, {1, 2, 3, 6});
+
+  util::Rng rng(31);
+  for (int trial = 0; trial < 12; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const std::size_t n = 3 + rng.index(28);
+    const double delay = kUniformDelays[rng.index(std::size(kUniformDelays))];
+    const Topology ring = topo::make_ring(n, delay);
+    ASSERT_TRUE(scoped_tree_exact(ring));
+    sweep_random_members(ring, rng, {1, 2, 4, 7});
+  }
+}
+
+TEST(ScopedTreeTest, MatchesFullWalkOnUniformDelayRandomGraphs) {
+  util::Rng rng(2718);
+  for (int trial = 0; trial < 30; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const std::size_t n = 5 + rng.index(36);
+    const std::size_t edges = n - 1 + rng.index(n + 1);  // cycles, mostly
+    const double delay = kUniformDelays[rng.index(std::size(kUniformDelays))];
+    const Topology topo = topo::make_random_graph(n, edges, rng, delay);
+    ASSERT_TRUE(scoped_tree_exact(topo));
+    sweep_random_members(topo, rng, {1, 2, 3, 5});
+  }
+}
+
+TEST(ScopedTreeTest, ExactOnlyOnTreesAndUniformDelays) {
+  util::Rng rng(5);
+  EXPECT_TRUE(scoped_tree_exact(topo::make_random_tree(30, rng)));
+  EXPECT_TRUE(scoped_tree_exact(topo::make_tree_of_lans(5, 3, 4).topo));
+  EXPECT_TRUE(scoped_tree_exact(topo::make_ring(9, 0.3)));
+  EXPECT_FALSE(scoped_tree_exact(topo::make_transit_stub(4, 2, 5, rng).topo));
+
+  // Triangle 0-1 (1 s), 1-2 (1 s), 0-2 (5 s): node 2's canonical path is
+  // two hops, so a TTL-1 multicast from node 0 reaches only node 1 on the
+  // full walk, while the scoped walk also reaches node 2 over the 5 s link.
+  Topology triangle(3);
+  triangle.add_link(0, 1, 1.0);
+  triangle.add_link(1, 2, 1.0);
+  triangle.add_link(0, 2, 5.0);
+  EXPECT_FALSE(scoped_tree_exact(triangle));
+  const std::vector<NodeId> members{0, 1, 2};
+  const auto full = sweep_log(triangle, members, {0}, {1}, false);
+  const auto fast = sweep_log(triangle, members, {0}, {1}, true);
+  ASSERT_EQ(full.size(), 1u);
+  EXPECT_EQ(full[0].receiver, 1u);
+  EXPECT_NE(fast, full);
 }
 
 TEST(ScopedTreeTest, CacheRevalidatesOnMembershipChange) {

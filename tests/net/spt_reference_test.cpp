@@ -5,11 +5,16 @@
 // dist is compared bit for bit; hops, parent, parent_link and each node's
 // child sequence exactly.  Every topology is checked as built and again with
 // some links down (so that some nodes are unreachable), both by a fresh
-// Routing and by one that repairs its cached trees through the link downs.
+// Routing and by one whose cached trees went stale through the link downs.
+// The churn tests below do the same after every batch of random link downs,
+// ups and additions, node growth, and a partition that heals back to the
+// original trees: a stale cached tree must come back exactly as the
+// reference builds it for the current graph.
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <queue>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -128,8 +133,8 @@ void expect_matches_reference(const Spt& t, const ReferenceSpt& ref,
   }
 }
 
-// Every root's tree from a fresh Routing (compute()) and from `warm`, whose
-// trees were cached before the latest topology edits (repair()).
+// Every root's tree from a fresh Routing and from `warm`, whose trees were
+// cached before the latest topology edits.
 void expect_all_roots_match(const Topology& topo, Routing& warm,
                             const std::string& label) {
   Routing fresh(topo);
@@ -143,7 +148,7 @@ void expect_all_roots_match(const Topology& topo, Routing& warm,
 
 // Checks `topo` as built, then takes `downs` random links down (plus every
 // link of one node, which is then unreachable from all others) and checks
-// again: fresh trees through compute(), the cached ones through repair().
+// again, through a fresh Routing and through the stale cache.
 void check_topology(Topology topo, util::Rng& rng, std::size_t downs,
                     const std::string& label) {
   Routing warm(topo);
@@ -161,9 +166,7 @@ void check_topology(Topology topo, util::Rng& rng, std::size_t downs,
   const std::vector<LinkEnd> incident = topo.neighbors(isolated);
   for (const LinkEnd& e : incident) topo.set_link_up(e.link, false);
   ASSERT_TRUE(topo.neighbors(isolated).empty()) << label;
-  warm.set_repair_threshold(topo.link_count());  // absorb the whole batch
   expect_all_roots_match(topo, warm, label + " with links down");
-  EXPECT_EQ(warm.stats().repairs, topo.node_count()) << label;
 }
 
 // A connected random graph with mixed TTL thresholds: a random spanning
@@ -235,6 +238,108 @@ TEST(SptReferenceTest, RingsMatchReference) {
   // Equal-delay paths both ways round: even rings tie at the antipode.
   check_topology(topo::make_ring(12), rng, 1, "ring of 12");
   check_topology(topo::make_ring(13, 0.5), rng, 2, "ring of 13");
+}
+
+std::vector<LinkId> links_in_state(const Topology& topo, bool up) {
+  std::vector<LinkId> ids;
+  for (LinkId id = 0; id < topo.link_count(); ++id) {
+    if (topo.link_up(id) == up) ids.push_back(id);
+  }
+  return ids;
+}
+
+// Applies `steps` random batches of link dynamics to `topo`, checking every
+// root's cached tree against the reference after each batch.
+void churn_and_check(Topology& topo, util::Rng& rng, int steps,
+                     const std::string& label) {
+  Routing cached(topo);
+  for (NodeId src = 0; src < topo.node_count(); ++src) cached.spt(src);
+
+  for (int step = 0; step < steps; ++step) {
+    // A batch of 1-4 mutations: mostly downs/ups, occasionally a new link.
+    const int mutations = 1 + static_cast<int>(rng.index(4));
+    for (int m = 0; m < mutations; ++m) {
+      const double coin = rng.uniform(0.0, 1.0);
+      if (coin < 0.9) {
+        const bool take_down = coin < 0.45;
+        const auto candidates = links_in_state(topo, take_down);
+        if (!candidates.empty()) {
+          topo.set_link_up(candidates[rng.index(candidates.size())],
+                           !take_down);
+        }
+      } else {
+        const auto a = static_cast<NodeId>(rng.index(topo.node_count()));
+        const auto b = static_cast<NodeId>(rng.index(topo.node_count()));
+        if (a != b) {
+          try {
+            topo.add_link(a, b, 0.5 + rng.uniform(0.0, 3.0));
+          } catch (const std::invalid_argument&) {
+            // duplicate link; skip
+          }
+        }
+      }
+    }
+    expect_all_roots_match(topo, cached,
+                           label + ", step " + std::to_string(step));
+  }
+}
+
+TEST(RoutingRepairTest, RandomTreeChurnMatchesFreshDijkstra) {
+  for (const std::uint64_t seed : {3u, 17u, 91u}) {
+    util::Rng rng(seed);
+    Topology topo = topo::make_random_tree(24, rng);
+    churn_and_check(topo, rng, 12, "tree seed " + std::to_string(seed));
+  }
+}
+
+TEST(RoutingRepairTest, RandomGraphChurnMatchesFreshDijkstra) {
+  for (const std::uint64_t seed : {5u, 29u, 123u}) {
+    util::Rng rng(seed);
+    Topology topo = topo::make_random_graph(20, 34, rng);
+    churn_and_check(topo, rng, 12, "graph seed " + std::to_string(seed));
+  }
+}
+
+TEST(RoutingRepairTest, GrowingTopologyMatchesFreshDijkstra) {
+  util::Rng rng(7);
+  Topology topo = topo::make_random_tree(10, rng);
+  Routing cached(topo);
+  for (NodeId src = 0; src < topo.node_count(); ++src) cached.spt(src);
+  for (int step = 0; step < 8; ++step) {
+    const NodeId fresh_node = topo.add_node();
+    const auto anchor = static_cast<NodeId>(rng.index(fresh_node));
+    topo.add_link(anchor, fresh_node, 1.0 + rng.uniform(0.0, 2.0));
+    expect_all_roots_match(topo, cached, "grow step " + std::to_string(step));
+  }
+}
+
+TEST(RoutingRepairTest, PartitionHealRoundTripRestoresOriginalTrees) {
+  util::Rng rng(41);
+  Topology topo = topo::make_random_tree(30, rng);
+  Routing cached(topo);
+  std::vector<ReferenceSpt> original;
+  for (NodeId src = 0; src < topo.node_count(); ++src) {
+    cached.spt(src);
+    original.push_back(reference_compute(topo, src));
+  }
+
+  // Cut an island {0..9} off: every up link with one endpoint inside.
+  std::vector<LinkId> cut;
+  for (LinkId id = 0; id < topo.link_count(); ++id) {
+    const Link& l = topo.link(id);
+    if (!l.up) continue;
+    if ((l.a < 10) != (l.b < 10)) cut.push_back(id);
+  }
+  ASSERT_FALSE(cut.empty());
+  for (LinkId id : cut) topo.set_link_up(id, false);
+  expect_all_roots_match(topo, cached, "partitioned");
+
+  for (LinkId id : cut) topo.set_link_up(id, true);
+  expect_all_roots_match(topo, cached, "healed");
+  for (NodeId src = 0; src < topo.node_count(); ++src) {
+    expect_matches_reference(cached.spt(src), original[src],
+                             "healed vs original, root " + std::to_string(src));
+  }
 }
 
 }  // namespace

@@ -83,73 +83,21 @@ TEST(TopologyTest, DegreeCountsIncidentLinks) {
   EXPECT_EQ(t.degree(1), 1u);
 }
 
-TEST(TopologyTest, JournalRecordsEveryStructuralMutation) {
+TEST(TopologyTest, VersionBumpsOnEveryStructuralMutation) {
+  // version() is the key every cached tree is checked against, so each
+  // mutation that can change a tree must move it, and a no-op must not.
   Topology t(2);
-  const std::uint64_t v0 = t.version();
+  std::uint64_t v = t.version();
   const LinkId l = t.add_link(0, 1);
-  const NodeId n = t.add_node();
-  const LinkId l2 = t.add_link(1, n);
+  EXPECT_EQ(t.version(), ++v);
+  t.add_node();
+  EXPECT_EQ(t.version(), ++v);
   t.set_link_up(l, false);
+  EXPECT_EQ(t.version(), ++v);
+  t.set_link_up(l, false);  // already down
+  EXPECT_EQ(t.version(), v);
   t.set_link_up(l, true);
-
-  std::vector<TopoEdit> edits;
-  ASSERT_TRUE(t.journal_since(v0, edits));
-  ASSERT_EQ(edits.size(), 5u);
-  EXPECT_EQ(edits[0].kind, TopoEdit::Kind::kLinkAdded);
-  EXPECT_EQ(edits[0].link, l);
-  EXPECT_EQ(edits[1].kind, TopoEdit::Kind::kNodeAdded);
-  EXPECT_EQ(edits[1].node, n);
-  EXPECT_EQ(edits[2].kind, TopoEdit::Kind::kLinkAdded);
-  EXPECT_EQ(edits[2].link, l2);
-  EXPECT_EQ(edits[3].kind, TopoEdit::Kind::kLinkDown);
-  EXPECT_EQ(edits[3].link, l);
-  EXPECT_EQ(edits[4].kind, TopoEdit::Kind::kLinkUp);
-  EXPECT_EQ(edits[4].link, l);
-  // Entries carry consecutive version stamps ending at the current version.
-  for (std::size_t i = 0; i < edits.size(); ++i) {
-    EXPECT_EQ(edits[i].version, v0 + i + 1);
-  }
-  EXPECT_EQ(edits.back().version, t.version());
-}
-
-TEST(TopologyTest, JournalSinceCurrentVersionIsEmptyDelta) {
-  Topology t(2);
-  t.add_link(0, 1);
-  std::vector<TopoEdit> edits{TopoEdit{}};  // stale content must be cleared
-  ASSERT_TRUE(t.journal_since(t.version(), edits));
-  EXPECT_TRUE(edits.empty());
-}
-
-TEST(TopologyTest, JournalTruncatesAtCapacity) {
-  Topology t(2);
-  t.set_journal_capacity(3);
-  const LinkId l = t.add_link(0, 1);
-  const std::uint64_t mid = t.version();
-  t.set_link_up(l, false);
-  t.set_link_up(l, true);
-  t.set_link_up(l, false);
-  t.set_link_up(l, true);  // 4 toggles: the first has been evicted
-
-  std::vector<TopoEdit> edits;
-  EXPECT_FALSE(t.journal_since(mid, edits));      // reaches back too far
-  ASSERT_TRUE(t.journal_since(mid + 1, edits));   // oldest retained edit
-  EXPECT_EQ(edits.size(), 3u);
-}
-
-TEST(TopologyTest, JournalCapacityZeroDisablesJournaling) {
-  Topology t(2);
-  t.set_journal_capacity(0);
-  const std::uint64_t v0 = t.version();
-  t.add_link(0, 1);
-  std::vector<TopoEdit> edits;
-  EXPECT_FALSE(t.journal_since(v0, edits));
-  EXPECT_TRUE(t.journal_since(t.version(), edits));  // empty delta still ok
-}
-
-TEST(TopologyTest, JournalRejectsFutureVersion) {
-  Topology t(2);
-  std::vector<TopoEdit> edits;
-  EXPECT_FALSE(t.journal_since(t.version() + 1, edits));
+  EXPECT_EQ(t.version(), ++v);
 }
 
 }  // namespace

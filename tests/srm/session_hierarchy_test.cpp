@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "fault/injector.h"
@@ -226,6 +227,46 @@ TEST(SessionHierarchyTest, ReducesWideAreaSessionTraffic) {
   const auto hier = count_backbone_session_crossings(true, 11);
   EXPECT_LT(hier, flat / 3)
       << "hierarchy should cut wide-area session traffic several-fold";
+}
+
+TEST(SessionHierarchyTest, KeepsFullTreeWalkOnCyclicMixedDelayTopology) {
+  // Triangle 0-1 (1 s), 1-2 (1 s), 0-2 (5 s): node 2's shortest-delay path
+  // from node 0 is two hops, so a TTL-1 multicast from node 0 must reach
+  // node 1 only.  The TTL-scoped fast path would also reach node 2 over the
+  // one-hop 5 s link, so a hierarchy session here keeps the full walk.
+  net::Topology topo(3);
+  topo.add_link(0, 1, 1.0);
+  topo.add_link(1, 2, 1.0);
+  topo.add_link(0, 2, 5.0);
+  SrmConfig cfg;
+  cfg.hierarchy.enabled = true;
+  harness::SimSession session(std::move(topo), all_nodes(3), {cfg, 3, 1});
+  EXPECT_FALSE(session.network().scoped_tree_cache());
+
+  struct Probe : net::Message {
+    std::string describe() const override { return "PROBE"; }
+  };
+  std::vector<net::NodeId> reached;
+  session.network().set_delivery_observer(
+      [&](const net::Packet& p, const net::DeliveryInfo& info) {
+        if (dynamic_cast<const Probe*>(p.payload.get())) {
+          reached.push_back(info.receiver);
+        }
+      });
+  net::Packet probe;
+  probe.group = 1;
+  probe.ttl = 1;
+  probe.payload = std::make_shared<Probe>();
+  session.network().multicast(0, probe);
+  session.queue().run_until(10.0);
+  EXPECT_EQ(reached, std::vector<net::NodeId>{1});
+
+  // Trees and uniform-delay graphs keep the fast path.
+  auto tl = topo::make_tree_of_lans(3, 2, 3);
+  harness::SimSession lans(std::move(tl.topo), tl.workstations, {cfg, 3, 1});
+  EXPECT_TRUE(lans.network().scoped_tree_cache());
+  harness::SimSession ring(topo::make_ring(8), all_nodes(8), {cfg, 3, 1});
+  EXPECT_TRUE(ring.network().scoped_tree_cache());
 }
 
 // --- representative crash under FaultPlan + parallel kernel ---------------
