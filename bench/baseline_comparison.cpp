@@ -32,14 +32,12 @@ BaselineResult run_baseline(net::Topology topo,
   net::MulticastNetwork network(queue, topo);
   MemberDirectory directory;
   util::Rng rng(seed);
-  baseline::NackConfig cfg;
-  cfg.repair_mode = mode;
 
   std::vector<std::unique_ptr<baseline::NackAgent>> agents;
   baseline::NackAgent* source = nullptr;
   for (net::NodeId n : members) {
     agents.push_back(std::make_unique<baseline::NackAgent>(
-        network, directory, n, static_cast<SourceId>(n), 1, cfg, rng.fork()));
+        network, directory, n, static_cast<SourceId>(n), 1, mode, rng.fork()));
     agents.back()->start();
     if (n == source_node) source = agents.back().get();
   }

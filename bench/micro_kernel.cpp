@@ -277,7 +277,7 @@ BENCHMARK(BM_DistanceEstimatorExchange);
 void BM_AdaptiveTunerRound(benchmark::State& state) {
   AdaptiveParams params;
   params.enabled = true;
-  AdaptiveTuner tuner(params, {0.5, 2.0, 1.0, 200.0}, 2.0, 2.0);
+  AdaptiveTuner tuner(params, 2.0, 2.0);
   std::size_t dups = 0;
   for (auto _ : state) {
     tuner.end_period(dups++ % 3);

@@ -490,6 +490,9 @@ int main(int argc, char** argv) {
                 b.link_transmissions);
       stat_diff("deliveries", a.deliveries, b.deliveries);
       stat_diff("drops", a.drops, b.drops);
+      stat_diff("ttl prunes", a.ttl_prunes, b.ttl_prunes);
+      stat_diff("in-flight invalidations", a.in_flight_invalidated,
+                b.in_flight_invalidated);
     };
     if (!fault_plan.empty()) {
       // With a fault plan the scenario includes stochastic (keyed
@@ -660,7 +663,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<harness::ConformanceChecker> checker;
   if (session.kernel() == nullptr) {
     checker = std::make_unique<harness::ConformanceChecker>(
-        session.network(), session.directory(), cfg.holddown_multiplier);
+        session.network(), session.directory());
   }
 
   // Structured tracing: one Tracer + file sink for the whole run.  With a

@@ -12,6 +12,9 @@ namespace srm::fault {
 
 namespace {
 
+// Width of invariant 2's sliding window, in seconds.
+constexpr double kStormWindow = 1.0;
+
 // (member, ADU name) — the unit invariant 1 is judged on.
 using LossKey = std::array<std::uint64_t, 5>;
 
@@ -152,7 +155,7 @@ CheckerReport RecoveryInvariantChecker::check(
   for (std::size_t i = 0; i < send_times.size(); ++i) {
     if (j < i) j = i;
     while (j < send_times.size() &&
-           send_times[j] < send_times[i] + options_.storm_window) {
+           send_times[j] < send_times[i] + kStormWindow) {
       ++j;
     }
     const std::size_t count = j - i;

@@ -15,8 +15,8 @@
 //      deadline are exempt, as are losses whose (extended) deadline falls
 //      beyond the end of the trace (run longer to judge them).
 //   2. No repair storms: the total rate of request + repair transmissions
-//      never exceeds `storm_budget` packets in any `storm_window`-second
-//      sliding window.
+//      never exceeds `storm_budget` packets in any one-second sliding
+//      window.
 //   3. Continued adaptation (optional): after each disruption window with
 //      subsequent losses, the adaptive timer machinery keeps producing
 //      parameter updates (at least one adapt_req/adapt_rep event).
@@ -39,8 +39,7 @@ struct CheckerOptions {
   // Seconds allowed between loss detection and recovery, measured outside
   // disruption windows as described above.
   double deadline = 100.0;
-  // Sliding-window budget for invariant 2.
-  double storm_window = 1.0;
+  // Packets allowed in any one-second window by invariant 2.
   std::size_t storm_budget = 200;
   // Invariant 3 (off by default: scenarios with adaptation disabled or no
   // post-fault losses would fail vacuously).

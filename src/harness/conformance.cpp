@@ -6,11 +6,8 @@
 namespace srm::harness {
 
 ConformanceChecker::ConformanceChecker(net::MulticastNetwork& network,
-                                       MemberDirectory& directory,
-                                       double holddown_multiplier)
-    : network_(&network),
-      directory_(&directory),
-      holddown_multiplier_(holddown_multiplier) {
+                                       MemberDirectory& directory)
+    : network_(&network), directory_(&directory) {
   previous_send_ = network_->send_observer();
   previous_delivery_ = network_->delivery_observer();
   network_->set_send_observer([this](net::NodeId from,
@@ -93,8 +90,12 @@ void ConformanceChecker::on_send(net::NodeId from, const net::Packet& packet) {
     holds_[from].insert(name);  // sending a repair proves possession
     // 3. hold-down: two repairs for one name from one member must be
     // separated by at least holddown * d(member, data source).  Step-two
-    // local repairs are re-multicasts by the requestor, exempt by design.
-    if (!rep->local_step_one()) {
+    // local repairs are re-multicasts by the requestor (responder and first
+    // requestor both name it), exempt by design; a step-one repair starts
+    // the responder's hold-down like any other.
+    const bool step_two =
+        !rep->local_step_one() && rep->responder() == rep->first_requestor();
+    if (!step_two) {
       const auto key = std::make_pair(from, name);
       const auto it = last_repair_send_.find(key);
       if (it != last_repair_send_.end()) {
@@ -109,11 +110,11 @@ void ConformanceChecker::on_send(net::NodeId from, const net::Packet& packet) {
           d = 0.0;  // source departed; no meaningful hold-down bound
         }
         const double gap = network_->queue().now() - it->second;
-        if (d > 0.0 && gap < holddown_multiplier_ * d - 1e-9) {
+        if (d > 0.0 && gap < kHolddownMultiplier * d - 1e-9) {
           std::ostringstream os;
           os << "node " << from << " repaired " << to_string(name)
              << " twice within " << gap << "s (holddown "
-             << holddown_multiplier_ * d << "s)";
+             << kHolddownMultiplier * d << "s)";
           flag("holddown", os.str());
         }
       }

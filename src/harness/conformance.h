@@ -12,7 +12,8 @@
 //   2. no-request-after-repair: once a member received a REPAIR for an ADU,
 //      it never requests that ADU again (names are persistent),
 //   3. holddown: a member never sends two REPAIRs for the same ADU within
-//      the 3*d_S hold-down window,
+//      the kHolddownMultiplier*d_S (3*d_S) hold-down window; a requestor's
+//      step-two re-multicast of a two-step local repair is exempt,
 //   4. payload-consistency: every DATA/REPAIR for one name carries
 //      byte-identical payload ("the name always refers to the same data"),
 //   5. sequencing: a source's DATA sequence numbers are strictly increasing
@@ -45,12 +46,10 @@ struct Violation {
 
 class ConformanceChecker {
  public:
-  // Chains onto the network's observers; `holddown_multiplier` must match
-  // the sessions' SrmConfig (3.0 by default).  The directory maps message
+  // Chains onto the network's observers.  The directory maps message
   // sources to nodes for distance computations.
   ConformanceChecker(net::MulticastNetwork& network,
-                     MemberDirectory& directory,
-                     double holddown_multiplier = 3.0);
+                     MemberDirectory& directory);
   ~ConformanceChecker();
 
   ConformanceChecker(const ConformanceChecker&) = delete;
@@ -75,7 +74,6 @@ class ConformanceChecker {
 
   net::MulticastNetwork* network_;
   MemberDirectory* directory_;
-  double holddown_multiplier_;
 
   net::MulticastNetwork::SendObserver previous_send_;
   net::MulticastNetwork::DeliveryObserver previous_delivery_;

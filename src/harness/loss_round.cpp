@@ -12,6 +12,10 @@ namespace srm::harness {
 
 namespace {
 
+// Virtual time between the dropped packet and the next one, whose arrival
+// reveals the gap.
+constexpr sim::Time kInterPacketGap = 1.0;
+
 bool is_request(const net::Packet& p) {
   return dynamic_cast<const RequestMessage*>(p.payload.get()) != nullptr;
 }
@@ -115,7 +119,7 @@ RoundResult run_loss_round(SimSession& session, const RoundSpec& spec,
     if (sent != dropped) {
       throw std::logic_error("run_loss_round: unexpected sequence number");
     }
-    queue.schedule_after(spec.inter_packet_gap, [&source, &send] {
+    queue.schedule_after(kInterPacketGap, [&source, &send] {
       send(source, Payload{0xCD});
     });
     session.run();

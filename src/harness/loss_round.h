@@ -1,7 +1,8 @@
 // One loss-recovery round, exactly as in Sec. V: the source multicasts a
-// packet that the congested link drops, then a second packet that is not
-// dropped; receivers downstream of the congested link detect the gap and the
-// request/repair algorithms run until every member holds the dropped packet.
+// packet that the congested link drops, then, one second later, a second
+// packet that is not dropped; receivers downstream of the congested link
+// detect the gap and the request/repair algorithms run until every member
+// holds the dropped packet.
 // The round runner collects the quantities the paper's figures plot.
 #pragma once
 
@@ -20,7 +21,6 @@ struct RoundSpec {
   net::NodeId source_node = 0;     // the member that sends the data
   DirectedLink congested{0, 0};    // directed link that drops the packet
   PageId page{0, 0};
-  sim::Time inter_packet_gap = 1.0;  // between the dropped and next packet
   // How the source transmits (default: SrmAgent::send_data).  Framing
   // layers (srm/fec's FecSession) route both of the round's sends through
   // their own send path here; the returned name must still carry the seq

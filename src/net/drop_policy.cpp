@@ -168,23 +168,4 @@ bool GilbertElliottDrop::should_drop(const Packet& packet,
   return true;
 }
 
-void CompositeDropPolicy::add(std::shared_ptr<DropPolicy> policy) {
-  if (!policy) {
-    throw std::invalid_argument("CompositeDropPolicy::add: null policy");
-  }
-  policies_.push_back(std::move(policy));
-}
-
-bool CompositeDropPolicy::should_drop(const Packet& packet,
-                                      const HopContext& hop) {
-  for (const auto& p : policies_) {
-    if (p->should_drop(packet, hop)) return true;
-  }
-  return false;
-}
-
-void CompositeDropPolicy::prepare(std::size_t link_count) {
-  for (const auto& p : policies_) p->prepare(link_count);
-}
-
 }  // namespace srm::net

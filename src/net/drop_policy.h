@@ -190,21 +190,4 @@ class GilbertElliottDrop final : public DropPolicy {
   std::atomic<std::size_t> drops_{0};
 };
 
-// First-match composition: policies are consulted in add() order and the
-// first one that drops short-circuits the rest.  Use this when a scripted
-// one-shot drop should not also count against (or be masked by) a background
-// stochastic policy; contrast CompositeDrop, which feeds every hop to every
-// policy.
-class CompositeDropPolicy final : public DropPolicy {
- public:
-  void add(std::shared_ptr<DropPolicy> policy);
-  bool should_drop(const Packet& packet, const HopContext& hop) override;
-  void prepare(std::size_t link_count) override;
-
-  std::size_t size() const { return policies_.size(); }
-
- private:
-  std::vector<std::shared_ptr<DropPolicy>> policies_;
-};
-
 }  // namespace srm::net

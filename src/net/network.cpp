@@ -37,7 +37,7 @@ void MulticastNetwork::enable_pdes(sim::ParallelKernel* kernel,
   peers_ = std::move(peers);
   inboxes_.assign(map->count, {});
   remote_buckets_.assign(map->count, {});
-  kernel->set_drain_hook(self_region, [this] { drain_remote(); });
+  kernel->set_drain_hook(self_region, [this] { return drain_remote(); });
 }
 
 void MulticastNetwork::attach(NodeId n, PacketSink* sink) {
@@ -471,10 +471,11 @@ void MulticastNetwork::multicast(NodeId from, Packet packet) {
                        [](const ChainItem& a, const ChainItem& b) {
                          return a.delay < b.delay;
                        });
-      // Conservative-safety invariant: the path to another region crosses an
-      // inter-region link, so no remote arrival can undercut the lookahead.
+      // Conservative-safety invariant: the path to another region crosses
+      // the inter-region cut, so no remote arrival can undercut the kernel's
+      // pair bound D(origin, dest).
       assert(kernel_ == nullptr ||
-             bucket.front().delay >= kernel_->lookahead());
+             bucket.front().delay >= kernel_->min_delay(self_region_, reg));
       peers_[reg]->accept_remote_chain(self_region_, remote_seq_++, shared,
                                        std::move(bucket), queue_->now());
       bucket = std::vector<ChainItem>();
@@ -514,7 +515,7 @@ void MulticastNetwork::accept_remote_chain(std::uint32_t origin_region,
   inboxes_[origin_region].push_back(std::move(rc));
 }
 
-void MulticastNetwork::drain_remote() {
+std::uint64_t MulticastNetwork::drain_remote() {
   bool any = false;
   for (const std::vector<RemoteChain>& lane : inboxes_) {
     if (!lane.empty()) {
@@ -522,7 +523,7 @@ void MulticastNetwork::drain_remote() {
       break;
     }
   }
-  if (!any) return;
+  if (!any) return 0;
   remote_merge_scratch_.clear();
   for (std::vector<RemoteChain>& lane : inboxes_) {
     for (RemoteChain& rc : lane) {
@@ -554,7 +555,9 @@ void MulticastNetwork::drain_remote() {
     }
     dispatch_chain(index, rc.sent_at);
   }
+  const std::uint64_t adopted = remote_merge_scratch_.size();
   remote_merge_scratch_.clear();
+  return adopted;
 }
 
 void MulticastNetwork::release_chain(std::uint32_t index) {
@@ -708,7 +711,8 @@ void MulticastNetwork::unicast(NodeId from, NodeId to, Packet packet) {
   }
   // Cross-region: a one-item remote chain, adopted and counted by the
   // owning network.
-  assert(kernel_ == nullptr || delay >= kernel_->lookahead());
+  assert(kernel_ == nullptr ||
+         delay >= kernel_->min_delay(self_region_, dest_region));
   peers_[dest_region]->accept_remote_chain(self_region_, remote_seq_++,
                                            std::move(shared), {item},
                                            queue_->now());

@@ -361,8 +361,8 @@ class MulticastNetwork {
                            std::shared_ptr<const Packet> packet,
                            std::vector<ChainItem> items, double sent_at);
   // Kernel drain hook: adopts inbox chains into the local pool in
-  // (first_arrival, origin_region, origin_seq) order.
-  void drain_remote();
+  // (first_arrival, origin_region, origin_seq) order; returns how many.
+  std::uint64_t drain_remote();
 
   sim::ParallelKernel* kernel_ = nullptr;
   const RegionMap* region_map_ = nullptr;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <cmath>
 #include <condition_variable>
 #include <mutex>
@@ -32,10 +31,7 @@ ParallelKernel::ParallelKernel(std::size_t regions, double lookahead)
   for (std::size_t r = 0; r < regions; ++r) {
     queues_.push_back(std::make_unique<EventQueue>());
   }
-  lanes_.assign(regions, std::vector<std::vector<Mail>>(regions + 1));
-  lane_seq_.assign(regions + 1, 0);
   drain_hooks_.assign(regions, {});
-  drain_scratch_.resize(regions);
 }
 
 void ParallelKernel::set_region_distances(std::vector<std::vector<double>> d) {
@@ -67,56 +63,17 @@ Time ParallelKernel::now() const {
   return t;
 }
 
-void ParallelKernel::post(std::size_t from, std::size_t to, Time when,
-                          std::function<void()> fn) {
-  const std::size_t lane = (from == kGlobalRegion) ? queues_.size() : from;
-  assert(to < queues_.size());
-  assert(lane <= queues_.size());
-  // The conservative-safety contract: a region may only reach another
-  // region at least its pair lower bound into the future.  (Floating-point
-  // addition of non-negative delays is monotone, so path-delay sums that
-  // include an inter-region link satisfy this exactly, not just
-  // approximately.)
-  assert(from == kGlobalRegion ||
-         when >= queues_[from]->now() + min_delay(from, to));
-  lanes_[to][lane].push_back(Mail{when, lane, lane_seq_[lane]++, std::move(fn)});
-}
-
-void ParallelKernel::set_drain_hook(std::size_t r, std::function<void()> hook) {
+void ParallelKernel::set_drain_hook(std::size_t r,
+                                    std::function<std::uint64_t()> hook) {
   drain_hooks_.at(r) = std::move(hook);
 }
 
 std::uint64_t ParallelKernel::drain_all() {
-  std::uint64_t drained = 0;
-  for (std::size_t to = 0; to < queues_.size(); ++to) {
-    std::vector<Mail>& scratch = drain_scratch_[to];
-    scratch.clear();  // keeps capacity: steady state never reallocates
-    std::size_t incoming = 0;
-    for (const std::vector<Mail>& lane : lanes_[to]) incoming += lane.size();
-    if (incoming != 0) {
-      scratch.reserve(incoming);
-      for (std::vector<Mail>& lane : lanes_[to]) {
-        for (Mail& m : lane) scratch.push_back(std::move(m));
-        lane.clear();
-      }
-      // Deterministic merge order: (arrival time, source lane, post order).
-      // Destination seqs are allocated in this order, so the region's
-      // execution is independent of which worker produced each message.
-      std::sort(scratch.begin(), scratch.end(),
-                [](const Mail& a, const Mail& b) {
-                  if (a.when != b.when) return a.when < b.when;
-                  if (a.from_lane != b.from_lane) return a.from_lane < b.from_lane;
-                  return a.seq < b.seq;
-                });
-      for (Mail& m : scratch) {
-        queues_[to]->schedule_at(m.when, std::move(m.fn));
-        ++drained;
-      }
-      scratch.clear();
-    }
-    if (drain_hooks_[to]) drain_hooks_[to]();
+  std::uint64_t adopted = 0;
+  for (const std::function<std::uint64_t()>& hook : drain_hooks_) {
+    if (hook) adopted += hook();
   }
-  return drained;
+  return adopted;
 }
 
 std::uint64_t ParallelKernel::executed_events() const {

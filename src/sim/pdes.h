@@ -2,11 +2,12 @@
 //
 // One giant scenario is split into R regions, each owning a private
 // EventQueue; worker threads execute regions concurrently inside safe
-// windows derived from a lookahead bound, and cross-region effects travel
-// through single-writer mailboxes that are drained in a deterministic
-// (time, source region, post order) order between windows.  The result is
-// bit-identical for every worker count: threads only decide *who* executes
-// a region's window, never *what* executes or in which order.
+// windows derived from a lookahead bound.  Cross-region effects travel
+// through inboxes owned by the subsystem that produces them (the multicast
+// network's remote delivery chains), which per-region drain hooks merge in
+// a deterministic order between windows.  The result is bit-identical for
+// every worker count: threads only decide *who* executes a region's window,
+// never *what* executes or in which order.
 //
 // Protocol (conservative with per-region asynchronous windows — a
 // null-message-style lower-bound exchange evaluated at each barrier):
@@ -15,7 +16,7 @@
 //                    min over s != r of F_s + D(s, r),
 //                    F_r + RT_r)   where RT_r = min over s != r of
 //                                             D(r, s) + D(s, r)
-//   1. drain mailboxes + per-region drain hooks (deterministic merge)
+//   1. run every region's drain hook (deterministic inbox merge)
 //   2. if the global queue holds the earliest event, line every region
 //      clock up to it and run the global events serially (a "global phase":
 //      topology mutation, fault injection, harness control — anything that
@@ -34,17 +35,17 @@
 // arriving stamped >= F_s + D(s, r) >= W_r (for the network layer this
 // holds structurally: any path into another region crosses the
 // inter-region cut, and floating-point addition of non-negative delays is
-// monotone); (b) a global event at >= m_g >= W_r; or (c) an *echo* of r's
-// own window — an event of r at t >= F_r whose mail wakes a peer whose
-// consequent mail returns, stamped >= t + D(r, s) + D(s, r) >= F_r + RT_r
-// >= W_r (relays through more regions are no earlier, by the triangle
-// inequality of the metric closure; echoes spanning later barriers are
-// covered by (a), since the intermediate mail raises those barriers'
-// floors).  So nothing can arrive inside the window being executed and
-// intra-window execution needs no synchronization at all.  Progress: the
-// globally-earliest region's window strictly exceeds its floor (D > 0,
-// RT > 0, and m_g > its floor on the window branch), so every round
-// executes at least one event.
+// monotone; the network asserts it per remote chain); (b) a global event at
+// >= m_g >= W_r; or (c) an *echo* of r's own window — an event of r at
+// t >= F_r whose message wakes a peer whose consequent message returns,
+// stamped >= t + D(r, s) + D(s, r) >= F_r + RT_r >= W_r (relays through
+// more regions are no earlier, by the triangle inequality of the metric
+// closure; echoes spanning later barriers are covered by (a), since the
+// intermediate message raises those barriers' floors).  So nothing can
+// arrive inside the window being executed and intra-window execution needs
+// no synchronization at all.  Progress: the globally-earliest region's
+// window strictly exceeds its floor (D > 0, RT > 0, and m_g > its floor on
+// the window branch), so every round executes at least one event.
 //
 // Determinism rules (the "merged statistics stay bit-identical" argument):
 //   - every region queue orders its events by (time, region-local seq), and
@@ -53,8 +54,10 @@
 //   - windows are pure functions of the barrier-snapshot floors and the
 //     static distance matrix, computed by the coordinator alone — worker
 //     count never changes any W_r, only who executes each region;
-//   - mailbox drains sort by (time, source region, per-source post counter),
-//     all deterministic, and allocate destination seqs in that order;
+//   - drain hooks run in region order with no region executing, and adopt
+//     their inboxes in an order fixed by the messages alone (the network:
+//     first arrival, origin region, origin seq), allocating destination
+//     seqs in that order;
 //   - global phases run before region events carrying the same timestamp
 //     (global events are scheduled by setup/fault code whose sequential-
 //     kernel seqs predate the run, so this matches the common case);
@@ -75,17 +78,12 @@ namespace srm::sim {
 
 class ParallelKernel {
  public:
-  // Lane index used by post() for messages originating in a global phase
-  // (no lookahead requirement; they are drained before the next window).
-  static constexpr std::size_t kGlobalRegion =
-      std::numeric_limits<std::size_t>::max();
-
   struct RunStats {
     std::uint64_t region_events = 0;  // events executed inside windows
     std::uint64_t global_events = 0;  // events executed in global phases
     std::uint64_t windows = 0;        // parallel windows executed
     std::uint64_t global_phases = 0;  // serialized phases executed
-    std::uint64_t messages = 0;       // cross-region mail drained
+    std::uint64_t messages = 0;       // cross-region messages hooks adopted
   };
 
   // `lookahead` is the minimum timestamp increment of any region-to-region
@@ -97,7 +95,6 @@ class ParallelKernel {
   ParallelKernel& operator=(const ParallelKernel&) = delete;
 
   std::size_t region_count() const { return queues_.size(); }
-  double lookahead() const { return lookahead_; }
 
   // Installs the per-pair lower-bound matrix D used by the asynchronous
   // windows: d[s][r] bounds from below the timestamp increment of any
@@ -116,24 +113,21 @@ class ParallelKernel {
   // every clock up before returning).
   Time now() const;
 
-  // Posts fn to execute in region `to`'s queue at absolute time `when`.
-  // From a region event, `from` is the executing region and `when` must be
-  // >= that region's clock + the pair's delay lower bound (asserted); from
-  // a global phase pass kGlobalRegion, where any `when` >= the current
-  // global time is legal.  Mail is delivered at the next barrier, so a
-  // region posting to *itself* must stamp past its own current window
-  // (region events that want same-window follow-ups should schedule_at on
-  // their own queue directly instead).
-  // At most one region executes at a time per `from`, so each (to, from)
-  // lane has a single writer and posting is synchronization-free.
-  void post(std::size_t from, std::size_t to, Time when,
-            std::function<void()> fn);
+  // Lower bound D(from, to) on the timestamp increment of any message from
+  // region `from` to region `to`: the installed matrix entry, or the
+  // uniform lookahead.  A subsystem that hands work to another region from
+  // a region event must stamp it at least this far past the sender's clock.
+  double min_delay(std::size_t from, std::size_t to) const {
+    return (dist_.empty() || from == to) ? lookahead_ : dist_[from][to];
+  }
 
   // Registers a hook called for region r on every drain pass (between
-  // windows, with no region executing).  Subsystems with their own typed
-  // cross-region payloads (the multicast network's remote delivery chains)
-  // use this to merge and schedule them deterministically.
-  void set_drain_hook(std::size_t r, std::function<void()> hook);
+  // windows, with no region executing).  It is the kernel's one
+  // cross-region primitive: a subsystem keeps single-writer inboxes for its
+  // own typed payloads (the multicast network's remote delivery chains) and
+  // its hook schedules what arrived in a deterministic order, returning how
+  // many messages it adopted (summed into RunStats::messages).
+  void set_drain_hook(std::size_t r, std::function<std::uint64_t()> hook);
 
   // Runs until every queue is empty, or until the next event would be later
   // than t_end (events at exactly t_end still run; every clock is then
@@ -151,34 +145,15 @@ class ParallelKernel {
   const RunStats& total_stats() const { return total_; }
 
  private:
-  struct Mail {
-    Time when;
-    std::size_t from_lane;
-    std::uint64_t seq;
-    std::function<void()> fn;
-  };
-
-  // Drains lanes + hooks for every region; returns messages drained.
+  // Runs every region's drain hook; returns the messages they adopted.
   std::uint64_t drain_all();
-  // Lower bound on the timestamp increment of from -> to mail.
-  double min_delay(std::size_t from, std::size_t to) const {
-    return (dist_.empty() || from == to) ? lookahead_ : dist_[from][to];
-  }
 
   double lookahead_;
   std::vector<std::unique_ptr<EventQueue>> queues_;
   EventQueue global_;
   // dist_[s][r]: per-pair delay lower bound (empty = uniform lookahead_).
   std::vector<std::vector<double>> dist_;
-  // lanes_[to][from]: pending mail, appended by `from`'s worker only.
-  // The from dimension has region_count() + 1 entries; the last is the
-  // global-phase lane.
-  std::vector<std::vector<std::vector<Mail>>> lanes_;
-  std::vector<std::uint64_t> lane_seq_;  // per source lane post counter
-  std::vector<std::function<void()>> drain_hooks_;
-  // Per-destination merge buffers, reused across drains so steady-state
-  // drains never reallocate (capacity tracks each region's mail volume).
-  std::vector<std::vector<Mail>> drain_scratch_;
+  std::vector<std::function<std::uint64_t()>> drain_hooks_;
   RunStats total_;
 };
 

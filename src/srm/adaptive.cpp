@@ -4,14 +4,13 @@
 
 namespace srm {
 
-AdaptiveTuner::AdaptiveTuner(const AdaptiveParams& params, Bounds bounds,
-                             double start, double width)
+AdaptiveTuner::AdaptiveTuner(const AdaptiveParams& params, double start,
+                             double width)
     : params_(params),
-      bounds_(bounds),
       start_(start),
       width_(width),
-      ave_dups_(params.ewma_weight),
-      ave_delay_(params.ewma_weight) {
+      ave_dups_(kEwmaWeight),
+      ave_delay_(kEwmaWeight) {
   // Initial values are taken as configured; the Fig. 11 bounds constrain
   // the *adaptation*, not the application's chosen fixed parameters (which
   // may legitimately sit outside them, e.g. C2 = 0 for deterministic
@@ -34,20 +33,20 @@ void AdaptiveTuner::adapt_on_timer_set(bool was_recent_sender) {
   if (ave_dups_.value() > params_.target_dups) {
     // Too many duplicates: widen the interval.  Increasing the width is the
     // primary lever; the start moves a little to add deterministic spread.
-    start_ += params_.start_increase;
-    width_ += params_.width_increase;
+    start_ += kStartIncrease;
+    width_ += kWidthIncrease;
   } else if (ave_delay_.seeded() &&
              ave_delay_.value() > params_.target_delay) {
     // Duplicates are under control but we are slow: tighten.  The width
     // shrink mirrors the widen condition so the equilibrium at
     // ave_dups == target is drift-free.
     if (ave_dups_.value() < params_.target_dups) {
-      width_ -= params_.width_decrease;
+      width_ -= kWidthDecrease;
     }
     // The paper "only decreases C1 for members who have sent requests, or
     // when the average number of duplicates is already small".
     if (was_recent_sender || ave_dups_.value() < params_.target_dups / 4.0) {
-      start_ -= params_.start_decrease;
+      start_ -= kStartDecrease;
     }
   }
   clamp();
@@ -57,21 +56,21 @@ void AdaptiveTuner::on_sent() {
   // "One mechanism for encouraging deterministic suppression is for members
   // to reduce C1 after they send a request": frequent requestors are likely
   // close to the point of failure, so let them keep firing first.
-  start_ -= params_.start_decrease;
+  start_ -= kStartDecrease;
   clamp();
 }
 
 void AdaptiveTuner::on_duplicate_from_farther(double our_distance,
                                               double their_distance) {
-  if (their_distance > params_.farther_ratio * our_distance) {
-    start_ -= params_.start_decrease;
+  if (their_distance > kFartherRatio * our_distance) {
+    start_ -= kStartDecrease;
     clamp();
   }
 }
 
 void AdaptiveTuner::clamp() {
-  start_ = std::clamp(start_, bounds_.start_min, bounds_.start_max);
-  width_ = std::clamp(width_, bounds_.width_min, bounds_.width_max);
+  start_ = std::clamp(start_, kStartMin, kStartMax);
+  width_ = std::clamp(width_, kWidthMin, kWidthMax);
 }
 
 }  // namespace srm

@@ -15,7 +15,9 @@
 // plus two deterministic-suppression encouragements: a member shrinks its
 // start parameter after it sends a request, and when a duplicate request
 // arrives from a member reporting a distance > 1.5x its own.  All values are
-// clamped to the Fig. 11 bounds.  The exact pseudocode of Fig. 10 is not in
+// clamped to the Fig. 11 bounds.  Only the targets are configurable
+// (AdaptiveParams); the steps, the EWMA weight and the clamps are the
+// AdaptiveTuner constants below.  The exact pseudocode of Fig. 10 is not in
 // the available text; this reconstruction uses the step sizes, thresholds
 // and mechanisms the prose states, and is validated by reproducing the
 // behavior of Figs. 13-14 (duplicates driven to ~1 within ~40 rounds).
@@ -30,13 +32,30 @@ namespace srm {
 // two: one for request timers (C1, C2) and one for repair timers (D1, D2).
 class AdaptiveTuner {
  public:
-  struct Bounds {
-    double start_min, start_max;
-    double width_min, width_max;
-  };
+  // From the paper's text (Sec. VII-A): the EWMA weight 1/4, the +0.1/-0.05
+  // steps for C1/D1 and the +0.5/-0.5 steps for C2/D2.
+  static constexpr double kEwmaWeight = 0.25;     // weight of the newest sample
+  static constexpr double kStartIncrease = 0.1;   // on too many duplicates
+  static constexpr double kStartDecrease = 0.05;  // when shrinking is safe
+  static constexpr double kWidthIncrease = 0.5;   // on too many duplicates
+  static constexpr double kWidthDecrease = 0.5;   // when delay is too high
+  // "Significantly further from the source" (Sec. VII-A): a duplicate
+  // request from a member reporting a distance greater than 1.5x our own
+  // lets us shrink C1.
+  static constexpr double kFartherRatio = 1.5;
 
-  AdaptiveTuner(const AdaptiveParams& params, Bounds bounds, double start,
-                double width);
+  // Clamps reconstructing Fig. 11, the same for (C1, C2) and (D1, D2).  The
+  // start parameters stay in a tight band: deterministic suppression needs
+  // them small, and letting D1 drift upward delays every repair
+  // (re-triggering requestors' backed-off timers and spiralling).  The width
+  // parameters carry the spread that controls duplicates, so they range much
+  // higher.
+  static constexpr double kStartMin = 0.5;
+  static constexpr double kStartMax = 2.0;
+  static constexpr double kWidthMin = 1.0;
+  static constexpr double kWidthMax = 200.0;
+
+  AdaptiveTuner(const AdaptiveParams& params, double start, double width);
 
   // --- measurement hooks -------------------------------------------------
 
@@ -75,7 +94,6 @@ class AdaptiveTuner {
   void clamp();
 
   AdaptiveParams params_;
-  Bounds bounds_;
   double start_;
   double width_;
   util::Ewma ave_dups_;

@@ -16,6 +16,13 @@ double rtt_of(double one_way_distance) {
   return std::max(2.0 * one_way_distance, 1e-9);
 }
 
+// Scope escalation (Sec. VII-B): when a locally-scoped request (TTL-limited
+// or admin-scoped) has gone unanswered through this many own requests,
+// later requests for that ADU are sent with global scope.  Two leaves room
+// for the repair's three-hop round trip (request + repair timer + repair)
+// before widening.
+constexpr int kEscalateScopeAfter = 2;
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -92,18 +99,8 @@ SrmAgent::SrmAgent(std::unique_ptr<transport::Transport> owned,
       clock_(transport_->queue(), rng_.uniform(0.0, 1000.0)),
       estimator_(clock_),
       session_scheduler_(config.session, rng_.fork()),
-      request_tuner_(config.adaptive,
-                     AdaptiveTuner::Bounds{config.adaptive.c1_min,
-                                           config.adaptive.c1_max,
-                                           config.adaptive.c2_min,
-                                           config.adaptive.c2_max},
-                     config.timers.c1, config.timers.c2),
-      repair_tuner_(config.adaptive,
-                    AdaptiveTuner::Bounds{config.adaptive.d1_min,
-                                          config.adaptive.d1_max,
-                                          config.adaptive.d2_min,
-                                          config.adaptive.d2_max},
-                    config.timers.d1, config.timers.d2),
+      request_tuner_(config.adaptive, config.timers.c1, config.timers.c2),
+      repair_tuner_(config.adaptive, config.timers.d1, config.timers.d2),
       rate_limiter_(config.rate_limit, transport_->queue().now()) {
   session_timer_ = std::make_unique<sim::Timer>(
       transport_->queue(), [this] { send_session_message(); });
@@ -494,9 +491,8 @@ void SrmAgent::on_request_timer_expired(const DataName& name) {
   // gone unanswered, widen to global scope.  backoffs counts prior own
   // sends (and initial suppressions), so >= threshold means at least that
   // many unanswered requests preceded this one.
-  const bool escalate = config_.escalate_scope_on_backoff &&
-                        st.we_sent_request &&
-                        st.backoffs >= config_.escalate_scope_after;
+  const bool escalate =
+      st.we_sent_request && st.backoffs >= kEscalateScopeAfter;
 
   // Send the request.
   ++metrics_.requests_sent;
@@ -521,7 +517,7 @@ void SrmAgent::on_request_timer_expired(const DataName& name) {
 
   // "...and doubles the request timer to wait for the repair."
   ++st.backoffs;
-  if (st.backoffs > config_.max_request_backoffs) {
+  if (st.backoffs > kMaxRequestBackoffs) {
     ++metrics_.recovery_abandoned;
     trace_adu(trace::EventType::kSrmAbandoned, name);
     abandoned_.insert(name);
@@ -553,7 +549,7 @@ void SrmAgent::backoff_request(const DataName& name, RequestState& state) {
   ++state.backoffs;
   trace_adu(trace::EventType::kSrmReqBackoff, name,
             static_cast<std::uint64_t>(state.backoffs), /*ignored=*/0.0);
-  if (state.backoffs > config_.max_request_backoffs) return;  // keep waiting
+  if (state.backoffs > kMaxRequestBackoffs) return;  // keep waiting
   schedule_request_timer(state, name);
   state.ignore_backoff_until =
       now + (state.timer->expiry_time() - now) / 2.0;
@@ -705,8 +701,8 @@ void SrmAgent::on_repair_timer_expired(const DataName& name) {
                            distance_to(rs.requestor), ttl, step_one);
   transmit(std::move(packet), recovery_priority(name));
 
-  rs.holddown_until = now + config_.holddown_multiplier *
-                                holddown_distance(name, rs.requestor);
+  rs.holddown_until =
+      now + kHolddownMultiplier * holddown_distance(name, rs.requestor);
 }
 
 double SrmAgent::holddown_distance(const DataName& name,
@@ -742,13 +738,13 @@ void SrmAgent::handle_repair(const RepairMessage& msg,
       rs.timer->cancel();
       trace_adu(trace::EventType::kSrmRepSuppress, name, msg.responder());
     }
-    rs.holddown_until = now + config_.holddown_multiplier *
+    rs.holddown_until = now + kHolddownMultiplier *
                                   holddown_distance(name, msg.first_requestor());
   } else if (store_.count(name) > 0) {
     // We hold the data but had no repair scheduled; still enter hold-down so
     // a straggling duplicate request does not trigger a redundant repair.
     RepairState rs;
-    rs.holddown_until = now + config_.holddown_multiplier *
+    rs.holddown_until = now + kHolddownMultiplier *
                                   holddown_distance(name, msg.first_requestor());
     repairs_.emplace(name, std::move(rs));
   }
@@ -771,8 +767,8 @@ void SrmAgent::handle_repair(const RepairMessage& msg,
   if (msg.local_step_one() && msg.first_requestor() == id_ &&
       step_two_sent_.insert(name).second) {
     RepairState& rs = repairs_[name];
-    rs.holddown_until = now + config_.holddown_multiplier *
-                                  holddown_distance(name, msg.responder());
+    rs.holddown_until =
+        now + kHolddownMultiplier * holddown_distance(name, msg.responder());
     ++metrics_.repairs_sent;
     trace_adu(trace::EventType::kSrmRepSend, name,
               static_cast<std::uint64_t>(our_ttl), /*step_one=*/0.0);

@@ -13,7 +13,7 @@
 // repair timer from
 //     [ D1*d_A , (D1+D2)*d_A ]        d_A = est. distance to the requestor,
 // cancels it on hearing another member's repair, and holds down further
-// repair timers for holddown_multiplier*d_S (3*d_S in the paper) after
+// repair timers for kHolddownMultiplier*d_S (3*d_S in the paper) after
 // sending or receiving a repair for the ADU.
 //
 // The agent is deliberately application-agnostic (the ALF framework): the
@@ -85,13 +85,19 @@ class MemberDirectory {
 
 class SrmAgent : public net::PacketSink {
  public:
+  // Safety valve for pathological scenarios: a request that has backed off
+  // this many times without a repair abandons recovery of that ADU.  An
+  // abandoned ADU is not re-requested when further requests for it are
+  // overheard (only actual arrival of the data clears the abandonment).
+  static constexpr int kMaxRequestBackoffs = 16;
+
   // Callbacks into the application.
   struct AppHooks {
     // Invoked on every newly delivered ADU (original or via repair).
     std::function<void(const DataName&, const Payload&, bool via_repair)>
         on_data;
     // Invoked when loss recovery for an ADU is abandoned (only after
-    // max_request_backoffs; should not happen in healthy sessions).
+    // kMaxRequestBackoffs; should not happen in healthy sessions).
     std::function<void(const DataName&)> on_recovery_abandoned;
     // Invoked when a loss is first detected (before the request timer is
     // set).  Extensions use this to track loss neighborhoods (Sec. VII-B).

@@ -5,15 +5,30 @@
 
 namespace srm::baseline {
 
+namespace {
+
+// Retransmit-timer backoff while waiting for the repair, in units of the
+// receiver's RTT to the source (TCP-style; first wait = 1 RTT beyond the
+// expected repair time).
+constexpr double kRetransmitRttMultiplier = 2.0;
+constexpr double kBackoffFactor = 2.0;
+constexpr int kMaxRetries = 16;
+// When multicasting repairs, the source suppresses retransmissions of the
+// same ADU for this many seconds times its farthest-receiver distance
+// (crude duplicate damping a real sender-based scheme would need).
+constexpr double kMulticastHolddownRtts = 1.0;
+
+}  // namespace
+
 NackAgent::NackAgent(net::MulticastNetwork& network,
                      MemberDirectory& directory, net::NodeId node, SourceId id,
-                     net::GroupId group, NackConfig config, util::Rng rng)
+                     net::GroupId group, RepairMode repair_mode, util::Rng rng)
     : network_(&network),
       directory_(&directory),
       node_(node),
       id_(id),
       group_(group),
-      config_(config),
+      repair_mode_(repair_mode),
       rng_(std::move(rng)) {}
 
 NackAgent::~NackAgent() {
@@ -107,7 +122,7 @@ void NackAgent::send_nack(const DataName& name) {
   const auto it = pending_.find(name);
   if (it == pending_.end()) return;
   PendingLoss& loss = it->second;
-  if (loss.retries > config_.max_retries) {
+  if (loss.retries > kMaxRetries) {
     pending_.erase(it);
     return;
   }
@@ -118,8 +133,8 @@ void NackAgent::send_nack(const DataName& name) {
   network_->unicast(node_, directory_->node_of(name.source),
                     std::move(packet));
   // TCP-style retransmit timeout with exponential backoff.
-  const double wait = config_.retransmit_rtt_multiplier * loss.rtt *
-                      std::pow(config_.backoff_factor, loss.retries);
+  const double wait = kRetransmitRttMultiplier * loss.rtt *
+                      std::pow(kBackoffFactor, loss.retries);
   ++loss.retries;
   loss.retransmit_timer->schedule_in(wait);
 }
@@ -129,7 +144,7 @@ void NackAgent::handle_nack(const NackMessage& msg) {
   const auto data = store_.find(msg.name());
   if (data == store_.end()) return;  // nothing to retransmit
 
-  if (config_.repair_mode == RepairMode::kMulticast) {
+  if (repair_mode_ == RepairMode::kMulticast) {
     // Damp duplicate multicast retransmissions of the same ADU.
     const sim::Time now = network_->queue().now();
     auto [it, inserted] = repair_holddown_.try_emplace(msg.name(), 0.0);
@@ -138,7 +153,7 @@ void NackAgent::handle_nack(const NackMessage& msg) {
     for (SourceId m : directory_->members()) {
       if (m != id_) max_rtt = std::max(max_rtt, rtt_to(m));
     }
-    it->second = now + config_.multicast_holddown_rtts * max_rtt;
+    it->second = now + kMulticastHolddownRtts * max_rtt;
     ++stats_.retransmissions;
     net::Packet packet;
     packet.group = group_;

@@ -52,20 +52,6 @@ enum class RepairMode {
   kMulticast,        // source multicasts one retransmission per loss event
 };
 
-struct NackConfig {
-  RepairMode repair_mode = RepairMode::kUnicastToNacker;
-  // Retransmit-timer backoff while waiting for the repair, in units of the
-  // receiver's RTT to the source (TCP-style; first wait = 1 RTT beyond the
-  // expected repair time).
-  double retransmit_rtt_multiplier = 2.0;
-  double backoff_factor = 2.0;
-  int max_retries = 16;
-  // When multicasting repairs, the source suppresses retransmissions of the
-  // same ADU for this many seconds times its farthest-receiver distance
-  // (crude duplicate damping a real sender-based scheme would need).
-  double multicast_holddown_rtts = 1.0;
-};
-
 struct NackStats {
   std::uint64_t nacks_sent = 0;        // receiver side
   std::uint64_t nacks_received = 0;    // source side (implosion measure)
@@ -78,7 +64,7 @@ class NackAgent : public net::PacketSink {
  public:
   NackAgent(net::MulticastNetwork& network, MemberDirectory& directory,
             net::NodeId node, SourceId id, net::GroupId group,
-            NackConfig config, util::Rng rng);
+            RepairMode repair_mode, util::Rng rng);
   ~NackAgent() override;
 
   void start();
@@ -112,7 +98,7 @@ class NackAgent : public net::PacketSink {
   net::NodeId node_;
   SourceId id_;
   net::GroupId group_;
-  NackConfig config_;
+  RepairMode repair_mode_;
   util::Rng rng_;
 
   std::unordered_map<DataName, PayloadPtr> store_;

@@ -1,6 +1,7 @@
 // SRM configuration: the request/repair timer parameters of Sec. III-B, the
-// adaptive-algorithm parameters of Sec. VII-A (Figs. 10-11), and framework
-// policy knobs (session messaging, local recovery, rate limiting).
+// adaptive algorithm's targets (Sec. VII-A), and framework policy knobs
+// (session messaging, local recovery, rate limiting).  Values the paper
+// fixes and no program varies are constants in the module that reads them.
 #pragma once
 
 #include <cmath>
@@ -32,36 +33,14 @@ inline TimerParams paper_fixed_params(std::size_t group_size) {
   return p;
 }
 
-// Bounds and step sizes of the adaptive adjustment algorithm (Sec. VII-A).
-// The +0.1/-0.05 steps for C1/D1 and +0.5/-0.5 steps for C2/D2, the
-// one-duplicate threshold (AveDups), and the EWMA weight 1/4 are from the
-// paper's text; the min/max clamps reconstruct its Fig. 11.
+// Targets of the adaptive adjustment algorithm (Sec. VII-A, Figs. 10-11).
+// Its step sizes, EWMA weight and Fig. 11 clamps are fixed by the paper and
+// live beside the algorithm as AdaptiveTuner constants (srm/adaptive.h).
 struct AdaptiveParams {
   bool enabled = false;
 
   double target_dups = 1.0;    // AveDups
   double target_delay = 1.0;   // AveDelay, in units of RTT to the source
-  double ewma_weight = 0.25;   // weight of the newest sample
-
-  double start_increase = 0.1;    // C1/D1 += on too many duplicates
-  double start_decrease = 0.05;   // C1/D1 -= when shrinking is safe
-  double width_increase = 0.5;    // C2/D2 += on too many duplicates
-  double width_decrease = 0.5;    // C2/D2 -= when delay is too high
-
-  // Bounds (reconstructing Fig. 11).  The start parameters stay in a tight
-  // band: deterministic suppression needs them small, and letting D1 drift
-  // upward delays every repair (re-triggering requestors' backed-off timers
-  // and spiralling).  The width parameters carry the spread that controls
-  // duplicates, so they range much higher.
-  double c1_min = 0.5, c1_max = 2.0;
-  double c2_min = 1.0, c2_max = 200.0;
-  double d1_min = 0.5, d1_max = 2.0;
-  double d2_min = 1.0, d2_max = 200.0;
-
-  // "Significantly further from the source" ratio used by the deterministic
-  // suppression encouragement: a duplicate request from a member reporting a
-  // distance greater than 1.5x our own lets us shrink C1.
-  double farther_ratio = 1.5;
 };
 
 // How agents obtain inter-member distances.
@@ -84,9 +63,6 @@ struct SessionConfig {
   double data_bandwidth_bytes = 8000.0;
   // Lower bound on the mean interval between a member's session messages.
   sim::Time min_interval = 1.0;
-  // Randomization spread: each interval is uniform in [0.5, 1.5] x mean,
-  // which avoids synchronization of session messages across members.
-  double jitter = 0.5;
   // Echo rotation (the vat/RTCP behavior the paper adopts): cap the echo
   // table of each outgoing session message at this many peers, rotating
   // through the membership across messages so every peer is still echoed
@@ -136,14 +112,9 @@ struct HierarchyConfig {
   int local_ttl = 4;
   // Local-area count; 0 derives ~sqrt(member count) from the topology.
   std::uint32_t areas = 0;
-  // Mean reporting interval (jittered below).
+  // Mean reporting interval; SessionHierarchy jitters each draw and ages
+  // out peers after a fixed number of intervals.
   sim::Time report_interval = 10.0;
-  // A local peer not heard for this many intervals is presumed gone.
-  double staleness_intervals = 3.0;
-  // Each interval is uniform in [1-jitter, 1+jitter] x report_interval,
-  // drawn statelessly keyed by (area, member slot, draw ordinal) so traces
-  // stay bit-identical under the parallel kernel.
-  double jitter = 0.5;
   // Timer-wheel buckets per report interval: expiries quantize to
   // report_interval / wheel_buckets, bounding live heap entries at
   // areas x wheel_buckets instead of one per member.
@@ -178,24 +149,11 @@ struct SrmConfig {
   // The ignore-backoff heuristic of footnote 1: after backing off, ignore
   // further duplicate requests until halfway to the new expiry time.
   bool ignore_backoff_heuristic = true;
-
-  // Hold-down: ignore requests for 3 * d_S seconds after sending or
-  // receiving a repair for that data (Sec. III-B).
-  double holddown_multiplier = 3.0;
-
-  // Safety valve for pathological scenarios: a request that has backed off
-  // this many times without a repair abandons recovery of that ADU.  An
-  // abandoned ADU is not re-requested when further requests for it are
-  // overheard (only actual arrival of the data clears the abandonment).
-  int max_request_backoffs = 16;
-
-  // Scope escalation (Sec. VII-B): when a locally-scoped request (TTL-
-  // limited or admin-scoped) has gone unanswered through repeated backoffs,
-  // subsequent requests for that ADU are sent with global scope.  The
-  // threshold of two unanswered requests leaves room for the repair's
-  // three-hop round trip (request + repair timer + repair) before widening.
-  bool escalate_scope_on_backoff = true;
-  int escalate_scope_after = 2;  // own unanswered requests before widening
 };
+
+// Hold-down: ignore requests for 3 * d_S seconds after sending or receiving
+// a repair for that data (Sec. III-B).  The agent enforces it and
+// harness::ConformanceChecker checks it, so both read this one constant.
+inline constexpr double kHolddownMultiplier = 3.0;
 
 }  // namespace srm

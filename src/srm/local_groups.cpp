@@ -4,6 +4,19 @@
 
 namespace srm {
 
+namespace {
+
+// Losses on one stream before the member considers the loss neighborhood
+// stable and creates a recovery group.
+constexpr std::size_t kLossesToTrigger = 3;
+// Recent losses retained for the fingerprint.
+constexpr std::size_t kFingerprintSize = 8;
+// Minimum overlap (fraction of the invite's fingerprint also seen locally)
+// for a member to join as a fellow loser.
+constexpr double kJoinOverlap = 0.5;
+
+}  // namespace
+
 LocalGroupManager::LocalGroupManager(SrmAgent& agent, LocalGroupConfig config,
                                      net::GroupId group_base)
     : agent_(&agent), config_(config), group_base_(group_base) {
@@ -36,12 +49,12 @@ net::GroupId LocalGroupManager::recovery_group_for(
 
 void LocalGroupManager::on_loss(const DataName& name) {
   recent_losses_.push_back(name);
-  while (recent_losses_.size() > config_.fingerprint_size) {
+  while (recent_losses_.size() > kFingerprintSize) {
     recent_losses_.pop_front();
   }
   const StreamKey stream = stream_of(name);
   if (stream_groups_.count(stream)) return;  // already using a group
-  if (++loss_counts_[stream] >= config_.losses_to_trigger) {
+  if (++loss_counts_[stream] >= kLossesToTrigger) {
     create_group(stream);
   }
 }
@@ -95,8 +108,7 @@ void LocalGroupManager::handle_invite(const RecoveryInvite& invite,
   const bool fellow_loser =
       !invite.fingerprint().empty() &&
       static_cast<double>(shared) >=
-          config_.join_overlap *
-              static_cast<double>(invite.fingerprint().size());
+          kJoinOverlap * static_cast<double>(invite.fingerprint().size());
   // Only nearby holders volunteer as repairers — one repairer suffices, and
   // every extra member re-widens the neighborhood the group was created to
   // shrink.  Holders beyond half the invite radius stay out; if the group

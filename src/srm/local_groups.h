@@ -58,14 +58,6 @@ class RecoveryInvite final : public net::Message {
 };
 
 struct LocalGroupConfig {
-  // Number of losses on one stream within the window before the member
-  // considers the loss neighborhood stable and creates a recovery group.
-  std::size_t losses_to_trigger = 3;
-  // Recent losses retained for the fingerprint.
-  std::size_t fingerprint_size = 8;
-  // Minimum overlap (fraction of the invite's fingerprint also seen
-  // locally) for a member to join as a fellow loser.
-  double join_overlap = 0.5;
   // TTL of the invitation (the local-recovery neighborhood radius).
   int invite_ttl = 8;
 };
@@ -103,7 +95,7 @@ class LocalGroupManager {
   net::GroupId group_base_;
   SrmAgent::AppHooks previous_hooks_;
 
-  // Recent local losses, newest last, bounded by fingerprint_size.
+  // Recent local losses, newest last, bounded by the fingerprint size.
   std::deque<DataName> recent_losses_;
   // Loss counts per stream since the last group creation for it.
   std::unordered_map<StreamKey, std::size_t> loss_counts_;

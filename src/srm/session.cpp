@@ -116,10 +116,9 @@ sim::Time SessionScheduler::mean_interval(std::size_t group_size,
 
 sim::Time SessionScheduler::next_interval(std::size_t group_size,
                                           std::size_t message_bytes) {
+  constexpr double kJitter = 0.5;  // spread around the mean
   const sim::Time mean = mean_interval(group_size, message_bytes);
-  const double lo = 1.0 - config_.jitter;
-  const double hi = 1.0 + config_.jitter;
-  return mean * rng_.uniform(lo, hi);
+  return mean * rng_.uniform(1.0 - kJitter, 1.0 + kJitter);
 }
 
 }  // namespace srm

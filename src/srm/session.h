@@ -139,7 +139,8 @@ class SessionScheduler {
   sim::Time mean_interval(std::size_t group_size,
                           std::size_t message_bytes) const;
 
-  // Next randomized interval: uniform in [1-jitter, 1+jitter] x mean.
+  // Next randomized interval: uniform in [0.5, 1.5] x mean, which avoids
+  // synchronization of session messages across members.
   sim::Time next_interval(std::size_t group_size, std::size_t message_bytes);
 
  private:

@@ -12,6 +12,11 @@ namespace {
 
 constexpr sim::Time kNeverHeard = -std::numeric_limits<sim::Time>::infinity();
 
+// Each steady-state report interval is uniform in [1-kJitter, 1+kJitter] x
+// report_interval, drawn statelessly keyed by (area, member slot, draw
+// ordinal) so traces stay bit-identical under the parallel kernel.
+constexpr double kJitter = 0.5;
+
 std::uint64_t wheel_item(std::uint32_t epoch, std::uint32_t dense) {
   return (static_cast<std::uint64_t>(epoch) << 32) | dense;
 }
@@ -137,11 +142,10 @@ void SessionHierarchy::schedule_tick(Member& m, bool initial) {
   const double u = util::keyed_unit(seed_, m.area, m.slot, m.ordinal++);
   const sim::Time iv = config_.report_interval;
   // Initial reports stagger uniformly across one interval; steady-state
-  // intervals are uniform in [1-jitter, 1+jitter] x mean (Sec. III-A's
+  // intervals are uniform in [1-kJitter, 1+kJitter] x mean (Sec. III-A's
   // desynchronization, with stateless keyed draws).
   const sim::Time dt =
-      initial ? iv * u
-              : iv * (1.0 - config_.jitter + 2.0 * config_.jitter * u);
+      initial ? iv * u : iv * (1.0 - kJitter + 2.0 * kJitter * u);
   sim::EventQueue& queue = m.agent->queue();
   wheel_for(queue).schedule(m.area, wheel_item(m.epoch, m.dense),
                             queue.now() + dt);

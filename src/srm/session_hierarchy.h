@@ -50,6 +50,9 @@ namespace srm {
 
 class SessionHierarchy {
  public:
+  // A local peer not heard for this many report intervals is presumed gone.
+  static constexpr double kStalenessIntervals = 3.0;
+
   // `area_count` is the number of local areas the topology was partitioned
   // into (harness::SimSession derives it with net::partition_regions).
   // `seed` keys the stateless jitter draws.
@@ -149,7 +152,7 @@ class SessionHierarchy {
   sim::BatchTimerWheel& wheel_for(sim::EventQueue& queue);
   void on_wheel_item(std::uint64_t item);
   sim::Time staleness_horizon() const {
-    return config_.staleness_intervals * config_.report_interval;
+    return kStalenessIntervals * config_.report_interval;
   }
 
   MemberDirectory* directory_;

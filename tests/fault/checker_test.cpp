@@ -174,7 +174,6 @@ TEST(CheckerTest, DistinctAdusAndMembersAreSeparateLosses) {
 
 TEST(CheckerTest, StormViolationWhenBudgetExceeded) {
   CheckerOptions o;
-  o.storm_window = 1.0;
   o.storm_budget = 10;
   std::vector<trace::Event> events;
   for (int i = 0; i < 12; ++i) {
@@ -190,7 +189,6 @@ TEST(CheckerTest, StormViolationWhenBudgetExceeded) {
 
 TEST(CheckerTest, SpreadOutSendsAreNotAStorm) {
   CheckerOptions o;
-  o.storm_window = 1.0;
   o.storm_budget = 10;
   std::vector<trace::Event> events;
   for (int i = 0; i < 100; ++i) {

@@ -32,8 +32,7 @@ TEST_P(CleanRunTest, TreeLossRoundsAreConformant) {
   cfg.timers = paper_fixed_params(30);
   cfg.backoff_factor = 3.0;
   SimSession session(std::move(topo), members, {cfg, seed, 1});
-  ConformanceChecker checker(session.network(), session.directory(),
-                             cfg.holddown_multiplier);
+  ConformanceChecker checker(session.network(), session.directory());
 
   const net::NodeId source = members[0];
   RoundSpec round;
@@ -59,8 +58,7 @@ TEST_P(CleanRunTest, RandomLossStreamIsConformant) {
   cfg.timers = paper_fixed_params(20);
   cfg.backoff_factor = 3.0;
   SimSession session(std::move(topo), members, {cfg, seed, 1});
-  ConformanceChecker checker(session.network(), session.directory(),
-                             cfg.holddown_multiplier);
+  ConformanceChecker checker(session.network(), session.directory());
   session.network().set_drop_policy(std::make_shared<net::RandomDrop>(
       0.2, seed, [](const net::Packet& p) {
         return dynamic_cast<const DataMessage*>(p.payload.get()) != nullptr;
@@ -88,8 +86,7 @@ TEST_P(CleanRunTest, AdaptiveRoundsAreConformant) {
   cfg.adaptive.enabled = true;
   cfg.backoff_factor = 3.0;
   SimSession session(std::move(topo), members, {cfg, seed, 1});
-  ConformanceChecker checker(session.network(), session.directory(),
-                             cfg.holddown_multiplier);
+  ConformanceChecker checker(session.network(), session.directory());
   const net::NodeId source = members[0];
   RoundSpec round;
   round.source_node = source;
@@ -108,8 +105,7 @@ TEST(ConformanceTest, TwoStepLocalRecoveryIsConformant) {
   cfg.timers = TimerParams{1.0, 0.0, 1.0, 0.0};
   cfg.local_recovery.enabled = true;
   SimSession session(topo::make_chain(8), all_nodes(8), {cfg, 2, 1});
-  ConformanceChecker checker(session.network(), session.directory(),
-                             cfg.holddown_multiplier);
+  ConformanceChecker checker(session.network(), session.directory());
   session.agent_at(6).set_request_ttl_policy([](const DataName&) { return 2; });
   RoundSpec spec;
   spec.source_node = 0;
@@ -217,6 +213,40 @@ TEST(ConformanceViolationTest, DetectsHolddownBreach) {
     if (v.rule == "holddown") found = true;
   }
   EXPECT_TRUE(found) << w.checker.report();
+}
+
+TEST(ConformanceViolationTest, DetectsStepOneHolddownBreach) {
+  RogueWorld w;
+  const DataName name{2, PageId{2, 0}, 0};  // data originated by node 2
+  auto pay = std::make_shared<const Payload>(Payload{1});
+  // Node 0 answers a scoped request from node 2 with two step-one repairs
+  // in immediate succession.  A step-one repair starts the same 6 s
+  // hold-down as any other; only the requestor's step two is exempt.
+  for (int i = 0; i < 2; ++i) {
+    w.rogue.send(std::make_shared<RepairMessage>(
+        name, pay, 0, 2, 2.0, net::kMaxTtl, /*local_step_one=*/true));
+  }
+  w.queue.run();
+  bool found = false;
+  for (const auto& v : w.checker.violations()) {
+    if (v.rule == "holddown") found = true;
+  }
+  EXPECT_TRUE(found) << w.checker.report();
+}
+
+TEST(ConformanceTest, StepTwoRightAfterStepOneIsExempt) {
+  RogueWorld w;
+  const DataName name{2, PageId{2, 0}, 0};
+  auto pay = std::make_shared<const Payload>(Payload{1});
+  // Node 0 sends a step-one repair, then at once re-multicasts the ADU as
+  // the requestor of a two-step recovery (responder == first requestor).
+  w.rogue.send(std::make_shared<RepairMessage>(
+      name, pay, 0, 2, 2.0, net::kMaxTtl, /*local_step_one=*/true));
+  w.rogue.send(std::make_shared<RepairMessage>(name, pay, 0, 0, 0.0,
+                                               net::kMaxTtl));
+  w.queue.run();
+  EXPECT_TRUE(w.checker.clean()) << w.checker.report();
+  EXPECT_EQ(w.checker.repairs_seen(), 2u);
 }
 
 TEST(ConformanceViolationTest, DetectsRequestAfterRepair) {

@@ -78,6 +78,7 @@ struct FigOutcome {
   net::NetworkStats stats;
   std::vector<trace::Event> events;
   double end_time = 0.0;
+  std::uint64_t messages = 0;  // cross-region chains the kernel drained
 };
 
 // One figure scenario (fig3-style random tree / fig4-style dense tree /
@@ -129,6 +130,9 @@ FigOutcome run_fig(Fig fig, std::uint64_t seed, unsigned kernel_threads,
   out.stats = session.network_stats();
   out.events = capture.events();
   out.end_time = session.now();
+  if (session.kernel() != nullptr) {
+    out.messages = session.kernel()->total_stats().messages;
+  }
   return out;
 }
 
@@ -454,6 +458,18 @@ TEST(PdesSessionTest, RegionCountIsPureFunctionOfTopology) {
   EXPECT_EQ(a.region_map().count, b.region_map().count);
   EXPECT_EQ(a.region_map().of, b.region_map().of);
   EXPECT_EQ(a.region_map().lookahead, b.region_map().lookahead);
+}
+
+TEST(PdesSessionTest, CountsCrossRegionMessagesIndependentOfThreads) {
+  // RunStats::messages sums the remote delivery chains the networks' drain
+  // hooks adopt: nonzero when loss rounds cross regions, and a function of
+  // the region map alone.
+  const FigOutcome t1 = run_fig(Fig::kRandomTree, 97, 1, 4);
+  const FigOutcome t2 = run_fig(Fig::kRandomTree, 97, 2, 4);
+  const FigOutcome t4 = run_fig(Fig::kRandomTree, 97, 4, 4);
+  EXPECT_GT(t1.messages, 0u);
+  EXPECT_EQ(t1.messages, t2.messages);
+  EXPECT_EQ(t1.messages, t4.messages);
 }
 
 TEST(PdesSessionTest, SequentialSessionHasTrivialRegionMap) {

@@ -38,8 +38,7 @@ TEST_P(StressTest, ConvergesUnderOmnidirectionalLoss) {
   cfg.timers = paper_fixed_params(p.members);
   cfg.backoff_factor = 3.0;
   harness::SimSession session(std::move(topo), members, {cfg, p.seed, 1});
-  harness::ConformanceChecker checker(session.network(), session.directory(),
-                                      cfg.holddown_multiplier);
+  harness::ConformanceChecker checker(session.network(), session.directory());
 
   // Loss on everything (no payload filter): data, requests, repairs,
   // session messages alike.

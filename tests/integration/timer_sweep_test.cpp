@@ -51,7 +51,7 @@ TEST_P(TimerSweepTest, InvariantsHoldOnTreeRound) {
   // Worst case: every affected member requests on every backoff iteration,
   // every member answers each request once.
   const std::size_t max_requests =
-      r.affected * static_cast<std::size_t>(cfg.max_request_backoffs + 1);
+      r.affected * static_cast<std::size_t>(SrmAgent::kMaxRequestBackoffs + 1);
   EXPECT_LE(r.requests, max_requests);
   EXPECT_LE(r.repairs, members.size() * r.requests);
   // No member abandoned recovery.

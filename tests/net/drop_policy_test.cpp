@@ -349,39 +349,5 @@ TEST(GilbertElliottDropTest, RejectsBadParams) {
   EXPECT_THROW(GilbertElliottDrop(p, 1), std::invalid_argument);
 }
 
-// ---- first-match composition ------------------------------------------------
-
-TEST(CompositeDropPolicyTest, FirstMatchShortCircuits) {
-  CompositeDropPolicy c;
-  auto first = std::make_shared<ScriptedLinkDrop>(
-      0, 1, [](const Packet&) { return true; });
-  auto second = std::make_shared<ScriptedLinkDrop>(
-      0, 1, [](const Packet&) { return true; });
-  c.add(first);
-  c.add(second);
-  EXPECT_TRUE(c.should_drop(packet_with_tag(0), HopContext{0, 0, 1}));
-  // Unlike CompositeDrop, the second policy was never consulted.
-  EXPECT_EQ(first->drops_so_far(), 1u);
-  EXPECT_EQ(second->drops_so_far(), 0u);
-}
-
-TEST(CompositeDropPolicyTest, FallsThroughWhenEarlierPoliciesPass) {
-  CompositeDropPolicy c;
-  c.add(std::make_shared<ScriptedLinkDrop>(5, 6,
-                                           [](const Packet&) { return true; }));
-  auto second = std::make_shared<ScriptedLinkDrop>(
-      0, 1, [](const Packet&) { return true; });
-  c.add(second);
-  EXPECT_TRUE(c.should_drop(packet_with_tag(0), HopContext{0, 0, 1}));
-  EXPECT_EQ(second->drops_so_far(), 1u);
-}
-
-TEST(CompositeDropPolicyTest, EmptyNeverDropsAndRejectsNull) {
-  CompositeDropPolicy c;
-  EXPECT_EQ(c.size(), 0u);
-  EXPECT_FALSE(c.should_drop(packet_with_tag(0), HopContext{0, 0, 1}));
-  EXPECT_THROW(c.add(nullptr), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace srm::net

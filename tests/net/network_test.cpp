@@ -180,6 +180,35 @@ TEST_F(NetworkTest, DropPrunesSubtree) {
   EXPECT_EQ(net_->stats().drops, 1u);
 }
 
+// Records every hop it is consulted on; never drops.
+class HopLog final : public DropPolicy {
+ public:
+  bool should_drop(const Packet&, const HopContext& hop) override {
+    hops.emplace_back(hop.from, hop.to);
+    return false;
+  }
+  std::vector<std::pair<NodeId, NodeId>> hops;
+};
+
+TEST_F(NetworkTest, FaultSlotConsultedOnlyWhenPrimaryPasses) {
+  // First match: the fault slot sees a hop only if the primary policy let
+  // it through, so a scripted round drop does not also advance burst-loss
+  // state on the hop it already dropped (nor on the pruned subtree).
+  build_chain(5);
+  for (NodeId v = 0; v < 5; ++v) net_->join(1, v);
+  net_->set_drop_policy(std::make_shared<ScriptedLinkDrop>(
+      2, 3, [](const Packet&) { return true; }));
+  auto fault = std::make_shared<HopLog>();
+  net_->set_fault_drop_policy(fault);
+  net_->multicast(0, make_packet(1));
+  queue_.run();
+  EXPECT_EQ(fault->hops,
+            (std::vector<std::pair<NodeId, NodeId>>{{0, 1}, {1, 2}}));
+  EXPECT_EQ(net_->stats().drops, 1u);
+  EXPECT_EQ(sinks_[2]->received.size(), 1u);
+  EXPECT_TRUE(sinks_[3]->received.empty());
+}
+
 TEST_F(NetworkTest, UnicastFollowsShortestPath) {
   build_chain(4);
   net_->multicast(0, make_packet(1));  // no members: no deliveries
@@ -349,6 +378,59 @@ TEST_F(NetworkTest, StatsCountLinkTransmissions) {
   // Only the path 0->4 is traversed (member-pruned tree): 4 link hops.
   EXPECT_EQ(net_->stats().link_transmissions, 4u);
   EXPECT_EQ(net_->stats().deliveries, 1u);
+}
+
+TEST(NetworkPdesTest, SimultaneousRemoteChainsFireInOriginOrder) {
+  // Chains from regions 0 and 1 reach node 2 (region 2) at the same instant.
+  // Region 1 sends first (t = 0.25, 1.25 s away) and region 0 sends two at
+  // t = 0.5 (1 s away); the destination fires them in (origin region,
+  // origin seq) order, not send order, at every worker count.
+  const auto run_with = [](unsigned threads) {
+    Topology topo(3);
+    topo.add_link(0, 2, 1.0);
+    topo.add_link(1, 2, 1.25);
+    RegionMap map;
+    map.of = {0, 1, 2};
+    map.count = 3;
+    map.lookahead = 1.0;
+    sim::ParallelKernel kernel(3, map.lookahead);
+    std::vector<std::unique_ptr<MulticastNetwork>> nets;
+    std::vector<MulticastNetwork*> peers;
+    for (std::size_t r = 0; r < 3; ++r) {
+      nets.push_back(
+          std::make_unique<MulticastNetwork>(kernel.region_queue(r), topo));
+      peers.push_back(nets.back().get());
+    }
+    for (std::uint32_t r = 0; r < 3; ++r) {
+      nets[r]->enable_pdes(&kernel, &map, r, peers);
+    }
+    Recorder sink(kernel.region_queue(2));
+    nets[2]->attach(2, &sink);
+    nets[2]->join(1, 2);
+    const auto tagged = [](int tag) {
+      Packet p = make_packet(1);
+      p.payload = std::make_shared<TestMessage>(tag);
+      return p;
+    };
+    kernel.region_queue(1).schedule_at(
+        0.25, [&] { nets[1]->multicast(1, tagged(3)); });
+    kernel.region_queue(0).schedule_at(0.5, [&] {
+      nets[0]->multicast(0, tagged(1));
+      nets[0]->multicast(0, tagged(2));
+    });
+    kernel.run(threads);
+    EXPECT_EQ(kernel.total_stats().messages, 3u);
+    std::vector<std::pair<double, int>> order;
+    for (const Recorder::Rx& rx : sink.received) {
+      order.emplace_back(
+          rx.at, static_cast<const TestMessage&>(*rx.packet.payload).tag());
+    }
+    return order;
+  };
+  const auto one = run_with(1);
+  EXPECT_EQ(one, (std::vector<std::pair<double, int>>{
+                     {1.5, 1}, {1.5, 2}, {1.5, 3}}));
+  EXPECT_EQ(run_with(3), one);
 }
 
 TEST_F(NetworkTest, AttachRejectsDuplicates) {

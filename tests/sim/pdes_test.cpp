@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <mutex>
 #include <vector>
@@ -27,6 +29,55 @@ struct Log {
     std::sort(copy.begin(), copy.end());
     return copy;
   }
+};
+
+// A test-local cross-region mailbox of the kind a subsystem keeps for its
+// own payloads: lanes_[to][from] is written only by region `from`'s worker
+// during a window, and region `to`'s drain hook schedules the lane contents
+// between windows in (time, origin region, send order).
+class Mailbox {
+ public:
+  explicit Mailbox(ParallelKernel& k)
+      : k_(&k),
+        lanes_(k.region_count(), std::vector<std::vector<Mail>>(
+                                     k.region_count())) {
+    for (std::size_t r = 0; r < k.region_count(); ++r) {
+      k.set_drain_hook(r, [this, r] { return drain(r); });
+    }
+  }
+
+  // From a region-`from` event: run fn in region `to` at `when`, which must
+  // respect the pair bound.
+  void send(std::size_t from, std::size_t to, Time when,
+            std::function<void()> fn) {
+    EXPECT_GE(when, k_->region_queue(from).now() + k_->min_delay(from, to));
+    lanes_[to][from].push_back(Mail{when, std::move(fn)});
+  }
+
+  std::uint64_t drain(std::size_t to) {
+    std::vector<Mail> merged;
+    for (std::vector<Mail>& lane : lanes_[to]) {
+      for (Mail& m : lane) merged.push_back(std::move(m));
+      lane.clear();
+    }
+    // Lanes were visited in origin order, so a stable sort by time leaves
+    // ties in (origin region, send order).
+    std::stable_sort(
+        merged.begin(), merged.end(),
+        [](const Mail& a, const Mail& b) { return a.when < b.when; });
+    for (Mail& m : merged) {
+      k_->region_queue(to).schedule_at(m.when, std::move(m.fn));
+    }
+    return merged.size();
+  }
+
+ private:
+  struct Mail {
+    Time when;
+    std::function<void()> fn;
+  };
+  ParallelKernel* k_;
+  std::vector<std::vector<std::vector<Mail>>> lanes_;
 };
 
 TEST(PdesKernelTest, RejectsBadConstruction) {
@@ -89,39 +140,34 @@ TEST(PdesKernelTest, GlobalRunsBeforeRegionAtSameTime) {
   EXPECT_TRUE(region_saw_global);
 }
 
-TEST(PdesKernelTest, PostRespectsLookaheadAndDeliversInOrder) {
-  // Messages from two source regions into one destination must drain in
-  // (time, source lane, seq) order regardless of posting interleaving.
-  ParallelKernel k(3, 1.0);
-  std::vector<int> order;  // only region 2 writes: single-writer, no lock
-  k.region_queue(0).schedule_at(0.5, [&] {
-    k.post(0, 2, k.region_queue(0).now() + 1.0, [&] { order.push_back(1); });
-    k.post(0, 2, k.region_queue(0).now() + 1.0, [&] { order.push_back(2); });
-  });
-  k.region_queue(1).schedule_at(0.25, [&] {
-    k.post(1, 2, 1.5, [&] { order.push_back(3); });
-  });
-  k.run(3);
-  // All three arrive at t=1.5: region 0's two (in posting order) then
-  // region 1's — lane order breaks the time tie.
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
 TEST(PdesKernelTest, DrainHookRunsAfterMailboxDelivery) {
+  // Drain hooks run between windows: the hook adopting region 1's mail sees
+  // the sending window finished, and the kernel counts what it adopted.
   ParallelKernel k(2, 1.0);
-  int scheduled_before_hook = 0;
+  Mailbox mail(k);
+  bool sent = false;
   int hook_calls = 0;
+  bool sender_done_at_drain = false;
+  std::size_t scheduled_at_drain = 0;
   k.set_drain_hook(1, [&] {
     ++hook_calls;
-    scheduled_before_hook = static_cast<int>(k.region_queue(1).pending_events());
+    const std::uint64_t n = mail.drain(1);
+    if (n != 0) {
+      sender_done_at_drain = sent;
+      scheduled_at_drain = k.region_queue(1).pending_events();
+    }
+    return n;
   });
+  double delivered_at = -1.0;
   k.region_queue(0).schedule_at(0.0, [&] {
-    k.post(0, 1, 2.0, [] {});
+    mail.send(0, 1, 2.0, [&] { delivered_at = k.region_queue(1).now(); });
+    sent = true;
   });
   k.run(1);
   EXPECT_GE(hook_calls, 1);
-  EXPECT_GE(scheduled_before_hook, 0);
+  EXPECT_TRUE(sender_done_at_drain);
+  EXPECT_EQ(scheduled_at_drain, 1u);
+  EXPECT_EQ(delivered_at, 2.0);
   EXPECT_EQ(k.total_stats().messages, 1u);
 }
 
@@ -130,17 +176,18 @@ TEST(PdesKernelTest, DeterministicAcrossThreadCounts) {
   // execution log for 1, 2, 4 and 8 workers.
   const auto run_with = [](unsigned threads) {
     ParallelKernel k(4, 0.5);
+    Mailbox mail(k);
     Log log;
     for (std::size_t r = 0; r < 4; ++r) {
       const int base = static_cast<int>(r) * 1000;
       k.region_queue(r).schedule_at(0.1 * (1.0 + static_cast<double>(r)),
-                                    [&k, &log, r, base] {
+                                    [&k, &mail, &log, r, base] {
         log.add(k.region_queue(r).now(), base);
         const std::size_t to = (r + 1) % 4;
-        k.post(r, to, k.region_queue(r).now() + 0.5,
-               [&k, &log, to, base] {
-                 log.add(k.region_queue(to).now(), base + 1);
-               });
+        mail.send(r, to, k.region_queue(r).now() + 0.5,
+                  [&k, &log, to, base] {
+                    log.add(k.region_queue(to).now(), base + 1);
+                  });
       });
     }
     k.global_queue().schedule_at(0.35, [&log] { log.add(0.35, -1); });
@@ -243,15 +290,16 @@ TEST(PdesKernelTest, SelfEchoDoesNotOutrunLoneActiveRegion) {
   // caps the window; without it this run throws "time in the past".
   const auto run_with = [](unsigned threads) {
     ParallelKernel k(2, 1.0);
+    Mailbox mail(k);
     Log log;
     for (int i = 0; i <= 10; ++i) {
       const double t = static_cast<double>(i);
-      k.region_queue(0).schedule_at(t, [&log, &k, t] {
+      k.region_queue(0).schedule_at(t, [&log, &k, &mail, t] {
         log.add(t, 0);
         if (t == 0.0) {
-          k.post(0, 1, 1.0, [&log, &k] {
+          mail.send(0, 1, 1.0, [&log, &k, &mail] {
             log.add(k.region_queue(1).now(), 1);
-            k.post(1, 0, k.region_queue(1).now() + 1.0, [&log, &k] {
+            mail.send(1, 0, k.region_queue(1).now() + 1.0, [&log, &k] {
               log.add(k.region_queue(0).now(), 2);
             });
           });

@@ -11,10 +11,8 @@ AdaptiveParams params() {
   return p;
 }
 
-AdaptiveTuner::Bounds bounds() { return {0.5, 2.0, 1.0, 200.0}; }
-
 TEST(AdaptiveTunerTest, StartsAtInitialValues) {
-  AdaptiveTuner t(params(), bounds(), 2.0, 2.0);
+  AdaptiveTuner t(params(), 2.0, 2.0);
   EXPECT_DOUBLE_EQ(t.start(), 2.0);
   EXPECT_DOUBLE_EQ(t.width(), 2.0);
 }
@@ -22,7 +20,7 @@ TEST(AdaptiveTunerTest, StartsAtInitialValues) {
 TEST(AdaptiveTunerTest, InitialValuesNotClamped) {
   // Fixed-parameter configurations may sit outside the adaptive bounds
   // (e.g. C2 = 0 for a deterministic chain); bounds bind adaptation only.
-  AdaptiveTuner t(params(), bounds(), 100.0, 0.1);
+  AdaptiveTuner t(params(), 100.0, 0.1);
   EXPECT_DOUBLE_EQ(t.start(), 100.0);
   EXPECT_DOUBLE_EQ(t.width(), 0.1);
   t.end_period(5);
@@ -32,14 +30,14 @@ TEST(AdaptiveTunerTest, InitialValuesNotClamped) {
 }
 
 TEST(AdaptiveTunerTest, NoAdaptationWithoutHistory) {
-  AdaptiveTuner t(params(), bounds(), 1.0, 2.0);
+  AdaptiveTuner t(params(), 1.0, 2.0);
   t.adapt_on_timer_set(false);
   EXPECT_DOUBLE_EQ(t.start(), 1.0);
   EXPECT_DOUBLE_EQ(t.width(), 2.0);
 }
 
 TEST(AdaptiveTunerTest, TooManyDuplicatesWidensInterval) {
-  AdaptiveTuner t(params(), bounds(), 1.0, 2.0);
+  AdaptiveTuner t(params(), 1.0, 2.0);
   t.end_period(5);  // ave_dups = 5 >= target 1
   t.adapt_on_timer_set(false);
   EXPECT_DOUBLE_EQ(t.start(), 1.1);   // +0.1
@@ -47,7 +45,7 @@ TEST(AdaptiveTunerTest, TooManyDuplicatesWidensInterval) {
 }
 
 TEST(AdaptiveTunerTest, HighDelayLowDupsShrinksWidth) {
-  AdaptiveTuner t(params(), bounds(), 1.0, 10.0);
+  AdaptiveTuner t(params(), 1.0, 10.0);
   t.end_period(0);       // no duplicates
   t.record_delay(3.0);   // delay 3 RTT > target 1
   t.adapt_on_timer_set(false);
@@ -57,7 +55,7 @@ TEST(AdaptiveTunerTest, HighDelayLowDupsShrinksWidth) {
 }
 
 TEST(AdaptiveTunerTest, StartShrinkRequiresSenderOrLowDups) {
-  AdaptiveTuner t(params(), bounds(), 1.0, 10.0);
+  AdaptiveTuner t(params(), 1.0, 10.0);
   // ave_dups around 0.8: below the duplicate target but not "already small".
   t.end_period(1);
   t.end_period(1);
@@ -73,7 +71,7 @@ TEST(AdaptiveTunerTest, StartShrinkRequiresSenderOrLowDups) {
 }
 
 TEST(AdaptiveTunerTest, NoChangeWhenWithinTargets) {
-  AdaptiveTuner t(params(), bounds(), 1.0, 2.0);
+  AdaptiveTuner t(params(), 1.0, 2.0);
   t.end_period(0);
   t.record_delay(0.5);  // under the delay target
   t.adapt_on_timer_set(false);
@@ -82,13 +80,13 @@ TEST(AdaptiveTunerTest, NoChangeWhenWithinTargets) {
 }
 
 TEST(AdaptiveTunerTest, OnSentShrinksStart) {
-  AdaptiveTuner t(params(), bounds(), 1.0, 2.0);
+  AdaptiveTuner t(params(), 1.0, 2.0);
   t.on_sent();
   EXPECT_DOUBLE_EQ(t.start(), 0.95);
 }
 
 TEST(AdaptiveTunerTest, OnSentRespectsLowerBound) {
-  AdaptiveTuner t(params(), bounds(), 0.52, 2.0);
+  AdaptiveTuner t(params(), 0.52, 2.0);
   t.on_sent();
   EXPECT_DOUBLE_EQ(t.start(), 0.5);
   t.on_sent();
@@ -96,19 +94,19 @@ TEST(AdaptiveTunerTest, OnSentRespectsLowerBound) {
 }
 
 TEST(AdaptiveTunerTest, DuplicateFromFartherShrinksStart) {
-  AdaptiveTuner t(params(), bounds(), 1.0, 2.0);
+  AdaptiveTuner t(params(), 1.0, 2.0);
   t.on_duplicate_from_farther(1.0, 2.0);  // 2 > 1.5 * 1
   EXPECT_DOUBLE_EQ(t.start(), 0.95);
 }
 
 TEST(AdaptiveTunerTest, DuplicateFromNearbyDoesNothing) {
-  AdaptiveTuner t(params(), bounds(), 1.0, 2.0);
+  AdaptiveTuner t(params(), 1.0, 2.0);
   t.on_duplicate_from_farther(1.0, 1.2);  // 1.2 < 1.5
   EXPECT_DOUBLE_EQ(t.start(), 1.0);
 }
 
 TEST(AdaptiveTunerTest, WidthNeverExceedsMax) {
-  AdaptiveTuner t(params(), bounds(), 2.0, 199.8);
+  AdaptiveTuner t(params(), 2.0, 199.8);
   t.end_period(10);
   t.adapt_on_timer_set(false);
   EXPECT_DOUBLE_EQ(t.width(), 200.0);
@@ -116,7 +114,7 @@ TEST(AdaptiveTunerTest, WidthNeverExceedsMax) {
 }
 
 TEST(AdaptiveTunerTest, EwmaAveragesHistory) {
-  AdaptiveTuner t(params(), bounds(), 1.0, 2.0);
+  AdaptiveTuner t(params(), 1.0, 2.0);
   t.end_period(4);
   EXPECT_DOUBLE_EQ(t.ave_dups(), 4.0);  // first sample seeds
   t.end_period(0);
@@ -126,7 +124,7 @@ TEST(AdaptiveTunerTest, EwmaAveragesHistory) {
 TEST(AdaptiveTunerTest, RepeatedCongestionConvergesUpThenRecovers) {
   // Sustained duplicates push the interval up; once duplicates stop and
   // delay is high, the interval comes back down.
-  AdaptiveTuner t(params(), bounds(), 0.5, 1.0);
+  AdaptiveTuner t(params(), 0.5, 1.0);
   for (int i = 0; i < 30; ++i) {
     t.end_period(5);
     t.adapt_on_timer_set(false);

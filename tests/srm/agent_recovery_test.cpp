@@ -340,7 +340,7 @@ TEST(BackoffTest, BackoffFactorThreeSpreadsRetries) {
   s.agent_at(0).send_data(page, {});
   s.queue().schedule_after(1.0, [&] { s.agent_at(0).send_data(page, {}); });
   s.queue().run();
-  // max_request_backoffs = 16 caps the retries; recovery is abandoned.
+  // kMaxRequestBackoffs = 16 caps the retries; recovery is abandoned.
   EXPECT_EQ(s.agent_at(2).metrics().recovery_abandoned, 1u);
   EXPECT_GT(s.agent_at(2).metrics().requests_sent, 5u);
   s.network().set_drop_policy(nullptr);

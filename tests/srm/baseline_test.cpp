@@ -17,11 +17,12 @@ namespace {
 class BaselineWorld {
  public:
   BaselineWorld(net::Topology topo, const std::vector<net::NodeId>& members,
-                NackConfig config, std::uint64_t seed = 1)
+                RepairMode mode = RepairMode::kUnicastToNacker,
+                std::uint64_t seed = 1)
       : topo_(std::move(topo)), network_(queue_, topo_), rng_(seed) {
     for (net::NodeId n : members) {
       auto agent = std::make_unique<NackAgent>(
-          network_, directory_, n, static_cast<SourceId>(n), 1, config,
+          network_, directory_, n, static_cast<SourceId>(n), 1, mode,
           rng_.fork());
       agent->start();
       by_node_[n] = agent.get();
@@ -59,7 +60,7 @@ std::shared_ptr<net::ScriptedLinkDrop> drop_seq0(net::NodeId from,
 }
 
 TEST(NackBaselineTest, LosslessDeliveryNeedsNoNacks) {
-  BaselineWorld w(topo::make_chain(5), all_nodes(5), NackConfig{});
+  BaselineWorld w(topo::make_chain(5), all_nodes(5));
   const PageId page{0, 0};
   w.at(0).send_data(page, {1});
   w.queue().run();
@@ -70,7 +71,7 @@ TEST(NackBaselineTest, LosslessDeliveryNeedsNoNacks) {
 }
 
 TEST(NackBaselineTest, GapTriggersImmediateNackAndUnicastRepair) {
-  BaselineWorld w(topo::make_chain(4), all_nodes(4), NackConfig{});
+  BaselineWorld w(topo::make_chain(4), all_nodes(4));
   w.network().set_drop_policy(drop_seq0(2, 3));
   const PageId page{0, 0};
   w.at(0).send_data(page, {1});
@@ -87,7 +88,7 @@ TEST(NackBaselineTest, SharedLossImplodesAtSource) {
   // A star with the drop adjacent to the source: every other member NACKs,
   // and with unicast repairs the source retransmits once PER member.
   auto star = topo::make_star(20);
-  BaselineWorld w(std::move(star.topo), star.leaves, NackConfig{});
+  BaselineWorld w(std::move(star.topo), star.leaves);
   w.network().set_drop_policy(drop_seq0(star.leaves[0], star.center));
   const PageId page{static_cast<SourceId>(star.leaves[0]), 0};
   w.at(star.leaves[0]).send_data(page, {1});
@@ -104,9 +105,7 @@ TEST(NackBaselineTest, SharedLossImplodesAtSource) {
 
 TEST(NackBaselineTest, MulticastRepairModeDampsRetransmissions) {
   auto star = topo::make_star(20);
-  NackConfig cfg;
-  cfg.repair_mode = RepairMode::kMulticast;
-  BaselineWorld w(std::move(star.topo), star.leaves, cfg);
+  BaselineWorld w(std::move(star.topo), star.leaves, RepairMode::kMulticast);
   w.network().set_drop_policy(drop_seq0(star.leaves[0], star.center));
   const PageId page{static_cast<SourceId>(star.leaves[0]), 0};
   w.at(star.leaves[0]).send_data(page, {1});
@@ -122,7 +121,7 @@ TEST(NackBaselineTest, MulticastRepairModeDampsRetransmissions) {
 TEST(NackBaselineTest, NackLossTriggersBackoffRetry) {
   // Drop the data AND the first NACK; the receiver's retransmit timer must
   // re-NACK and eventually recover.
-  BaselineWorld w(topo::make_chain(3), all_nodes(3), NackConfig{});
+  BaselineWorld w(topo::make_chain(3), all_nodes(3));
   auto composite = std::make_shared<net::CompositeDrop>();
   composite->add(drop_seq0(1, 2));
   composite->add(std::make_shared<net::ScriptedLinkDrop>(
@@ -141,7 +140,7 @@ TEST(NackBaselineTest, NackLossTriggersBackoffRetry) {
 TEST(NackBaselineTest, RecoveryDelayAtLeastOneRtt) {
   // Unicast NACK + unicast repair is inherently >= 1 RTT to the source —
   // the bound SRM's nearby repairs beat (Sec. IV-A).
-  BaselineWorld w(topo::make_chain(8), all_nodes(8), NackConfig{});
+  BaselineWorld w(topo::make_chain(8), all_nodes(8));
   w.network().set_drop_policy(drop_seq0(3, 4));
   const PageId page{0, 0};
   w.at(0).send_data(page, {1});

@@ -36,7 +36,6 @@ struct TailWorld {
       : session(topo::make_chain(6), all_nodes(6), {cfg(), seed, 1}) {
     for (net::NodeId n = 0; n < 6; ++n) {
       LocalGroupConfig lg;
-      lg.losses_to_trigger = 3;
       lg.invite_ttl = 3;
       managers.push_back(std::make_unique<LocalGroupManager>(
           session.agent_at(n), lg, kRecoveryBase));

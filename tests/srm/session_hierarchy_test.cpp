@@ -128,9 +128,9 @@ TEST(SessionHierarchyTest, RepresentativeFailureHealsByStaleness) {
   // Member 0 crashes; after the staleness horizon member 1 takes over.
   w.hierarchy.detach(w.session.agent_at(0));
   w.session.agent_at(0).stop();
-  w.session.queue().run_until(60.0 + hcfg.staleness_intervals *
-                                         hcfg.report_interval +
-                                     2 * hcfg.report_interval);
+  w.session.queue().run_until(
+      60.0 + SessionHierarchy::kStalenessIntervals * hcfg.report_interval +
+      2 * hcfg.report_interval);
   EXPECT_EQ(w.hierarchy.representative_of(w.session.agent_at(1)), 1u);
   EXPECT_TRUE(w.hierarchy.is_representative(w.session.agent_at(1)));
   EXPECT_EQ(w.hierarchy.representative_of(w.session.agent_at(3)), 1u);

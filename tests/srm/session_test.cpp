@@ -399,7 +399,6 @@ TEST(SessionSchedulerTest, MinIntervalFloors) {
 TEST(SessionSchedulerTest, JitterStaysWithinBand) {
   SessionConfig cfg;
   cfg.min_interval = 0.0;
-  cfg.jitter = 0.5;
   SessionScheduler sched(cfg, util::Rng(1));
   const double mean = sched.mean_interval(50, 100);
   for (int i = 0; i < 200; ++i) {
