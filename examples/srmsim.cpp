@@ -161,13 +161,15 @@ BuiltTopology build_topology(const std::string& kind, std::size_t nodes,
 }
 
 // The loss rounds' source member and congested link, drawn from `rng`.
-harness::RoundSpec round_spec(harness::SimSession& session,
+// Routing depends only on the topology, so this needs no session.
+harness::RoundSpec round_spec(const net::Topology& topo,
                               const std::vector<net::NodeId>& members,
                               util::Rng& rng) {
+  net::Routing routing(topo);
   harness::RoundSpec spec;
   spec.source_node = members[rng.index(members.size())];
-  spec.congested = harness::choose_congested_link(
-      session.network().routing(), spec.source_node, members, rng);
+  spec.congested = harness::choose_congested_link(routing, spec.source_node,
+                                                  members, rng);
   spec.page = PageId{static_cast<SourceId>(spec.source_node), 0};
   return spec;
 }
@@ -258,14 +260,22 @@ void warm_up_hierarchy(harness::SimSession& session, const SrmConfig& cfg,
 }
 
 // Arms `plan` before the first round.  Membership churn drives the session
-// and, with coded repair, its FecSessions and burst-epoch budget floor.
-std::unique_ptr<fault::FaultInjector> arm_faults(harness::SimSession& session,
-                                                 fault::FaultPlan plan,
-                                                 CodedRepair* coded) {
+// and, with coded repair, its FecSessions and burst-epoch budget floor; a
+// conformance checker forgets each departed member's evidence.
+std::unique_ptr<fault::FaultInjector> arm_faults(
+    harness::SimSession& session, fault::FaultPlan plan, CodedRepair* coded,
+    harness::ConformanceChecker* checker) {
   auto injector = std::make_unique<fault::FaultInjector>(
       session.queue(), session.mutable_topology(), session.network(),
       std::move(plan), session.rng().fork());
   fault::MembershipHooks membership = harness::membership_hooks(session);
+  if (checker != nullptr) {
+    auto inner = std::move(membership.leave);
+    membership.leave = [checker, inner](net::NodeId node, bool graceful) {
+      inner(node, graceful);
+      checker->forget(node);
+    };
+  }
   if (coded != nullptr) {
     auto inner = std::move(membership);
     membership.join = [coded, inner](net::NodeId node) {
@@ -426,16 +436,29 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
+  // Bad topology flags (an unknown --topo, a degree or size its builder
+  // rejects, or a world whose source reaches no other member) are reported
+  // like every other bad input.
   util::Rng rng(seed);
-  BuiltTopology built = build_topology(kind, nodes, degree, edges, rng);
-  if (member_count == 0 || member_count > built.candidates.size()) {
-    member_count = built.candidates.size();
+  BuiltTopology built;
+  std::vector<net::NodeId> members;
+  harness::RoundSpec spec;
+  try {
+    built = build_topology(kind, nodes, degree, edges, rng);
+    if (member_count == 0 || member_count > built.candidates.size()) {
+      member_count = built.candidates.size();
+    }
+    rng.shuffle(built.candidates);
+    members.assign(built.candidates.begin(),
+                   built.candidates.begin() + static_cast<long>(member_count));
+    std::sort(members.begin(), members.end());
+    // Every kernel of --pdes-verify draws from the same fixed pick seed.
+    util::Rng pick(seed * 2 + 1);
+    spec = round_spec(built.topo, members, pdes_verify ? pick : rng);
+  } catch (const std::exception& e) {
+    std::cerr << "srmsim: " << e.what() << "\n";
+    return 1;
   }
-  rng.shuffle(built.candidates);
-  std::vector<net::NodeId> members(built.candidates.begin(),
-                                   built.candidates.begin() +
-                                       static_cast<long>(member_count));
-  std::sort(members.begin(), members.end());
 
   SrmConfig cfg;
   const double lg = std::log10(static_cast<double>(member_count));
@@ -518,12 +541,11 @@ int main(int argc, char** argv) {
         vtracer.set_mask(static_cast<std::uint32_t>(trace::Category::kSrm) |
                          static_cast<std::uint32_t>(trace::Category::kFault));
         session.set_tracer(&vtracer);
-        const auto injector = arm_faults(session, fault_plan, nullptr);
-        util::Rng pick(seed * 2 + 1);
-        const harness::RoundSpec rspec = round_spec(session, members, pick);
+        const auto injector =
+            arm_faults(session, fault_plan, nullptr, nullptr);
         for (int r = 0; r < rounds; ++r) {
           try {
-            harness::run_loss_round(session, rspec,
+            harness::run_loss_round(session, spec,
                                     static_cast<SeqNo>(r) * 2);
           } catch (const std::exception&) {
             ++mr.disrupted;  // the plan ate the round; all runs must agree
@@ -583,10 +605,7 @@ int main(int argc, char** argv) {
       harness::SimSession session(net::Topology(built.topo), members,
                                   session_options(kthreads));
       warm_up_hierarchy(session, cfg, nullptr);
-      // Same pick seed in both modes -> same source and congested link
-      // (routing depends only on the topology, which is identical).
-      util::Rng pick(seed * 2 + 1);
-      harness::RoundSpec rspec = round_spec(session, members, pick);
+      harness::RoundSpec rspec = spec;
       std::unique_ptr<CodedRepair> coded;
       if (fec) {
         coded = std::make_unique<CodedRepair>(session, cfg.fec);
@@ -716,7 +735,8 @@ int main(int argc, char** argv) {
   if (fec) coded = std::make_unique<CodedRepair>(session, cfg.fec);
   std::unique_ptr<fault::FaultInjector> injector;
   if (!fault_plan.empty()) {
-    injector = arm_faults(session, std::move(fault_plan), coded.get());
+    injector = arm_faults(session, std::move(fault_plan), coded.get(),
+                          checker.get());
     std::cout << "fault plan: " << faults_path << " ("
               << injector->plan().size() << " events, deadline "
               << fault_deadline << "s)\n";
@@ -731,7 +751,6 @@ int main(int argc, char** argv) {
         });
   }
 
-  harness::RoundSpec spec = round_spec(session, members, rng);
   std::cout << "source node " << spec.source_node << ", congested link ("
             << spec.congested.from << " -> " << spec.congested.to << ")\n\n";
   if (coded) coded->route(spec);

@@ -9,6 +9,11 @@
 3. ARCHITECTURE.md section references: every "ARCHITECTURE.md §N" citation
    in the markdown files and in src/ and examples/ sources must name a
    section header that actually exists ("## N. ...").
+4. Source paths: every src/, tests/, bench/, examples/, scripts/ or
+   perfbench/ path cited in a reference document (PATH_DOCS: the top-level
+   docs that describe the code as it stands) must exist, as cited or with a
+   .cpp or .h suffix (bench and example target names).  History, plans and
+   other repositories' code are not checked.
 
 Usage: scripts/check_docs.py [--srmsim PATH_TO_SRMSIM_BINARY]
 Exits non-zero with a report on any failure.
@@ -98,6 +103,26 @@ def check_section_refs():
     return errors
 
 
+PATH_RE = re.compile(
+    r"(?<![\w./-])(?:src|tests|bench|examples|scripts|perfbench)/[\w./-]+")
+PATH_DOCS = ("ARCHITECTURE.md", "DESIGN.md", "EXPERIMENTS.md", "PAPER.md",
+             "PAPERS.md", "README.md")
+
+
+def check_source_paths():
+    errors = []
+    for name in PATH_DOCS:
+        md = REPO / name
+        text = md.read_text(encoding="utf-8")
+        for cited in sorted(set(PATH_RE.findall(text))):
+            path = cited.rstrip(".")
+            if not any((REPO / (path + suffix)).exists()
+                       for suffix in ("", ".cpp", ".h")):
+                errors.append(f"{md.name}: cites {path}, which does not "
+                              "exist")
+    return errors
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--srmsim", default=None,
@@ -107,6 +132,7 @@ def main():
 
     errors = check_links()
     errors += check_section_refs()
+    errors += check_source_paths()
     if args.srmsim:
         errors += check_srmsim_flags(args.srmsim)
 

@@ -32,6 +32,13 @@ void ConformanceChecker::detach() {
   network_->set_delivery_observer(previous_delivery_);
 }
 
+void ConformanceChecker::forget(net::NodeId node) {
+  holds_.erase(node);
+  repaired_.erase(node);
+  std::erase_if(last_repair_send_,
+                [node](const auto& entry) { return entry.first.first == node; });
+}
+
 void ConformanceChecker::flag(const std::string& rule,
                               const std::string& detail) {
   violations_.push_back(Violation{rule, detail, network_->queue().now()});

@@ -58,6 +58,11 @@ class ConformanceChecker {
   // Detaches from the network, restoring the previous observers.
   void detach();
 
+  // The member at `node` left or crashed: drops its possession, repair and
+  // hold-down evidence, since a rejoined agent starts with an empty store.
+  // Sequencing and canonical payloads stay: a name keeps naming one datum.
+  void forget(net::NodeId node);
+
   const std::vector<Violation>& violations() const { return violations_; }
   bool clean() const { return violations_.empty(); }
   std::string report() const;

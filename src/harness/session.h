@@ -64,9 +64,9 @@ class SimSession {
     return kernel_ ? kernel_->global_queue() : queue_;
   }
   // The control network (region 0 under the parallel kernel).  Control-plane
-  // calls (drop policies, membership, invalidate_in_flight) fan out to every
-  // region from any network, so this is the right handle for harness code;
-  // per-region stats live on the individual networks (see network_stats()).
+  // calls (drop policies, receive filter, membership, invalidate_in_flight)
+  // fan out to every region from any network: the handle for harness code.
+  // Per-region stats live on the individual networks (see network_stats()).
   net::MulticastNetwork& network() { return *nets_.front(); }
   net::MulticastNetwork& network(std::size_t region) { return *nets_.at(region); }
   std::size_t network_count() const { return nets_.size(); }

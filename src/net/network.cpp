@@ -123,6 +123,13 @@ void MulticastNetwork::set_fault_drop_policy(
   for (MulticastNetwork* p : peers_) p->fault_drop_policy_ = policy;
 }
 
+void MulticastNetwork::set_receive_filter(transport::ReceiveFilter filter) {
+  using Filter = const transport::ReceiveFilter;
+  std::shared_ptr<Filter> shared;
+  if (filter) shared = std::make_shared<Filter>(std::move(filter));
+  for (MulticastNetwork* p : peers_) p->receive_filter_ = shared;
+}
+
 bool MulticastNetwork::current(PrunedTree& entry) const {
   if (entry.membership_version == membership_version_ &&
       entry.topology_version == topo_->version()) {
@@ -632,7 +639,9 @@ void MulticastNetwork::fire_chain(std::uint32_t index) {
     ev.x = info.path_delay;
     tracer_->emit(ev);
   }
-  sink->on_receive(*packet, info);
+  if (!receive_filter_ || !(*receive_filter_)(*packet, info)) {
+    sink->on_receive(*packet, info);
+  }
   if (delivery_observer_) delivery_observer_(*packet, info);
 }
 

@@ -12,6 +12,8 @@
 // tree for each (root, group) is cached as a flattened traversal trace that
 // multicast() walks linearly — no hash lookups, no per-node stack frames —
 // and every delivery of one transmission shares a single immutable Packet.
+// It is also the simulator's transport::Transport backend (ARCHITECTURE.md
+// §13): one object hosts every endpoint.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +32,7 @@
 #include "sim/event_queue.h"
 #include "sim/pdes.h"
 #include "trace/trace.h"
+#include "transport/transport.h"
 
 namespace srm::net {
 
@@ -44,7 +47,7 @@ struct NetworkStats {
                                             // dynamics after being scheduled
 };
 
-class MulticastNetwork {
+class MulticastNetwork final : public transport::Transport {
  public:
   // A sequential network is region 0 of one region: its own only peer.
   // Peers (and, under the parallel kernel, the kernel's drain hook) hold
@@ -65,9 +68,9 @@ class MulticastNetwork {
   // into the destination's pool — first-class, so link-failure invalidation
   // still sees them — in deterministic (first arrival, origin region, origin
   // seq) order.  Control-plane calls (attach/detach, join/leave, drop
-  // policies, invalidate_in_flight) fan out to every peer and are only legal
-  // from serialized phases (setup or global events), never from a region
-  // event.
+  // policies, the receive filter, invalidate_in_flight) fan out to every
+  // peer and are only legal from serialized phases (setup or global events),
+  // never from a region event.
   //
   // Must be called once per region network, before any attach/join, with
   // peers indexed by region (peers[self_region] == this).  Registers this
@@ -83,11 +86,11 @@ class MulticastNetwork {
   // PDES mode: call on the network owning n's region; the attachment flag
   // fans out so every sender's walk sees the same membership the sequential
   // kernel would.
-  void attach(NodeId n, PacketSink* sink);
-  void detach(NodeId n);
+  void attach(NodeId n, PacketSink* sink) override;
+  void detach(NodeId n) override;
 
-  void join(GroupId g, NodeId n);
-  void leave(GroupId g, NodeId n);
+  void join(GroupId g, NodeId n) override;
+  void leave(GroupId g, NodeId n) override;
   bool is_member(GroupId g, NodeId n) const;
   // Members in ascending NodeId order.  The store is kept sorted, so this
   // is O(1); the reference is invalidated by the next join/leave.
@@ -130,9 +133,16 @@ class MulticastNetwork {
   void set_scoped_tree_cache(bool on) { scoped_trees_enabled_ = on; }
   bool scoped_tree_cache() const { return scoped_trees_enabled_; }
 
+  // Scripted receive-side loss; an empty filter clears it.  Consulted where
+  // the sink would be called: after the delivery is counted and traced,
+  // before the delivery observer.  Every region network shares the one
+  // filter object, like the drop policies, and calls it on the receiver's
+  // region worker.
+  void set_receive_filter(transport::ReceiveFilter filter) override;
+
   // Sends to all members of packet.group other than the sender itself.
   // packet.source is overwritten with `from`.
-  void multicast(NodeId from, Packet packet);
+  void multicast(NodeId from, Packet packet) override;
 
   // Point-to-point delivery along the shortest path (used by baselines such
   // as unicast NACK schemes); subject to the same drop policy per hop.
@@ -144,14 +154,16 @@ class MulticastNetwork {
   // case for callers racing with fault-injected partitions.
   double distance(NodeId from, NodeId to) { return routing_.distance(from, to); }
   int hops(NodeId from, NodeId to) { return routing_.hop_count(from, to); }
-  double try_distance(NodeId from, NodeId to) {
+  double try_distance(NodeId from, NodeId to) override {
     return routing_.try_distance(from, to);
   }
   int try_hops(NodeId from, NodeId to) { return routing_.try_hop_count(from, to); }
 
   Routing& routing() { return routing_; }
   const Topology& topology() const { return *topo_; }
-  sim::EventQueue& queue() { return *queue_; }
+  std::uint64_t topology_version() const override { return topo_->version(); }
+  sim::EventQueue& queue() override { return *queue_; }
+  const sim::EventQueue& queue() const override { return *queue_; }
 
   const NetworkStats& stats() const { return stats_; }
   void reset_stats() { stats_ = NetworkStats{}; }
@@ -296,6 +308,7 @@ class MulticastNetwork {
   std::vector<TraceEdge> trace_edges_scratch_;
   std::shared_ptr<DropPolicy> drop_policy_;
   std::shared_ptr<DropPolicy> fault_drop_policy_;
+  std::shared_ptr<const transport::ReceiveFilter> receive_filter_;
   NetworkStats stats_;
   DeliveryObserver delivery_observer_;
   SendObserver send_observer_;

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "transport/sim_transport.h"
-
 namespace srm {
 
 namespace {
@@ -70,24 +68,10 @@ std::vector<SourceId> MemberDirectory::members() const {
 // SrmAgent: construction / lifecycle
 // ---------------------------------------------------------------------------
 
-SrmAgent::SrmAgent(net::MulticastNetwork& network, MemberDirectory& directory,
-                   net::NodeId node, SourceId id, net::GroupId group,
-                   const SrmConfig& config, util::Rng rng)
-    : SrmAgent(std::make_unique<transport::SimTransport>(network), nullptr,
-               directory, node, id, group, config, std::move(rng)) {}
-
 SrmAgent::SrmAgent(transport::Transport& transport, MemberDirectory& directory,
                    net::NodeId node, SourceId id, net::GroupId group,
                    const SrmConfig& config, util::Rng rng)
-    : SrmAgent(nullptr, &transport, directory, node, id, group, config,
-               std::move(rng)) {}
-
-SrmAgent::SrmAgent(std::unique_ptr<transport::Transport> owned,
-                   transport::Transport* ext, MemberDirectory& directory,
-                   net::NodeId node, SourceId id, net::GroupId group,
-                   const SrmConfig& config, util::Rng rng)
-    : owned_transport_(std::move(owned)),
-      transport_(owned_transport_ ? owned_transport_.get() : ext),
+    : transport_(&transport),
       directory_(&directory),
       node_(node),
       id_(id),

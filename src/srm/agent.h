@@ -36,7 +36,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "net/network.h"
 #include "net/packet.h"
 #include "sim/event_queue.h"
 #include "sim/timer.h"
@@ -122,14 +121,9 @@ class SrmAgent : public net::PacketSink {
     std::function<void(const std::vector<PageId>&)> on_page_list;
   };
 
-  // Legacy simulator constructor: wraps `network` in an owned per-agent
-  // transport::SimTransport so existing harness/bench/test call sites run
-  // unchanged (and bit-identically — the wrapper is a pure pass-through).
-  SrmAgent(net::MulticastNetwork& network, MemberDirectory& directory,
-           net::NodeId node, SourceId id, net::GroupId group,
-           const SrmConfig& config, util::Rng rng);
-  // Backend-agnostic constructor: the agent speaks only through `transport`
-  // (ARCHITECTURE.md §13), which must outlive it.
+  // The agent speaks only through `transport` (ARCHITECTURE.md §13), which
+  // must outlive it: the simulator's net::MulticastNetwork or a
+  // transport::UdpTransport.
   SrmAgent(transport::Transport& transport, MemberDirectory& directory,
            net::NodeId node, SourceId id, net::GroupId group,
            const SrmConfig& config, util::Rng rng);
@@ -227,11 +221,6 @@ class SrmAgent : public net::PacketSink {
   net::GroupId group() const { return group_; }
   sim::EventQueue& queue() { return transport_->queue(); }
   const sim::EventQueue& queue() const { return transport_->queue(); }
-  // The backend this agent speaks through (scripted receive filters, backend
-  // name for diagnostics).  Owned by the agent only when constructed via the
-  // legacy simulator constructor.
-  transport::Transport& transport() { return *transport_; }
-  const transport::Transport& transport() const { return *transport_; }
   const SrmConfig& config() const { return config_; }
   AgentMetrics& metrics() { return metrics_; }
   const AgentMetrics& metrics() const { return metrics_; }
@@ -393,15 +382,8 @@ class SrmAgent : public net::PacketSink {
     tracer_->emit(ev);
   }
 
-  // Tail of both public constructors: `ext` is used when `owned` is null.
-  SrmAgent(std::unique_ptr<transport::Transport> owned,
-           transport::Transport* ext, MemberDirectory& directory,
-           net::NodeId node, SourceId id, net::GroupId group,
-           const SrmConfig& config, util::Rng rng);
-
-  // core wiring (owned_transport_/transport_ must precede every member whose
-  // initializer touches the transport's queue)
-  std::unique_ptr<transport::Transport> owned_transport_;
+  // core wiring (transport_ must precede every member whose initializer
+  // touches the transport's queue)
   transport::Transport* transport_;
   MemberDirectory* directory_;
   net::NodeId node_;

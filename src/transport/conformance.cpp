@@ -1,7 +1,9 @@
 #include "transport/conformance.h"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
+#include <numeric>
 #include <sstream>
 
 #include "net/network.h"
@@ -11,7 +13,7 @@
 #include "srm/messages.h"
 #include "topo/builders.h"
 #include "trace/trace.h"
-#include "transport/sim_transport.h"
+#include "transport/drop_script.h"
 #include "transport/udp_transport.h"
 #include "util/rng.h"
 
@@ -23,7 +25,7 @@ constexpr net::GroupId kGroup = 1;
 constexpr PageId kPage{0, 1};
 
 // Both backends run the identical protocol configuration.  Session messages
-// are off and the sim runner opts out of its distance oracle, so every
+// are off and the agents opt out of the simulator's distance oracle, so every
 // distance is default_distance on both sides and the per-member RNG streams
 // (seeded seed*1000+ordinal) produce identical timer draws.  C2 = 0 keeps
 // the request side deterministic; D2 comes from the scenario (the
@@ -44,48 +46,6 @@ SrmConfig scenario_config(const Scenario& scenario) {
 util::Rng member_rng(const Scenario& scenario, std::uint32_t ordinal) {
   return util::Rng(scenario.seed * 1000 + ordinal);
 }
-
-// Shared receive-side drop script: counts down each rule as it fires.
-class DropScript {
- public:
-  explicit DropScript(const std::vector<ScriptedDrop>& drops) {
-    for (const auto& d : drops) rules_.push_back({d, 0});
-  }
-
-  bool should_drop(std::uint32_t member, const net::Packet& packet) {
-    if (!packet.payload) return false;
-    const std::uint32_t kind = packet.payload->trace_kind();
-    SeqNo seq = 0;
-    switch (kind) {
-      case 1:
-        seq = static_cast<const DataMessage&>(*packet.payload).name().seq;
-        break;
-      case 2:
-        seq = static_cast<const RequestMessage&>(*packet.payload).name().seq;
-        break;
-      case 3:
-        seq = static_cast<const RepairMessage&>(*packet.payload).name().seq;
-        break;
-      default:
-        return false;
-    }
-    for (auto& [rule, fired] : rules_) {
-      if (rule.at_member == member && rule.kind == kind && rule.seq == seq &&
-          fired < rule.count) {
-        ++fired;
-        ++total_fired_;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  std::size_t total_fired() const { return total_fired_; }
-
- private:
-  std::vector<std::pair<ScriptedDrop, std::size_t>> rules_;
-  std::size_t total_fired_ = 0;
-};
 
 const char* milestone_name(trace::EventType type) {
   switch (type) {
@@ -147,6 +107,51 @@ ScenarioResult fold_result(const std::vector<trace::Event>& events,
   return result;
 }
 
+// The one scenario runner: member ordinal i lives at node nodes[i] of
+// `transport`, and run_until(t) drives the backend to its time t.  Scripted
+// loss is the backend's one receive filter, keyed by receiving node.
+ScenarioResult run_scenario(const Scenario& scenario, Transport& transport,
+                            const std::vector<net::NodeId>& nodes,
+                            const std::function<void(double)>& run_until) {
+  MemberDirectory directory;
+  const SrmConfig config = scenario_config(scenario);
+
+  trace::VectorSink sink;
+  trace::Tracer tracer;
+  tracer.set_sink(&sink);
+  tracer.set_mask(static_cast<std::uint32_t>(trace::Category::kSrm));
+
+  DropScript script;
+  for (const ScriptedDrop& drop : scenario.drops) {
+    script.arm(nodes.at(drop.at_member), drop.kind, drop.seq, drop.count);
+  }
+  transport.set_receive_filter(script.filter());
+
+  std::vector<std::unique_ptr<SrmAgent>> agents;
+  for (std::uint32_t i = 0; i < scenario.members; ++i) {
+    auto agent = std::make_unique<SrmAgent>(transport, directory, nodes[i],
+                                            /*id=*/i, kGroup, config,
+                                            member_rng(scenario, i));
+    agent->set_tracer(&tracer);
+    agent->start();
+    agents.push_back(std::move(agent));
+  }
+
+  for (std::size_t k = 0; k < scenario.sends; ++k) {
+    transport.queue().schedule_at(
+        scenario.first_send + scenario.send_gap * static_cast<double>(k),
+        [&agents, k] {
+          agents[0]->send_data(kPage,
+                               Payload{static_cast<std::uint8_t>(k), 0xAB});
+        });
+  }
+  run_until(scenario.end_time());
+
+  for (auto& agent : agents) agent->stop();
+  transport.set_receive_filter(nullptr);
+  return fold_result(sink.events(), script.fired());
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -205,94 +210,23 @@ std::vector<Scenario> conformance_scenarios() {
 }
 
 // ---------------------------------------------------------------------------
-// Backend runners
+// Backends
 // ---------------------------------------------------------------------------
 
 ScenarioResult run_scenario_sim(const Scenario& scenario) {
   const topo::Star star = topo::make_star(scenario.members, 0.001);
   sim::EventQueue queue;
   net::MulticastNetwork network(queue, star.topo);
-  MemberDirectory directory;
-  const SrmConfig config = scenario_config(scenario);
-
-  trace::VectorSink sink;
-  trace::Tracer tracer;
-  tracer.set_sink(&sink);
-  tracer.set_mask(static_cast<std::uint32_t>(trace::Category::kSrm));
-
-  DropScript script(scenario.drops);
-  std::vector<std::unique_ptr<SimTransport>> transports;
-  std::vector<std::unique_ptr<SrmAgent>> agents;
-  for (std::uint32_t i = 0; i < scenario.members; ++i) {
-    auto transport = std::make_unique<SimTransport>(network);
-    transport->set_receive_filter(
-        [&script, i](const net::Packet& packet, const net::DeliveryInfo&) {
-          return script.should_drop(i, packet);
-        });
-    auto agent = std::make_unique<SrmAgent>(
-        *transport, directory, star.leaves[i], /*id=*/i, kGroup, config,
-        member_rng(scenario, i));
-    agent->set_tracer(&tracer);
-    agent->start();
-    transports.push_back(std::move(transport));
-    agents.push_back(std::move(agent));
-  }
-
-  for (std::size_t k = 0; k < scenario.sends; ++k) {
-    queue.schedule_at(
-        scenario.first_send + scenario.send_gap * static_cast<double>(k),
-        [&agents, k] {
-          agents[0]->send_data(kPage,
-                               Payload{static_cast<std::uint8_t>(k), 0xAB});
-        });
-  }
-  queue.run_until(scenario.end_time());
-
-  for (auto& agent : agents) agent->stop();
-  return fold_result(sink.events(), script.total_fired());
+  return run_scenario(scenario, network, star.leaves,
+                      [&queue](double t) { queue.run_until(t); });
 }
 
 ScenarioResult run_scenario_udp(const Scenario& scenario) {
   UdpTransport transport;
-  MemberDirectory directory;
-  const SrmConfig config = scenario_config(scenario);
-
-  trace::VectorSink sink;
-  trace::Tracer tracer;
-  tracer.set_sink(&sink);
-  tracer.set_mask(static_cast<std::uint32_t>(trace::Category::kSrm));
-
-  DropScript script(scenario.drops);
-  // One shared filter: on the UDP bus member ordinals are the node ids, so
-  // the delivery's receiver field selects the rule — the same predicate the
-  // sim runner applies per-agent.
-  transport.set_receive_filter(
-      [&script](const net::Packet& packet, const net::DeliveryInfo& info) {
-        return script.should_drop(info.receiver, packet);
-      });
-
-  std::vector<std::unique_ptr<SrmAgent>> agents;
-  for (std::uint32_t i = 0; i < scenario.members; ++i) {
-    auto agent = std::make_unique<SrmAgent>(transport, directory, /*node=*/i,
-                                            /*id=*/i, kGroup, config,
-                                            member_rng(scenario, i));
-    agent->set_tracer(&tracer);
-    agent->start();
-    agents.push_back(std::move(agent));
-  }
-
-  for (std::size_t k = 0; k < scenario.sends; ++k) {
-    transport.queue().schedule_at(
-        scenario.first_send + scenario.send_gap * static_cast<double>(k),
-        [&agents, k] {
-          agents[0]->send_data(kPage,
-                               Payload{static_cast<std::uint8_t>(k), 0xAB});
-        });
-  }
-  transport.run_for(scenario.end_time());
-
-  for (auto& agent : agents) agent->stop();
-  return fold_result(sink.events(), script.total_fired());
+  std::vector<net::NodeId> nodes(scenario.members);
+  std::iota(nodes.begin(), nodes.end(), net::NodeId{0});
+  return run_scenario(scenario, transport, nodes,
+                      [&transport](double t) { transport.run_for(t); });
 }
 
 // ---------------------------------------------------------------------------

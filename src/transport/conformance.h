@@ -1,22 +1,24 @@
 // Cross-backend conformance (ARCHITECTURE.md §13): the same scripted loss
-// scenario runs once over SimTransport and once over UdpTransport, both
-// traces fold through trace::RecoveryTimeline, and the per-loss recovery
-// stories are compared as timing-free fingerprints — every milestone
-// (detection, request, backoff, repair, suppression, recovery) with its
-// actor and multiplicity must match; only wall-clock times may differ.
+// scenario runs once over the simulator's net::MulticastNetwork and once
+// over UdpTransport, through one runner that sees only the Transport
+// interface; both traces fold through trace::RecoveryTimeline, and the
+// per-loss recovery stories are compared as timing-free fingerprints —
+// every milestone (detection, request, backoff, repair, suppression,
+// recovery) with its actor and multiplicity must match; only wall-clock
+// times may differ.
 //
 // Why this is a fair determinism bar: both backends construct agents with
 // identical per-member RNG streams, session messages disabled and
 // DistanceMode::kEstimated, so every timer draw is the same number of
 // seconds on both sides (distance is config.default_distance everywhere —
-// the UDP backend has no oracle, and the sim runner opts out of its own).
+// the UDP backend has no oracle, and the agents opt out of the simulator's).
 // The scenarios are built so consecutive decision points are separated by
 // O(default_distance) = tens of milliseconds, far above the UDP backend's
 // worst-case timer/delivery jitter (poll granularity, ~2 ms), so the
 // milestone *order* is invariant even though absolute times are not.
-// Scripted loss is injected on the receive side through the shared
-// Transport receive-filter hook, which has identical semantics on both
-// backends by construction.
+// Scripted loss is one transport::DropScript installed as the backend's one
+// receive filter, keyed by receiving node, so both backends drop the same
+// packets by construction.
 #pragma once
 
 #include <cstdint>
@@ -103,13 +105,14 @@ struct ScenarioResult {
   bool all_recovered = false;             // every story closed, none abandoned
 };
 
-// Runs the scenario on the simulator backend (star topology, one leaf per
-// member, explicit per-agent SimTransport).  Deterministic.
+// Each builds a backend and hands it to the one scenario runner, which sees
+// only its Transport.  run_scenario_sim: a net::MulticastNetwork over a star
+// topology, member i on leaf i, virtual time; deterministic.
 ScenarioResult run_scenario_sim(const Scenario& scenario);
 
-// Runs the scenario over real UDP multicast on loopback (one shared
-// UdpTransport bus).  Throws TransportError when the environment lacks
-// loopback multicast; gate with UdpTransport::available().
+// run_scenario_udp: one UdpTransport bus on loopback, member i on node i,
+// wall time.  Throws TransportError when the environment lacks loopback
+// multicast; gate with UdpTransport::available().
 ScenarioResult run_scenario_udp(const Scenario& scenario);
 
 // Empty when the results agree story-for-story; otherwise a readable

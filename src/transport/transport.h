@@ -1,15 +1,15 @@
 // Transport: the seam between the SRM protocol machine and whatever moves
 // its packets (ARCHITECTURE.md §13).  srm::SrmAgent (and everything layered
 // on it — FecSession, SessionHierarchy, the whiteboard) speaks only this
-// interface; the backend decides whether "the network" is the discrete-event
-// simulator (SimTransport, src/transport/sim_transport.h) or a real UDP
-// multicast socket on loopback (UdpTransport, src/transport/udp_transport.h).
+// interface.  Each backend is one object that hosts every endpoint: the
+// discrete-event simulator's net::MulticastNetwork (src/net/network.h) or a
+// real UDP multicast socket on loopback (UdpTransport,
+// src/transport/udp_transport.h).
 //
-// The contract mirrors what the agent actually needs from
-// net::MulticastNetwork:
+// The contract is the IP-multicast group service of Sec. I:
 //
 //   * a timer/clock service — a sim::EventQueue whose now() is the backend's
-//     time base.  SimTransport hands out the simulation queue (virtual
+//     time base.  The network hands out the simulation queue (virtual
 //     time); UdpTransport owns a private queue slaved to the monotonic
 //     clock (seconds since construction), so sim::Timer / sim::LocalClock
 //     and every timer the agent builds run unchanged over real sockets;
@@ -21,10 +21,11 @@
 //     +infinity when it does not (real sockets), which sends the agent to
 //     its session-message estimator or config.default_distance, exactly the
 //     position a real deployment is in;
-//   * a receive filter — scripted receive-side loss, interposed between the
-//     backend and the sink with identical semantics on every backend.  The
-//     conformance harness and the workload suite use it to inject the same
-//     loss pattern under sim and UDP.
+//   * a receive filter — scripted receive-side loss, one per backend
+//     object, consulted for every delivery to every endpoint it hosts just
+//     before the sink would see the packet.  The conformance harness and
+//     the workload suite install one transport::DropScript this way to
+//     inject the same loss pattern under sim and UDP.
 #pragma once
 
 #include <cstdint>
@@ -36,15 +37,15 @@
 namespace srm::transport {
 
 // Scripted receive-side loss: return true to drop the packet before the
-// attached sink sees it.  Runs after decode on UdpTransport and in place of
-// direct delivery on SimTransport, so a filter keyed on message kind and
-// ADU sequence behaves identically on both backends.
+// attached sink sees it.  `info.receiver` names the endpoint, so one filter
+// keyed on receiver, message kind and ADU sequence behaves identically on
+// every backend.
 using ReceiveFilter =
     std::function<bool(const net::Packet&, const net::DeliveryInfo&)>;
 
 class Transport {
  public:
-  virtual ~Transport();
+  virtual ~Transport() = default;
 
   // Timer/clock service.  The queue's now() is the backend time base; all
   // agent timers (sim::Timer), clocks (sim::LocalClock) and scheduled
@@ -68,20 +69,19 @@ class Transport {
   // Ground-truth one-way delay from `from` to `to`, or +infinity when the
   // backend has no oracle (UdpTransport always; the simulator when the
   // nodes are disconnected).  Agents in DistanceMode::kOracle cache the
-  // result keyed on topology_version().
-  virtual double try_distance(net::NodeId from, net::NodeId to) const = 0;
+  // result keyed on topology_version().  Not const: the simulator's
+  // routing cache fills lazily.
+  virtual double try_distance(net::NodeId from, net::NodeId to) = 0;
 
   // Bumped whenever ground-truth distances may have changed (topology
   // mutations under fault plans).  Constant 0 on backends without an
   // oracle.
   virtual std::uint64_t topology_version() const = 0;
 
-  // Installs (or clears, with nullptr-like empty function) the scripted
-  // receive-side drop filter for every endpoint on this transport.
+  // Installs (or clears, with an empty function) this backend's one
+  // scripted receive-side drop filter; it applies to every endpoint the
+  // backend hosts.
   virtual void set_receive_filter(ReceiveFilter filter) = 0;
-
-  // Stable backend name ("sim", "udp") for diagnostics and trace labels.
-  virtual const char* name() const = 0;
 };
 
 }  // namespace srm::transport

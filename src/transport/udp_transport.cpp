@@ -235,7 +235,7 @@ void UdpTransport::multicast(net::NodeId from, net::Packet packet) {
   ++stats_.frames_sent;
 }
 
-double UdpTransport::try_distance(net::NodeId, net::NodeId) const {
+double UdpTransport::try_distance(net::NodeId, net::NodeId) {
   return std::numeric_limits<double>::infinity();
 }
 

@@ -85,12 +85,11 @@ class UdpTransport final : public Transport {
   void join(net::GroupId group, net::NodeId node) override;
   void leave(net::GroupId group, net::NodeId node) override;
   void multicast(net::NodeId from, net::Packet packet) override;
-  double try_distance(net::NodeId, net::NodeId) const override;
+  double try_distance(net::NodeId, net::NodeId) override;
   std::uint64_t topology_version() const override { return 0; }
   void set_receive_filter(ReceiveFilter filter) override {
     filter_ = std::move(filter);
   }
-  const char* name() const override { return "udp"; }
 
   // --- event loop ---------------------------------------------------------
 

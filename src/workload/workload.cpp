@@ -17,6 +17,7 @@
 #include "topo/builders.h"
 #include "trace/timeline.h"
 #include "trace/trace.h"
+#include "transport/drop_script.h"
 #include "transport/udp_transport.h"
 #include "util/rng.h"
 
@@ -39,80 +40,13 @@ SrmConfig base_config() {
   return config;
 }
 
-// Receive-side drop rules armed by kDropOnce actions, consulted through the
-// Transport receive-filter hook.  Rules are keyed by the receiving *node* id
-// (the delivery's receiver field on both backends); the runner resolves
-// member ordinals to nodes when arming.
-class DropScript {
- public:
-  void arm(net::NodeId node, const Action& action) {
-    rules_.push_back(
-        {node, action.drop_kind, action.drop_seq, action.drop_source,
-         action.drop_count});
-  }
-
-  bool should_drop(net::NodeId receiver, const net::Packet& packet) {
-    if (rules_.empty() || !packet.payload) return false;
-    const std::uint32_t kind = packet.payload->trace_kind();
-    SourceId source = kInvalidSource;
-    SeqNo seq = 0;
-    switch (kind) {
-      case 1: {
-        const auto& name = static_cast<const DataMessage&>(*packet.payload).name();
-        source = name.source;
-        seq = name.seq;
-        break;
-      }
-      case 2: {
-        const auto& name =
-            static_cast<const RequestMessage&>(*packet.payload).name();
-        source = name.source;
-        seq = name.seq;
-        break;
-      }
-      case 3: {
-        const auto& name =
-            static_cast<const RepairMessage&>(*packet.payload).name();
-        source = name.source;
-        seq = name.seq;
-        break;
-      }
-      default:
-        return false;
-    }
-    for (Rule& rule : rules_) {
-      if (rule.remaining == 0 || rule.node != receiver || rule.kind != kind ||
-          rule.seq != seq) {
-        continue;
-      }
-      if (rule.source != kInvalidSource && rule.source != source) continue;
-      --rule.remaining;
-      ++fired_;
-      return true;
-    }
-    return false;
-  }
-
-  std::size_t fired() const { return fired_; }
-
- private:
-  struct Rule {
-    net::NodeId node;
-    std::uint32_t kind;
-    SeqNo seq;
-    SourceId source;
-    std::size_t remaining;
-  };
-  std::vector<Rule> rules_;
-  std::size_t fired_ = 0;
-};
-
-// What a backend must provide for the action interpreter: a queue to script
-// on, member lookup/churn by ordinal, and a run-to-horizon loop.
+// What a backend must provide for the action interpreter: the Transport
+// its members speak through, member lookup/churn by ordinal, and a
+// run-to-horizon loop.
 class Host {
  public:
   virtual ~Host() = default;
-  virtual sim::EventQueue& control_queue() = 0;
+  virtual transport::Transport& backend() = 0;
   virtual SrmAgent* find(std::uint32_t ordinal) = 0;
   virtual void join(std::uint32_t ordinal) = 0;
   virtual void part(std::uint32_t ordinal, bool graceful) = 0;
@@ -125,8 +59,8 @@ class Host {
 
 class SimHost final : public Host {
  public:
-  SimHost(const WorkloadSpec& spec, trace::Tracer* tracer, DropScript* script)
-      : star_(topo::make_star(spec.peak_members, 0.01)), script_(script) {
+  SimHost(const WorkloadSpec& spec, trace::Tracer* tracer)
+      : star_(topo::make_star(spec.peak_members, 0.01)) {
     harness::SimSession::Options options;
     options.srm = spec.config;
     options.seed = spec.seed;
@@ -138,12 +72,9 @@ class SimHost final : public Host {
     session_ = std::make_unique<harness::SimSession>(star_.topo, initial,
                                                      options);
     session_->set_tracer(tracer);
-    for (net::NodeId node : initial) {
-      install_filter(session_->agent_at(node));
-    }
   }
 
-  sim::EventQueue& control_queue() override { return session_->queue(); }
+  transport::Transport& backend() override { return session_->network(); }
 
   SrmAgent* find(std::uint32_t ordinal) override {
     const net::NodeId node = node_of(ordinal);
@@ -151,7 +82,7 @@ class SimHost final : public Host {
   }
 
   void join(std::uint32_t ordinal) override {
-    install_filter(session_->add_member(node_of(ordinal)));
+    session_->add_member(node_of(ordinal));
   }
 
   void part(std::uint32_t ordinal, bool graceful) override {
@@ -169,32 +100,19 @@ class SimHost final : public Host {
   void run(double until) override { session_->run_until(until); }
 
  private:
-  void install_filter(SrmAgent& agent) {
-    DropScript* script = script_;
-    agent.transport().set_receive_filter(
-        [script](const net::Packet& packet, const net::DeliveryInfo& info) {
-          return script->should_drop(info.receiver, packet);
-        });
-  }
-
   topo::Star star_;
-  DropScript* script_;
   std::unique_ptr<harness::SimSession> session_;
 };
 
 class UdpHost final : public Host {
  public:
-  UdpHost(const WorkloadSpec& spec, trace::Tracer* tracer, DropScript* script)
+  UdpHost(const WorkloadSpec& spec, trace::Tracer* tracer)
       : spec_(spec), tracer_(tracer) {
-    transport_.set_receive_filter(
-        [script](const net::Packet& packet, const net::DeliveryInfo& info) {
-          return script->should_drop(info.receiver, packet);
-        });
     agents_.resize(spec.peak_members);
     for (std::uint32_t i = 0; i < spec.initial_members; ++i) join(i);
   }
 
-  sim::EventQueue& control_queue() override { return transport_.queue(); }
+  transport::Transport& backend() override { return transport_; }
 
   SrmAgent* find(std::uint32_t ordinal) override {
     return agents_.at(ordinal).get();
@@ -251,12 +169,16 @@ double percentile(const std::vector<double>& sorted, double p) {
   return sorted[idx];
 }
 
+// kDropOnce actions arm `script`, installed as the backend's receive
+// filter; its rules name receiving nodes, so arming resolves ordinals.
 WorkloadResult execute(const WorkloadSpec& spec, Host& host,
-                       DropScript& script, trace::VectorSink& sink) {
+                       transport::DropScript& script,
+                       trace::VectorSink& sink) {
   WorkloadResult result;
+  host.backend().set_receive_filter(script.filter());
   for (const Action& action : spec.actions) {
-    host.control_queue().schedule_at(action.at, [&host, &script, &result,
-                                                 action] {
+    host.backend().queue().schedule_at(action.at, [&host, &script, &result,
+                                                   action] {
       ++result.actions_executed;
       SrmAgent* agent = host.find(action.member);
       switch (action.kind) {
@@ -284,12 +206,12 @@ WorkloadResult execute(const WorkloadSpec& spec, Host& host,
         case Action::Kind::kDropOnce: {
           // Generators speak member ordinals; the script matches wire-level
           // Source-IDs, so translate here where the backend is known.
-          Action armed = action;
-          if (armed.drop_source != kInvalidSource) {
-            armed.drop_source =
-                host.source_of(static_cast<std::uint32_t>(armed.drop_source));
+          SourceId source = action.drop_source;
+          if (source != kInvalidSource) {
+            source = host.source_of(static_cast<std::uint32_t>(source));
           }
-          script.arm(host.node_of(action.member), armed);
+          script.arm(host.node_of(action.member), action.drop_kind,
+                     action.drop_seq, action.drop_count, source);
           break;
         }
         case Action::Kind::kPageProbe:
@@ -339,12 +261,12 @@ WorkloadResult run_spec(const WorkloadSpec& spec, bool udp) {
   trace::Tracer tracer;
   tracer.set_sink(&sink);
   tracer.set_mask(static_cast<std::uint32_t>(trace::Category::kSrm));
-  DropScript script;
+  transport::DropScript script;  // outlives the host whose filter it is
   if (udp) {
-    UdpHost host(spec, &tracer, &script);
+    UdpHost host(spec, &tracer);
     return execute(spec, host, script, sink);
   }
-  SimHost host(spec, &tracer, &script);
+  SimHost host(spec, &tracer);
   return execute(spec, host, script, sink);
 }
 

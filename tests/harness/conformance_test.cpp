@@ -267,6 +267,43 @@ TEST(ConformanceViolationTest, DetectsRequestAfterRepair) {
   EXPECT_TRUE(found) << w.checker.report();
 }
 
+// Node 3 of a chain receives seq 0, crashes and rejoins with an empty
+// store, then requests seq 0 once the source's session message reveals it.
+// Returns the checker's violations; `forget` tells the checker of the crash.
+std::vector<Violation> rejoin_violations(bool forget) {
+  SrmConfig cfg;
+  cfg.session.enabled = true;
+  SimSession session(topo::make_chain(4), all_nodes(4), {cfg, 3, 1});
+  ConformanceChecker checker(session.network(), session.directory());
+  // Session messages report the page a member is viewing.
+  const PageId page{0, 0};
+  session.for_each_agent([&](SrmAgent& a) { a.set_current_page(page); });
+  DataName name;
+  session.queue().schedule_at(1.0, [&] {
+    name = session.agent_at(0).send_data(page, Payload{7});
+  });
+  session.queue().schedule_at(5.0, [&] {
+    EXPECT_TRUE(session.agent_at(3).has_data(name));
+    session.remove_member(3, /*graceful=*/false);
+    if (forget) checker.forget(3);
+  });
+  session.queue().schedule_at(6.0, [&] {
+    session.add_member(3).set_current_page(page);
+  });
+  session.run_until(60.0);
+  EXPECT_TRUE(session.agent_at(3).has_data(name));
+  EXPECT_GT(session.agent_at(3).metrics().requests_sent, 0u);
+  return checker.violations();
+}
+
+TEST(ConformanceTest, ForgetClearsADepartedMembersEvidence) {
+  const std::vector<Violation> kept = rejoin_violations(false);
+  ASSERT_EQ(kept.size(), 1u);
+  EXPECT_EQ(kept[0].rule, "no-request-for-held-data");
+  const std::vector<Violation> forgotten = rejoin_violations(true);
+  EXPECT_TRUE(forgotten.empty());
+}
+
 TEST(ConformanceTest, DetachRestoresObservers) {
   sim::EventQueue queue;
   auto topo = topo::make_chain(2);

@@ -303,7 +303,9 @@ TEST_P(PdesStochasticTest, BitIdenticalAcrossKernelThreadCounts) {
   // The scripted drop contributes exactly one per completed round, so any
   // excess proves the stochastic policy fired; a disrupted round proves it
   // directly (only background loss can eat the scripted packet).
-  if (t1.disrupted == 0) EXPECT_GT(t1.stats.drops, t1.rounds.size());
+  if (t1.disrupted == 0) {
+    EXPECT_GT(t1.stats.drops, t1.rounds.size());
+  }
 }
 
 TEST_P(PdesStochasticTest, StatsMatchSequentialKernel) {
@@ -317,7 +319,9 @@ TEST_P(PdesStochasticTest, StatsMatchSequentialKernel) {
   }
   expect_stats_identical(seq.stats, par.stats, "seq vs parallel");
   EXPECT_EQ(seq.end_time, par.end_time);
-  if (seq.disrupted == 0) EXPECT_GT(seq.stats.drops, seq.rounds.size());
+  if (seq.disrupted == 0) {
+    EXPECT_GT(seq.stats.drops, seq.rounds.size());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(StochasticLoss, PdesStochasticTest,
@@ -496,6 +500,57 @@ TEST(PdesSessionTest, MembershipChurnWorksUnderParallelKernel) {
   EXPECT_FALSE(session.has_member(15));
   session.run();
   EXPECT_EQ(session.member_count(), 4u);
+}
+
+TEST(PdesSessionTest, ReceiveFilterReachesEveryRegion) {
+  // A filter set through the control network fans out to every region
+  // network, like the drop policies: it drops the one delivery to a member
+  // in another region than the sender's, and only that one.
+  util::Rng rng(5);
+  net::Topology topo = topo::make_random_tree(120, rng);
+  SrmConfig cfg;
+  cfg.session.enabled = false;  // no repair can hide the drop
+  harness::SimSession::Options opts{cfg, 5, /*group=*/1};
+  opts.kernel_threads = 1;
+  opts.kernel_regions = 4;
+  const std::vector<net::NodeId> members = {4, 19, 33, 48, 61, 77, 90, 104};
+  harness::SimSession session(std::move(topo), members, opts);
+  ASSERT_EQ(session.region_map().count, 4u);
+
+  const net::NodeId sender = members.front();
+  const auto region = [&](net::NodeId n) {
+    return session.region_map().region_of(n);
+  };
+  net::NodeId victim = net::kInvalidNode;
+  for (net::NodeId m : members) {
+    if (region(m) != region(sender) && region(m) != 0) {
+      victim = m;
+      break;
+    }
+  }
+  ASSERT_NE(victim, net::kInvalidNode);
+
+  std::size_t dropped = 0;
+  session.network().set_receive_filter(
+      [&dropped, victim](const net::Packet& packet,
+                         const net::DeliveryInfo& info) {
+        const bool drop =
+            info.receiver == victim &&
+            dynamic_cast<const DataMessage*>(packet.payload.get()) != nullptr;
+        if (drop) ++dropped;
+        return drop;
+      });
+  SrmAgent& source = session.agent_at(sender);
+  DataName name;
+  session.queue().schedule_at(1.0, [&] {
+    name = source.send_data(PageId{source.id(), 0}, Payload{0x5A});
+  });
+  session.run();
+
+  EXPECT_EQ(dropped, 1u);
+  for (net::NodeId m : members) {
+    EXPECT_EQ(session.agent_at(m).has_data(name), m != victim) << "node " << m;
+  }
 }
 
 // --- pooled messages on concurrent region workers ---------------------------

@@ -138,6 +138,7 @@ TEST(TracerTest, MaskSelectsCategories) {
       case Category::kSim: saw_sim = true; break;
       case Category::kNet: saw_net = true; break;
       case Category::kSrm: saw_srm = true; break;
+      case Category::kFault: break;  // the round injects no faults
     }
   }
   EXPECT_TRUE(saw_sim);

@@ -140,7 +140,6 @@ TEST(UdpTransport, NoOracle) {
   EXPECT_TRUE(transport.try_distance(0, 1) ==
               std::numeric_limits<double>::infinity());
   EXPECT_EQ(transport.topology_version(), 0u);
-  EXPECT_STREQ(transport.name(), "udp");
 }
 
 TEST(UdpTransport, RejectsBadOptions) {
