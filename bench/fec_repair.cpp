@@ -71,7 +71,6 @@ FecTrialResult run_fec_trial(const FecTrialSpec& spec) {
   fec::FecSession* tx = nullptr;
   if (spec.fec) {
     FecConfig fc;
-    fc.enabled = true;
     fc.generation_size = 2;  // one generation per loss round
     for (net::NodeId n : session.member_nodes()) {
       sessions.push_back(

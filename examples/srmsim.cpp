@@ -12,6 +12,7 @@
 //
 // Run `srmsim --help` for the flag table (kept in sync with README.md by
 // scripts/check_docs.py).
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -311,11 +312,22 @@ fault::CheckerReport check_recovery(const std::vector<trace::Event>& events,
       events, injector.disruption_windows(), end);
 }
 
-}  // namespace
+// A timer parameter flag: the event queue refuses negative or non-finite
+// delays, so a value outside [0, inf) is bad input, not a scenario.
+double timer_flag(const util::Flags& flags, const std::string& name,
+                  double default_value) {
+  const double value = flags.get_double(name, default_value);
+  if (!std::isfinite(value) || value < 0.0) {
+    throw std::invalid_argument("--" + name +
+                                " must be finite and >= 0, got " +
+                                flags.get_string(name, ""));
+  }
+  return value;
+}
 
-int main(int argc, char** argv) {
-  using namespace srm;
-  const util::Flags flags(argc, argv);
+// Everything srmsim does; bad flag values surface as
+// std::invalid_argument, which main() reports.
+int run(const util::Flags& flags) {
   if (flags.get_bool("help", false)) {
     std::cout << kUsage;
     return 0;
@@ -352,14 +364,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!workload_name.empty()) {
-    workload::WorkloadSpec wspec;
-    try {
-      wspec = workload::make_workload(
-          workload_name, member_count == 0 ? 48 : member_count, seed);
-    } catch (const std::invalid_argument& e) {
-      std::cerr << "srmsim: " << e.what() << "\n";
-      return 1;
-    }
+    // An unknown name throws std::invalid_argument, which main() reports.
+    const workload::WorkloadSpec wspec = workload::make_workload(
+        workload_name, member_count == 0 ? 48 : member_count, seed);
     const bool udp = transport_kind == "udp";
     if (udp && !transport::UdpTransport::available()) {
       std::cout << "srmsim: loopback multicast unavailable; skipping "
@@ -462,13 +469,12 @@ int main(int argc, char** argv) {
 
   SrmConfig cfg;
   const double lg = std::log10(static_cast<double>(member_count));
-  cfg.timers.c1 = flags.get_double("c1", 2.0);
-  cfg.timers.c2 = flags.get_double("c2", 2.0);
-  cfg.timers.d1 = flags.get_double("d1", lg);
-  cfg.timers.d2 = flags.get_double("d2", lg);
-  cfg.backoff_factor = flags.get_double("backoff", 3.0);
+  cfg.timers.c1 = timer_flag(flags, "c1", 2.0);
+  cfg.timers.c2 = timer_flag(flags, "c2", 2.0);
+  cfg.timers.d1 = timer_flag(flags, "d1", lg);
+  cfg.timers.d2 = timer_flag(flags, "d2", lg);
+  cfg.backoff_factor = timer_flag(flags, "backoff", 3.0);
   cfg.adaptive.enabled = flags.get_bool("adaptive", false);
-  cfg.fec.enabled = fec;
   cfg.fec.max_k = fec_max_k;
   cfg.hierarchy.enabled = hierarchy;
   cfg.hierarchy.areas = hier_areas;
@@ -850,4 +856,15 @@ int main(int argc, char** argv) {
     return report.passed && trace_ok ? 0 : 1;
   }
   return (checker == nullptr || checker->clean()) && trace_ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(srm::util::Flags(argc, argv));
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "srmsim: " << e.what() << "\n";
+    return 1;
+  }
 }

@@ -31,6 +31,13 @@ note is printed, and nothing is gated — committing the current JSON makes
 it the baseline.  A requested section present in neither file is an error
 (almost certainly a typo in the CI config).
 
+``--golden BENCH`` makes the comparison a golden-output test (the tier-1
+ctests ``Bench.*Golden``): BENCH first runs with ``--bench-json=CURRENT``
+into a fresh CURRENT file, and a failing bench fails the test.  Then every
+requested section must be in both files and carry every baseline key, and
+only the exact (deterministic) keys are compared, so the verdict does not
+depend on the host.
+
 Classes are also section-aware: the ``pdes_kernel`` and
 ``pdes_stochastic`` sections' throughput keys (``*_per_second``) depend on
 the CI runner's core count and are skipped, while their deterministic keys
@@ -40,6 +47,8 @@ with or without keyed stochastic loss, so those must not drift at all.
 
 Usage:
   scripts/check_bench.py --baseline BENCH_kernel.json --current /tmp/k.json
+  scripts/check_bench.py --golden build/bench/fec_repair \
+      --baseline BENCH_fec.json --current build/fec.json --sections fec_repair
   scripts/check_bench.py --baseline B.json --current C.json \
       --sections micro_kernel,session_scaling --tolerance 0.25
 
@@ -49,6 +58,7 @@ Exits non-zero with a report on any regression.
 import argparse
 import json
 import pathlib
+import subprocess
 import sys
 
 SKIP_KEYS = {"threads", "replications", "rounds", "regions"}
@@ -83,7 +93,7 @@ def load(path):
     return data
 
 
-def compare(baseline, current, sections, tolerance):
+def compare(baseline, current, sections, tolerance, golden=False):
     regressions = []
     errors = []
     notes = []
@@ -96,6 +106,10 @@ def compare(baseline, current, sections, tolerance):
             errors.append(
                 f"  section '{section}' present in neither file (typo?)"
             )
+            continue
+        if golden and (section not in baseline or section not in current):
+            where = "baseline" if section not in baseline else "current run"
+            regressions.append(f"  {section}: absent from the {where}")
             continue
         if section not in baseline:
             # A brand-new benchmark: nothing to gate against yet.  The
@@ -113,9 +127,14 @@ def compare(baseline, current, sections, tolerance):
             continue
         base_metrics = baseline[section]
         cur_metrics = current[section]
+        if golden:
+            regressions.extend(
+                f"  {section}.{key}: absent from the current run"
+                for key in sorted(set(base_metrics) - set(cur_metrics))
+            )
         for key in sorted(set(base_metrics) & set(cur_metrics)):
             sense = direction(key, section)
-            if sense is None:
+            if sense is None or (golden and sense != "exact"):
                 continue
             base = float(base_metrics[key])
             cur = float(cur_metrics[key])
@@ -155,7 +174,18 @@ def main():
     parser.add_argument("--tolerance", type=float, default=0.20,
                         help="allowed fractional regression of wall-clock "
                              "keys (default 0.20)")
+    parser.add_argument("--golden", metavar="BENCH",
+                        help="golden-output test: run BENCH into a fresh "
+                             "CURRENT, require every section and baseline "
+                             "key, compare exact keys only")
     args = parser.parse_args()
+
+    if args.golden:
+        pathlib.Path(args.current).unlink(missing_ok=True)
+        cmd = [args.golden, f"--bench-json={args.current}"]
+        if subprocess.run(cmd).returncode != 0:
+            print(f"check_bench: {' '.join(cmd)} failed", file=sys.stderr)
+            return 1
 
     for path in (args.baseline, args.current):
         if not pathlib.Path(path).is_file():
@@ -164,7 +194,8 @@ def main():
 
     sections = [s for s in args.sections.split(",") if s]
     regressions, compared, notes, errors = compare(
-        load(args.baseline), load(args.current), sections, args.tolerance
+        load(args.baseline), load(args.current), sections, args.tolerance,
+        golden=bool(args.golden)
     )
     for line in notes:
         print(f"check_bench: note:{line}")

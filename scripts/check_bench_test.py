@@ -14,7 +14,9 @@ whole virtual-time gate.  These tests pin the behavior down:
   * regression detection: tolerance keys in both directions with the
     tolerance applied, exact keys on any drift,
   * section handling: baseline-establishing runs, sections absent from the
-    current run, and the section-in-neither-file error.
+    current run, and the section-in-neither-file error,
+  * golden mode: a missing section or baseline key fails, and only the
+    exact keys are compared.
 
 Written pytest-style (plain ``test_*`` functions with asserts) but
 self-contained: ``python3 scripts/check_bench_test.py`` runs them all and
@@ -201,6 +203,42 @@ def test_unfiltered_compare_uses_section_intersection():
     )
     assert compared == 1
     assert regressions == [] and notes == [] and errors == []
+
+
+# --- golden mode ------------------------------------------------------------
+
+def test_golden_fails_on_a_missing_section():
+    regressions, compared, notes, _ = check_bench.compare(
+        {"fec_repair": {"fec_on_losses": 144}}, {}, ["fec_repair"], 0.20,
+        golden=True)
+    assert compared == 0 and notes == []
+    assert len(regressions) == 1 and "absent from the current run" in \
+        regressions[0]
+    regressions, _, notes, _ = check_bench.compare(
+        {}, {"fec_repair": {"fec_on_losses": 144}}, ["fec_repair"], 0.20,
+        golden=True)
+    assert notes == [] and len(regressions) == 1 and "baseline" in \
+        regressions[0]
+
+
+def test_golden_fails_on_a_missing_baseline_key():
+    # Skipped keys must be present too; only their values go unchecked.
+    baseline = {"s": {"losses": 9, "threads": 1, "wall_seconds": 0.1}}
+    regressions, compared, _, _ = check_bench.compare(
+        baseline, {"s": {"losses": 9, "wall_seconds": 0.2}}, [], 0.20,
+        golden=True)
+    assert compared == 1
+    assert regressions == ["  s.threads: absent from the current run"]
+
+
+def test_golden_compares_exact_keys_only():
+    baseline = {"s": {"losses": 9, "event_ns_per_op": 100.0}}
+    current = {"s": {"losses": 9, "event_ns_per_op": 500.0}}
+    regressions, compared, _, _ = check_bench.compare(
+        baseline, current, [], 0.20, golden=True)
+    assert regressions == [] and compared == 1
+    current["s"]["losses"] = 10
+    assert check_bench.compare(baseline, current, [], 0.20, golden=True)[0]
 
 
 def main():

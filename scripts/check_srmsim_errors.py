@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""srmsim rejects bad topology flags the way it rejects other bad input:
-exit status 1 and an `srmsim: ...` line on stderr, never an uncaught
-exception (which aborts with status 134).
+"""srmsim rejects every malformed flag value the way it rejects other bad
+input: exit status 1 and an `srmsim: ...` line on stderr, never an uncaught
+exception (which aborts with status 134).  The cases cover bad topologies,
+numbers that do not parse or overflow, an unknown trace category, and timer
+parameters the event queue or the RNG would refuse.
 
 Usage: scripts/check_srmsim_errors.py PATH_TO_SRMSIM_BINARY
 Exits non-zero with a report on any failure.
@@ -15,6 +17,21 @@ CASES = [
     ["--degree=1"],
     ["--nodes=0"],
     ["--topo=chain", "--nodes=1"],
+    # Every numeric flag names itself when its value does not parse.
+    *([f"--{flag}=abc"] for flag in (
+        "nodes", "members", "degree", "edges", "rounds", "seed", "areas",
+        "local-ttl", "kernel-threads", "kernel-regions", "fec-max-k",
+        "fault-deadline", "c1")),
+    ["--seed=99999999999999999999999"],
+    ["--trace-mask=bogus"],
+    # Timer parameters must be finite and >= 0.
+    ["--c1=-1"],
+    ["--c1=nan"],
+    ["--c2=-1"],
+    ["--d1=inf"],
+    ["--d2=-0.5"],
+    ["--backoff=-1"],
+    ["--backoff=nan"],
 ]
 
 
@@ -29,9 +46,12 @@ def main():
                               text=True, timeout=60)
         if proc.returncode != 1:
             errors.append(f"{cmd}: exit status {proc.returncode}, want 1")
-        if not any(line.startswith("srmsim: ")
-                   for line in proc.stderr.splitlines()):
-            errors.append(f"{cmd}: no 'srmsim: ' line on stderr")
+        lines = proc.stderr.splitlines()
+        if len(lines) != 1 or not lines[0].startswith("srmsim: "):
+            errors.append(f"{cmd}: want one 'srmsim: ' line on stderr, "
+                          f"got {lines!r}")
+        elif args[-1].endswith("=abc") and args[-1][:-4] not in lines[0]:
+            errors.append(f"{cmd}: the message does not name the flag")
     if errors:
         print("srmsim error check FAILED:")
         for e in errors:

@@ -91,7 +91,6 @@ SrmAgent::SrmAgent(transport::Transport& transport, MemberDirectory& directory,
   send_queue_timer_ = std::make_unique<sim::Timer>(
       transport_->queue(), [this] { drain_send_queue(); });
   request_ttl_policy_ = [](const DataName&) { return net::kMaxTtl; };
-  request_group_policy_ = [this](const DataName&) { return group_; };
 }
 
 SrmAgent::~SrmAgent() {
@@ -121,29 +120,9 @@ void SrmAgent::stop() {
   for (auto& [key, st] : page_replies_) {
     if (st.timer) st.timer->cancel();
   }
-  for (net::GroupId g : extra_groups_) transport_->leave(g, node_);
-  extra_groups_.clear();
   transport_->leave(group_, node_);
   transport_->detach(node_);
   directory_->unbind(id_);
-}
-
-void SrmAgent::join_extra_group(net::GroupId g) {
-  if (extra_groups_.insert(g).second) transport_->join(g, node_);
-}
-
-void SrmAgent::leave_extra_group(net::GroupId g) {
-  if (extra_groups_.erase(g) > 0) transport_->leave(g, node_);
-}
-
-void SrmAgent::send_app_message(net::GroupId g, net::MessagePtr message,
-                                int ttl) {
-  net::Packet packet;
-  packet.group = g;
-  packet.ttl = ttl;
-  packet.scope = use_admin_scope_ ? net::Scope::kAdmin : net::Scope::kGlobal;
-  packet.payload = std::move(message);
-  transport_->multicast(node_, std::move(packet));
 }
 
 // ---------------------------------------------------------------------------
@@ -264,10 +243,10 @@ void SrmAgent::on_receive(const net::Packet& packet,
     handle_data(data->name(), data->payload(), /*via_repair=*/false);
   } else if (const auto* req =
                  dynamic_cast<const RequestMessage*>(packet.payload.get())) {
-    handle_request(*req, packet, info);
+    handle_request(*req, packet.scope);
   } else if (const auto* rep =
                  dynamic_cast<const RepairMessage*>(packet.payload.get())) {
-    handle_repair(*rep, packet, info);
+    handle_repair(*rep);
   } else if (const auto* sess =
                  dynamic_cast<const SessionMessage*>(packet.payload.get())) {
     handle_session(*sess);
@@ -278,8 +257,6 @@ void SrmAgent::on_receive(const net::Packet& packet,
   } else if (const auto* prep =
                  dynamic_cast<const PageReplyMessage*>(packet.payload.get())) {
     handle_page_reply(*prep);
-  } else if (hooks_.on_unknown_message) {
-    hooks_.on_unknown_message(packet, info);
   }
 }
 
@@ -492,7 +469,7 @@ void SrmAgent::on_request_timer_expired(const DataName& name) {
   trace_adu(trace::EventType::kSrmReqSend, name,
             static_cast<std::uint64_t>(ttl), escalate ? 1.0 : 0.0);
   net::Packet packet;
-  packet.group = escalate ? group_ : request_group_policy_(name);
+  packet.group = group_;
   packet.ttl = ttl;
   packet.scope = (use_admin_scope_ && !escalate) ? net::Scope::kAdmin
                                                  : net::Scope::kGlobal;
@@ -505,7 +482,6 @@ void SrmAgent::on_request_timer_expired(const DataName& name) {
     ++metrics_.recovery_abandoned;
     trace_adu(trace::EventType::kSrmAbandoned, name);
     abandoned_.insert(name);
-    if (hooks_.on_recovery_abandoned) hooks_.on_recovery_abandoned(name);
     requests_.erase(it);  // safe: Timer callbacks are copied into events
     return;
   }
@@ -558,9 +534,7 @@ void SrmAgent::complete_recovery(const DataName& name,
 // Request handling (the receiving side)
 // ---------------------------------------------------------------------------
 
-void SrmAgent::handle_request(const RequestMessage& msg,
-                              const net::Packet& packet,
-                              const net::DeliveryInfo& info) {
+void SrmAgent::handle_request(const RequestMessage& msg, net::Scope scope) {
   ++metrics_.requests_heard;
   const DataName& name = msg.name();
   trace_adu(trace::EventType::kSrmReqHear, name, msg.requestor());
@@ -573,7 +547,7 @@ void SrmAgent::handle_request(const RequestMessage& msg,
   }
 
   if (store_.count(name) > 0) {
-    maybe_schedule_repair(name, msg, info, packet);
+    maybe_schedule_repair(name, msg, scope);
   } else if (const auto it = requests_.find(name); it != requests_.end()) {
     RequestState& st = it->second;
     note_request_observed(name, /*ours=*/false);
@@ -587,7 +561,6 @@ void SrmAgent::handle_request(const RequestMessage& msg,
     // loss detection; join the recovery in the suppressed state.  Abandoned
     // ADUs are excluded or two members missing unrecoverable data would
     // resurrect each other's requests forever.
-    (void)packet;
     detect_loss(name, /*via_request=*/true);
   }
 
@@ -603,8 +576,7 @@ void SrmAgent::handle_request(const RequestMessage& msg,
 
 void SrmAgent::maybe_schedule_repair(const DataName& name,
                                      const RequestMessage& msg,
-                                     const net::DeliveryInfo& info,
-                                     const net::Packet& request_packet) {
+                                     net::Scope scope) {
   const sim::Time now = transport_->queue().now();
   auto [it, inserted] = repairs_.try_emplace(name);
   RepairState& rs = it->second;
@@ -619,9 +591,7 @@ void SrmAgent::maybe_schedule_repair(const DataName& name,
       name.source == id_ ? rs.dist : distance_to(name.source);
   rs.requestor = msg.requestor();
   rs.request_ttl = msg.initial_ttl();
-  rs.request_hops = info.hops;
-  rs.request_scope = request_packet.scope;
-  rs.request_group = request_packet.group;
+  rs.request_scope = scope;
   rs.timer_set_time = now;
   rs.delay_recorded = false;
   if (!rs.timer) {
@@ -659,25 +629,18 @@ void SrmAgent::on_repair_timer_expired(const DataName& name) {
   note_repair_observed(name, /*ours=*/true);
   if (config_.adaptive.enabled) repair_tuner_.on_sent();
 
-  // Local recovery scoping (Sec. VII-B.3).
-  int ttl = net::kMaxTtl;
-  bool step_one = false;
-  if (config_.local_recovery.enabled && rs.request_ttl < net::kMaxTtl) {
-    if (config_.local_recovery.two_step) {
-      ttl = rs.request_ttl;  // step 1: reach the requestor
-      step_one = true;
-    } else {
-      ttl = rs.request_ttl + rs.request_hops;  // one-step over-coverage
-    }
-  }
+  // Local recovery scoping (Sec. VII-B.3): step one of a two-step repair
+  // answers a scoped request at its TTL, reaching the requestor.
+  const bool step_one =
+      config_.local_recovery.enabled && rs.request_ttl < net::kMaxTtl;
+  const int ttl = step_one ? rs.request_ttl : net::kMaxTtl;
 
   trace_adu(trace::EventType::kSrmRepSend, name,
             static_cast<std::uint64_t>(ttl), step_one ? 1.0 : 0.0);
   net::Packet packet;
-  // The repair answers on the group and with the scope the request used, so
-  // recovery-group requests stay on the recovery group and an escalated
+  // The repair answers with the scope the request used, so an escalated
   // (global) request is answered globally even by admin-scoped members.
-  packet.group = rs.request_group;
+  packet.group = group_;
   packet.ttl = ttl;
   packet.scope = rs.request_scope;
   packet.payload =
@@ -698,10 +661,7 @@ double SrmAgent::holddown_distance(const DataName& name,
   return distance_to(requestor);
 }
 
-void SrmAgent::handle_repair(const RepairMessage& msg,
-                             const net::Packet& packet,
-                             const net::DeliveryInfo& info) {
-  (void)info;
+void SrmAgent::handle_repair(const RepairMessage& msg) {
   ++metrics_.repairs_heard;
   const DataName& name = msg.name();
   const sim::Time now = transport_->queue().now();
@@ -757,7 +717,7 @@ void SrmAgent::handle_repair(const RepairMessage& msg,
     trace_adu(trace::EventType::kSrmRepSend, name,
               static_cast<std::uint64_t>(our_ttl), /*step_one=*/0.0);
     net::Packet out;
-    out.group = packet.group;  // stay on the group the recovery runs on
+    out.group = group_;
     out.ttl = our_ttl;
     out.payload = repair_pool_.acquire(name, msg.payload(), id_, id_, 0.0,
                                        our_ttl, /*local_step_one=*/false);

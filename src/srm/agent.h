@@ -3,6 +3,8 @@
 // machines with suppression and backoff, session messaging with distance
 // estimation, adaptive timer tuning, local recovery scoping, and the
 // token-bucket send policy, on top of the simulated IP multicast network.
+// A member belongs to exactly one multicast group, the session's: every
+// data, request, repair, session and page-state packet it sends goes there.
 //
 // The Sec. III-B timer algebra, verbatim: a member detecting a loss draws
 // its request timer uniformly from
@@ -95,22 +97,14 @@ class SrmAgent : public net::PacketSink {
     // Invoked on every newly delivered ADU (original or via repair).
     std::function<void(const DataName&, const Payload&, bool via_repair)>
         on_data;
-    // Invoked when loss recovery for an ADU is abandoned (only after
-    // kMaxRequestBackoffs; should not happen in healthy sessions).
-    std::function<void(const DataName&)> on_recovery_abandoned;
     // Invoked when a loss is first detected (before the request timer is
-    // set).  Extensions use this to track loss neighborhoods (Sec. VII-B).
+    // set).  perfbench lists each member's distinct losses with it.
     std::function<void(const DataName&)> on_loss_detected;
     // Invoked for every repair request heard from another member (after the
     // agent's own processing).  The FEC layer (srm/fec) treats requests for
     // a stream this member originates as loss evidence feeding the adaptive
     // parity budget.
     std::function<void(const DataName&, SourceId requestor)> on_request_heard;
-    // Invoked for packets whose payload is not an SRM message type, letting
-    // extensions (e.g. local-recovery group invitations) define their own
-    // message types without changes to the agent.
-    std::function<void(const net::Packet&, const net::DeliveryInfo&)>
-        on_unknown_message;
     // Invoked for every session message received (after the agent's own
     // processing).  Used by the hierarchical session-message extension to
     // learn which peers are "local" (Sec. IX-A).
@@ -186,33 +180,16 @@ class SrmAgent : public net::PacketSink {
 
   // Policy deciding the TTL of requests this agent originates.  Default:
   // global scope (kMaxTtl).  The experiment harness installs loss-
-  // neighborhood-aware policies here.
+  // neighborhood-aware policies here.  A scoped request still unanswered
+  // after two own sends is re-sent globally (kEscalateScopeAfter, the
+  // srm/scope_escalate event); with config.local_recovery enabled, a scoped
+  // request is answered by a two-step repair (Sec. VII-B.3).
   using TtlPolicy = std::function<int(const DataName&)>;
   void set_request_ttl_policy(TtlPolicy policy) {
     request_ttl_policy_ = std::move(policy);
   }
   // When set, requests/repairs are sent admin-scoped (Sec. VII-B.1).
   void set_use_admin_scope(bool on) { use_admin_scope_ = on; }
-
-  // Policy deciding which multicast group a request for `name` is sent to
-  // (default: the session group).  Local recovery via separate multicast
-  // groups (Sec. VII-B.2) routes requests for a loss neighborhood to a
-  // dedicated recovery group; repairs always answer on the group the
-  // request arrived on.
-  using GroupPolicy = std::function<net::GroupId(const DataName&)>;
-  void set_request_group_policy(GroupPolicy policy) {
-    request_group_policy_ = std::move(policy);
-  }
-
-  // Joins/leaves an additional multicast group (e.g. a recovery group).
-  // Packets for any joined group are dispatched through this agent.
-  void join_extra_group(net::GroupId g);
-  void leave_extra_group(net::GroupId g);
-
-  // Sends an application-defined message to an arbitrary group this member
-  // belongs to (delivered to others via AppHooks::on_unknown_message).
-  void send_app_message(net::GroupId g, net::MessagePtr message,
-                        int ttl = net::kMaxTtl);
 
   // --- introspection -------------------------------------------------------
 
@@ -300,9 +277,7 @@ class SrmAgent : public net::PacketSink {
     double dist_to_source = 1.0;
     SourceId requestor = kInvalidSource;
     int request_ttl = net::kMaxTtl;   // initial TTL of the request
-    int request_hops = 0;             // hops the request traveled to us
     net::Scope request_scope = net::Scope::kGlobal;  // repair reuses it
-    net::GroupId request_group = 0;   // repair answers on this group
     sim::Time timer_set_time = 0.0;
     bool delay_recorded = false;
     sim::Time holddown_until = 0.0;   // ignore requests until then
@@ -318,10 +293,8 @@ class SrmAgent : public net::PacketSink {
   // message handlers
   void handle_data(const DataName& name, const PayloadPtr& payload,
                    bool via_repair);
-  void handle_request(const RequestMessage& msg, const net::Packet& packet,
-                      const net::DeliveryInfo& info);
-  void handle_repair(const RepairMessage& msg, const net::Packet& packet,
-                     const net::DeliveryInfo& info);
+  void handle_request(const RequestMessage& msg, net::Scope scope);
+  void handle_repair(const RepairMessage& msg);
   void handle_session(const SessionMessage& msg);
   void handle_page_request(const PageRequestMessage& msg);
   void handle_page_reply(const PageReplyMessage& msg);
@@ -336,8 +309,7 @@ class SrmAgent : public net::PacketSink {
 
   // repair internals
   void maybe_schedule_repair(const DataName& name, const RequestMessage& msg,
-                             const net::DeliveryInfo& info,
-                             const net::Packet& packet);
+                             net::Scope scope);
   void on_repair_timer_expired(const DataName& name);
   double holddown_distance(const DataName& name, SourceId requestor) const;
 
@@ -459,8 +431,6 @@ class SrmAgent : public net::PacketSink {
 
   trace::Tracer* tracer_ = &trace::Tracer::null();
   TtlPolicy request_ttl_policy_;
-  GroupPolicy request_group_policy_;
-  std::unordered_set<net::GroupId> extra_groups_;
   bool use_admin_scope_ = false;
   bool started_ = false;
 

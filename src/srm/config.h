@@ -73,29 +73,26 @@ struct SessionConfig {
   std::size_t echo_rotation = 0;
 };
 
+// Local recovery within the session group (Sec. VII-B.3).  When enabled, a
+// TTL-scoped request is answered by a two-step repair: first at the
+// request's TTL to reach the requestor, then the requestor re-multicasts at
+// that same TTL.
 struct LocalRecoveryConfig {
   bool enabled = false;
-  // Two-step repairs (Sec. VII-B.3): first a repair at the request's TTL to
-  // reach the requestor, then the requestor re-multicasts at that same TTL.
-  // When false, one-step repairs are sent with TTL = request TTL + hops.
-  bool two_step = true;
 };
 
 // Coded repair (srm/fec; ARCHITECTURE.md §11): generation size and the
-// adaptive parity-budget hysteresis (fec::ParityBudgetController reads the
-// budget knobs directly), so the whole FEC layer is configured from the one
-// SrmConfig the harness already threads everywhere.
+// adaptive parity budget's ceiling, start and decay (the raise threshold
+// and burst floor are fec::ParityBudgetController constants).  The FEC
+// layer is on wherever a program wraps an agent in a fec::FecSession.
 struct FecConfig {
-  bool enabled = false;
   // Data ADUs per generation.  Small generations bound reconstruction
   // latency (a parity only helps once the generation seals); the default
   // matches the loss-round harness's two sends per round.
   std::size_t generation_size = 2;
   std::size_t max_k = 4;              // ceiling on parity ADUs (<= 4)
   std::size_t initial_k = 1;          // starting budget (XOR fast path)
-  std::size_t raise_threshold = 2;    // evidence per generation to raise K
   std::size_t decay_after_quiet = 3;  // quiet generations before K decays
-  std::size_t burst_floor = 2;        // min K during a Gilbert-Elliott burst
 };
 
 // Hierarchical session messages (Sec. IX-A; ARCHITECTURE.md §12): members

@@ -17,14 +17,14 @@ void ParityBudgetController::set_burst_epoch(bool active) {
 }
 
 std::size_t ParityBudgetController::floor_k() const {
-  return burst_active_ ? std::min(config_.burst_floor, config_.max_k)
+  return burst_active_ ? std::min(kBurstFloor, config_.max_k)
                        : std::size_t{0};
 }
 
 std::size_t ParityBudgetController::on_generation_sealed() {
   if (evidence_ > 0) {
     quiet_streak_ = 0;
-    if (k_ == 0 || evidence_ >= config_.raise_threshold)
+    if (k_ == 0 || evidence_ >= kRaiseThreshold)
       k_ = std::min(k_ + 1, config_.max_k);
     evidence_ = 0;
   } else {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "srm/local_groups.h"
 #include "trace/trace.h"
 
 namespace srm::fec {
@@ -50,26 +49,9 @@ FecSession::FecSession(SrmAgent& agent, const FecConfig& config)
     on_agent_data(name, frame, via_repair);
   };
   hooks.on_request_heard = [this](const DataName& name, SourceId requestor) {
-    if (name.source == agent_->id()) note_evidence(name, 1);
+    if (name.source == agent_->id()) note_evidence(name);
     if (previous_hooks_.on_request_heard) {
       previous_hooks_.on_request_heard(name, requestor);
-    }
-  };
-  // Recovery invites carry the inviter's loss fingerprint (the names of its
-  // recent losses); fingerprint entries naming a stream this member
-  // originates are receivers that demonstrably missed our ADUs.  Install
-  // this session AFTER LocalGroupManager: the manager's own hook consumes
-  // invites without forwarding, so the evidence tap must sit in front.
-  hooks.on_unknown_message = [this](const net::Packet& packet,
-                                    const net::DeliveryInfo& info) {
-    if (const auto* invite =
-            dynamic_cast<const RecoveryInvite*>(packet.payload.get())) {
-      for (const DataName& lost : invite->fingerprint()) {
-        if (lost.source == agent_->id()) note_evidence(lost, 1);
-      }
-    }
-    if (previous_hooks_.on_unknown_message) {
-      previous_hooks_.on_unknown_message(packet, info);
     }
   };
   agent_->set_app_hooks(std::move(hooks));
@@ -228,9 +210,9 @@ void FecSession::advance_budget(const PageId& page, Outgoing& out) {
   }
 }
 
-void FecSession::note_evidence(const DataName& name, std::size_t count) {
+void FecSession::note_evidence(const DataName& name) {
   const auto it = outgoing_.find(name.page);
-  if (it != outgoing_.end()) it->second.budget.note_loss_evidence(count);
+  if (it != outgoing_.end()) it->second.budget.note_loss_evidence();
 }
 
 void FecSession::set_burst_epoch(bool active) {

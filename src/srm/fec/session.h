@@ -29,8 +29,7 @@
 // anchor the generation at base_seq.
 //
 // Loss-adaptive budget: requests heard for this sender's streams
-// (AppHooks::on_request_heard) and RecoveryInvite fingerprints naming them
-// (srm/local_groups.h) count as loss evidence; the fault layer's
+// (AppHooks::on_request_heard) are the loss evidence; the fault layer's
 // Gilbert-Elliott epochs (FaultInjector::set_epoch_observer) floor K during
 // bursts.  Transitions fire only at generation seals and are emitted as
 // kSrmFecBudgetRaise/Decay trace events, so they are deterministic and
@@ -84,10 +83,8 @@ struct ParityFrame {
 class FecSession {
  public:
   // Installs itself into the agent's AppHooks, chaining (not replacing) any
-  // hooks already present — install *after* LocalGroupManager so invites
-  // are observed for loss evidence before the manager consumes them.
-  // Destroy the session before (or together with) the agent; it does not
-  // unhook itself.
+  // hooks already present.  Destroy the session before (or together with)
+  // the agent; it does not unhook itself.
   FecSession(SrmAgent& agent, const FecConfig& config);
 
   FecSession(const FecSession&) = delete;
@@ -166,7 +163,7 @@ class FecSession {
   void on_agent_data(const DataName& name, const Payload& frame,
                      bool via_repair);
   void try_reconstruct(const StreamKey& stream, std::uint32_t gen);
-  void note_evidence(const DataName& name, std::size_t count);
+  void note_evidence(const DataName& name);
 
   void trace_fec(trace::EventType type, const StreamKey& stream, SeqNo seq,
                  std::uint64_t e, double x, double y);

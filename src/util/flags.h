@@ -19,6 +19,8 @@ class Flags {
 
   std::string get_string(const std::string& name,
                          const std::string& default_value) const;
+  // The numeric getters take the whole value or throw
+  // std::invalid_argument naming the flag ("--nodes: not an integer: abc").
   std::int64_t get_int(const std::string& name,
                        std::int64_t default_value) const;
   double get_double(const std::string& name, double default_value) const;

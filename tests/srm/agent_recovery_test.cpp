@@ -452,7 +452,6 @@ TEST(LocalRecoveryTest, TwoStepRepairCoversRequestScope) {
   // with TTL 2 (enough to reach holder node 5 and co-loser node 7).
   SrmConfig cfg = deterministic_chain_config();
   cfg.local_recovery.enabled = true;
-  cfg.local_recovery.two_step = true;
   SimSession s(topo::make_chain(8), all_nodes(8), {cfg, 2, 1});
   s.agent_at(6).set_request_ttl_policy([](const DataName&) { return 2; });
   // Keep other affected members quiet so the scoped request is the only one:
@@ -471,21 +470,44 @@ TEST(LocalRecoveryTest, TwoStepRepairCoversRequestScope) {
   EXPECT_TRUE(s.agent_at(7).has_data(DataName{0, spec.page, 0}));
 }
 
-TEST(LocalRecoveryTest, OneStepRepairOvercovers) {
-  SrmConfig cfg = deterministic_chain_config();
-  cfg.local_recovery.enabled = true;
-  cfg.local_recovery.two_step = false;
-  SimSession s(topo::make_chain(8), all_nodes(8), {cfg, 2, 1});
-  s.agent_at(6).set_request_ttl_policy([](const DataName&) { return 2; });
-  RoundSpec spec;
-  spec.source_node = 0;
-  spec.congested = DirectedLink{5, 6};
-  spec.page = PageId{0, 0};
-  const auto r = run_loss_round(s, spec, 0);
-  EXPECT_EQ(r.recovered, 2u);
-  EXPECT_EQ(r.repairs, 1u);  // single repair at TTL request+hops
-  // One-step repair TTL = 2 + 1 hops = 3 from node 5: reaches 2..7 side.
-  EXPECT_GE(r.members_reached_by_repair, 4u);
+TEST(LocalRecoveryTest, UnansweredScopedRequestEscalatesToGlobalScope) {
+  // Chain 0..7 with node 4 a router only; DATA seq 0 is dropped on (3,4).
+  // Members 5..7 request with TTL 1, which reaches no holder (the nearest,
+  // node 3, is two hops from node 5), so only scope escalation (Sec. VII-B)
+  // can recover the loss: the session group must still answer.
+  SimSession s(topo::make_chain(8), {0, 1, 2, 3, 5, 6, 7},
+               {deterministic_chain_config(), 10, 1});
+  trace::VectorSink sink;
+  trace::Tracer tracer;
+  tracer.set_sink(&sink);
+  tracer.set_mask(static_cast<std::uint32_t>(trace::Category::kSrm));
+  s.set_tracer(&tracer);
+  for (net::NodeId n : {5, 6, 7}) {
+    s.agent_at(n).set_request_ttl_policy([](const DataName&) { return 1; });
+  }
+  s.network().set_drop_policy(std::make_shared<net::ScriptedLinkDrop>(
+      3, 4, [](const net::Packet& p) {
+        const auto* d = dynamic_cast<const DataMessage*>(p.payload.get());
+        return d != nullptr && d->name().seq == 0;
+      }));
+  const PageId page{0, 0};
+  s.agent_at(0).send_data(page, {1});
+  s.queue().schedule_after(1.0, [&] { s.agent_at(0).send_data(page, {2}); });
+  s.queue().run();
+
+  std::size_t recovered = 0;
+  for (net::NodeId n : {5, 6, 7}) {
+    if (s.agent_at(n).has_data(DataName{0, page, 0})) ++recovered;
+  }
+  EXPECT_EQ(recovered, 3u);
+  std::size_t escalations = 0, ttl1_requests = 0;
+  for (const trace::Event& ev : sink.events()) {
+    if (ev.type == trace::EventType::kSrmScopeEscalate) ++escalations;
+    if (ev.type == trace::EventType::kSrmReqSend && ev.e == 1) ++ttl1_requests;
+  }
+  EXPECT_GE(escalations, 1u);
+  // The scoped requests went out first and went unanswered.
+  EXPECT_GE(ttl1_requests, 2u);
 }
 
 TEST(LocalRecoveryTest, AdminScopeConfinesRecovery) {

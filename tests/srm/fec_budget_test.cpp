@@ -13,9 +13,7 @@ FecConfig cfg() {
   FecConfig c;
   c.max_k = 4;
   c.initial_k = 1;
-  c.raise_threshold = 2;
   c.decay_after_quiet = 3;
-  c.burst_floor = 2;
   return c;
 }
 
@@ -28,7 +26,7 @@ TEST(ParityBudgetTest, StartsAtInitialK) {
 
 TEST(ParityBudgetTest, EvidenceAtThresholdRaisesByOne) {
   ParityBudgetController b(cfg());
-  b.note_loss_evidence(2);  // == raise_threshold
+  b.note_loss_evidence(2);  // == kRaiseThreshold
   EXPECT_EQ(b.on_generation_sealed(), 2u);
   EXPECT_EQ(b.current_k(), 2u);
   // Below threshold: no raise, but the evidence still clears the quiet
@@ -76,7 +74,7 @@ TEST(ParityBudgetTest, AnyEvidenceRearmsFromZero) {
   FecConfig c = cfg();
   c.initial_k = 0;
   ParityBudgetController b(c);
-  // A single piece of evidence (below raise_threshold) steps 0 -> 1: a
+  // A single piece of evidence (below kRaiseThreshold) steps 0 -> 1: a
   // quiet link that just lost something re-arms the cheap XOR tier.
   b.note_loss_evidence(1);
   EXPECT_EQ(b.on_generation_sealed(), 1u);
@@ -112,7 +110,7 @@ TEST(ParityBudgetTest, DecayClampsAtBurstFloorDuringEpoch) {
   b.set_burst_epoch(true);
   EXPECT_EQ(b.on_generation_sealed(), 3u);
   EXPECT_EQ(b.on_generation_sealed(), 2u);
-  EXPECT_EQ(b.on_generation_sealed(), 2u);  // floored at burst_floor
+  EXPECT_EQ(b.on_generation_sealed(), 2u);  // floored at kBurstFloor
   EXPECT_EQ(b.on_generation_sealed(), 2u);
   // Epoch ends: the quiet-decay path resumes down to zero.
   b.set_burst_epoch(false);
@@ -122,8 +120,7 @@ TEST(ParityBudgetTest, DecayClampsAtBurstFloorDuringEpoch) {
 
 TEST(ParityBudgetTest, BurstFloorClampedToMaxK) {
   FecConfig c = cfg();
-  c.max_k = 1;
-  c.burst_floor = 3;
+  c.max_k = 1;  // below kBurstFloor
   ParityBudgetController b(c);
   b.set_burst_epoch(true);
   EXPECT_EQ(b.current_k(), 1u);

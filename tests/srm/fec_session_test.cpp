@@ -40,7 +40,6 @@ SrmConfig cfg() {
 
 FecConfig fec_cfg(std::size_t generation_size, std::size_t initial_k) {
   FecConfig f;
-  f.enabled = true;
   f.generation_size = generation_size;
   f.initial_k = initial_k;
   return f;
