@@ -10,6 +10,7 @@ namespace srm::net {
 
 namespace {
 const std::vector<NodeId> kNoMembers;
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 std::uint32_t kind_of(const Packet& packet) {
   return packet.payload ? packet.payload->trace_kind() : 0;
@@ -128,6 +129,198 @@ void MulticastNetwork::set_receive_filter(transport::ReceiveFilter filter) {
   std::shared_ptr<Filter> shared;
   if (filter) shared = std::make_shared<Filter>(std::move(filter));
   for (MulticastNetwork* p : peers_) p->receive_filter_ = shared;
+}
+
+const MulticastNetwork::Forest* MulticastNetwork::forest() {
+  if (forest_.topology_version != topo_->version()) rebuild_forest();
+  return forest_.acyclic ? &forest_ : nullptr;
+}
+
+void MulticastNetwork::rebuild_forest() {
+  const std::size_t n = topo_->node_count();
+  Forest& f = forest_;
+  f.topology_version = topo_->version();
+  f.acyclic = false;
+  for (auto& entry : groups_) entry.second.below_version = 0;
+  std::size_t up_links = 0;
+  for (NodeId v = 0; v < n; ++v) up_links += topo_->degree(v);
+  up_links /= 2;
+  // A forest has fewer links than nodes; skip the traversal otherwise.
+  if (up_links < n) {
+    f.first.assign(n + 1, 0);
+    f.ends.clear();
+    f.ends.reserve(2 * up_links);
+    for (NodeId v = 0; v < n; ++v) {
+      f.first[v] = static_cast<std::uint32_t>(f.ends.size());
+      const std::vector<LinkEnd>& adj = topo_->neighbors(v);
+      f.ends.insert(f.ends.end(), adj.begin(), adj.end());
+      std::sort(f.ends.begin() + f.first[v], f.ends.end(),
+                [](const LinkEnd& a, const LinkEnd& b) {
+                  return a.peer < b.peer;
+                });
+    }
+    f.first[n] = static_cast<std::uint32_t>(f.ends.size());
+    f.parent.assign(n, kInvalidNode);
+    f.parent_link.assign(n, 0);
+    f.parent_delay.assign(n, 0.0);
+    f.depth.assign(n, 0);
+    f.component.assign(n, 0);
+    f.order.clear();
+    f.order.reserve(n);
+    // Breadth-first from each component's lowest id.
+    std::size_t components = 0;
+    for (NodeId r = 0; r < n; ++r) {
+      if (f.parent[r] != kInvalidNode) continue;
+      ++components;
+      f.parent[r] = r;
+      f.component[r] = r;
+      std::size_t head = f.order.size();
+      f.order.push_back(r);
+      while (head < f.order.size()) {
+        const NodeId u = f.order[head++];
+        for (std::uint32_t e = f.first[u]; e < f.first[u + 1]; ++e) {
+          const LinkEnd& end = f.ends[e];
+          if (f.parent[end.peer] != kInvalidNode) continue;
+          f.parent[end.peer] = u;
+          f.parent_link[end.peer] = end.link;
+          f.parent_delay[end.peer] = end.delay;
+          f.depth[end.peer] = f.depth[u] + 1;
+          f.component[end.peer] = r;
+          f.order.push_back(end.peer);
+        }
+      }
+    }
+    f.acyclic = up_links + components == n;
+  }
+  if (!f.acyclic) {
+    const std::uint64_t version = f.topology_version;
+    f = Forest{};  // keeps no O(nodes) arrays for a graph with a cycle
+    f.topology_version = version;
+    return;
+  }
+  // Per-sender traces of an earlier cyclic topology are dead weight now.
+  pruned_cache_.clear();
+  scoped_cache_.clear();
+}
+
+const std::vector<std::uint32_t>& MulticastNetwork::forest_below(
+    const Forest& f, GroupState& gs) {
+  if (gs.below_version == membership_version_) return gs.below;
+  gs.below_version = membership_version_;
+  gs.below.assign(f.order.size(), 0);
+  for (auto it = f.order.rbegin(); it != f.order.rend(); ++it) {
+    const NodeId v = *it;
+    if (gs.test(v)) ++gs.below[v];
+    if (f.parent[v] != v) gs.below[f.parent[v]] += gs.below[v];
+  }
+  return gs.below;
+}
+
+void MulticastNetwork::mark_scoped(const Forest& f, NodeId root,
+                                   const GroupState& gs, int ttl) {
+  const std::size_t n = topo_->node_count();
+  if (scoped_need_.size() < n) {
+    scoped_need_.resize(n, 0);
+    scoped_parent_.resize(n, kInvalidNode);
+  }
+  const std::uint64_t gen = ++scoped_gen_;
+  // Depth-first over the radius: a node's way back to the root is recorded
+  // before any node below it is popped, so each in-radius member marks its
+  // path up to the first node already marked.
+  forest_stack_.clear();
+  forest_stack_.push_back(ForestFrame{root, kInvalidNode, 0.0, 0, 0});
+  while (!forest_stack_.empty()) {
+    const ForestFrame fr = forest_stack_.back();
+    forest_stack_.pop_back();
+    scoped_parent_[fr.node] = fr.prev;
+    if (gs.test(fr.node)) {
+      for (NodeId v = fr.node; scoped_need_[v] != gen; v = scoped_parent_[v]) {
+        scoped_need_[v] = gen;
+        if (v == root) break;
+      }
+    }
+    if (fr.hops >= ttl) continue;
+    for (std::uint32_t e = f.first[fr.node]; e < f.first[fr.node + 1]; ++e) {
+      const NodeId peer = f.ends[e].peer;
+      if (peer == fr.prev) continue;
+      forest_stack_.push_back(ForestFrame{peer, fr.node, 0.0, 0, fr.hops + 1});
+    }
+  }
+}
+
+void MulticastNetwork::walk_forest(const Forest& f, NodeId root,
+                                   const Packet& pkt,
+                                   std::uint64_t packet_ordinal, bool scoped,
+                                   DeliveryChain& chain) {
+  const auto git = groups_.find(pkt.group);
+  if (git == groups_.end()) return;  // no member anywhere: nothing to walk
+  GroupState& gs = git->second;
+  const std::vector<std::uint32_t>* below = nullptr;
+  if (scoped) {
+    mark_scoped(f, root, gs, pkt.ttl);
+  } else {
+    below = &forest_below(f, gs);
+  }
+  // Whether a member lies beyond the hop node -> next.  Unscoped, that is
+  // next's subtree when next hangs below node in the fixed rooting, and
+  // otherwise the rest of the component outside node's own subtree.
+  const auto needed = [&](NodeId node, NodeId next) {
+    if (below == nullptr) return scoped_need_[next] == scoped_gen_;
+    const std::vector<std::uint32_t>& b = *below;
+    return f.parent[next] == node ? b[next] > 0
+                                  : b[f.component[node]] > b[node];
+  };
+  // A stack DFS that consults a node's hops in ascending peer order and
+  // pushes the allowed ones, so the highest-id child's subtree is walked
+  // first: the order the flattened trace of this tree records (TraceStep).
+  forest_stack_.clear();
+  forest_stack_.push_back(ForestFrame{root, kInvalidNode, 0.0, pkt.ttl, 0});
+  while (!forest_stack_.empty()) {
+    const ForestFrame fr = forest_stack_.back();
+    forest_stack_.pop_back();
+    if (fr.node != root && gs.test(fr.node)) {
+      collect(fr.node, fr.delay, fr.hops, chain);
+    }
+    for (std::uint32_t e = f.first[fr.node]; e < f.first[fr.node + 1]; ++e) {
+      const LinkEnd& hop = f.ends[e];
+      if (hop.peer == fr.prev || !needed(fr.node, hop.peer)) continue;
+      if (hop_allowed(pkt, fr.ttl, hop, fr.node, packet_ordinal)) {
+        forest_stack_.push_back(ForestFrame{hop.peer, fr.node,
+                                            fr.delay + hop.delay, fr.ttl - 1,
+                                            fr.hops + 1});
+      }
+    }
+  }
+}
+
+template <typename Visit>
+bool MulticastNetwork::forest_path(const Forest& f, NodeId from, NodeId to,
+                                   const Visit& visit) {
+  if (f.component[from] != f.component[to]) return false;
+  // Climb both ends to their lowest common ancestor: the links above
+  // `from` are visited on the way up, those above `to` kept to be visited
+  // top-down after.
+  path_scratch_.clear();
+  NodeId a = from;
+  NodeId b = to;
+  while (f.depth[a] > f.depth[b]) {
+    visit(f.parent_link[a], f.parent_delay[a]);
+    a = f.parent[a];
+  }
+  while (f.depth[b] > f.depth[a]) {
+    path_scratch_.emplace_back(f.parent_link[b], f.parent_delay[b]);
+    b = f.parent[b];
+  }
+  while (a != b) {
+    visit(f.parent_link[a], f.parent_delay[a]);
+    a = f.parent[a];
+    path_scratch_.emplace_back(f.parent_link[b], f.parent_delay[b]);
+    b = f.parent[b];
+  }
+  for (auto it = path_scratch_.rbegin(); it != path_scratch_.rend(); ++it) {
+    visit(it->first, it->second);
+  }
+  return true;
 }
 
 bool MulticastNetwork::current(PrunedTree& entry) const {
@@ -409,19 +602,26 @@ std::uint64_t MulticastNetwork::begin_send(NodeId from, Packet& packet,
   return packet_ordinal;
 }
 
-void MulticastNetwork::multicast(NodeId from, Packet packet) {
-  const std::uint64_t packet_ordinal =
-      begin_send(from, packet, stats_.multicasts_sent);
-  const bool scoped = scoped_trees_enabled_ && packet.ttl < kMaxTtl &&
-                      packet.scope == Scope::kGlobal;
-  const PrunedTree& tree = scoped ? pruned_scoped(from, packet.group, packet.ttl)
-                                  : pruned(from, packet.group);
-  const auto shared = std::make_shared<const Packet>(std::move(packet));
-  const Packet& pkt = *shared;
+void MulticastNetwork::collect(NodeId node, double delay, int hops,
+                               DeliveryChain& chain) {
+  if (!attached_[node]) return;
+  const std::uint32_t reg =
+      region_map_ != nullptr ? region_map_->of[node] : self_region_;
+  if (reg == self_region_) {
+    chain.items.push_back(ChainItem{delay, 0, node, hops});
+    ++stats_.deliveries;
+  } else {
+    // Receiver lives in another region: bucket for a remote chain.  The
+    // owning network counts the delivery when it adopts the chain, so
+    // increments and decrements stay on one network's counters.
+    if (remote_buckets_[reg].empty()) touched_regions_.push_back(reg);
+    remote_buckets_[reg].push_back(ChainItem{delay, 0, node, hops});
+  }
+}
 
-  const std::uint32_t chain_index = acquire_chain(shared);
-  DeliveryChain& chain = chain_pool_[chain_index];
-
+void MulticastNetwork::walk_trace(const PrunedTree& tree, const Packet& pkt,
+                                  std::uint64_t packet_ordinal,
+                                  DeliveryChain& chain) {
   // Linear walk of the flattened tree.  Each directed link is traversed
   // (and the drop policy consulted) at most once; a suppressed hop skips
   // its whole subtree via the precomputed extent.
@@ -436,20 +636,7 @@ void MulticastNetwork::multicast(NodeId from, Packet packet) {
       i = s.subtree_end;
       continue;
     }
-    if (s.member && attached_[s.node]) {
-      const std::uint32_t reg =
-          region_map_ != nullptr ? region_map_->of[s.node] : self_region_;
-      if (reg == self_region_) {
-        chain.items.push_back(ChainItem{st.delay, 0, s.node, st.hops});
-        ++stats_.deliveries;
-      } else {
-        // Receiver lives in another region: bucket for a remote chain.
-        // The owning network counts the delivery when it adopts the chain,
-        // so increments and decrements stay on one network's counters.
-        if (remote_buckets_[reg].empty()) touched_regions_.push_back(reg);
-        remote_buckets_[reg].push_back(ChainItem{st.delay, 0, s.node, st.hops});
-      }
-    }
+    if (s.member) collect(s.node, st.delay, st.hops, chain);
     for (std::uint32_t e = s.first_edge; e < s.first_edge + s.edge_count;
          ++e) {
       const TraceEdge& edge = tree.edges[e];
@@ -465,6 +652,25 @@ void MulticastNetwork::multicast(NodeId from, Packet packet) {
       }
     }
     ++i;
+  }
+}
+
+void MulticastNetwork::multicast(NodeId from, Packet packet) {
+  const std::uint64_t packet_ordinal =
+      begin_send(from, packet, stats_.multicasts_sent);
+  const bool scoped = scoped_trees_enabled_ && packet.ttl < kMaxTtl &&
+                      packet.scope == Scope::kGlobal;
+  const auto shared = std::make_shared<const Packet>(std::move(packet));
+  const Packet& pkt = *shared;
+
+  const std::uint32_t chain_index = acquire_chain(shared);
+  DeliveryChain& chain = chain_pool_[chain_index];
+  if (const Forest* f = forest()) {
+    walk_forest(*f, from, pkt, packet_ordinal, scoped, chain);
+  } else {
+    walk_trace(scoped ? pruned_scoped(from, pkt.group, pkt.ttl)
+                      : pruned(from, pkt.group),
+               pkt, packet_ordinal, chain);
   }
   dispatch_chain(chain_index, queue_->now());
   if (!touched_regions_.empty()) {
@@ -645,7 +851,48 @@ void MulticastNetwork::fire_chain(std::uint32_t index) {
   if (delivery_observer_) delivery_observer_(*packet, info);
 }
 
+double MulticastNetwork::distance(NodeId from, NodeId to) {
+  const double d = try_distance(from, to);
+  if (d == kInf) {
+    throw std::runtime_error("MulticastNetwork::distance: unreachable");
+  }
+  return d;
+}
+
+int MulticastNetwork::hops(NodeId from, NodeId to) {
+  const int h = try_hops(from, to);
+  if (h < 0) throw std::runtime_error("MulticastNetwork::hops: unreachable");
+  return h;
+}
+
+double MulticastNetwork::try_distance(NodeId from, NodeId to) {
+  const Forest* f = forest();
+  if (f == nullptr) return routing_.try_distance(from, to);
+  if (from >= topo_->node_count()) {
+    throw std::out_of_range("MulticastNetwork::try_distance: bad source");
+  }
+  double d = 0.0;
+  const auto add = [&](LinkId, double delay) { d += delay; };
+  return to < topo_->node_count() && forest_path(*f, from, to, add) ? d : kInf;
+}
+
+int MulticastNetwork::try_hops(NodeId from, NodeId to) {
+  const Forest* f = forest();
+  if (f == nullptr) return routing_.try_hop_count(from, to);
+  if (from >= topo_->node_count()) {
+    throw std::out_of_range("MulticastNetwork::try_hops: bad source");
+  }
+  int h = 0;
+  const auto count = [&](LinkId, double) { ++h; };
+  return to < topo_->node_count() && forest_path(*f, from, to, count) ? h : -1;
+}
+
 bool MulticastNetwork::path_uses_link(NodeId src, NodeId dst, LinkId link) {
+  if (const Forest* f = forest()) {
+    bool uses = false;
+    forest_path(*f, src, dst, [&](LinkId l, double) { uses |= l == link; });
+    return uses;
+  }
   const Spt& t = routing_.spt(src);
   for (NodeId v = dst; v != src;) {
     if (v >= t.parent.size() || t.parent[v] == kInvalidNode) return false;

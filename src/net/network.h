@@ -8,12 +8,16 @@
 // administrative scoping, and loss injected by a DropPolicy.
 //
 // Hot-path layout: group membership is a per-group bitmap plus a sorted
-// member list (O(1) is_member, O(1) members()); the member-pruned delivery
-// tree for each (root, group) is cached as a flattened traversal trace that
-// multicast() walks linearly — no hash lookups, no per-node stack frames —
-// and every delivery of one transmission shares a single immutable Packet.
-// It is also the simulator's transport::Transport backend (ARCHITECTURE.md
-// §13): one object hosts every endpoint.
+// member list (O(1) is_member, O(1) members()), and every delivery of one
+// transmission shares a single immutable Packet.  While the up-link graph
+// is acyclic — every topology the paper evaluates — each sender's
+// shortest-path tree is the one undirected tree re-rooted, so the network
+// keeps a single rooted forest (O(nodes), whatever the number of senders)
+// and answers walks, TTL scoping and distances from it.  On a graph with a
+// cycle it falls back to per-sender trees from Routing, cached as
+// flattened traversal traces (ARCHITECTURE.md §0).  It is also the
+// simulator's transport::Transport backend (ARCHITECTURE.md §13): one
+// object hosts every endpoint.
 #pragma once
 
 #include <cstdint>
@@ -112,16 +116,18 @@ class MulticastNetwork final : public transport::Transport {
   // Link-failure support.  Packets already in flight were routed over the
   // old topology; any scheduled delivery whose (old) path crosses `link` is
   // marked lost and silently skipped when its event fires.  MUST be called
-  // BEFORE Topology::set_link_up(link, false) — it consults the cached
-  // shortest-path trees, which still describe the pre-failure topology.
+  // BEFORE Topology::set_link_up(link, false) — it traces paths over the
+  // current topology, which then still describes the pre-failure routes.
   void invalidate_in_flight(LinkId link);
 
   // TTL-scoped delivery-tree fast path for hierarchy-mode local reports
   // (ARCHITECTURE.md §12).  When enabled, a globally-scoped multicast sent
-  // with TTL < kMaxTtl walks a tree built by a TTL-truncated Dijkstra (exact
-  // canonical tie-breaks) that only ever visits nodes within `ttl` hops of
-  // the sender — O(area) per sender instead of the O(nodes) full SPT, which
-  // is what makes per-member local session reports affordable at G = 50k.
+  // with TTL < kMaxTtl walks a tree that only ever visits nodes within `ttl`
+  // hops of the sender — on a forest a per-send pass over that radius, on
+  // a graph with cycles a TTL-truncated Dijkstra (exact canonical
+  // tie-breaks) — O(area) per sender instead of the O(nodes) full tree,
+  // which is what makes per-member local session reports affordable at
+  // G = 50k.
   // Deliveries match the full-tree walk exactly where scoped_tree_exact()
   // holds; on a non-tree topology with non-uniform delays a node whose
   // canonical (min-delay) path exceeds `ttl` hops may still be reached over
@@ -152,12 +158,13 @@ class MulticastNetwork final : public transport::Transport {
   // use session-message estimates instead).  The try_ variants return
   // infinity / -1 instead of throwing when `to` is unreachable — the normal
   // case for callers racing with fault-injected partitions.
-  double distance(NodeId from, NodeId to) { return routing_.distance(from, to); }
-  int hops(NodeId from, NodeId to) { return routing_.hop_count(from, to); }
-  double try_distance(NodeId from, NodeId to) override {
-    return routing_.try_distance(from, to);
-  }
-  int try_hops(NodeId from, NodeId to) { return routing_.try_hop_count(from, to); }
+  // On a forest these sum link delays along the unique path, starting at
+  // `from` — the order Dijkstra adds them in, so each equals Routing's bit
+  // for bit.
+  double distance(NodeId from, NodeId to);
+  int hops(NodeId from, NodeId to);
+  double try_distance(NodeId from, NodeId to) override;
+  int try_hops(NodeId from, NodeId to);
 
   Routing& routing() { return routing_; }
   const Topology& topology() const { return *topo_; }
@@ -197,13 +204,39 @@ class MulticastNetwork final : public transport::Transport {
   struct GroupState {
     std::vector<std::uint64_t> bits;  // one bit per node
     std::vector<NodeId> sorted;       // ascending node ids
+    // Forest mode: below[n] counts the members in n's subtree under the
+    // forest's fixed rooting; current while below_version equals the
+    // network's membership version (0 = stale).
+    std::vector<std::uint32_t> below;
+    std::uint64_t below_version = 0;
 
     bool test(NodeId n) const {
       return (bits[n >> 6] >> (n & 63)) & 1u;
     }
   };
 
-  // Flattened member-pruned delivery tree for one (root, group).
+  // The up-link graph rooted once, at each component's lowest id.  While
+  // the graph is acyclic every sender's shortest-path tree is this forest
+  // re-rooted at the sender: a node's children are its up links minus the
+  // one toward the sender, and the path to any node is unique, so one
+  // O(nodes) structure replaces a tree and a trace per sender.
+  struct Forest {
+    std::uint64_t topology_version = ~std::uint64_t{0};  // never built
+    bool acyclic = false;  // false leaves every other field empty
+    // Node n's up links, ascending by peer id: ends[first[n] .. first[n+1]).
+    std::vector<std::uint32_t> first;
+    std::vector<LinkEnd> ends;
+    // Fixed rooting; a root is its own parent and its component's id.
+    std::vector<NodeId> parent;
+    std::vector<LinkId> parent_link;
+    std::vector<double> parent_delay;
+    std::vector<std::uint32_t> depth;
+    std::vector<NodeId> component;
+    std::vector<NodeId> order;  // parents before children
+  };
+
+  // Flattened member-pruned delivery tree for one (root, group) on a graph
+  // with cycles (a forest needs none; see Forest).
   //
   // `steps` lists the tree's nodes in the exact order the previous
   // stack-based DFS popped them (children of each node are expanded in SPT
@@ -242,6 +275,36 @@ class MulticastNetwork final : public transport::Transport {
     bool blocked;
   };
 
+  struct DeliveryChain;  // one transmission in flight; see chain_pool_
+
+  // The forest of the current topology, rebuilt when its version moved;
+  // nullptr while the up links contain a cycle.
+  const Forest* forest();
+  void rebuild_forest();
+  // Walks the forest from `root`, consulting hop_allowed() and collecting
+  // receivers in exactly the order the flattened trace of the same tree
+  // would (see TraceStep).  `scoped` limits the walk to the paths to
+  // members within pkt.ttl hops.
+  void walk_forest(const Forest& f, NodeId root, const Packet& pkt,
+                   std::uint64_t packet_ordinal, bool scoped,
+                   DeliveryChain& chain);
+  // Member counts below each node for `gs` under the current forest.
+  const std::vector<std::uint32_t>& forest_below(const Forest& f,
+                                                 GroupState& gs);
+  // Marks, for this send's generation, the nodes on paths from `root` to
+  // members within `ttl` hops.
+  void mark_scoped(const Forest& f, NodeId root, const GroupState& gs,
+                   int ttl);
+  // Calls visit(link, delay) for each link of the forest path from -> to,
+  // in order from `from`; false when `to` lies in another component.
+  template <typename Visit>
+  bool forest_path(const Forest& f, NodeId from, NodeId to,
+                   const Visit& visit);
+  // Receiver bookkeeping shared by both walks: a member attached in this
+  // region joins the chain, one in another region its region's bucket.
+  void collect(NodeId node, double delay, int hops, DeliveryChain& chain);
+  void walk_trace(const PrunedTree& tree, const Packet& pkt,
+                  std::uint64_t packet_ordinal, DeliveryChain& chain);
   const PrunedTree& pruned(NodeId root, GroupId group);
   const PrunedTree& pruned_scoped(NodeId root, GroupId group, int ttl);
   // True if `entry` matches the current membership and topology; otherwise
@@ -277,7 +340,7 @@ class MulticastNetwork final : public transport::Transport {
     return (static_cast<std::uint64_t>(from) << 40) |
            (send_ordinal_[from]++ & ((std::uint64_t{1} << 40) - 1));
   }
-  // True if the cached SPT path src -> dst traverses `link` (either
+  // True if the shortest path src -> dst traverses `link` (either
   // direction).  Used only by invalidate_in_flight.
   bool path_uses_link(NodeId src, NodeId dst, LinkId link);
 
@@ -287,12 +350,13 @@ class MulticastNetwork final : public transport::Transport {
   std::vector<PacketSink*> sinks_;
   std::unordered_map<GroupId, GroupState> groups_;
   std::uint64_t membership_version_ = 1;
+  Forest forest_;
   std::unordered_map<std::uint64_t, PrunedTree> pruned_cache_;
   bool scoped_trees_enabled_ = false;
   std::map<std::tuple<NodeId, GroupId, int>, PrunedTree> scoped_cache_;
-  // Generation-stamped scratch for pruned_scoped: a slot's value is valid
-  // only when its stamp equals the current generation, so a build touches
-  // O(visited) slots with no O(nodes) clears.
+  // Generation-stamped scratch for pruned_scoped and mark_scoped: a slot's
+  // value is valid only when its stamp equals the current generation, so a
+  // build touches O(visited) slots with no O(nodes) clears.
   std::uint64_t scoped_gen_ = 0;
   std::vector<std::uint64_t> scoped_stamp_;  // (dist, hops, parent) valid
   std::vector<std::uint64_t> scoped_done_;   // finalized this build
@@ -317,6 +381,16 @@ class MulticastNetwork final : public transport::Transport {
   // Reused scratch for multicast() walks (events never interrupt a walk).
   std::vector<WalkState> walk_scratch_;
   std::vector<bool> need_scratch_;
+  struct ForestFrame {
+    NodeId node;
+    NodeId prev;  // the neighbor toward the sender; kInvalidNode at it
+    double delay;
+    int ttl;
+    int hops;
+  };
+  std::vector<ForestFrame> forest_stack_;
+  // forest_path(): the links below the lowest common ancestor, to -> up.
+  std::vector<std::pair<LinkId, double>> path_scratch_;
 
   // In-flight deliveries, one chain per transmission: a multicast's walk
   // collects every receiver, reserves the whole block of event-queue
