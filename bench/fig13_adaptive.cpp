@@ -12,6 +12,13 @@ int main(int argc, char** argv) {
   const int runs = static_cast<int>(flags.get_int("runs", 10));
   const int rounds = static_cast<int>(flags.get_int("rounds", 100));
   const std::size_t nodes = 1000, g = 50;
+  // The summary averages rounds 1-10, 36-45 and the last ten.
+  constexpr int kMinRounds = 45;
+  if (rounds < kMinRounds) {
+    std::cerr << "fig13_adaptive: --rounds must be at least " << kMinRounds
+              << " (got " << rounds << ")\n";
+    return 1;
+  }
 
   bench::print_header(
       "Figure 13: adaptive algorithm, same scenario as Figure 12", seed,

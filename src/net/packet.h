@@ -55,12 +55,14 @@ using MessagePtr = std::shared_ptr<const Message>;
 //
 // MulticastNetwork already shares one immutable Packet (and thus one
 // Message) across every delivery of a transmission; the pool closes the
-// remaining per-send allocation by recycling the message object itself —
-// including any heap buffers it owns, such as a session message's flat
-// state and echo tables — once the last in-flight delivery drops its
-// reference.  T must provide `rebind(Args...)` mirroring the constructor
-// used with acquire(); rebind is only invoked on objects no delivery can
-// still see, so Message immutability holds for every observer.
+// remaining per-send allocation by recycling the message object itself once
+// the last in-flight delivery drops its reference.  It serves request and
+// repair messages, which own no tables.  Session messages are not pooled: a
+// recycled one would hold its per-peer tables between reports, so they are
+// built per send and freed with their last delivery.  T must provide
+// `rebind(Args...)` mirroring the constructor used with acquire(); rebind
+// is only invoked on objects no delivery can still see, so Message
+// immutability holds for every observer.
 //
 // The freelist is shared-ownership: messages returned after the pool is
 // destroyed are freed normally.  acquire() runs on the owner's thread, but

@@ -280,11 +280,14 @@ std::vector<PageId> SrmAgent::known_pages() const {
 }
 
 SessionMessage::StateReport SrmAgent::page_state(const PageId& page) const {
+  const auto on_page = [&page](const auto& entry) {
+    return entry.first.page == page && entry.second.any_known;
+  };
   SessionMessage::StateReport report;
-  for (const auto& [stream, state] : streams_) {
-    if (stream.page == page && state.any_known) {
-      report[stream] = state.advertised_max;
-    }
+  report.reserve(static_cast<std::size_t>(
+      std::count_if(streams_.begin(), streams_.end(), on_page)));
+  for (const auto& entry : streams_) {
+    if (on_page(entry)) report[entry.first] = entry.second.advertised_max;
   }
   return report;
 }
@@ -753,48 +756,19 @@ void SrmAgent::handle_session(const SessionMessage& msg) {
   }
 }
 
-void SrmAgent::build_state_report(SessionMessage::StateReport& out) const {
-  // "Each member only reports the state of the page it is currently
-  // viewing" (Sec. III-A).
-  out.clear();
-  for (const auto& [stream, state] : streams_) {
-    if (stream.page == current_page_ && state.any_known) {
-      out[stream] = state.advertised_max;
-    }
-  }
-}
-
-void SrmAgent::send_session_message(int ttl) {
-  ++metrics_.session_sent;
-  // Build into the scratch buffers, then hand them to a pooled message:
-  // SessionMessage::rebind swaps, so a recycled message's capacity flows
-  // back into the scratch and steady-state sends allocate nothing.
-  build_state_report(state_scratch_);
-  estimator_.build_echoes(echo_scratch_, config_.session.echo_rotation);
-  auto msg = session_pool_.acquire(id_, clock_.now(),
-                                   std::move(state_scratch_),
-                                   std::move(echo_scratch_));
-  send_session_packet(std::move(msg), ttl);
-}
-
 void SrmAgent::send_session_message(int ttl,
-                                    SessionMessage::AreaDigests&& digests) {
+                                    SessionMessage::AreaDigests digests) {
   ++metrics_.session_sent;
-  build_state_report(state_scratch_);
-  estimator_.build_echoes(echo_scratch_, config_.session.echo_rotation);
-  auto msg = session_pool_.acquire(id_, clock_.now(),
-                                   std::move(state_scratch_),
-                                   std::move(echo_scratch_),
-                                   std::move(digests));
-  send_session_packet(std::move(msg), ttl);
-}
-
-void SrmAgent::send_session_packet(net::MessagePtr msg, int ttl) {
   net::Packet packet;
   packet.group = group_;
   packet.ttl = ttl;
   packet.scope = use_admin_scope_ ? net::Scope::kAdmin : net::Scope::kGlobal;
-  packet.payload = std::move(msg);
+  // "Each member only reports the state of the page it is currently
+  // viewing" (Sec. III-A).
+  packet.payload = std::make_shared<SessionMessage>(
+      id_, clock_.now(), page_state(current_page_),
+      estimator_.build_echoes(config_.session.echo_rotation),
+      std::move(digests));
   // Session traffic has its own bandwidth budget (a fraction of the data
   // bandwidth); it does not compete through the data token bucket.
   transport_->multicast(node_, std::move(packet));
@@ -892,22 +866,27 @@ void SrmAgent::transmit(net::Packet packet, Priority priority) {
   const double bytes =
       static_cast<double>(packet.payload ? packet.payload->size_bytes() : 0);
   const sim::Time now = transport_->queue().now();
-  if (send_queue_.empty() && rate_limiter_.try_consume(bytes, now)) {
+  if ((send_queue_ == nullptr || send_queue_->empty()) &&
+      rate_limiter_.try_consume(bytes, now)) {
     transport_->multicast(node_, std::move(packet));
     return;
   }
+  if (send_queue_ == nullptr) {
+    send_queue_ = std::make_unique<std::deque<QueuedSend>>();
+  }
+  std::deque<QueuedSend>& queue = *send_queue_;
   // Insert keeping the queue ordered by priority band, FIFO within a band.
   QueuedSend qs{std::move(packet), priority, send_seq_++};
-  auto pos = std::find_if(send_queue_.begin(), send_queue_.end(),
+  auto pos = std::find_if(queue.begin(), queue.end(),
                           [&](const QueuedSend& other) {
                             return static_cast<int>(other.priority) >
                                    static_cast<int>(priority);
                           });
-  send_queue_.insert(pos, std::move(qs));
+  queue.insert(pos, std::move(qs));
   if (!send_queue_timer_->pending()) {
     const double head_bytes = static_cast<double>(
-        send_queue_.front().packet.payload
-            ? send_queue_.front().packet.payload->size_bytes()
+        queue.front().packet.payload
+            ? queue.front().packet.payload->size_bytes()
             : 0);
     send_queue_timer_->schedule_in(
         rate_limiter_.delay_until_available(head_bytes, now));
@@ -915,19 +894,21 @@ void SrmAgent::transmit(net::Packet packet, Priority priority) {
 }
 
 void SrmAgent::drain_send_queue() {
+  if (send_queue_ == nullptr) return;
+  std::deque<QueuedSend>& queue = *send_queue_;
   const sim::Time now = transport_->queue().now();
-  while (!send_queue_.empty()) {
+  while (!queue.empty()) {
     const double bytes = static_cast<double>(
-        send_queue_.front().packet.payload
-            ? send_queue_.front().packet.payload->size_bytes()
+        queue.front().packet.payload
+            ? queue.front().packet.payload->size_bytes()
             : 0);
     if (!rate_limiter_.try_consume(bytes, now)) {
       send_queue_timer_->schedule_in(
           rate_limiter_.delay_until_available(bytes, now));
       return;
     }
-    net::Packet packet = std::move(send_queue_.front().packet);
-    send_queue_.pop_front();
+    net::Packet packet = std::move(queue.front().packet);
+    queue.pop_front();
     transport_->multicast(node_, std::move(packet));
   }
 }

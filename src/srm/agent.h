@@ -223,13 +223,11 @@ class SrmAgent : public net::PacketSink {
 
   // Forces a session message out immediately (tests / warm-up / the
   // hierarchical extension).  `ttl` limits its scope; by default it reaches
-  // the whole group.
-  void send_session_message(int ttl = net::kMaxTtl);
-  // Representative variant (Sec. IX-A): the global report also carries
-  // per-area digests.  The digest vector is swapped into the pooled message
-  // (and the recycled message's capacity swapped back), so the caller's
-  // scratch circulates allocation-free like the state/echo tables.
-  void send_session_message(int ttl, SessionMessage::AreaDigests&& digests);
+  // the whole group.  A representative's global report (Sec. IX-A) also
+  // carries per-area `digests`.  The message and its tables are built for
+  // this send at their exact size and freed with its last delivery.
+  void send_session_message(int ttl = net::kMaxTtl,
+                            SessionMessage::AreaDigests digests = {});
 
   // Page-state recovery (Sec. III-A).  With a page id, asks the group for
   // that page's sequence-number state (the reply reveals the page's streams
@@ -325,12 +323,7 @@ class SrmAgent : public net::PacketSink {
   void drain_send_queue();
   Priority recovery_priority(const DataName& name) const;
 
-  // Fills `out` (cleared; capacity retained) with the current page's
-  // per-stream state.
-  void build_state_report(SessionMessage::StateReport& out) const;
-  // Common tail of the send_session_message overloads: wraps the pooled
-  // message in a packet and multicasts it at `ttl`.
-  void send_session_packet(net::MessagePtr msg, int ttl);
+  // The state report for `page`, at its exact size.
   SessionMessage::StateReport page_state(const PageId& page) const;
   void schedule_next_session_message();
 
@@ -402,18 +395,12 @@ class SrmAgent : public net::PacketSink {
   std::unique_ptr<sim::Timer> session_timer_;
   std::unique_ptr<sim::Timer> send_queue_timer_;
 
-  // ---- large-session fast path ----
-  // Message freelists: each send recycles a message object (and, for
-  // session messages, its flat state/echo tables) once the previous send's
-  // deliveries have all fired.
-  net::MessagePool<SessionMessage> session_pool_;
+  // Request and repair freelists: each send recycles a message object once
+  // the previous send's deliveries have all fired.  Session messages are
+  // not pooled: a recycled one would keep a dead echo table per member
+  // between reports.
   net::MessagePool<RequestMessage> request_pool_;
   net::MessagePool<RepairMessage> repair_pool_;
-  // Scratch buffers the next session message is built into; capacity
-  // circulates between these and pooled messages (SessionMessage::rebind
-  // swaps), so a session round settles into zero steady-state allocation.
-  SessionMessage::StateReport state_scratch_;
-  SessionMessage::Echoes echo_scratch_;
   // Oracle-mode distances by dense member index (< 0 = not yet resolved);
   // rebuilt whenever directory membership changes or the topology mutates
   // (link failures change the ground-truth distances).
@@ -426,7 +413,9 @@ class SrmAgent : public net::PacketSink {
     Priority priority;
     std::uint64_t seq;  // FIFO within a priority band
   };
-  std::deque<QueuedSend> send_queue_;
+  // Built by the first send the rate limiter defers: an empty std::deque
+  // still allocates about 570 B, and most members never queue a send.
+  std::unique_ptr<std::deque<QueuedSend>> send_queue_;
   std::uint64_t send_seq_ = 0;
 
   trace::Tracer* tracer_ = &trace::Tracer::null();

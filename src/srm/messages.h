@@ -189,6 +189,10 @@ class SessionMessage final : public net::Message {
   // Digest table, sorted by area id.
   using AreaDigests = std::vector<AreaDigest>;
 
+  // The one way to build a session message.  The sender (or the wire
+  // decoder) builds each table per send at its exact size and moves it in;
+  // every delivery shares the message, which is freed with the last one, so
+  // between reports a member holds no echo table at all.
   SessionMessage(SourceId sender, sim::Time sender_timestamp,
                  StateReport state, Echoes echoes, AreaDigests digests = {})
       : sender_(sender),
@@ -204,31 +208,6 @@ class SessionMessage final : public net::Message {
   const StateReport& state() const { return state_; }
   const Echoes& echoes() const { return echoes_; }
   const AreaDigests& digests() const { return digests_; }
-
-  // Recycles this message for a new send (net::MessagePool contract; only
-  // called once no delivery references the object).  Swaps rather than
-  // assigns the tables so the retiring message's vector capacity flows back
-  // into the caller's scratch buffers: a session round settles into zero
-  // steady-state allocation.
-  void rebind(SourceId sender, sim::Time sender_timestamp, StateReport&& state,
-              Echoes&& echoes) {
-    sender_ = sender;
-    sender_timestamp_ = sender_timestamp;
-    state_.swap(state);
-    echoes_.swap(echoes);
-    digests_.clear();
-  }
-
-  // Digest-carrying variant (hierarchy representatives); the swap hands the
-  // recycled message's digest capacity back to the caller's scratch too.
-  void rebind(SourceId sender, sim::Time sender_timestamp, StateReport&& state,
-              Echoes&& echoes, AreaDigests&& digests) {
-    sender_ = sender;
-    sender_timestamp_ = sender_timestamp;
-    state_.swap(state);
-    echoes_.swap(echoes);
-    digests_.swap(digests);
-  }
 
   std::string describe() const override {
     return "SESSION from " + std::to_string(sender_);

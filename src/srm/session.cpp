@@ -9,6 +9,13 @@ void DistanceEstimator::on_session_message(const SessionMessage& msg,
   const sim::Time t2 = clock_->now();
   auto it = std::lower_bound(heard_.begin(), heard_.end(), msg.sender());
   if (it == heard_.end() || it->id != msg.sender()) {
+    if (heard_.size() == heard_.capacity()) {
+      // Grow by a quarter (vector::insert would double): members hear
+      // hundreds of peers, so doubling would leave ~half the records idle.
+      const auto at = it - heard_.begin();
+      heard_.reserve(heard_.size() + heard_.size() / 4 + 4);
+      it = heard_.begin() + at;
+    }
     it = heard_.insert(it, Peer{msg.sender()});
   }
   Peer& peer = *it;
@@ -27,9 +34,9 @@ void DistanceEstimator::on_session_message(const SessionMessage& msg,
   }
 }
 
-void DistanceEstimator::build_echoes(SessionMessage::Echoes& out,
-                                     std::size_t max_echoes) {
-  out.clear();
+SessionMessage::Echoes DistanceEstimator::build_echoes(
+    std::size_t max_echoes) {
+  SessionMessage::Echoes out;
   const sim::Time now = clock_->now();
   const std::size_t n = heard_.size();
   const auto emit = [&](std::size_t from, std::size_t to) {
@@ -40,11 +47,13 @@ void DistanceEstimator::build_echoes(SessionMessage::Echoes& out,
     }
   };
   if (max_echoes == 0 || max_echoes >= n) {
+    out.reserve(n);
     emit(0, n);
-    return;
+    return out;
   }
   // Rotating window [cursor, cursor + K) over the heard list, wrapped; the
   // wrapped (low) half is emitted first so the table stays sorted.
+  out.reserve(max_echoes);
   const std::size_t start = rotation_cursor_ % n;
   const std::size_t stop = start + max_echoes;
   if (stop <= n) {
@@ -54,6 +63,7 @@ void DistanceEstimator::build_echoes(SessionMessage::Echoes& out,
     emit(start, n);
   }
   rotation_cursor_ = stop % n;
+  return out;
 }
 
 std::optional<double> DistanceEstimator::distance(SourceId peer) const {
@@ -94,13 +104,9 @@ std::size_t AreaLiveTable::live_elsewhere(std::uint32_t self_area,
   return total;
 }
 
-void AreaLiveTable::build_digests(SessionMessage::AreaDigests& out,
-                                  std::uint32_t self_area,
-                                  std::uint32_t self_live,
-                                  SeqNo self_max_seq) {
-  out.clear();
-  out.push_back(
-      SessionMessage::AreaDigest{self_area, self_live, self_max_seq});
+SessionMessage::AreaDigests AreaLiveTable::build_digests(
+    std::uint32_t self_area, std::uint32_t self_live, SeqNo self_max_seq) {
+  return {SessionMessage::AreaDigest{self_area, self_live, self_max_seq}};
 }
 
 sim::Time SessionScheduler::mean_interval(std::size_t group_size,

@@ -34,6 +34,8 @@ namespace srm {
 // plus plain stores (an O(H) insert only on the first message from a new
 // peer); the echo table for the next outgoing message is one in-order walk
 // of the same vector, so it comes out sorted with no per-entry allocations.
+// The record vector grows by a quarter, not by doubling, so for H peers
+// heard its capacity stays within ceil(1.25 H) + 4 records.
 class DistanceEstimator {
  public:
   // `clock` is this member's (possibly skewed) local clock.
@@ -43,22 +45,15 @@ class DistanceEstimator {
   // echo addressed to us.
   void on_session_message(const SessionMessage& msg, SourceId self);
 
-  // Fills `out` (cleared; capacity retained) with the echoes to embed in
-  // our next outgoing session message: for every peer we have heard from,
-  // (their last timestamp, how long we have held it), ascending Source-ID.
+  // The echoes to embed in our next outgoing session message, at their
+  // exact size: for every peer we have heard from, (their last timestamp,
+  // how long we have held it), ascending Source-ID.
   //
   // `max_echoes` > 0 caps the table at that many peers, rotating through
   // the membership across successive calls (the vat/RTCP behavior the
   // paper adopts; SessionConfig::echo_rotation) so every peer is still
   // echoed once per ceil(G/K) messages.  0 echoes everyone.
-  void build_echoes(SessionMessage::Echoes& out, std::size_t max_echoes = 0);
-
-  // Convenience wrapper for tests and small sessions.
-  SessionMessage::Echoes build_echoes(std::size_t max_echoes = 0) {
-    SessionMessage::Echoes out;
-    build_echoes(out, max_echoes);
-    return out;
-  }
+  SessionMessage::Echoes build_echoes(std::size_t max_echoes = 0);
 
   // Latest distance estimate to `peer` in seconds, if any exchange has
   // completed.
@@ -66,6 +61,8 @@ class DistanceEstimator {
 
   // Number of peers heard from (session-message based membership estimate).
   std::size_t peers_heard() const { return heard_.size(); }
+  // Records allocated for them (at most ceil(1.25 * peers_heard()) + 4).
+  std::size_t capacity() const { return heard_.capacity(); }
 
  private:
   struct Peer {
@@ -108,13 +105,14 @@ class AreaLiveTable {
   std::size_t live_elsewhere(std::uint32_t self_area, sim::Time now,
                              sim::Time horizon) const;
 
-  // Fills `out` (cleared; capacity retained) with this member's own-area
-  // digest.  Representatives summarize only the area they can observe
-  // directly; every other area's digest reaches the group from that area's
-  // own representative, so relaying would only add O(areas^2) fold work.
-  static void build_digests(SessionMessage::AreaDigests& out,
-                            std::uint32_t self_area, std::uint32_t self_live,
-                            SeqNo self_max_seq);
+  // The digest table a representative's global report carries: its own
+  // area's digest only.  Representatives summarize only the area they can
+  // observe directly; every other area's digest reaches the group from that
+  // area's own representative, so relaying would only add O(areas^2) fold
+  // work.
+  static SessionMessage::AreaDigests build_digests(std::uint32_t self_area,
+                                                   std::uint32_t self_live,
+                                                   SeqNo self_max_seq);
 
  private:
   std::vector<std::uint32_t> live_;

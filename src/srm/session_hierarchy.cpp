@@ -233,9 +233,9 @@ void SessionHierarchy::tick(Member& m) {
   if (warmed && elect(m, now) == m.agent->id()) {
     SeqNo max_seq = 0;
     const std::uint32_t live = count_live(m, now, &max_seq);
-    AreaLiveTable::build_digests(m.digest_scratch, m.area, live, max_seq);
     ++m.global_sent;
-    m.agent->send_session_message(net::kMaxTtl, std::move(m.digest_scratch));
+    m.agent->send_session_message(
+        net::kMaxTtl, AreaLiveTable::build_digests(m.area, live, max_seq));
   } else {
     ++m.local_sent;
     m.agent->send_session_message(config_.local_ttl);

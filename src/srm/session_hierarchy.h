@@ -133,7 +133,6 @@ class SessionHierarchy {
     std::vector<sim::Time> last_heard;   // last local report heard
     std::vector<SeqNo> last_report_seq;  // reports heard from that slot
     AreaLiveTable area_table;            // digests heard from reps
-    SessionMessage::AreaDigests digest_scratch;
   };
 
   struct AreaInfo {

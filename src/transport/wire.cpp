@@ -328,13 +328,14 @@ bool decode_frame(const std::uint8_t* data, std::size_t len,
     case 4: {
       std::uint32_t sender = 0, n_echo = 0, n_digest = 0;
       double timestamp = 0.0;
-      if (!r.u32(sender) || !r.f64(timestamp) ||
-          !get_state(r, pools.state_scratch) || !r.u32(n_echo) ||
+      SessionMessage::StateReport state;
+      if (!r.u32(sender) || !r.f64(timestamp) || !get_state(r, state) ||
+          !r.u32(n_echo) ||
           r.remaining() < static_cast<std::size_t>(n_echo) * 20) {
         return false;
       }
-      pools.echo_scratch.clear();
-      pools.echo_scratch.reserve(n_echo);
+      SessionMessage::Echoes echoes;
+      echoes.reserve(n_echo);
       for (std::uint32_t i = 0; i < n_echo; ++i) {
         std::uint32_t peer = 0;
         SessionMessage::Echo echo;
@@ -342,24 +343,24 @@ bool decode_frame(const std::uint8_t* data, std::size_t len,
             !r.f64(echo.hold_time)) {
           return false;
         }
-        pools.echo_scratch.insert_or_assign(peer, echo);
+        echoes.insert_or_assign(peer, echo);
       }
       if (!r.u32(n_digest) ||
           r.remaining() < static_cast<std::size_t>(n_digest) * 16) {
         return false;
       }
-      pools.digest_scratch.clear();
-      pools.digest_scratch.reserve(n_digest);
+      SessionMessage::AreaDigests digests;
+      digests.reserve(n_digest);
       for (std::uint32_t i = 0; i < n_digest; ++i) {
         SessionMessage::AreaDigest d;
         if (!r.u32(d.area) || !r.u32(d.live_members) || !r.u64(d.max_seq)) {
           return false;
         }
-        pools.digest_scratch.push_back(d);
+        digests.push_back(d);
       }
-      payload = pools.sessions.acquire(
-          sender, timestamp, std::move(pools.state_scratch),
-          std::move(pools.echo_scratch), std::move(pools.digest_scratch));
+      payload = std::make_shared<SessionMessage>(
+          sender, timestamp, std::move(state), std::move(echoes),
+          std::move(digests));
       break;
     }
     case 5: {

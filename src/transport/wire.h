@@ -19,10 +19,11 @@
 // time or a distance.  Decoding is defensive: any truncated, oversized or
 // unknown frame, or one carrying a non-finite or negative double, is rejected
 // (decode returns false) rather than trusted — the socket is a public
-// input.  Decoded REQUEST/REPAIR/SESSION messages come from
-// net::MessagePool freelists (DecodePools), so a steady receive stream
-// settles into zero per-datagram message allocations, mirroring the
-// send-side pooling in srm::SrmAgent.
+// input.  Decoded REQUEST/REPAIR messages come from net::MessagePool
+// freelists (DecodePools), mirroring the send-side pooling in
+// srm::SrmAgent.  A SESSION message is built fresh, each table at the size
+// its frame declares, and freed with its last delivery, as a sender builds
+// it.
 #pragma once
 
 #include <cstdint>
@@ -39,17 +40,11 @@ inline constexpr std::uint8_t kWireVersion = 1;
 inline constexpr std::size_t kMaxFrameBytes = 60000;
 
 // Per-transport receive-side message freelists (the pool contract requires
-// rebind(); DATA and the page messages are constructed fresh — they carry
-// shared payload/vector state that deliveries keep referencing).
+// rebind(); DATA, SESSION and the page messages are constructed fresh —
+// they carry tables or shared payload that deliveries keep referencing).
 struct DecodePools {
   net::MessagePool<RequestMessage> requests;
   net::MessagePool<RepairMessage> repairs;
-  net::MessagePool<SessionMessage> sessions;
-  // Scratch tables the next session message is rebuilt into; capacity
-  // circulates between these and pooled messages via rebind's swap.
-  SessionMessage::StateReport state_scratch;
-  SessionMessage::Echoes echo_scratch;
-  SessionMessage::AreaDigests digest_scratch;
 };
 
 // Serializes `packet` (source/group/ttl/scope + typed SRM payload) into

@@ -77,8 +77,7 @@ class FlatMap {
     (*this)[key] = std::move(value);
   }
 
-  // Steals the other map's storage (used to recycle capacity between a
-  // builder's scratch buffer and pooled messages).
+  // Exchanges storage with the other map.
   void swap(FlatMap& other) noexcept { entries_.swap(other.entries_); }
 
   friend bool operator==(const FlatMap&, const FlatMap&) = default;

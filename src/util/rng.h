@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <vector>
 
@@ -53,12 +54,26 @@ class SplitmixSeedSeq {
 
 // A seeded random source.  Thin wrapper over mt19937_64 with the handful of
 // distributions the simulator needs.  Copyable (copies the full state).
-// The engine is seeded on the first draw, so a generator that is built but
-// never drawn from (a disabled component's fork) costs no seeding; the
-// stream is the same either way.
+// The engine is allocated and seeded on the first draw, so a generator that
+// is built but never drawn from (a disabled component's fork, such as a
+// member's flat-session scheduler under hierarchical reporting) costs two
+// words instead of the engine's 2.5 KB; the stream is the same either way.
+// A moved-from generator restarts its stream from the seed.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : seed_(seed) {}
+
+  Rng(const Rng& other)
+      : seed_(other.seed_),
+        engine_(other.engine_
+                    ? std::make_unique<std::mt19937_64>(*other.engine_)
+                    : nullptr) {}
+  Rng& operator=(const Rng& other) {
+    if (this != &other) *this = Rng(other);
+    return *this;
+  }
+  Rng(Rng&&) noexcept = default;
+  Rng& operator=(Rng&&) noexcept = default;
 
   // A new generator whose stream is independent of this one; deterministic
   // given this generator's current state.
@@ -97,17 +112,15 @@ class Rng {
 
  private:
   std::mt19937_64& engine() {
-    if (!seeded_) {
+    if (!engine_) {
       SplitmixSeedSeq seq(seed_);
-      engine_.seed(seq);
-      seeded_ = true;
+      engine_ = std::make_unique<std::mt19937_64>(seq);
     }
-    return engine_;
+    return *engine_;
   }
 
   std::uint64_t seed_;
-  bool seeded_ = false;
-  std::mt19937_64 engine_;
+  std::unique_ptr<std::mt19937_64> engine_;  // null until the first draw
 };
 
 }  // namespace srm::util

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <random>
 #include <set>
+#include <utility>
 #include <vector>
 
 namespace srm::util {
@@ -262,6 +263,40 @@ TEST(RngTest, LazySeedingKeepsEveryStream) {
     ASSERT_EQ(child.next_u64(), want_child()) << i;
     ASSERT_EQ(parent.next_u64(), want_parent()) << i;
   }
+}
+
+TEST(RngTest, CopiesAndMovesContinueTheStreamIndependently) {
+  std::mt19937_64 want = std_seeded_engine(2024);
+  std::vector<std::uint64_t> stream(300);
+  for (std::uint64_t& v : stream) v = want();
+
+  Rng original(2024);
+  Rng before = original;  // copied before the first draw
+  Rng moved_before = Rng(original);
+  for (int i = 0; i < 100; ++i) ASSERT_EQ(original.next_u64(), stream[i]);
+  Rng after = original;  // copied after 100 draws
+  Rng assigned(7);
+  assigned = original;
+  Rng source = original;
+  Rng moved_after = std::move(source);
+
+  // Interleaved draws: each generator continues from where it was taken,
+  // and drawing from one leaves every other one's stream untouched.
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_EQ(after.next_u64(), stream[100 + i]) << i;
+    ASSERT_EQ(before.next_u64(), stream[i]) << i;
+    ASSERT_EQ(moved_after.next_u64(), stream[100 + i]) << i;
+    ASSERT_EQ(moved_before.next_u64(), stream[i]) << i;
+    ASSERT_EQ(assigned.next_u64(), stream[100 + i]) << i;
+  }
+  for (int i = 100; i < 300; ++i) ASSERT_EQ(original.next_u64(), stream[i]);
+}
+
+TEST(RngTest, UndrawnGeneratorCostsTwoWords) {
+  // The engine lives behind a pointer until the first draw, so a fork that
+  // is never drawn from (a member's flat-session scheduler under the
+  // hierarchy) holds a seed and a null pointer, not 2.5 KB of state.
+  EXPECT_LE(sizeof(Rng), 2 * sizeof(void*));
 }
 
 }  // namespace
