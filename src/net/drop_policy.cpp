@@ -1,5 +1,6 @@
 #include "net/drop_policy.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -87,8 +88,9 @@ bool CompositeDrop::should_drop(const Packet& packet, const HopContext& hop) {
   return drop;
 }
 
-void CompositeDrop::prepare(std::size_t link_count) {
-  for (const auto& p : policies_) p->prepare(link_count);
+void CompositeDrop::prepare(std::size_t link_count,
+                            std::size_t region_count) {
+  for (const auto& p : policies_) p->prepare(link_count, region_count);
 }
 
 GilbertElliottDrop::GilbertElliottDrop(Params params, std::uint64_t seed,
@@ -111,24 +113,34 @@ void GilbertElliottDrop::restrict_to(NodeId from, NodeId to) {
   to_ = to;
 }
 
-void GilbertElliottDrop::prepare(std::size_t link_count) {
-  if (link_count <= chain_.size()) return;
-  std::vector<std::atomic<std::uint64_t>> grown(link_count);
-  for (std::size_t i = 0; i < chain_.size(); ++i) {
-    grown[i].store(chain_[i].load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
+void GilbertElliottDrop::prepare(std::size_t link_count,
+                                 std::size_t region_count) {
+  link_count = std::max(link_count, links_);
+  region_count = std::max(region_count, regions_);
+  if (link_count == links_ && region_count == regions_) return;
+  std::vector<std::atomic<std::uint64_t>> grown(link_count * region_count);
+  for (std::size_t r = 0; r < regions_; ++r) {
+    for (std::size_t l = 0; l < links_; ++l) {
+      grown[r * link_count + l].store(
+          chain_[r * links_ + l].load(std::memory_order_relaxed),
+          std::memory_order_relaxed);
+    }
   }
   chain_ = std::move(grown);
+  links_ = link_count;
+  regions_ = region_count;
 }
 
-bool GilbertElliottDrop::chain_state(LinkId link, std::uint64_t slot) {
-  if (link >= chain_.size()) {
+bool GilbertElliottDrop::chain_state(std::uint32_t region, LinkId link,
+                                     std::uint64_t slot) {
+  if (link >= links_ || region >= regions_) {
     // Lazy growth: only reachable when the policy is consulted without a
     // prepare() call (standalone use), which is sequential by construction —
     // the network always prepares at install time, before parallel walks.
-    prepare(static_cast<std::size_t>(link) + 1);
+    prepare(static_cast<std::size_t>(link) + 1,
+            static_cast<std::size_t>(region) + 1);
   }
-  std::atomic<std::uint64_t>& memo = chain_[link];
+  std::atomic<std::uint64_t>& memo = chain_[region * links_ + link];
   const std::uint64_t cached = memo.load(std::memory_order_relaxed);
   std::uint64_t k = 0;
   bool bad = false;  // every link starts in the good state at slot 0
@@ -149,8 +161,10 @@ bool GilbertElliottDrop::chain_state(LinkId link, std::uint64_t slot) {
   return bad;
 }
 
-bool GilbertElliottDrop::in_bad_state(LinkId link, double at) {
-  return chain_state(link, static_cast<std::uint64_t>(at / params_.slot_dt));
+bool GilbertElliottDrop::in_bad_state(LinkId link, double at,
+                                      std::uint32_t region) {
+  return chain_state(region, link,
+                     static_cast<std::uint64_t>(at / params_.slot_dt));
 }
 
 bool GilbertElliottDrop::should_drop(const Packet& packet,
@@ -158,7 +172,7 @@ bool GilbertElliottDrop::should_drop(const Packet& packet,
   if (restricted_ && (hop.from != from_ || hop.to != to_)) return false;
   if (match_ && !match_(packet)) return false;
   const auto slot = static_cast<std::uint64_t>(hop.now / params_.slot_dt);
-  const bool bad = chain_state(hop.link, slot);
+  const bool bad = chain_state(hop.region, hop.link, slot);
   const double loss = bad ? params_.loss_bad : params_.loss_good;
   if (util::keyed_unit(seed_, directed_edge_key(hop), hop.packet_ordinal,
                        kSaltGeLoss) >= loss) {

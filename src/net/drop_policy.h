@@ -16,10 +16,10 @@
 // the decision a given hop consultation produces is identical no matter
 // which worker, region, or interleaving executes the walk.  The Gilbert-
 // Elliott channel state is a time-slotted per-link Markov chain evaluated
-// as a pure function of (seed, link, slot); a relaxed-atomic memo per link
-// caches the last computed (slot, state) pair purely as an optimization
-// (every recomputation yields the same value, so racing writers are
-// harmless).  All policies are PDES-safe.
+// as a pure function of (seed, link, slot); a memo per (walking region,
+// link) caches the last computed (slot, state) pair purely as an
+// optimization.  Only its region's worker writes a row, and every
+// recomputation yields the same value.  All policies are PDES-safe.
 #pragma once
 
 #include <atomic>
@@ -38,13 +38,17 @@ namespace srm::net {
 // per-source transmission counter composed with the sending node id (stable
 // across kernels: a node's sends execute in the same order under every
 // thread count), and `now` is the send time of the walk consulting the
-// policy — both are pure coordinates for keyed stochastic draws.
+// policy — both are pure coordinates for keyed stochastic draws.  `region`
+// is the kernel region of the network walking the tree (0 when
+// sequential); a policy may keep per-region state by it, never let it
+// change a decision.
 struct HopContext {
   LinkId link;
   NodeId from;
   NodeId to;
   std::uint64_t packet_ordinal = 0;
   double now = 0.0;
+  std::uint32_t region = 0;
 };
 
 class DropPolicy {
@@ -53,9 +57,12 @@ class DropPolicy {
   // Returns true if this packet should be dropped on this directed hop.
   virtual bool should_drop(const Packet& packet, const HopContext& hop) = 0;
   // Called by the network when the policy is installed, before any
-  // concurrent consultation, so per-link state can be sized up front
-  // (resizing during a parallel walk would race).  Default: no-op.
-  virtual void prepare(std::size_t link_count) { (void)link_count; }
+  // concurrent consultation, so per-link and per-region state can be sized
+  // up front (resizing during a parallel walk would race).  Default: no-op.
+  virtual void prepare(std::size_t link_count, std::size_t region_count) {
+    (void)link_count;
+    (void)region_count;
+  }
 };
 
 // Never drops anything.
@@ -126,7 +133,7 @@ class CompositeDrop final : public DropPolicy {
  public:
   void add(std::shared_ptr<DropPolicy> policy);
   bool should_drop(const Packet& packet, const HopContext& hop) override;
-  void prepare(std::size_t link_count) override;
+  void prepare(std::size_t link_count, std::size_t region_count) override;
 
  private:
   std::vector<std::shared_ptr<DropPolicy>> policies_;
@@ -142,6 +149,11 @@ class CompositeDrop final : public DropPolicy {
 // packet ordinal) under the current slot's state.  Pure coordinates mean no
 // draw-order dependence: the policy composes with the parallel kernel and
 // replays bit-identically at any thread count.
+//
+// Each (region, link) pair memoizes the last slot it evaluated, so a walk
+// advances the chain from there.  A region's walks run in non-decreasing
+// time, so its row never has to replay from slot 0; one row shared by the
+// regions would, whenever a region behind another's window consulted it.
 class GilbertElliottDrop final : public DropPolicy {
  public:
   using Predicate = std::function<bool(const Packet&)>;
@@ -163,18 +175,20 @@ class GilbertElliottDrop final : public DropPolicy {
   void restrict_to(NodeId from, NodeId to);
 
   bool should_drop(const Packet& packet, const HopContext& hop) override;
-  // Sizes the per-link chain memos; links beyond this count grow lazily,
-  // which is only safe before concurrent consultation begins.
-  void prepare(std::size_t link_count) override;
+  // Sizes the chain memos, one row of links per region; links or regions
+  // beyond these counts grow lazily, which is only safe before concurrent
+  // consultation begins.
+  void prepare(std::size_t link_count, std::size_t region_count) override;
 
-  // Channel state of `link` during the slot containing time `at`.
-  bool in_bad_state(LinkId link, double at);
+  // Channel state of `link` during the slot containing time `at`, as
+  // `region`'s memo row evaluates it (the state is the same in every row).
+  bool in_bad_state(LinkId link, double at, std::uint32_t region = 0);
   std::size_t drops_so_far() const {
     return drops_.load(std::memory_order_relaxed);
   }
 
  private:
-  bool chain_state(LinkId link, std::uint64_t slot);
+  bool chain_state(std::uint32_t region, LinkId link, std::uint64_t slot);
 
   Params params_;
   std::uint64_t seed_;
@@ -182,11 +196,14 @@ class GilbertElliottDrop final : public DropPolicy {
   bool restricted_ = false;
   NodeId from_ = kInvalidNode;
   NodeId to_ = kInvalidNode;
-  // Per-link memo of the last evaluated (slot, state), packed as
-  // ((slot + 1) << 1) | bad with 0 meaning "unset".  The chain is a pure
-  // function of (seed, link, slot), so concurrent stores can only disagree
-  // on *which* correct value is cached, never on correctness.
+  // Memo of the last evaluated (slot, state) per (region, link), at
+  // chain_[region * links_ + link], packed as ((slot + 1) << 1) | bad with
+  // 0 meaning "unset".  Relaxed atomics keep even a shared row race-free;
+  // the chain is a pure function of (seed, link, slot), so any row may be
+  // consulted for any slot and still answers correctly.
   std::vector<std::atomic<std::uint64_t>> chain_;
+  std::size_t links_ = 0;
+  std::size_t regions_ = 0;
   std::atomic<std::size_t> drops_{0};
 };
 

@@ -107,7 +107,7 @@ void MulticastNetwork::set_drop_policy(std::shared_ptr<DropPolicy> policy) {
   // Size any per-link policy state now, while no walk is consulting it
   // (installation is only legal from setup or a serialized phase).
   if (policy) {
-    policy->prepare(topo_->link_count());
+    policy->prepare(topo_->link_count(), peers_.size());
   } else {
     policy = std::make_shared<NoDrop>();
   }
@@ -120,7 +120,7 @@ void MulticastNetwork::set_drop_policy(std::shared_ptr<DropPolicy> policy) {
 
 void MulticastNetwork::set_fault_drop_policy(
     std::shared_ptr<DropPolicy> policy) {
-  if (policy) policy->prepare(topo_->link_count());
+  if (policy) policy->prepare(topo_->link_count(), peers_.size());
   for (MulticastNetwork* p : peers_) p->fault_drop_policy_ = policy;
 }
 
@@ -563,7 +563,7 @@ bool MulticastNetwork::hop_allowed(const Packet& packet, int ttl_at_from,
   // transmission ordinal are stable coordinates for keyed stochastic draws —
   // identical in the sequential and parallel kernels.
   const HopContext hop{edge.link, from, edge.peer, packet_ordinal,
-                       queue_->now()};
+                       queue_->now(), self_region_};
   // Primary policy first; the fault slot is only consulted when the primary
   // passes, so a scripted round drop does not also advance burst-loss state.
   if (drop_policy_->should_drop(packet, hop) ||

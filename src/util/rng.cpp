@@ -1,11 +1,18 @@
 #include "util/rng.h"
 
 #include <algorithm>
-#include <cassert>
 #include <numeric>
+#include <random>
 #include <stdexcept>
 
 namespace srm::util {
+
+namespace {
+
+// MT19937-64's upper mask: the top w - r = 64 - 31 bits of a word.
+constexpr std::uint64_t kUpperMask = ~std::uint64_t{0} << 31;
+
+}  // namespace
 
 std::uint64_t splitmix64(std::uint64_t& state) {
   state += 0x9E3779B97F4A7C15ULL;
@@ -36,59 +43,100 @@ double keyed_unit(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
   return static_cast<double>(keyed_u64(seed, a, b, c) >> 11) * 0x1.0p-53;
 }
 
+Mt19937_64::Mt19937_64(const std::uint32_t (&words)[kSeedWords]) {
+  const auto word = [&words](std::size_t i) {
+    return words[2 * i] | static_cast<std::uint64_t>(words[2 * i + 1]) << 32;
+  };
+  // std's guard: a state that is zero outside the first word's low 31 bits
+  // would yield only zeros, so its first word becomes 1 << 63 instead.
+  state_[0] = word(0);
+  std::uint64_t live = state_[0] & kUpperMask;
+  for (std::size_t i = 1; i < kStateWords; ++i) {
+    state_[i] = word(i);
+    live |= state_[i];
+  }
+  if (live == 0) state_[0] = std::uint64_t{1} << 63;
+}
+
+void Mt19937_64::twist() {
+  constexpr std::size_t n = kStateWords;
+  constexpr std::size_t m = 156;
+  const auto next = [](std::uint64_t cur, std::uint64_t succ,
+                       std::uint64_t far) {
+    const std::uint64_t y = (cur & kUpperMask) | (succ & ~kUpperMask);
+    // 0 - (y & 1) is all ones or zero: the matrix term without a branch.
+    return far ^ (y >> 1) ^ ((0 - (y & 1)) & 0xB5026F5AA96619E9ULL);
+  };
+  std::size_t k = 0;
+  for (; k < n - m; ++k) {
+    state_[k] = next(state_[k], state_[k + 1], state_[k + m]);
+  }
+  for (; k < n - 1; ++k) {
+    state_[k] = next(state_[k], state_[k + 1], state_[k + m - n]);
+  }
+  state_[n - 1] = next(state_[n - 1], state_[0], state_[m - 1]);
+  next_ = 0;
+}
+
 SplitmixSeedSeq::SplitmixSeedSeq(std::uint64_t seed) {
   // Expand the seed through splitmix64 so that adjacent user seeds (0, 1, 2,
-  // ...) still produce uncorrelated mt19937_64 states.
+  // ...) still produce uncorrelated engine states.
   std::uint64_t s = seed;
   for (std::uint32_t& w : words_) {
     w = static_cast<std::uint32_t>(splitmix64(s));
   }
 }
 
-void SplitmixSeedSeq::generate(std::uint32_t* begin,
-                               std::uint32_t* end) const {
-  // [rand.util.seedseq] generate() with s = 4 input words.  Every index the
-  // standard writes "mod n" stays below 2n here, so one conditional
-  // subtraction replaces the division.
-  constexpr std::size_t s = 4;
-  const std::size_t n = static_cast<std::size_t>(end - begin);
-  assert(n > s);  // so m = max(s + 1, n) = n; mt19937_64 asks for 624
-  const std::size_t t = n >= 623  ? 11
-                        : n >= 68 ? 7
-                        : n >= 39 ? 5
-                        : n >= 7  ? 3
-                                  : (n - 1) / 2;
-  const std::size_t p = (n - t) / 2;
-  const std::size_t q = p + t;
-  const auto wrap = [n](std::size_t i) { return i < n ? i : i - n; };
+void SplitmixSeedSeq::generate(
+    std::uint32_t (&out)[Mt19937_64::kSeedWords]) const {
+  // [rand.util.seedseq] generate() with s = 4 input words and n = 624
+  // output words, so t = 11, p = (n - t) / 2 = 306, q = p + t = 317 and
+  // both passes run n steps.  Step k reads out[k - 1], which only step
+  // k - 1 wrote, so `prev` carries it.  Each pass is split where k + q and
+  // then k + p pass n, so no step computes or tests a wrapped index.
+  constexpr std::size_t n = Mt19937_64::kSeedWords;
+  constexpr std::size_t p = 306;
+  constexpr std::size_t q = 317;
+  static_assert(n == 624 && p == (n - 11) / 2 && q == p + 11);
+  std::fill_n(out, n, 0x8b8b8b8bu);
+  std::uint32_t prev = 0x8b8b8b8bu;  // out[n - 1] before the first step
   const auto mix = [](std::uint32_t x) { return x ^ (x >> 27); };
-  std::fill(begin, end, 0x8b8b8b8bu);
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t kp = wrap(k + p);
-    const std::size_t kq = wrap(k + q);
-    const std::size_t km = k == 0 ? n - 1 : k - 1;
-    const std::uint32_t r1 = 1664525u * mix(begin[k] ^ begin[kp] ^ begin[km]);
-    std::uint32_t r2 = r1 + static_cast<std::uint32_t>(k);
-    if (k == 0) {
-      r2 += s;
-    } else if (k <= s) {
-      r2 += words_[k - 1];
-    }
-    begin[kp] += r1;
-    begin[kq] += r2;
-    begin[k] = r2;
+  const auto first = [&](std::size_t k, std::size_t kp, std::size_t kq,
+                         std::uint32_t add) {
+    const std::uint32_t r1 = 1664525u * mix(out[k] ^ out[kp] ^ prev);
+    prev = r1 + add;
+    out[kp] += r1;
+    out[kq] += prev;
+    out[k] = prev;
+  };
+  const auto second = [&](std::size_t k, std::size_t kp, std::size_t kq) {
+    const std::uint32_t r3 = 1566083941u * mix(out[k] + out[kp] + prev);
+    prev = r3 - static_cast<std::uint32_t>(k);
+    out[kp] ^= r3;
+    out[kq] ^= prev;
+    out[k] = prev;
+  };
+  first(0, p, q, 4);  // step 0 adds s
+  for (std::size_t k = 1; k <= 4; ++k) {
+    first(k, k + p, k + q, static_cast<std::uint32_t>(k) + words_[k - 1]);
   }
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t kp = wrap(k + p);
-    const std::size_t kq = wrap(k + q);
-    const std::size_t km = k == 0 ? n - 1 : k - 1;
-    const std::uint32_t r3 =
-        1566083941u * mix(begin[k] + begin[kp] + begin[km]);
-    const std::uint32_t r4 = r3 - static_cast<std::uint32_t>(k);
-    begin[kp] ^= r3;
-    begin[kq] ^= r4;
-    begin[k] = r4;
+  std::size_t k = 5;
+  for (; k < n - q; ++k) first(k, k + p, k + q, static_cast<std::uint32_t>(k));
+  for (; k < n - p; ++k) {
+    first(k, k + p, k + q - n, static_cast<std::uint32_t>(k));
   }
+  for (; k < n; ++k) {
+    first(k, k + p - n, k + q - n, static_cast<std::uint32_t>(k));
+  }
+  for (k = 0; k < n - q; ++k) second(k, k + p, k + q);
+  for (; k < n - p; ++k) second(k, k + p, k + q - n);
+  for (; k < n; ++k) second(k, k + p - n, k + q - n);
+}
+
+void Rng::seed_engine() {
+  std::uint32_t words[Mt19937_64::kSeedWords];
+  SplitmixSeedSeq(seed_).generate(words);
+  engine_ = std::make_unique<Mt19937_64>(words);
 }
 
 Rng Rng::fork() { return Rng(engine()()); }

@@ -7,9 +7,10 @@
 // the streams being correlated.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <random>
+#include <utility>
 #include <vector>
 
 namespace srm::util {
@@ -33,27 +34,61 @@ std::uint64_t keyed_u64(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
 double keyed_unit(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
                   std::uint64_t c);
 
-// The seed sequence an Rng seeds its engine from: std::seed_seq's
-// generate() algorithm over the four 32-bit words splitmix64 expands a seed
-// into, with the algorithm's index arithmetic done without division.  An
-// engine seeded from it equals one seeded from the std::seed_seq of the
-// same words (tests/util/rng_test.cpp checks this), at a fraction of the
-// cost, which matters because every simulated host builds its own Rng.
+// MT19937-64 (Matsumoto & Nishimura), the engine behind every Rng.  Its
+// output equals std::mt19937_64's built from the same seed words
+// (tests/util/rng_test.cpp checks this).  Owning it lets the engine be
+// built straight from its seed words and twist without a branch; it is
+// the same 2.5 KB of state.
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr std::size_t kStateWords = 312;
+  // The 32-bit seed words the state is built from, two per state word.
+  static constexpr std::size_t kSeedWords = 2 * kStateWords;
+
+  // The state std::mt19937_64::seed(seq) builds once seq.generate() has
+  // written `words`: state word i is words[2i] | words[2i + 1] << 32,
+  // with std's guard against an all-zero state.
+  explicit Mt19937_64(const std::uint32_t (&words)[kSeedWords]);
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  result_type operator()() {
+    if (next_ == kStateWords) twist();
+    std::uint64_t z = state_[next_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+    z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+ private:
+  void twist();
+
+  std::uint64_t state_[kStateWords];
+  std::size_t next_ = kStateWords;  // the first draw twists
+};
+
+// The seed words an Rng builds its engine from: std::seed_seq's generate()
+// algorithm over the four 32-bit words splitmix64 expands a seed into, for
+// the one output length the engine takes.  It equals the std::seed_seq of
+// the same words (tests/util/rng_test.cpp checks this) at a fraction of
+// the cost, which matters because every simulated host builds its own Rng.
 class SplitmixSeedSeq {
  public:
-  using result_type = std::uint32_t;
-
   explicit SplitmixSeedSeq(std::uint64_t seed);
 
-  // Fills [begin, end), which must hold more than four words.
-  void generate(std::uint32_t* begin, std::uint32_t* end) const;
+  void generate(std::uint32_t (&out)[Mt19937_64::kSeedWords]) const;
 
  private:
   std::uint32_t words_[4] = {};
 };
 
-// A seeded random source.  Thin wrapper over mt19937_64 with the handful of
-// distributions the simulator needs.  Copyable (copies the full state).
+// A seeded random source: an Mt19937_64 with the handful of distributions
+// the simulator needs, drawn through std's distributions so that every
+// value equals the one a std::mt19937_64 would give.  Copyable (copies the
+// full state).
 // The engine is allocated and seeded on the first draw, so a generator that
 // is built but never drawn from (a disabled component's fork, such as a
 // member's flat-session scheduler under hierarchical reporting) costs two
@@ -66,7 +101,7 @@ class Rng {
   Rng(const Rng& other)
       : seed_(other.seed_),
         engine_(other.engine_
-                    ? std::make_unique<std::mt19937_64>(*other.engine_)
+                    ? std::make_unique<Mt19937_64>(*other.engine_)
                     : nullptr) {}
   Rng& operator=(const Rng& other) {
     if (this != &other) *this = Rng(other);
@@ -111,16 +146,14 @@ class Rng {
   std::uint64_t next_u64();
 
  private:
-  std::mt19937_64& engine() {
-    if (!engine_) {
-      SplitmixSeedSeq seq(seed_);
-      engine_ = std::make_unique<std::mt19937_64>(seq);
-    }
+  Mt19937_64& engine() {
+    if (!engine_) seed_engine();
     return *engine_;
   }
+  void seed_engine();
 
   std::uint64_t seed_;
-  std::unique_ptr<std::mt19937_64> engine_;  // null until the first draw
+  std::unique_ptr<Mt19937_64> engine_;  // null until the first draw
 };
 
 }  // namespace srm::util

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "srm/messages.h"
@@ -309,6 +310,70 @@ TEST(GilbertElliottDropTest, ChainIsPureFunctionOfTime) {
     scattered.in_bad_state(1, (k * 7 % 300) * p.slot_dt);  // noise, link 1
     EXPECT_EQ(scattered.in_bad_state(0, k * p.slot_dt), states[k]);
   }
+}
+
+TEST(PdesGilbertElliottTest, RegionRowsMatchInOrderChain) {
+  // Under the parallel kernel each region walks the same links in its own
+  // non-decreasing time, through its own memo row.  Rows queried out of
+  // order, and two threads driving distinct rows at once, must see the
+  // states of a fresh chain queried in order.
+  GilbertElliottDrop::Params p;
+  p.p_good_bad = 0.2;
+  p.p_bad_good = 0.3;
+  constexpr LinkId kLinks = 4;
+  constexpr std::uint64_t kSlots = 1000;
+  const auto at = [&p](std::uint64_t slot) {
+    return (static_cast<double>(slot) + 0.25) * p.slot_dt;
+  };
+  GilbertElliottDrop fresh(p, 17);
+  std::vector<std::vector<bool>> want(kLinks);
+  for (LinkId link = 0; link < kLinks; ++link) {
+    for (std::uint64_t k = 0; k < kSlots; ++k) {
+      want[link].push_back(fresh.in_bad_state(link, at(k)));
+    }
+  }
+
+  // Region 0 forwards, region 1 strided, region 2 backwards.
+  GilbertElliottDrop scattered(p, 17);
+  scattered.prepare(kLinks, 3);
+  for (std::uint64_t i = 0; i < kSlots; ++i) {
+    const std::uint64_t strided = i * 7 % kSlots;
+    const std::uint64_t back = kSlots - 1 - i;
+    for (LinkId link = 0; link < kLinks; ++link) {
+      ASSERT_EQ(scattered.in_bad_state(link, at(i), 0), want[link][i]);
+      ASSERT_EQ(scattered.in_bad_state(link, at(strided), 1),
+                want[link][strided]);
+      ASSERT_EQ(scattered.in_bad_state(link, at(back), 2), want[link][back]);
+    }
+  }
+
+  // Two workers walk regions 0 and 1 through should_drop; with the default
+  // losses (1 in the bad state, 0 in the good one) a drop is exactly a bad
+  // slot.
+  GilbertElliottDrop shared(p, 17);
+  shared.prepare(kLinks, 2);
+  std::vector<std::vector<bool>> seen[2];
+  std::vector<std::thread> workers;
+  for (std::uint32_t region = 0; region < 2; ++region) {
+    seen[region].assign(kLinks, std::vector<bool>(kSlots));
+    workers.emplace_back([&, region] {
+      const Packet packet = packet_with_tag(0);
+      for (std::uint64_t k = 0; k < kSlots; ++k) {
+        for (LinkId link = 0; link < kLinks; ++link) {
+          const HopContext hop{link, 0, 1, k, at(k), region};
+          seen[region][link][k] = shared.should_drop(packet, hop);
+        }
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  std::size_t bad_slots = 0;
+  for (LinkId link = 0; link < kLinks; ++link) {
+    EXPECT_EQ(seen[0][link], want[link]) << "link " << link;
+    EXPECT_EQ(seen[1][link], want[link]) << "link " << link;
+    for (bool bad : want[link]) bad_slots += bad ? 1 : 0;
+  }
+  EXPECT_EQ(shared.drops_so_far(), 2 * bad_slots);
 }
 
 TEST(GilbertElliottDropTest, LinksHaveIndependentChains) {

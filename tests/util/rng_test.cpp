@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <random>
 #include <set>
 #include <utility>
@@ -222,23 +223,184 @@ std::mt19937_64 std_seeded_engine(std::uint64_t seed) {
   return std::mt19937_64(seq);
 }
 
-TEST(RngTest, SeedSequenceMatchesStdSeedSeq) {
-  // Small seeds as the harnesses use them, then splitmix64-spread ones.
+// Small seeds as the harnesses use them, then splitmix64-spread ones.
+std::vector<std::uint64_t> test_seeds(std::size_t count) {
+  std::vector<std::uint64_t> seeds(count);
   std::uint64_t spread = 0;
-  for (std::uint64_t i = 0; i < 10000; ++i) {
-    const std::uint64_t seed = i < 5000 ? i : splitmix64(spread);
-    SplitmixSeedSeq fast(seed);
-    const std::mt19937_64 got(fast);
-    ASSERT_TRUE(got == std_seeded_engine(seed)) << "seed " << seed;
+  for (std::size_t i = 0; i < count; ++i) {
+    seeds[i] = i < count / 2 ? i : splitmix64(spread);
   }
-  // Output lengths on both sides of each of the algorithm's thresholds.
-  for (std::size_t n : {5, 6, 7, 38, 39, 67, 68, 622, 623, 624, 999}) {
-    const std::vector<std::uint32_t> words = seed_words(77);
+  return seeds;
+}
+
+TEST(RngTest, SeedSequenceMatchesStdSeedSeq) {
+  for (std::uint64_t seed : test_seeds(10000)) {
+    const std::vector<std::uint32_t> words = seed_words(seed);
     std::seed_seq ref(words.begin(), words.end());
-    std::vector<std::uint32_t> want(n), got(n);
-    ref.generate(want.begin(), want.end());
-    SplitmixSeedSeq(77).generate(got.data(), got.data() + n);
-    EXPECT_EQ(got, want) << "n = " << n;
+    std::uint32_t want[Mt19937_64::kSeedWords];
+    std::uint32_t got[Mt19937_64::kSeedWords];
+    ref.generate(std::begin(want), std::end(want));
+    SplitmixSeedSeq(seed).generate(got);
+    ASSERT_TRUE(std::equal(std::begin(got), std::end(got), std::begin(want)))
+        << "seed " << seed;
+  }
+}
+
+Mt19937_64 owned_engine(std::uint64_t seed) {
+  std::uint32_t words[Mt19937_64::kSeedWords];
+  SplitmixSeedSeq(seed).generate(words);
+  return Mt19937_64(words);
+}
+
+TEST(RngTest, OwnedEngineMatchesStdEngine) {
+  // 1000 draws span three twists (draws 1, 313 and 625 twist).
+  static_assert(sizeof(Mt19937_64) == sizeof(std::mt19937_64));
+  for (std::uint64_t seed : test_seeds(10000)) {
+    Mt19937_64 got = owned_engine(seed);
+    std::mt19937_64 want = std_seeded_engine(seed);
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_EQ(got(), want()) << "seed " << seed << " draw " << i;
+    }
+  }
+}
+
+// A seed sequence that writes fixed words, to reach the all-zero guard.
+struct FixedWords {
+  using result_type = std::uint32_t;
+  std::uint32_t words[Mt19937_64::kSeedWords] = {};
+  template <typename It>
+  void generate(It begin, It end) const {
+    std::copy(std::begin(words), std::begin(words) + (end - begin), begin);
+  }
+};
+
+TEST(RngTest, OwnedEngineKeepsStdZeroStateGuard) {
+  // All zero, zero but the first word's low 31 bits (both guarded), and
+  // one bit above them or in a later word (neither guarded).
+  std::vector<FixedWords> cases(5);
+  cases[1].words[0] = 0x7FFFFFFF;
+  cases[2].words[0] = 0x80000000;
+  cases[3].words[1] = 1;
+  cases[4].words[Mt19937_64::kSeedWords - 1] = 1;
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    Mt19937_64 got(cases[c].words);
+    std::mt19937_64 want(cases[c]);
+    for (int i = 0; i < 700; ++i) {
+      ASSERT_EQ(got(), want()) << "case " << c << " draw " << i;
+    }
+  }
+}
+
+// Every Rng method, mirrored over std's distributions and the std engine
+// that Rng(seed) must reproduce.
+struct StdReference {
+  std::mt19937_64 engine;
+
+  double uniform(double lo, double hi) {
+    return lo == hi ? lo
+                    : std::uniform_real_distribution<double>(lo, hi)(engine);
+  }
+  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine);
+  }
+  bool chance(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return std::bernoulli_distribution(p)(engine);
+  }
+  double exponential(double mean) {
+    return std::exponential_distribution<double>(1.0 / mean)(engine);
+  }
+  std::size_t index(std::size_t n) {
+    return static_cast<std::size_t>(
+        uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  }
+  template <typename T>
+  void shuffle(std::vector<T>& v) {
+    for (std::size_t i = v.size(); i > 1; --i) std::swap(v[i - 1], v[index(i)]);
+  }
+  std::vector<std::size_t> sample_without_replacement(std::size_t n,
+                                                      std::size_t k) {
+    std::vector<std::size_t> idx(n);
+    for (std::size_t i = 0; i < n; ++i) idx[i] = i;
+    for (std::size_t i = 0; i < k; ++i) {
+      const auto j = static_cast<std::size_t>(uniform_int(
+          static_cast<std::int64_t>(i), static_cast<std::int64_t>(n) - 1));
+      std::swap(idx[i], idx[j]);
+    }
+    idx.resize(k);
+    return idx;
+  }
+};
+
+// Draw `i` of a mixed sequence: one method per step, arguments varied
+// with the step, every result checked against the reference.
+void expect_same_draw(Rng& got, StdReference& want, int i) {
+  const double x = 0.25 * (i % 13);
+  const auto n = static_cast<std::size_t>(1 + i % 37);
+  switch (i % 10) {
+    case 0:
+      ASSERT_EQ(got.uniform(-x, x * x), want.uniform(-x, x * x)) << i;
+      break;
+    case 1:
+      ASSERT_EQ(got.uniform_int(-i, 3 * i), want.uniform_int(-i, 3 * i)) << i;
+      ASSERT_EQ(got.uniform_int(INT64_MIN, INT64_MAX),
+                want.uniform_int(INT64_MIN, INT64_MAX))
+          << i;
+      break;
+    case 2:
+      ASSERT_EQ(got.chance(x / 2.0 - 0.5), want.chance(x / 2.0 - 0.5)) << i;
+      break;
+    case 3:
+      ASSERT_EQ(got.exponential(x + 0.1), want.exponential(x + 0.1)) << i;
+      break;
+    case 4:
+      ASSERT_EQ(got.index(n), want.index(n)) << i;
+      break;
+    case 5: {
+      std::vector<int> a(n), b(n);
+      for (std::size_t j = 0; j < n; ++j) a[j] = b[j] = static_cast<int>(j);
+      got.shuffle(a);
+      want.shuffle(b);
+      ASSERT_EQ(a, b) << i;
+      break;
+    }
+    case 6:
+      ASSERT_EQ(got.sample_without_replacement(n, n / 2),
+                want.sample_without_replacement(n, n / 2))
+          << i;
+      break;
+    case 7: {
+      Rng child = got.fork();
+      std::mt19937_64 want_child = std_seeded_engine(want.engine());
+      for (int j = 0; j < 3; ++j) ASSERT_EQ(child.next_u64(), want_child());
+      break;
+    }
+    default:
+      ASSERT_EQ(got.next_u64(), want.engine()) << i;
+      break;
+  }
+}
+
+TEST(RngTest, EveryMethodMatchesStdDistributions) {
+  for (std::uint64_t seed : test_seeds(200)) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    StdReference want{std_seeded_engine(seed)};
+    for (int i = 0; i < 400; ++i) {
+      ASSERT_NO_FATAL_FAILURE(expect_same_draw(rng, want, i));
+    }
+    // A copy and a move taken after 400 draws continue the stream apart,
+    // and the moved-from generator restarts it from the seed.
+    Rng copy = rng;
+    StdReference want_copy = want;
+    Rng moved = std::move(rng);
+    StdReference want_restart{std_seeded_engine(seed)};
+    for (int i = 400; i < 500; ++i) {
+      ASSERT_NO_FATAL_FAILURE(expect_same_draw(moved, want, i));
+      ASSERT_NO_FATAL_FAILURE(expect_same_draw(copy, want_copy, i + 3));
+      ASSERT_NO_FATAL_FAILURE(expect_same_draw(rng, want_restart, i + 7));
+    }
   }
 }
 
