@@ -6,8 +6,8 @@
 //
 //   link down:  invalidate in-flight deliveries crossing the link (they were
 //               routed over the pre-failure trees), then take the link down;
-//               routing's cached trees, the pruned delivery trees and
-//               oracle distances revalidate lazily via Topology::version().
+//               routing's cached trees, the network's forest and oracle
+//               distances revalidate lazily via Topology::version().
 //   link up:    bring the link back; caches revalidate the same way.
 //   partition:  take down every up link with exactly one endpoint in the
 //               island, remembering the cut so heal() can restore exactly

@@ -81,11 +81,9 @@ SimSession::SimSession(net::Topology topo,
                   1.0, std::round(std::sqrt(static_cast<double>(
                            member_nodes_.size())))));
     area_map_ = net::partition_regions(topo_, target);
-    // Local reports only need the sender's TTL-radius of the tree, where
+    // Local reports only need the sender's TTL radius of the tree, and
     // walking just that radius delivers what the full tree would.
-    if (net::scoped_tree_exact(topo_)) {
-      for (auto& n : nets_) n->set_scoped_tree_cache(true);
-    }
+    for (auto& n : nets_) n->set_scoped_walk(true);
     hierarchy_ = std::make_unique<SessionHierarchy>(
         directory_, options_.srm.hierarchy, area_map_.count, options_.seed);
   }

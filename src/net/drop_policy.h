@@ -128,7 +128,10 @@ class RandomDrop final : public DropPolicy {
   std::atomic<std::size_t> drops_{0};
 };
 
-// Applies several policies in order; drops if any of them drops.
+// Applies several policies in order; drops if any of them drops.  The
+// burst_stream and burst_stream_pdes worlds of perfbench/main.cpp and
+// bench/pdes_kernel each install one to hold a scripted congested-link
+// drop per source.
 class CompositeDrop final : public DropPolicy {
  public:
   void add(std::shared_ptr<DropPolicy> policy);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <queue>
 #include <stdexcept>
 
 namespace srm::net {
@@ -196,11 +195,7 @@ void MulticastNetwork::rebuild_forest() {
     const std::uint64_t version = f.topology_version;
     f = Forest{};  // keeps no O(nodes) arrays for a graph with a cycle
     f.topology_version = version;
-    return;
   }
-  // Per-sender traces of an earlier cyclic topology are dead weight now.
-  pruned_cache_.clear();
-  scoped_cache_.clear();
 }
 
 const std::vector<std::uint32_t>& MulticastNetwork::forest_below(
@@ -216,48 +211,77 @@ const std::vector<std::uint32_t>& MulticastNetwork::forest_below(
   return gs.below;
 }
 
-void MulticastNetwork::mark_scoped(const Forest& f, NodeId root,
-                                   const GroupState& gs, int ttl) {
+std::uint64_t MulticastNetwork::next_mark() {
   const std::size_t n = topo_->node_count();
-  if (scoped_need_.size() < n) {
-    scoped_need_.resize(n, 0);
-    scoped_parent_.resize(n, kInvalidNode);
+  if (marked_.size() < n) {
+    marked_.resize(n, 0);
+    mark_parent_.resize(n, kInvalidNode);
   }
-  const std::uint64_t gen = ++scoped_gen_;
+  return ++mark_gen_;
+}
+
+template <typename Children>
+void MulticastNetwork::mark(NodeId root, const GroupState& gs, int radius,
+                            const Children& children) {
+  const std::uint64_t gen = next_mark();
   // Depth-first over the radius: a node's way back to the root is recorded
   // before any node below it is popped, so each in-radius member marks its
   // path up to the first node already marked.
-  forest_stack_.clear();
-  forest_stack_.push_back(ForestFrame{root, kInvalidNode, 0.0, 0, 0});
-  while (!forest_stack_.empty()) {
-    const ForestFrame fr = forest_stack_.back();
-    forest_stack_.pop_back();
-    scoped_parent_[fr.node] = fr.prev;
+  walk_stack_.clear();
+  walk_stack_.push_back(WalkFrame{root, kInvalidNode, 0.0, 0, 0});
+  while (!walk_stack_.empty()) {
+    const WalkFrame fr = walk_stack_.back();
+    walk_stack_.pop_back();
+    mark_parent_[fr.node] = fr.prev;
     if (gs.test(fr.node)) {
-      for (NodeId v = fr.node; scoped_need_[v] != gen; v = scoped_parent_[v]) {
-        scoped_need_[v] = gen;
+      for (NodeId v = fr.node; marked_[v] != gen; v = mark_parent_[v]) {
+        marked_[v] = gen;
         if (v == root) break;
       }
     }
-    if (fr.hops >= ttl) continue;
-    for (std::uint32_t e = f.first[fr.node]; e < f.first[fr.node + 1]; ++e) {
-      const NodeId peer = f.ends[e].peer;
-      if (peer == fr.prev) continue;
-      forest_stack_.push_back(ForestFrame{peer, fr.node, 0.0, 0, fr.hops + 1});
+    if (fr.hops >= radius) continue;
+    children(fr.node, fr.prev, [&](const LinkEnd& hop) {
+      walk_stack_.push_back(WalkFrame{hop.peer, fr.node, 0.0, 0, fr.hops + 1});
+    });
+  }
+}
+
+template <typename Children, typename Needed>
+void MulticastNetwork::walk(NodeId root, const Packet& pkt,
+                            std::uint64_t packet_ordinal, const GroupState& gs,
+                            const Children& children, const Needed& needed,
+                            DeliveryChain& chain) {
+  walk_stack_.clear();
+  walk_stack_.push_back(WalkFrame{root, kInvalidNode, 0.0, pkt.ttl, 0});
+  while (!walk_stack_.empty()) {
+    const WalkFrame fr = walk_stack_.back();
+    walk_stack_.pop_back();
+    if (fr.node != root && gs.test(fr.node)) {
+      collect(fr.node, fr.delay, fr.hops, chain);
     }
+    children(fr.node, fr.prev, [&](const LinkEnd& hop) {
+      if (needed(fr.node, hop.peer) &&
+          hop_allowed(pkt, fr.ttl, hop, fr.node, packet_ordinal)) {
+        walk_stack_.push_back(WalkFrame{hop.peer, fr.node,
+                                        fr.delay + hop.delay, fr.ttl - 1,
+                                        fr.hops + 1});
+      }
+    });
   }
 }
 
 void MulticastNetwork::walk_forest(const Forest& f, NodeId root,
                                    const Packet& pkt,
                                    std::uint64_t packet_ordinal, bool scoped,
-                                   DeliveryChain& chain) {
-  const auto git = groups_.find(pkt.group);
-  if (git == groups_.end()) return;  // no member anywhere: nothing to walk
-  GroupState& gs = git->second;
+                                   GroupState& gs, DeliveryChain& chain) {
+  const auto children = [&f](NodeId node, NodeId prev, const auto& visit) {
+    for (std::uint32_t e = f.first[node]; e < f.first[node + 1]; ++e) {
+      if (f.ends[e].peer != prev) visit(f.ends[e]);
+    }
+  };
   const std::vector<std::uint32_t>* below = nullptr;
   if (scoped) {
-    mark_scoped(f, root, gs, pkt.ttl);
+    mark(root, gs, pkt.ttl, children);
   } else {
     below = &forest_below(f, gs);
   }
@@ -265,32 +289,39 @@ void MulticastNetwork::walk_forest(const Forest& f, NodeId root,
   // next's subtree when next hangs below node in the fixed rooting, and
   // otherwise the rest of the component outside node's own subtree.
   const auto needed = [&](NodeId node, NodeId next) {
-    if (below == nullptr) return scoped_need_[next] == scoped_gen_;
+    if (below == nullptr) return marked(next);
     const std::vector<std::uint32_t>& b = *below;
     return f.parent[next] == node ? b[next] > 0
                                   : b[f.component[node]] > b[node];
   };
-  // A stack DFS that consults a node's hops in ascending peer order and
-  // pushes the allowed ones, so the highest-id child's subtree is walked
-  // first: the order the flattened trace of this tree records (TraceStep).
-  forest_stack_.clear();
-  forest_stack_.push_back(ForestFrame{root, kInvalidNode, 0.0, pkt.ttl, 0});
-  while (!forest_stack_.empty()) {
-    const ForestFrame fr = forest_stack_.back();
-    forest_stack_.pop_back();
-    if (fr.node != root && gs.test(fr.node)) {
-      collect(fr.node, fr.delay, fr.hops, chain);
+  walk(root, pkt, packet_ordinal, gs, children, needed, chain);
+}
+
+void MulticastNetwork::walk_spt(const Spt& t, const Packet& pkt,
+                                std::uint64_t packet_ordinal, bool scoped,
+                                const GroupState& gs, DeliveryChain& chain) {
+  const auto children = [&](NodeId node, NodeId, const auto& visit) {
+    for (NodeId c = t.first_child[node]; c != kInvalidNode;
+         c = t.next_sibling[c]) {
+      const Link& l = topo_->link(t.parent_link[c]);
+      visit(LinkEnd{c, t.parent_link[c], l.delay, l.threshold});
     }
-    for (std::uint32_t e = f.first[fr.node]; e < f.first[fr.node + 1]; ++e) {
-      const LinkEnd& hop = f.ends[e];
-      if (hop.peer == fr.prev || !needed(fr.node, hop.peer)) continue;
-      if (hop_allowed(pkt, fr.ttl, hop, fr.node, packet_ordinal)) {
-        forest_stack_.push_back(ForestFrame{hop.peer, fr.node,
-                                            fr.delay + hop.delay, fr.ttl - 1,
-                                            fr.hops + 1});
+  };
+  if (scoped) {
+    mark(t.root, gs, pkt.ttl, children);
+  } else {
+    // Each member's path back to the root, up to the first node already
+    // marked; an unreachable member marks only itself.
+    const std::uint64_t gen = next_mark();
+    for (NodeId m : gs.sorted) {
+      for (NodeId v = m; marked_[v] != gen; v = t.parent[v]) {
+        marked_[v] = gen;
+        if (v == t.root || t.parent[v] == kInvalidNode) break;
       }
     }
   }
+  walk(t.root, pkt, packet_ordinal, gs, children,
+       [this](NodeId, NodeId next) { return marked(next); }, chain);
 }
 
 template <typename Visit>
@@ -321,211 +352,6 @@ bool MulticastNetwork::forest_path(const Forest& f, NodeId from, NodeId to,
     visit(it->first, it->second);
   }
   return true;
-}
-
-bool MulticastNetwork::current(PrunedTree& entry) const {
-  if (entry.membership_version == membership_version_ &&
-      entry.topology_version == topo_->version()) {
-    return true;
-  }
-  entry.membership_version = membership_version_;
-  entry.topology_version = topo_->version();
-  return false;
-}
-
-template <typename Children>
-void MulticastNetwork::flatten(PrunedTree& entry, NodeId root,
-                               const GroupState* gs,
-                               const Children& children) {
-  // parents[] remembers each step's parent step for the subtree-extent pass
-  // below.
-  struct BuildFrame {
-    NodeId node;
-    std::uint32_t parent_step;
-  };
-  std::vector<TraceStep>& steps = trace_steps_scratch_;
-  std::vector<TraceEdge>& edges = trace_edges_scratch_;
-  steps.clear();
-  edges.clear();
-  std::vector<BuildFrame> stack;
-  std::vector<std::uint32_t> parents;
-  stack.push_back(BuildFrame{root, 0});
-  while (!stack.empty()) {
-    const BuildFrame f = stack.back();
-    stack.pop_back();
-    const auto step_index = static_cast<std::uint32_t>(steps.size());
-    TraceStep step;
-    step.node = f.node;
-    step.member = f.node != root && gs != nullptr && gs->test(f.node);
-    step.subtree_end = step_index + 1;
-    step.first_edge = static_cast<std::uint32_t>(edges.size());
-    step.edge_count = 0;
-    children(f.node, [&](NodeId child, LinkId link) {
-      const Link& l = topo_->link(link);
-      // child_step is patched when the child's step is emitted.
-      edges.push_back(TraceEdge{child, link, l.delay, l.threshold, 0});
-      stack.push_back(BuildFrame{child, step_index});
-      ++step.edge_count;
-    });
-    steps.push_back(step);
-    parents.push_back(f.parent_step);
-    if (f.node != root) {
-      // Patch the parent's edge that leads here.  Edges of one parent are
-      // consulted in SPT-children order but their subtrees are emitted in
-      // reverse (stack order), so search the parent's edge range.
-      TraceStep& p = steps[f.parent_step];
-      for (std::uint32_t e = p.first_edge; e < p.first_edge + p.edge_count;
-           ++e) {
-        if (edges[e].child == f.node) {
-          edges[e].child_step = step_index;
-          break;
-        }
-      }
-    }
-  }
-  // Subtree extents: children always follow their parent, so a reverse scan
-  // folds each step's extent into its parent's.
-  for (std::uint32_t i = static_cast<std::uint32_t>(steps.size()); i > 1;
-       --i) {
-    const std::uint32_t j = i - 1;
-    TraceStep& p = steps[parents[j]];
-    p.subtree_end = std::max(p.subtree_end, steps[j].subtree_end);
-  }
-  // A cached trace lives until membership or topology changes, so it is
-  // stored at its exact size rather than with push_back's doubling slack.
-  entry.steps = std::vector<TraceStep>(steps.begin(), steps.end());
-  entry.edges = std::vector<TraceEdge>(edges.begin(), edges.end());
-}
-
-const MulticastNetwork::PrunedTree& MulticastNetwork::pruned(NodeId root,
-                                                             GroupId group) {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(root) << 32) | static_cast<std::uint64_t>(group);
-  PrunedTree& entry = pruned_cache_[key];
-  if (current(entry)) return entry;
-  const Spt& t = routing_.spt(root);
-
-  // need[n]: node n lies on a path from the root to some group member.
-  need_scratch_.assign(topo_->node_count(), false);
-  const auto git = groups_.find(group);
-  const GroupState* gs = git != groups_.end() ? &git->second : nullptr;
-  if (gs != nullptr) {
-    for (NodeId m : gs->sorted) {
-      // Mark the path from the member back to the root; stop early when we
-      // reach an already-marked node (shared prefix).
-      NodeId v = m;
-      while (!need_scratch_[v]) {
-        need_scratch_[v] = true;
-        if (v == root) break;
-        if (t.parent[v] == kInvalidNode) break;  // unreachable member
-        v = t.parent[v];
-      }
-    }
-  }
-  flatten(entry, root, gs, [&](NodeId node, const auto& emit) {
-    for (NodeId child = t.first_child[node]; child != kInvalidNode;
-         child = t.next_sibling[child]) {
-      if (need_scratch_[child]) emit(child, t.parent_link[child]);
-    }
-  });
-  return entry;
-}
-
-const MulticastNetwork::PrunedTree& MulticastNetwork::pruned_scoped(
-    NodeId root, GroupId group, int ttl) {
-  PrunedTree& entry = scoped_cache_[std::make_tuple(root, group, ttl)];
-  if (current(entry)) return entry;
-
-  const std::size_t n = topo_->node_count();
-  if (scoped_stamp_.size() < n) {
-    scoped_stamp_.resize(n, 0);
-    scoped_done_.resize(n, 0);
-    scoped_need_.resize(n, 0);
-    scoped_dist_.resize(n, 0.0);
-    scoped_hops_.resize(n, 0);
-    scoped_parent_.resize(n, kInvalidNode);
-    scoped_parent_link_.resize(n, 0);
-  }
-  const std::uint64_t gen = ++scoped_gen_;
-  scoped_visited_.clear();
-  scoped_children_.clear();
-
-  // TTL-truncated Dijkstra with the canonical (dist, hops, node) keys and
-  // (delay, hops, parent-id) improvement predicate of Routing::compute().
-  // A finalized node's key is identical to the full SPT's whenever its
-  // canonical hop depth is <= ttl (all its tree ancestors are shallower, so
-  // truncation never hides the winning offer); only nodes within ttl hops
-  // are ever finalized, and only nodes strictly inside the radius expand.
-  using Key = std::tuple<double, int, NodeId>;
-  std::priority_queue<Key, std::vector<Key>, std::greater<>> pq;
-  scoped_stamp_[root] = gen;
-  scoped_dist_[root] = 0.0;
-  scoped_hops_[root] = 0;
-  scoped_parent_[root] = root;
-  pq.emplace(0.0, 0, root);
-  while (!pq.empty()) {
-    const auto [d, h, u] = pq.top();
-    pq.pop();
-    if (scoped_done_[u] == gen) continue;
-    scoped_done_[u] = gen;
-    scoped_visited_.push_back(u);
-    if (h >= ttl) continue;  // within radius but must not expand further
-    for (const LinkEnd& e : topo_->neighbors(u)) {
-      const double nd = d + e.delay;
-      const int nh = h + 1;
-      const bool fresh = scoped_stamp_[e.peer] != gen;
-      const bool better =
-          fresh || nd < scoped_dist_[e.peer] ||
-          (nd == scoped_dist_[e.peer] &&
-           (nh < scoped_hops_[e.peer] ||
-            (nh == scoped_hops_[e.peer] && u < scoped_parent_[e.peer])));
-      if (scoped_done_[e.peer] != gen && better) {
-        scoped_stamp_[e.peer] = gen;
-        scoped_dist_[e.peer] = nd;
-        scoped_hops_[e.peer] = nh;
-        scoped_parent_[e.peer] = u;
-        scoped_parent_link_[e.peer] = e.link;
-        pq.emplace(nd, nh, e.peer);
-      }
-    }
-  }
-
-  // need-mark the path of every in-radius member back to the root; iterate
-  // visited nodes (O(radius)), never the whole membership.
-  const auto git = groups_.find(group);
-  const GroupState* gs = git != groups_.end() ? &git->second : nullptr;
-  if (gs != nullptr) {
-    for (NodeId m : scoped_visited_) {
-      if (!gs->test(m)) continue;
-      NodeId v = m;
-      while (scoped_need_[v] != gen) {
-        scoped_need_[v] = gen;
-        if (v == root) break;
-        v = scoped_parent_[v];
-      }
-    }
-  }
-
-  // Children lists in canonical (ascending child id per parent) order, as a
-  // sorted pair vector consumed via equal_range during the flatten.  With no
-  // in-radius member the list is empty and the tree is the bare root step
-  // multicast()'s walk needs.
-  for (NodeId v : scoped_visited_) {
-    if (v != root && scoped_need_[v] == gen) {
-      scoped_children_.emplace_back(scoped_parent_[v], v);
-    }
-  }
-  std::sort(scoped_children_.begin(), scoped_children_.end());
-  flatten(entry, root, gs, [&](NodeId node, const auto& emit) {
-    const auto range = std::equal_range(
-        scoped_children_.begin(), scoped_children_.end(),
-        std::make_pair(node, NodeId{0}),
-        [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (auto it = range.first; it != range.second; ++it) {
-      emit(it->second, scoped_parent_link_[it->second]);
-    }
-  });
-  return entry;
 }
 
 bool MulticastNetwork::hop_allowed(const Packet& packet, int ttl_at_from,
@@ -619,58 +445,24 @@ void MulticastNetwork::collect(NodeId node, double delay, int hops,
   }
 }
 
-void MulticastNetwork::walk_trace(const PrunedTree& tree, const Packet& pkt,
-                                  std::uint64_t packet_ordinal,
-                                  DeliveryChain& chain) {
-  // Linear walk of the flattened tree.  Each directed link is traversed
-  // (and the drop policy consulted) at most once; a suppressed hop skips
-  // its whole subtree via the precomputed extent.
-  walk_scratch_.resize(tree.steps.size());
-  walk_scratch_[0] = WalkState{0.0, pkt.ttl, 0, false};
-  std::uint32_t i = 0;
-  const auto step_count = static_cast<std::uint32_t>(tree.steps.size());
-  while (i < step_count) {
-    const TraceStep& s = tree.steps[i];
-    const WalkState st = walk_scratch_[i];
-    if (st.blocked) {
-      i = s.subtree_end;
-      continue;
-    }
-    if (s.member) collect(s.node, st.delay, st.hops, chain);
-    for (std::uint32_t e = s.first_edge; e < s.first_edge + s.edge_count;
-         ++e) {
-      const TraceEdge& edge = tree.edges[e];
-      WalkState& child = walk_scratch_[edge.child_step];
-      if (hop_allowed(pkt, st.ttl,
-                      LinkEnd{edge.child, edge.link, edge.delay,
-                              edge.threshold},
-                      s.node, packet_ordinal)) {
-        child = WalkState{st.delay + edge.delay, st.ttl - 1, st.hops + 1,
-                          false};
-      } else {
-        child.blocked = true;
-      }
-    }
-    ++i;
-  }
-}
-
 void MulticastNetwork::multicast(NodeId from, Packet packet) {
   const std::uint64_t packet_ordinal =
       begin_send(from, packet, stats_.multicasts_sent);
-  const bool scoped = scoped_trees_enabled_ && packet.ttl < kMaxTtl &&
+  const bool scoped = scoped_walk_ && packet.ttl < kMaxTtl &&
                       packet.scope == Scope::kGlobal;
   const auto shared = std::make_shared<const Packet>(std::move(packet));
   const Packet& pkt = *shared;
 
   const std::uint32_t chain_index = acquire_chain(shared);
   DeliveryChain& chain = chain_pool_[chain_index];
-  if (const Forest* f = forest()) {
-    walk_forest(*f, from, pkt, packet_ordinal, scoped, chain);
-  } else {
-    walk_trace(scoped ? pruned_scoped(from, pkt.group, pkt.ttl)
-                      : pruned(from, pkt.group),
-               pkt, packet_ordinal, chain);
+  // A group nobody ever joined has nothing to walk.
+  if (const auto git = groups_.find(pkt.group); git != groups_.end()) {
+    if (const Forest* f = forest()) {
+      walk_forest(*f, from, pkt, packet_ordinal, scoped, git->second, chain);
+    } else {
+      walk_spt(routing_.spt(from), pkt, packet_ordinal, scoped, git->second,
+               chain);
+    }
   }
   dispatch_chain(chain_index, queue_->now());
   if (!touched_regions_.empty()) {
@@ -972,16 +764,6 @@ void MulticastNetwork::unicast(NodeId from, NodeId to, Packet packet) {
   peers_[dest_region]->accept_remote_chain(self_region_, remote_seq_++,
                                            std::move(shared), {item},
                                            queue_->now());
-}
-
-bool scoped_tree_exact(const Topology& topo) {
-  if (topo.connected() && topo.link_count() + 1 == topo.node_count()) {
-    return true;
-  }
-  const auto& links = topo.links();
-  return std::all_of(links.begin(), links.end(), [&](const Link& l) {
-    return l.delay == links.front().delay;
-  });
 }
 
 }  // namespace srm::net

@@ -9,22 +9,20 @@
 //
 // Hot-path layout: group membership is a per-group bitmap plus a sorted
 // member list (O(1) is_member, O(1) members()), and every delivery of one
-// transmission shares a single immutable Packet.  While the up-link graph
-// is acyclic — every topology the paper evaluates — each sender's
-// shortest-path tree is the one undirected tree re-rooted, so the network
-// keeps a single rooted forest (O(nodes), whatever the number of senders)
-// and answers walks, TTL scoping and distances from it.  On a graph with a
-// cycle it falls back to per-sender trees from Routing, cached as
-// flattened traversal traces (ARCHITECTURE.md §0).  It is also the
-// simulator's transport::Transport backend (ARCHITECTURE.md §13): one
+// transmission shares a single immutable Packet.  One walker delivers every
+// multicast down its sender's shortest-path tree.  While the up-link graph
+// is acyclic — every topology the paper evaluates — that tree is the one
+// undirected tree re-rooted, so the network keeps a single rooted forest
+// (O(nodes), whatever the number of senders) and answers walks, TTL
+// scoping and distances from it; on a graph with a cycle the walker reads
+// Routing's tree of the sender instead (ARCHITECTURE.md §0).  It is also
+// the simulator's transport::Transport backend (ARCHITECTURE.md §13): one
 // object hosts every endpoint.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -120,24 +118,21 @@ class MulticastNetwork final : public transport::Transport {
   // current topology, which then still describes the pre-failure routes.
   void invalidate_in_flight(LinkId link);
 
-  // TTL-scoped delivery-tree fast path for hierarchy-mode local reports
-  // (ARCHITECTURE.md §12).  When enabled, a globally-scoped multicast sent
-  // with TTL < kMaxTtl walks a tree that only ever visits nodes within `ttl`
-  // hops of the sender — on a forest a per-send pass over that radius, on
-  // a graph with cycles a TTL-truncated Dijkstra (exact canonical
-  // tie-breaks) — O(area) per sender instead of the O(nodes) full tree,
-  // which is what makes per-member local session reports affordable at
-  // G = 50k.
-  // Deliveries match the full-tree walk exactly where scoped_tree_exact()
-  // holds; on a non-tree topology with non-uniform delays a node whose
-  // canonical (min-delay) path exceeds `ttl` hops may still be reached over
-  // a longer-delay short-hop path (a delivery superset).  TTL-prune counts
-  // and drop-policy consultation order also differ from the full walk
-  // (pruned subtrees are never materialized), so this is off by default and
-  // flat-path traces stay bit-identical.  harness::SimSession enables it for
-  // hierarchy sessions on topologies where scoped_tree_exact() holds.
-  void set_scoped_tree_cache(bool on) { scoped_trees_enabled_ = on; }
-  bool scoped_tree_cache() const { return scoped_trees_enabled_; }
+  // TTL-scoped walks for hierarchy-mode local reports (ARCHITECTURE.md
+  // §12).  When enabled, a globally-scoped multicast sent with TTL <
+  // kMaxTtl first marks, in one pass over the sender's tree out to `ttl`
+  // hops, the paths to the members inside that radius, and walks only
+  // those: O(area) per send instead of the O(nodes) full walk, which is
+  // what makes per-member local session reports affordable at G = 50k.
+  // The scoped walk consults, in the full walk's order, exactly the full
+  // walk's hops toward members inside the radius, so with keyed or no drop
+  // policies both walks deliver the same on every topology.  Hops toward
+  // members beyond the radius are never consulted, so TTL-prune counts and
+  // link transmissions fall; this is off by default so flat-path traces
+  // keep the full walk's counts.  harness::SimSession enables it for every
+  // hierarchy session.
+  void set_scoped_walk(bool on) { scoped_walk_ = on; }
+  bool scoped_walk() const { return scoped_walk_; }
 
   // Scripted receive-side loss; an empty filter clears it.  Consulted where
   // the sink would be called: after the delivery is counted and traced,
@@ -219,7 +214,7 @@ class MulticastNetwork final : public transport::Transport {
   // the graph is acyclic every sender's shortest-path tree is this forest
   // re-rooted at the sender: a node's children are its up links minus the
   // one toward the sender, and the path to any node is unique, so one
-  // O(nodes) structure replaces a tree and a trace per sender.
+  // O(nodes) structure replaces a tree per sender.
   struct Forest {
     std::uint64_t topology_version = ~std::uint64_t{0};  // never built
     bool acyclic = false;  // false leaves every other field empty
@@ -235,88 +230,52 @@ class MulticastNetwork final : public transport::Transport {
     std::vector<NodeId> order;  // parents before children
   };
 
-  // Flattened member-pruned delivery tree for one (root, group) on a graph
-  // with cycles (a forest needs none; see Forest).
-  //
-  // `steps` lists the tree's nodes in the exact order the previous
-  // stack-based DFS popped them (children of each node are expanded in SPT
-  // order, deepest-pushed popped first).  Each step's outgoing edges occupy
-  // a contiguous range of `edges` in consultation order, and a step's whole
-  // subtree occupies the contiguous step range [index, subtree_end) — so a
-  // hop suppressed by TTL/scope/drop skips its subtree with one index jump.
-  // Preserving that order keeps drop-policy RNG draws and event-queue FIFO
-  // tie-breaks bit-for-bit identical to the recursive traversal.
-  struct TraceStep {
-    NodeId node;
-    bool member;               // deliver here (group member, never the root)
-    std::uint32_t subtree_end;  // one past the last step of this subtree
-    std::uint32_t first_edge;
-    std::uint32_t edge_count;
-  };
-  struct TraceEdge {
-    NodeId child;
-    LinkId link;
-    double delay;
-    int threshold;
-    std::uint32_t child_step;
-  };
-  struct PrunedTree {
-    std::uint64_t membership_version = 0;
-    std::uint64_t topology_version = 0;
-    std::vector<TraceStep> steps;
-    std::vector<TraceEdge> edges;
-  };
-
-  // Per-delivery state while walking a trace.
-  struct WalkState {
-    double delay;
-    int ttl;
-    int hops;
-    bool blocked;
-  };
-
   struct DeliveryChain;  // one transmission in flight; see chain_pool_
 
   // The forest of the current topology, rebuilt when its version moved;
   // nullptr while the up links contain a cycle.
   const Forest* forest();
   void rebuild_forest();
-  // Walks the forest from `root`, consulting hop_allowed() and collecting
-  // receivers in exactly the order the flattened trace of the same tree
-  // would (see TraceStep).  `scoped` limits the walk to the paths to
-  // members within pkt.ttl hops.
+  // walk() on the forest re-rooted at `root`.  An unscoped send skips the
+  // hops with no member beyond them by the forest's member counts, a
+  // scoped one by mark().
   void walk_forest(const Forest& f, NodeId root, const Packet& pkt,
-                   std::uint64_t packet_ordinal, bool scoped,
+                   std::uint64_t packet_ordinal, bool scoped, GroupState& gs,
                    DeliveryChain& chain);
+  // walk() on Routing's tree `t` of a graph with a cycle.  An unscoped
+  // send marks each member's path by climbing its parent chain, a scoped
+  // one by mark().
+  void walk_spt(const Spt& t, const Packet& pkt, std::uint64_t packet_ordinal,
+                bool scoped, const GroupState& gs, DeliveryChain& chain);
+  // The one walker, a stack DFS from `root`.  children(node, prev, visit)
+  // calls visit(hop) for each child of `node` (reached from `prev`) in
+  // ascending id; the walk consults every hop with needed(node, child)
+  // true and pushes the allowed ones, so the highest-id child's subtree is
+  // walked first.  That fixes the order of drop-policy draws, `net` trace
+  // events and the FIFO tie-breaks of the collected receivers.
+  template <typename Children, typename Needed>
+  void walk(NodeId root, const Packet& pkt, std::uint64_t packet_ordinal,
+            const GroupState& gs, const Children& children,
+            const Needed& needed, DeliveryChain& chain);
+  // Marks, in a new generation, the nodes on the tree paths from `root` to
+  // the members within `radius` hops of it.
+  template <typename Children>
+  void mark(NodeId root, const GroupState& gs, int radius,
+            const Children& children);
+  // Starts a marking generation, sizing the stamps on first use.
+  std::uint64_t next_mark();
+  bool marked(NodeId n) const { return marked_[n] == mark_gen_; }
   // Member counts below each node for `gs` under the current forest.
   const std::vector<std::uint32_t>& forest_below(const Forest& f,
                                                  GroupState& gs);
-  // Marks, for this send's generation, the nodes on paths from `root` to
-  // members within `ttl` hops.
-  void mark_scoped(const Forest& f, NodeId root, const GroupState& gs,
-                   int ttl);
   // Calls visit(link, delay) for each link of the forest path from -> to,
   // in order from `from`; false when `to` lies in another component.
   template <typename Visit>
   bool forest_path(const Forest& f, NodeId from, NodeId to,
                    const Visit& visit);
-  // Receiver bookkeeping shared by both walks: a member attached in this
-  // region joins the chain, one in another region its region's bucket.
+  // A walked member's receiver bookkeeping: attached in this region, it
+  // joins the chain; attached in another, its region's bucket.
   void collect(NodeId node, double delay, int hops, DeliveryChain& chain);
-  void walk_trace(const PrunedTree& tree, const Packet& pkt,
-                  std::uint64_t packet_ordinal, DeliveryChain& chain);
-  const PrunedTree& pruned(NodeId root, GroupId group);
-  const PrunedTree& pruned_scoped(NodeId root, GroupId group, int ttl);
-  // True if `entry` matches the current membership and topology; otherwise
-  // stamps it with both versions for a rebuild.
-  bool current(PrunedTree& entry) const;
-  // Flattens the tree below `root` into `entry`, replacing its trace with an
-  // exact-size one in the stack-DFS order described above.
-  // children(node, emit) calls emit(child, link) for each child of `node` on
-  // a member path, in ascending child id (SPT) order.
-  template <typename Children>
-  void flatten(PrunedTree& entry, NodeId root, const GroupState* gs,
-               const Children& children);
   // Send prologue shared by multicast() and unicast(): stamps the source,
   // counts the send, notifies the send observer and traces kNetSend.
   // Returns the packet's per-source transmission ordinal.
@@ -351,25 +310,13 @@ class MulticastNetwork final : public transport::Transport {
   std::unordered_map<GroupId, GroupState> groups_;
   std::uint64_t membership_version_ = 1;
   Forest forest_;
-  std::unordered_map<std::uint64_t, PrunedTree> pruned_cache_;
-  bool scoped_trees_enabled_ = false;
-  std::map<std::tuple<NodeId, GroupId, int>, PrunedTree> scoped_cache_;
-  // Generation-stamped scratch for pruned_scoped and mark_scoped: a slot's
-  // value is valid only when its stamp equals the current generation, so a
-  // build touches O(visited) slots with no O(nodes) clears.
-  std::uint64_t scoped_gen_ = 0;
-  std::vector<std::uint64_t> scoped_stamp_;  // (dist, hops, parent) valid
-  std::vector<std::uint64_t> scoped_done_;   // finalized this build
-  std::vector<std::uint64_t> scoped_need_;   // lies on a member path
-  std::vector<double> scoped_dist_;
-  std::vector<int> scoped_hops_;
-  std::vector<NodeId> scoped_parent_;
-  std::vector<LinkId> scoped_parent_link_;
-  std::vector<NodeId> scoped_visited_;       // finalized nodes, pop order
-  std::vector<std::pair<NodeId, NodeId>> scoped_children_;  // (parent, child)
-  // flatten() builds here, then copies into the cache entry at exact size.
-  std::vector<TraceStep> trace_steps_scratch_;
-  std::vector<TraceEdge> trace_edges_scratch_;
+  bool scoped_walk_ = false;
+  // Member-path marks: marked_[n] == mark_gen_ puts n on a member path of
+  // the current send, so marking touches only the nodes it marks, with no
+  // O(nodes) clear.
+  std::uint64_t mark_gen_ = 0;
+  std::vector<std::uint64_t> marked_;
+  std::vector<NodeId> mark_parent_;  // the walk's way back to the root
   std::shared_ptr<DropPolicy> drop_policy_;
   std::shared_ptr<DropPolicy> fault_drop_policy_;
   std::shared_ptr<const transport::ReceiveFilter> receive_filter_;
@@ -378,17 +325,15 @@ class MulticastNetwork final : public transport::Transport {
   SendObserver send_observer_;
   trace::Tracer* tracer_ = &trace::Tracer::null();
 
-  // Reused scratch for multicast() walks (events never interrupt a walk).
-  std::vector<WalkState> walk_scratch_;
-  std::vector<bool> need_scratch_;
-  struct ForestFrame {
+  // Reused stack for walk() and mark() (events never interrupt a walk).
+  struct WalkFrame {
     NodeId node;
     NodeId prev;  // the neighbor toward the sender; kInvalidNode at it
     double delay;
     int ttl;
     int hops;
   };
-  std::vector<ForestFrame> forest_stack_;
+  std::vector<WalkFrame> walk_stack_;
   // forest_path(): the links below the lowest common ancestor, to -> up.
   std::vector<std::pair<LinkId, double>> path_scratch_;
 
@@ -470,11 +415,5 @@ class MulticastNetwork final : public transport::Transport {
   std::vector<std::vector<ChainItem>> remote_buckets_;
   std::vector<std::uint32_t> touched_regions_;
 };
-
-// True when the TTL-scoped fast path delivers exactly what the full-tree
-// walk does on `topo`, also after any of its links go down or come back: a
-// connected tree (every path is unique) or a graph whose links all share
-// one delay (fewest hops and least delay then agree).
-bool scoped_tree_exact(const Topology& topo);
 
 }  // namespace srm::net

@@ -7,8 +7,7 @@
 // Topologies are mutable at runtime: links can be taken down and brought
 // back up (fault injection; see src/fault).  Every structural mutation bumps
 // version(), the stamp consumers caching derived structures (shortest-path
-// trees, the network's forest, pruned delivery trees) compare against to
-// know they must rebuild.
+// trees, the network's forest) compare against to know they must rebuild.
 #pragma once
 
 #include <cstdint>
@@ -68,8 +67,7 @@ class Topology {
 
   // Bumped on every structural mutation (add_node, add_link, set_link_up).
   // Consumers caching anything derived from the graph (shortest-path trees,
-  // the network's forest, pruned delivery trees, oracle distances)
-  // revalidate against this.
+  // the network's forest, oracle distances) revalidate against this.
   std::uint64_t version() const { return version_; }
 
   // Administrative scoping: nodes default to region 0.

@@ -294,7 +294,7 @@ TEST_F(NetworkTest, MembershipChangeInvalidatesPrunedTree) {
   net_->multicast(0, make_packet(1));
   queue_.run();
   EXPECT_TRUE(sinks_[3]->received.empty());
-  net_->join(1, 3);  // membership change must rebuild the pruned tree
+  net_->join(1, 3);  // membership change must recount the members below
   net_->multicast(0, make_packet(1));
   queue_.run();
   EXPECT_EQ(sinks_[3]->received.size(), 1u);
@@ -302,12 +302,12 @@ TEST_F(NetworkTest, MembershipChangeInvalidatesPrunedTree) {
 
 TEST_F(NetworkTest, JoinLeaveMidRunInvalidatesPrunedTree) {
   // Membership changes from *inside* scheduled events (agents joining and
-  // leaving while traffic is in flight) must invalidate the cached
-  // traversal for subsequent multicasts.
+  // leaving while traffic is in flight) must invalidate the cached member
+  // counts for subsequent multicasts.
   build_chain(5);
   net_->join(1, 2);
   net_->join(1, 4);
-  net_->multicast(0, make_packet(1));  // caches the (0, 1) traversal
+  net_->multicast(0, make_packet(1));  // counts group 1's members
   queue_.schedule_at(10.0, [&] {
     net_->leave(1, 4);
     net_->join(1, 3);

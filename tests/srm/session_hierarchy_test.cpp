@@ -229,11 +229,11 @@ TEST(SessionHierarchyTest, ReducesWideAreaSessionTraffic) {
       << "hierarchy should cut wide-area session traffic several-fold";
 }
 
-TEST(SessionHierarchyTest, KeepsFullTreeWalkOnCyclicMixedDelayTopology) {
+TEST(SessionHierarchyTest, ScopesCyclicMixedDelayTopology) {
   // Triangle 0-1 (1 s), 1-2 (1 s), 0-2 (5 s): node 2's shortest-delay path
   // from node 0 is two hops, so a TTL-1 multicast from node 0 must reach
-  // node 1 only.  The TTL-scoped fast path would also reach node 2 over the
-  // one-hop 5 s link, so a hierarchy session here keeps the full walk.
+  // node 1 only.  The session's scoped walk reads that same tree, so it
+  // does not reach node 2 over the one-hop 5 s link either.
   net::Topology topo(3);
   topo.add_link(0, 1, 1.0);
   topo.add_link(1, 2, 1.0);
@@ -241,7 +241,7 @@ TEST(SessionHierarchyTest, KeepsFullTreeWalkOnCyclicMixedDelayTopology) {
   SrmConfig cfg;
   cfg.hierarchy.enabled = true;
   harness::SimSession session(std::move(topo), all_nodes(3), {cfg, 3, 1});
-  EXPECT_FALSE(session.network().scoped_tree_cache());
+  EXPECT_TRUE(session.network().scoped_walk());
 
   struct Probe : net::Message {
     std::string describe() const override { return "PROBE"; }
@@ -261,12 +261,16 @@ TEST(SessionHierarchyTest, KeepsFullTreeWalkOnCyclicMixedDelayTopology) {
   session.queue().run_until(10.0);
   EXPECT_EQ(reached, std::vector<net::NodeId>{1});
 
-  // Trees and uniform-delay graphs keep the fast path.
+  // Trees and uniform-delay graphs scope too; flat sessions keep the full
+  // walk.
   auto tl = topo::make_tree_of_lans(3, 2, 3);
   harness::SimSession lans(std::move(tl.topo), tl.workstations, {cfg, 3, 1});
-  EXPECT_TRUE(lans.network().scoped_tree_cache());
+  EXPECT_TRUE(lans.network().scoped_walk());
   harness::SimSession ring(topo::make_ring(8), all_nodes(8), {cfg, 3, 1});
-  EXPECT_TRUE(ring.network().scoped_tree_cache());
+  EXPECT_TRUE(ring.network().scoped_walk());
+  harness::SimSession flat(topo::make_ring(8), all_nodes(8),
+                           {SrmConfig{}, 3, 1});
+  EXPECT_FALSE(flat.network().scoped_walk());
 }
 
 // --- representative crash under FaultPlan + parallel kernel ---------------
