@@ -14,6 +14,12 @@ double rtt_of(double one_way_distance) {
   return std::max(2.0 * one_way_distance, 1e-9);
 }
 
+// What a send costs the token bucket.
+double bytes_of(const net::Packet& packet) {
+  return static_cast<double>(packet.payload ? packet.payload->size_bytes()
+                                            : 0);
+}
+
 // Scope escalation (Sec. VII-B): when a locally-scoped request (TTL-limited
 // or admin-scoped) has gone unanswered through this many own requests,
 // later requests for that ADU are sent with global scope.  Two leaves room
@@ -111,15 +117,13 @@ void SrmAgent::stop() {
   started_ = false;
   session_timer_->cancel();
   send_queue_timer_->cancel();
-  for (auto& [name, st] : requests_) {
-    if (st.timer) st.timer->cancel();
+  for (auto& [key, s] : streams_) {
+    for (Slot& slot : s.slots) {
+      if (slot.request) slot.request->timer.cancel();
+      if (slot.repair && slot.repair->timer) slot.repair->timer->cancel();
+    }
   }
-  for (auto& [name, st] : repairs_) {
-    if (st.timer) st.timer->cancel();
-  }
-  for (auto& [key, st] : page_replies_) {
-    if (st.timer) st.timer->cancel();
-  }
+  for (auto& [key, timer] : page_replies_) timer->cancel();
   transport_->leave(group_, node_);
   transport_->detach(node_);
   directory_->unbind(id_);
@@ -130,55 +134,43 @@ void SrmAgent::stop() {
 // ---------------------------------------------------------------------------
 
 DataName SrmAgent::send_data(const PageId& page, Payload payload) {
-  const SeqNo seq = next_seq_[page]++;
-  const DataName name{id_, page, seq};
-  auto shared = std::make_shared<const Payload>(std::move(payload));
-  store_[name] = shared;
-
-  StreamState& s = streams_[stream_of(name)];
-  s.any_known = true;
-  s.advertised_max = std::max(s.advertised_max, seq);
-  s.received[seq] = true;
-  note_page(page);
-
+  const Stream& own = streams_[StreamKey{id_, page}];
+  const DataName name{id_, page, own.any_known ? own.advertised_max + 1 : 0};
+  seed_data(name, std::move(payload));
   ++metrics_.data_sent;
-  net::Packet packet;
-  packet.group = group_;
-  packet.ttl = net::kMaxTtl;
-  packet.payload = std::make_shared<DataMessage>(name, shared);
-  transmit(std::move(packet), Priority::kNewData);
+  transmit(packet_for(std::make_shared<DataMessage>(
+               name, own.slots[name.seq].payload)),
+           Priority::kNewData);
   return name;
 }
 
 void SrmAgent::seed_data(const DataName& name, Payload payload) {
-  store_[name] = std::make_shared<const Payload>(std::move(payload));
-  StreamState& s = streams_[stream_of(name)];
-  s.any_known = true;
-  s.advertised_max = std::max(s.advertised_max, name.seq);
-  s.received[name.seq] = true;
+  Stream* s = admit(stream_of(name), name.seq);
+  if (s == nullptr) return;
+  s->slots[name.seq].held = true;
+  s->slots[name.seq].payload =
+      std::make_shared<const Payload>(std::move(payload));
+  s->any_known = true;
+  s->advertised_max = std::max(s->advertised_max, name.seq);
   note_page(name.page);
-  if (name.source == id_) {
-    SeqNo& next = next_seq_[name.page];
-    next = std::max(next, name.seq + 1);
-  }
 }
 
 void SrmAgent::supply_data(const DataName& name, Payload payload) {
-  auto shared = std::make_shared<const Payload>(std::move(payload));
-  if (requests_.count(name) > 0) {
-    complete_recovery(name, shared);
-  } else if (store_.count(name) == 0) {
-    handle_data(name, shared, /*via_repair=*/true);
+  // FEC reconstructs names from parity frames, so they are wire input too.
+  if (Stream* s = admit(stream_of(name), name.seq)) {
+    complete_recovery(*s, name,
+                      std::make_shared<const Payload>(std::move(payload)));
   }
 }
 
 bool SrmAgent::has_data(const DataName& name) const {
-  return store_.count(name) > 0;
+  const Slot* slot = find_slot(name);
+  return slot != nullptr && slot->held;
 }
 
 const Payload* SrmAgent::find_data(const DataName& name) const {
-  const auto it = store_.find(name);
-  return it == store_.end() ? nullptr : it->second.get();
+  const Slot* slot = find_slot(name);
+  return slot != nullptr && slot->held ? slot->payload.get() : nullptr;
 }
 
 std::optional<SeqNo> SrmAgent::advertised_max(const StreamKey& stream) const {
@@ -224,13 +216,36 @@ double SrmAgent::distance_to(SourceId peer) const {
 }
 
 bool SrmAgent::request_pending(const DataName& name) const {
-  const auto it = requests_.find(name);
-  return it != requests_.end() && it->second.timer && it->second.timer->pending();
+  const Slot* slot = find_slot(name);
+  return slot != nullptr && slot->request && slot->request->timer.pending();
 }
 
 bool SrmAgent::repair_pending(const DataName& name) const {
-  const auto it = repairs_.find(name);
-  return it != repairs_.end() && it->second.timer && it->second.timer->pending();
+  const Slot* slot = find_slot(name);
+  return slot != nullptr && slot->repair && slot->repair->timer &&
+         slot->repair->timer->pending();
+}
+
+// ---------------------------------------------------------------------------
+// The ADU table
+// ---------------------------------------------------------------------------
+
+SrmAgent::Stream* SrmAgent::admit(const StreamKey& key, SeqNo seq) {
+  Stream& s = streams_[key];
+  if (seq >= s.slots.size() + kMaxSeqReveal) {
+    ++metrics_.far_names_ignored;
+    return nullptr;
+  }
+  if (seq >= s.slots.size()) s.slots.resize(seq + 1);
+  return &s;
+}
+
+const SrmAgent::Slot* SrmAgent::find_slot(const DataName& name) const {
+  const auto it = streams_.find(stream_of(name));
+  if (it == streams_.end() || name.seq >= it->second.slots.size()) {
+    return nullptr;
+  }
+  return &it->second.slots[name.seq];
 }
 
 // ---------------------------------------------------------------------------
@@ -240,7 +255,9 @@ bool SrmAgent::repair_pending(const DataName& name) const {
 void SrmAgent::on_receive(const net::Packet& packet,
                           const net::DeliveryInfo& info) {
   if (const auto* data = dynamic_cast<const DataMessage*>(packet.payload.get())) {
-    handle_data(data->name(), data->payload(), /*via_repair=*/false);
+    if (Stream* s = admit(stream_of(data->name()), data->name().seq)) {
+      handle_data(*s, data->name(), data->payload(), /*via_repair=*/false);
+    }
   } else if (const auto* req =
                  dynamic_cast<const RequestMessage*>(packet.payload.get())) {
     handle_request(*req, packet.scope);
@@ -265,14 +282,10 @@ void SrmAgent::on_receive(const net::Packet& packet,
 // ---------------------------------------------------------------------------
 
 void SrmAgent::request_page_state(std::optional<PageId> page) {
-  net::Packet packet;
-  packet.group = group_;
-  packet.ttl = net::kMaxTtl;
-  packet.scope = use_admin_scope_ ? net::Scope::kAdmin : net::Scope::kGlobal;
-  packet.payload = std::make_shared<PageRequestMessage>(id_, page);
-  transmit(std::move(packet), page && *page == current_page_
-                                  ? Priority::kCurrentPageRecovery
-                                  : Priority::kOldPageRecovery);
+  transmit(packet_for(std::make_shared<PageRequestMessage>(id_, page),
+                      net::kMaxTtl, own_scope()),
+           page && *page == current_page_ ? Priority::kCurrentPageRecovery
+                                          : Priority::kOldPageRecovery);
 }
 
 std::vector<PageId> SrmAgent::known_pages() const {
@@ -301,48 +314,38 @@ void SrmAgent::handle_page_request(const PageRequestMessage& msg) {
   } else if (known_pages_.empty()) {
     return;
   }
-  auto [it, inserted] = page_replies_.try_emplace(key);
-  PageReplyState& st = it->second;
-  if (!inserted && st.timer && st.timer->pending()) return;  // scheduled
-  st.requestor = msg.requestor();
-  if (!st.timer) {
-    st.timer = std::make_unique<sim::Timer>(
+  std::unique_ptr<sim::Timer>& timer = page_replies_[key];
+  if (timer && timer->pending()) return;  // scheduled
+  if (!timer) {
+    timer = std::make_unique<sim::Timer>(
         transport_->queue(), [this, key] { on_page_reply_timer(key); });
   }
   // Same timer discipline as data repairs: randomized, distance-scaled,
   // suppressible (Sec. III-A: "almost identical to the repair
   // request/response protocol").
   const double d = distance_to(msg.requestor());
-  st.timer->schedule_in(rng_.uniform(d1() * d, (d1() + d2()) * d));
+  timer->schedule_in(rng_.uniform(d1() * d, (d1() + d2()) * d));
 }
 
 void SrmAgent::on_page_reply_timer(const PageId& key) {
-  const auto it = page_replies_.find(key);
-  if (it == page_replies_.end()) return;
   const bool is_list = key == kPageListKey;
   auto reply = std::make_shared<PageReplyMessage>(
       id_, is_list ? std::optional<PageId>{} : std::optional<PageId>{key},
       is_list ? SessionMessage::StateReport{} : page_state(key),
       is_list ? known_pages() : std::vector<PageId>{});
-  net::Packet packet;
-  packet.group = group_;
-  packet.ttl = net::kMaxTtl;
-  packet.scope = use_admin_scope_ ? net::Scope::kAdmin : net::Scope::kGlobal;
-  packet.payload = std::move(reply);
-  transmit(std::move(packet), Priority::kOldPageRecovery);
+  transmit(packet_for(std::move(reply), net::kMaxTtl, own_scope()),
+           Priority::kOldPageRecovery);
 }
 
 void SrmAgent::handle_page_reply(const PageReplyMessage& msg) {
   // Suppression: someone else answered this page; cancel our own reply.
   const PageId key = msg.page() ? *msg.page() : kPageListKey;
   if (const auto it = page_replies_.find(key); it != page_replies_.end()) {
-    if (it->second.timer) it->second.timer->cancel();
+    it->second->cancel();
   }
   // The state report reveals the page's streams; normal loss detection and
   // recovery take over from here.
-  for (const auto& [stream, max_seq] : msg.state()) {
-    note_stream_advance(stream, max_seq);
-  }
+  note_state_report(msg.state());
   if (!msg.page()) {
     for (const PageId& p : msg.known_pages()) note_page(p);
     if (hooks_.on_page_list) hooks_.on_page_list(msg.known_pages());
@@ -353,27 +356,29 @@ void SrmAgent::handle_page_reply(const PageReplyMessage& msg) {
 // Data path and loss detection
 // ---------------------------------------------------------------------------
 
-void SrmAgent::handle_data(const DataName& name, const PayloadPtr& payload,
-                           bool via_repair) {
-  const bool is_new = store_.count(name) == 0;
+void SrmAgent::handle_data(Stream& s, const DataName& name,
+                           const PayloadPtr& payload, bool via_repair) {
+  Slot& slot = s.slots[name.seq];
+  const bool is_new = !slot.held;
   if (is_new) {
-    store_[name] = payload;
-    abandoned_.erase(name);  // the data showed up after all
-    StreamState& s = streams_[stream_of(name)];
-    s.received[name.seq] = true;
-    // any_known / advertised_max maintained by note_stream_advance below.
+    slot.held = true;
+    slot.payload = payload;
+    if (slot.abandoned) {  // the data showed up after all
+      slot.abandoned = false;
+      --abandoned_count_;
+    }
   }
-  note_stream_advance(stream_of(name), name.seq);
+  note_stream_advance(s, stream_of(name), name.seq);
   if (is_new && hooks_.on_data) {
     static const Payload kEmpty;
     hooks_.on_data(name, payload ? *payload : kEmpty, via_repair);
   }
 }
 
-void SrmAgent::note_stream_advance(const StreamKey& stream, SeqNo seen_seq) {
+void SrmAgent::note_stream_advance(Stream& s, const StreamKey& stream,
+                                   SeqNo seen_seq) {
   note_page(stream.page);
   if (stream.source == id_) return;  // we cannot miss our own data
-  StreamState& s = streams_[stream];
   SeqNo scan_from = 0;
   if (s.any_known) {
     if (seen_seq <= s.advertised_max) return;  // nothing new revealed
@@ -383,29 +388,38 @@ void SrmAgent::note_stream_advance(const StreamKey& stream, SeqNo seen_seq) {
   s.advertised_max = std::max(s.advertised_max, seen_seq);
   // Every sequence number in [scan_from, seen_seq] is now known to exist;
   // any of them we neither hold nor are already recovering is a loss.
+  // (Index afresh each time: a loss hook may grow the table.)
   for (SeqNo q = scan_from; q <= seen_seq; ++q) {
-    if (s.received.count(q)) continue;
-    const DataName missing{stream.source, stream.page, q};
-    if (requests_.count(missing)) continue;
-    detect_loss(missing, /*via_request=*/false);
+    if (s.slots[q].held || s.slots[q].request) continue;
+    detect_loss(s, DataName{stream.source, stream.page, q},
+                /*via_request=*/false);
   }
 }
 
-void SrmAgent::detect_loss(const DataName& name, bool via_request) {
+void SrmAgent::note_state_report(const SessionMessage::StateReport& state) {
+  for (const auto& [stream, max_seq] : state) {
+    if (Stream* s = admit(stream, max_seq)) {
+      note_stream_advance(*s, stream, max_seq);
+    }
+  }
+}
+
+void SrmAgent::detect_loss(Stream& s, const DataName& name,
+                           bool via_request) {
   ++metrics_.losses_detected;
   if (hooks_.on_loss_detected) hooks_.on_loss_detected(name);
   const sim::Time now = transport_->queue().now();
 
-  RequestState state;
+  auto owned = std::make_unique<RequestState>(
+      transport_->queue(), [this, name] { on_request_timer_expired(name); });
+  RequestState& state = *owned;
   state.dist = distance_to(name.source);
   trace_adu(trace::EventType::kSrmLoss, name, via_request ? 1 : 0, 0.0,
             state.dist);
   state.detect_time = now;
-  state.timer_set_time = now;
-  state.timer = std::make_unique<sim::Timer>(
-      transport_->queue(), [this, name] { on_request_timer_expired(name); });
 
-  open_request_period(name);
+  open_period(request_period_, request_tuner_, metrics_.dup_requests_heard,
+              trace::EventType::kSrmAdaptReq, name);
 
   if (via_request) {
     // We learned of the loss from someone else's request: behave as if our
@@ -413,15 +427,14 @@ void SrmAgent::detect_loss(const DataName& name, bool via_request) {
     // backed-off interval and wait for the repair (Sec. III-B).
     state.backoffs = 1;
     state.delay_recorded = true;  // no timer of ours preceded the request
-    note_request_observed(name, /*ours=*/false);
+    note_observed(request_period_, name, /*ours=*/false);
   }
 
-  auto [it, inserted] = requests_.emplace(name, std::move(state));
-  schedule_request_timer(it->second, name);
+  s.slots[name.seq].request = std::move(owned);
+  schedule_request_timer(state, name);
   if (via_request) {
-    RequestState& st = it->second;
-    st.ignore_backoff_until =
-        now + (st.timer->expiry_time() - now) / 2.0;
+    state.ignore_backoff_until =
+        now + (state.timer.expiry_time() - now) / 2.0;
   }
 }
 
@@ -431,25 +444,21 @@ void SrmAgent::schedule_request_timer(RequestState& state,
   const double lo = b * c1() * state.dist;
   const double hi = b * (c1() + c2()) * state.dist;
   const double delay = rng_.uniform(lo, hi);
-  state.timer->schedule_in(delay);
+  state.timer.schedule_in(delay);
   trace_adu(trace::EventType::kSrmReqTimerSet, name,
             static_cast<std::uint64_t>(state.backoffs), delay, state.dist);
 }
 
 void SrmAgent::on_request_timer_expired(const DataName& name) {
-  const auto it = requests_.find(name);
-  if (it == requests_.end()) return;
-  RequestState& st = it->second;
+  const Slot* slot = find_slot(name);
+  if (slot == nullptr || !slot->request) return;
+  RequestState& st = *slot->request;
   const sim::Time now = transport_->queue().now();
   trace_adu(trace::EventType::kSrmReqFire, name,
             static_cast<std::uint64_t>(st.backoffs));
 
-  if (!st.delay_recorded) {
-    st.delay_recorded = true;
-    const double d = (now - st.timer_set_time) / rtt_of(st.dist);
-    metrics_.request_delay_rtt.add(d);
-    if (config_.adaptive.enabled) request_tuner_.record_delay(d);
-  }
+  record_delay(st.delay_recorded, st.detect_time, st.dist,
+               metrics_.request_delay_rtt, request_tuner_);
 
   // Scope escalation (Sec. VII-B): once enough of our scoped requests have
   // gone unanswered, widen to global scope.  backoffs counts prior own
@@ -461,7 +470,7 @@ void SrmAgent::on_request_timer_expired(const DataName& name) {
   // Send the request.
   ++metrics_.requests_sent;
   st.we_sent_request = true;
-  note_request_observed(name, /*ours=*/true);
+  note_observed(request_period_, name, /*ours=*/true);
   if (config_.adaptive.enabled) request_tuner_.on_sent();
   const int ttl = escalate ? net::kMaxTtl : request_ttl_policy_(name);
   st.our_request_ttl = ttl;
@@ -471,25 +480,24 @@ void SrmAgent::on_request_timer_expired(const DataName& name) {
   }
   trace_adu(trace::EventType::kSrmReqSend, name,
             static_cast<std::uint64_t>(ttl), escalate ? 1.0 : 0.0);
-  net::Packet packet;
-  packet.group = group_;
-  packet.ttl = ttl;
-  packet.scope = (use_admin_scope_ && !escalate) ? net::Scope::kAdmin
-                                                 : net::Scope::kGlobal;
-  packet.payload = request_pool_.acquire(name, id_, st.dist, ttl);
-  transmit(std::move(packet), recovery_priority(name));
+  transmit(packet_for(request_pool_.acquire(name, id_, st.dist, ttl), ttl,
+                      escalate ? net::Scope::kGlobal : own_scope()),
+           recovery_priority(name));
 
   // "...and doubles the request timer to wait for the repair."
   ++st.backoffs;
   if (st.backoffs > kMaxRequestBackoffs) {
     ++metrics_.recovery_abandoned;
     trace_adu(trace::EventType::kSrmAbandoned, name);
-    abandoned_.insert(name);
-    requests_.erase(it);  // safe: Timer callbacks are copied into events
+    // Index afresh: a TTL-policy hook may have grown the table.
+    Slot& again = streams_[stream_of(name)].slots[name.seq];
+    again.abandoned = true;
+    ++abandoned_count_;
+    again.request.reset();  // safe: Timer callbacks are copied into events
     return;
   }
   schedule_request_timer(st, name);
-  st.ignore_backoff_until = now + (st.timer->expiry_time() - now) / 2.0;
+  st.ignore_backoff_until = now + (st.timer.expiry_time() - now) / 2.0;
 }
 
 void SrmAgent::backoff_request(const DataName& name, RequestState& state) {
@@ -502,35 +510,31 @@ void SrmAgent::backoff_request(const DataName& name, RequestState& state) {
               static_cast<std::uint64_t>(state.backoffs), /*ignored=*/1.0);
     return;
   }
-  if (!state.delay_recorded) {
-    // First reset: someone else's request went out before our timer fired.
-    state.delay_recorded = true;
-    const double d = (now - state.timer_set_time) / rtt_of(state.dist);
-    metrics_.request_delay_rtt.add(d);
-    if (config_.adaptive.enabled) request_tuner_.record_delay(d);
-  }
+  // On the first reset, someone else's request went out before our timer.
+  record_delay(state.delay_recorded, state.detect_time, state.dist,
+               metrics_.request_delay_rtt, request_tuner_);
   ++state.backoffs;
   trace_adu(trace::EventType::kSrmReqBackoff, name,
             static_cast<std::uint64_t>(state.backoffs), /*ignored=*/0.0);
   if (state.backoffs > kMaxRequestBackoffs) return;  // keep waiting
   schedule_request_timer(state, name);
   state.ignore_backoff_until =
-      now + (state.timer->expiry_time() - now) / 2.0;
+      now + (state.timer.expiry_time() - now) / 2.0;
 }
 
-void SrmAgent::complete_recovery(const DataName& name,
+void SrmAgent::complete_recovery(Stream& s, const DataName& name,
                                  const PayloadPtr& payload) {
-  const auto it = requests_.find(name);
-  if (it == requests_.end()) return;
-  const sim::Time now = transport_->queue().now();
-  const double delay = now - it->second.detect_time;
-  ++metrics_.recoveries;
-  trace_adu(trace::EventType::kSrmRecovered, name, 0, delay);
-  metrics_.recovery_delay_seconds.add(delay);
-  metrics_.recovery_delay_rtt.add(delay / rtt_of(it->second.dist));
-  it->second.timer->cancel();
-  requests_.erase(it);
-  handle_data(name, payload, /*via_repair=*/true);
+  if (std::unique_ptr<RequestState>& request = s.slots[name.seq].request) {
+    const double delay = transport_->queue().now() - request->detect_time;
+    ++metrics_.recoveries;
+    trace_adu(trace::EventType::kSrmRecovered, name, 0, delay);
+    metrics_.recovery_delay_seconds.add(delay);
+    metrics_.recovery_delay_rtt.add(delay / rtt_of(request->dist));
+    request.reset();  // cancels the timer
+  } else if (s.slots[name.seq].held) {
+    return;
+  }
+  handle_data(s, name, payload, /*via_repair=*/true);
 }
 
 // ---------------------------------------------------------------------------
@@ -538,37 +542,37 @@ void SrmAgent::complete_recovery(const DataName& name,
 // ---------------------------------------------------------------------------
 
 void SrmAgent::handle_request(const RequestMessage& msg, net::Scope scope) {
-  ++metrics_.requests_heard;
   const DataName& name = msg.name();
+  Stream* s = admit(stream_of(name), name.seq);
+  if (s == nullptr) return;
+  ++metrics_.requests_heard;
   trace_adu(trace::EventType::kSrmReqHear, name, msg.requestor());
+  Slot& slot = s->slots[name.seq];
 
   // Duplicate accounting continues for the whole request period, even after
   // the repair arrived and the request state is gone (Sec. VII-A).
-  if (request_period_ && request_period_->name == name &&
-      !requests_.count(name)) {
-    note_request_observed(name, /*ours=*/false);
-  }
+  if (!slot.request) note_observed(request_period_, name, /*ours=*/false);
 
-  if (store_.count(name) > 0) {
-    maybe_schedule_repair(name, msg, scope);
-  } else if (const auto it = requests_.find(name); it != requests_.end()) {
-    RequestState& st = it->second;
-    note_request_observed(name, /*ours=*/false);
+  if (slot.held) {
+    maybe_schedule_repair(slot.repair_state(), name, msg, scope);
+  } else if (slot.request) {
+    RequestState& st = *slot.request;
+    note_observed(request_period_, name, /*ours=*/false);
     if (config_.adaptive.enabled && st.we_sent_request) {
       request_tuner_.on_duplicate_from_farther(st.dist,
                                                msg.requestor_dist_to_source());
     }
     backoff_request(name, st);
-  } else if (abandoned_.count(name) == 0) {
+  } else if (!slot.abandoned) {
     // A request for data we did not know existed: the request itself is the
     // loss detection; join the recovery in the suppressed state.  Abandoned
     // ADUs are excluded or two members missing unrecoverable data would
     // resurrect each other's requests forever.
-    detect_loss(name, /*via_request=*/true);
+    detect_loss(*s, name, /*via_request=*/true);
   }
 
   // The request also reveals stream extent beyond this one ADU.
-  note_stream_advance(stream_of(name), name.seq);
+  note_stream_advance(*s, stream_of(name), name.seq);
 
   if (hooks_.on_request_heard) hooks_.on_request_heard(name, msg.requestor());
 }
@@ -577,17 +581,15 @@ void SrmAgent::handle_request(const RequestMessage& msg, net::Scope scope) {
 // Repair scheduling and handling
 // ---------------------------------------------------------------------------
 
-void SrmAgent::maybe_schedule_repair(const DataName& name,
+void SrmAgent::maybe_schedule_repair(RepairState& rs, const DataName& name,
                                      const RequestMessage& msg,
                                      net::Scope scope) {
   const sim::Time now = transport_->queue().now();
-  auto [it, inserted] = repairs_.try_emplace(name);
-  RepairState& rs = it->second;
 
   // Hold-down: ignore requests for 3*d_S seconds after sending or receiving
   // a repair for this data (Sec. III-B).
-  if (!inserted && now < rs.holddown_until) return;
-  if (!inserted && rs.timer && rs.timer->pending()) return;  // already set
+  if (now < rs.holddown_until) return;
+  if (rs.timer && rs.timer->pending()) return;  // already set
 
   rs.dist = distance_to(msg.requestor());
   rs.dist_to_source =
@@ -602,7 +604,8 @@ void SrmAgent::maybe_schedule_repair(const DataName& name,
         transport_->queue(), [this, name] { on_repair_timer_expired(name); });
   }
 
-  open_repair_period(name);
+  open_period(repair_period_, repair_tuner_, metrics_.dup_repairs_heard,
+              trace::EventType::kSrmAdaptRep, name);
 
   const double lo = d1() * rs.dist;
   const double hi = (d1() + d2()) * rs.dist;
@@ -613,23 +616,18 @@ void SrmAgent::maybe_schedule_repair(const DataName& name,
 }
 
 void SrmAgent::on_repair_timer_expired(const DataName& name) {
-  const auto it = repairs_.find(name);
-  if (it == repairs_.end()) return;
-  RepairState& rs = it->second;
-  const auto data = store_.find(name);
-  if (data == store_.end()) return;  // lost the data since scheduling
+  const Slot* slot = find_slot(name);
+  if (slot == nullptr || !slot->repair) return;
+  RepairState& rs = *slot->repair;
+  if (!slot->held) return;  // lost the data since scheduling
   const sim::Time now = transport_->queue().now();
   trace_adu(trace::EventType::kSrmRepFire, name);
 
-  if (!rs.delay_recorded) {
-    rs.delay_recorded = true;
-    const double d = (now - rs.timer_set_time) / rtt_of(rs.dist_to_source);
-    metrics_.repair_delay_rtt.add(d);
-    if (config_.adaptive.enabled) repair_tuner_.record_delay(d);
-  }
+  record_delay(rs.delay_recorded, rs.timer_set_time, rs.dist_to_source,
+               metrics_.repair_delay_rtt, repair_tuner_);
 
   ++metrics_.repairs_sent;
-  note_repair_observed(name, /*ours=*/true);
+  note_observed(repair_period_, name, /*ours=*/true);
   if (config_.adaptive.enabled) repair_tuner_.on_sent();
 
   // Local recovery scoping (Sec. VII-B.3): step one of a two-step repair
@@ -640,16 +638,14 @@ void SrmAgent::on_repair_timer_expired(const DataName& name) {
 
   trace_adu(trace::EventType::kSrmRepSend, name,
             static_cast<std::uint64_t>(ttl), step_one ? 1.0 : 0.0);
-  net::Packet packet;
   // The repair answers with the scope the request used, so an escalated
   // (global) request is answered globally even by admin-scoped members.
-  packet.group = group_;
-  packet.ttl = ttl;
-  packet.scope = rs.request_scope;
-  packet.payload =
-      repair_pool_.acquire(name, data->second, id_, rs.requestor,
-                           distance_to(rs.requestor), ttl, step_one);
-  transmit(std::move(packet), recovery_priority(name));
+  transmit(packet_for(repair_pool_.acquire(name, slot->payload, id_,
+                                           rs.requestor,
+                                           distance_to(rs.requestor), ttl,
+                                           step_one),
+                      ttl, rs.request_scope),
+           recovery_priority(name));
 
   rs.holddown_until =
       now + kHolddownMultiplier * holddown_distance(name, rs.requestor);
@@ -665,66 +661,54 @@ double SrmAgent::holddown_distance(const DataName& name,
 }
 
 void SrmAgent::handle_repair(const RepairMessage& msg) {
-  ++metrics_.repairs_heard;
   const DataName& name = msg.name();
+  Stream* s = admit(stream_of(name), name.seq);
+  if (s == nullptr) return;
+  ++metrics_.repairs_heard;
   const sim::Time now = transport_->queue().now();
   trace_adu(trace::EventType::kSrmRepHear, name, msg.responder());
+  Slot& slot = s->slots[name.seq];
 
-  // Repair-side suppression and hold-down.
-  if (const auto it = repairs_.find(name); it != repairs_.end()) {
-    RepairState& rs = it->second;
-    note_repair_observed(name, /*ours=*/false);
+  // Repair-side suppression and hold-down.  A holder that had no repair
+  // scheduled still enters hold-down, so a straggling duplicate request
+  // does not trigger a redundant repair.
+  if (slot.repair || slot.held) {
+    RepairState& rs = slot.repair_state();
+    note_observed(repair_period_, name, /*ours=*/false);
     if (rs.timer && rs.timer->pending()) {
-      if (!rs.delay_recorded) {
-        rs.delay_recorded = true;
-        const double d =
-            (now - rs.timer_set_time) / rtt_of(rs.dist_to_source);
-        metrics_.repair_delay_rtt.add(d);
-        if (config_.adaptive.enabled) repair_tuner_.record_delay(d);
-      }
+      record_delay(rs.delay_recorded, rs.timer_set_time, rs.dist_to_source,
+                   metrics_.repair_delay_rtt, repair_tuner_);
       rs.timer->cancel();
       trace_adu(trace::EventType::kSrmRepSuppress, name, msg.responder());
     }
     rs.holddown_until = now + kHolddownMultiplier *
                                   holddown_distance(name, msg.first_requestor());
-  } else if (store_.count(name) > 0) {
-    // We hold the data but had no repair scheduled; still enter hold-down so
-    // a straggling duplicate request does not trigger a redundant repair.
-    RepairState rs;
-    rs.holddown_until = now + kHolddownMultiplier *
-                                  holddown_distance(name, msg.first_requestor());
-    repairs_.emplace(name, std::move(rs));
   }
 
-  // Request-side: the repair delivers the data.
-  const int our_ttl = [&] {
-    const auto it = requests_.find(name);
-    return it == requests_.end() ? net::kMaxTtl : it->second.our_request_ttl;
-  }();
-  if (requests_.count(name) > 0) {
-    complete_recovery(name, msg.payload());
-  } else if (store_.count(name) == 0) {
-    handle_data(name, msg.payload(), /*via_repair=*/true);
-  }
+  // Request-side: the repair delivers the data.  The delivery hooks may
+  // grow the table, so `slot` is not touched after them.
+  const int our_ttl =
+      slot.request ? slot.request->our_request_ttl : net::kMaxTtl;
+  complete_recovery(*s, name, msg.payload());
 
   // Two-step local recovery: the named requestor re-multicasts the repair at
   // the TTL of its original request so everyone the request reached gets it.
   // Re-multicast at most once per ADU, and enter hold-down afterwards, so
   // duplicate step-one repairs do not fan out into duplicate step twos.
+  Slot& after = s->slots[name.seq];
   if (msg.local_step_one() && msg.first_requestor() == id_ &&
-      step_two_sent_.insert(name).second) {
-    RepairState& rs = repairs_[name];
-    rs.holddown_until =
+      !after.step_two_sent) {
+    after.step_two_sent = true;
+    after.repair_state().holddown_until =
         now + kHolddownMultiplier * holddown_distance(name, msg.responder());
     ++metrics_.repairs_sent;
     trace_adu(trace::EventType::kSrmRepSend, name,
               static_cast<std::uint64_t>(our_ttl), /*step_one=*/0.0);
-    net::Packet out;
-    out.group = group_;
-    out.ttl = our_ttl;
-    out.payload = repair_pool_.acquire(name, msg.payload(), id_, id_, 0.0,
-                                       our_ttl, /*local_step_one=*/false);
-    transmit(std::move(out), recovery_priority(name));
+    transmit(packet_for(repair_pool_.acquire(name, msg.payload(), id_, id_,
+                                             0.0, our_ttl,
+                                             /*local_step_one=*/false),
+                        our_ttl),
+             recovery_priority(name));
   }
 }
 
@@ -737,41 +721,41 @@ void SrmAgent::handle_session(const SessionMessage& msg) {
   // A session report re-confirming an ADU we gave up on is fresh evidence
   // that a holder is still out there: re-arm the abandoned recovery.
   // (Without this, a recovery abandoned during heavy control-plane loss
-  // would never be retried, breaking eventual delivery.)
-  if (!abandoned_.empty()) {
-    std::vector<DataName> rearm;
-    for (const DataName& name : abandoned_) {
-      const auto it = msg.state().find(stream_of(name));
-      if (it != msg.state().end() && name.seq <= it->second) {
-        rearm.push_back(name);
-      }
-    }
-    for (const DataName& name : rearm) {
-      abandoned_.erase(name);
-      detect_loss(name, /*via_request=*/false);
+  // would never be retried, breaking eventual delivery.)  Each re-arm draws
+  // a timer, so they go in ascending name order: stream by stream as the
+  // report lists them, ascending seq within a stream.
+  for (auto e = msg.state().begin();
+       abandoned_count_ > 0 && e != msg.state().end(); ++e) {
+    const auto& [stream, max_seq] = *e;
+    const auto it = streams_.find(stream);
+    if (it == streams_.end()) continue;
+    Stream& s = it->second;
+    if (max_seq >= s.slots.size() + kMaxSeqReveal) continue;  // ignored
+    for (SeqNo q = 0; q <= max_seq && q < s.slots.size(); ++q) {
+      if (!s.slots[q].abandoned) continue;
+      s.slots[q].abandoned = false;
+      --abandoned_count_;
+      detect_loss(s, DataName{stream.source, stream.page, q},
+                  /*via_request=*/false);
     }
   }
-  for (const auto& [stream, max_seq] : msg.state()) {
-    note_stream_advance(stream, max_seq);
-  }
+  note_state_report(msg.state());
 }
 
 void SrmAgent::send_session_message(int ttl,
                                     SessionMessage::AreaDigests digests) {
   ++metrics_.session_sent;
-  net::Packet packet;
-  packet.group = group_;
-  packet.ttl = ttl;
-  packet.scope = use_admin_scope_ ? net::Scope::kAdmin : net::Scope::kGlobal;
   // "Each member only reports the state of the page it is currently
-  // viewing" (Sec. III-A).
-  packet.payload = std::make_shared<SessionMessage>(
-      id_, clock_.now(), page_state(current_page_),
-      estimator_.build_echoes(config_.session.echo_rotation),
-      std::move(digests));
-  // Session traffic has its own bandwidth budget (a fraction of the data
-  // bandwidth); it does not compete through the data token bucket.
-  transport_->multicast(node_, std::move(packet));
+  // viewing" (Sec. III-A).  Session traffic has its own bandwidth budget (a
+  // fraction of the data bandwidth); it does not compete through the data
+  // token bucket.
+  transport_->multicast(
+      node_, packet_for(std::make_shared<SessionMessage>(
+                            id_, clock_.now(), page_state(current_page_),
+                            estimator_.build_echoes(
+                                config_.session.echo_rotation),
+                            std::move(digests)),
+                        ttl, own_scope()));
   if (config_.session.enabled && started_) schedule_next_session_message();
 }
 
@@ -786,67 +770,53 @@ void SrmAgent::schedule_next_session_message() {
 // Period accounting for the adaptive algorithm
 // ---------------------------------------------------------------------------
 
-void SrmAgent::open_request_period(const DataName& name) {
+// One loss-recovery period per direction: a request period opens when a
+// request timer is set, a repair period when a repair timer is; opening the
+// next closes the last, feeding its duplicate count to the tuner.
+void SrmAgent::open_period(std::optional<Period>& period, AdaptiveTuner& tuner,
+                           std::uint64_t& dups_heard,
+                           trace::EventType adapted, const DataName& name) {
   bool prev_we_sent = false;
-  if (request_period_) {
-    if (request_period_->name == name) return;  // already open for this loss
-    const std::size_t dups = request_period_->observed > 0
-                                 ? request_period_->observed - 1
-                                 : 0;
-    metrics_.dup_requests_heard += dups;
-    prev_we_sent = request_period_->we_sent;
-    if (config_.adaptive.enabled) request_tuner_.end_period(dups);
+  if (period) {
+    if (period->name == name) return;  // already open for this loss
+    const std::size_t dups = period->observed > 0 ? period->observed - 1 : 0;
+    dups_heard += dups;
+    prev_we_sent = period->we_sent;
+    if (config_.adaptive.enabled) tuner.end_period(dups);
   }
-  request_period_ = Period{name, 0, false};
+  period = Period{name, 0, false};
   if (config_.adaptive.enabled) {
-    request_tuner_.adapt_on_timer_set(prev_we_sent);
+    tuner.adapt_on_timer_set(prev_we_sent);
     if (tracer_->wants(trace::Category::kSrm)) {
       trace::Event ev;
-      ev.type = trace::EventType::kSrmAdaptReq;
+      ev.type = adapted;
       ev.t = transport_->queue().now();
       ev.actor = id_;
-      ev.x = c1();
-      ev.y = c2();
+      ev.x = tuner.start();
+      ev.y = tuner.width();
       tracer_->emit(ev);
     }
   }
 }
 
-void SrmAgent::note_request_observed(const DataName& name, bool ours) {
-  if (!request_period_ || request_period_->name != name) return;
-  ++request_period_->observed;
-  if (ours) request_period_->we_sent = true;
+void SrmAgent::note_observed(std::optional<Period>& period,
+                             const DataName& name, bool ours) {
+  if (!period || period->name != name) return;
+  ++period->observed;
+  if (ours) period->we_sent = true;
 }
 
-void SrmAgent::open_repair_period(const DataName& name) {
-  bool prev_we_sent = false;
-  if (repair_period_) {
-    if (repair_period_->name == name) return;
-    const std::size_t dups =
-        repair_period_->observed > 0 ? repair_period_->observed - 1 : 0;
-    metrics_.dup_repairs_heard += dups;
-    prev_we_sent = repair_period_->we_sent;
-    if (config_.adaptive.enabled) repair_tuner_.end_period(dups);
-  }
-  repair_period_ = Period{name, 0, false};
-  if (config_.adaptive.enabled) {
-    repair_tuner_.adapt_on_timer_set(prev_we_sent);
-    if (tracer_->wants(trace::Category::kSrm)) {
-      trace::Event ev;
-      ev.type = trace::EventType::kSrmAdaptRep;
-      ev.t = transport_->queue().now();
-      ev.actor = id_;
-      ev.x = d1();
-      ev.y = d2();
-      tracer_->emit(ev);
-    }
-  }
-}
-
-void SrmAgent::note_repair_observed(const DataName& name, bool ours) {
-  if (!repair_period_ || repair_period_->name != name) return;
-  ++repair_period_->observed;
-  if (ours) repair_period_->we_sent = true;
+// Request (repair) delay, recorded once per timer: timer set -> first send
+// by anyone, in RTTs of `dist`.
+void SrmAgent::record_delay(bool& recorded, sim::Time timer_set_time,
+                            double dist, util::Samples& samples,
+                            AdaptiveTuner& tuner) {
+  if (recorded) return;
+  recorded = true;
+  const double d =
+      (transport_->queue().now() - timer_set_time) / rtt_of(dist);
+  samples.add(d);
+  if (config_.adaptive.enabled) tuner.record_delay(d);
 }
 
 // ---------------------------------------------------------------------------
@@ -858,16 +828,21 @@ SrmAgent::Priority SrmAgent::recovery_priority(const DataName& name) const {
                                     : Priority::kOldPageRecovery;
 }
 
+net::Packet SrmAgent::packet_for(net::MessagePtr payload, int ttl,
+                                 net::Scope scope) const {
+  net::Packet packet;
+  packet.group = group_;
+  packet.ttl = ttl;
+  packet.scope = scope;
+  packet.payload = std::move(payload);
+  return packet;
+}
+
 void SrmAgent::transmit(net::Packet packet, Priority priority) {
-  if (!config_.rate_limit.enabled) {
-    transport_->multicast(node_, std::move(packet));
-    return;
-  }
-  const double bytes =
-      static_cast<double>(packet.payload ? packet.payload->size_bytes() : 0);
   const sim::Time now = transport_->queue().now();
-  if ((send_queue_ == nullptr || send_queue_->empty()) &&
-      rate_limiter_.try_consume(bytes, now)) {
+  if (!config_.rate_limit.enabled ||
+      ((send_queue_ == nullptr || send_queue_->empty()) &&
+       rate_limiter_.try_consume(bytes_of(packet), now))) {
     transport_->multicast(node_, std::move(packet));
     return;
   }
@@ -884,12 +859,8 @@ void SrmAgent::transmit(net::Packet packet, Priority priority) {
                           });
   queue.insert(pos, std::move(qs));
   if (!send_queue_timer_->pending()) {
-    const double head_bytes = static_cast<double>(
-        queue.front().packet.payload
-            ? queue.front().packet.payload->size_bytes()
-            : 0);
-    send_queue_timer_->schedule_in(
-        rate_limiter_.delay_until_available(head_bytes, now));
+    send_queue_timer_->schedule_in(rate_limiter_.delay_until_available(
+        bytes_of(queue.front().packet), now));
   }
 }
 
@@ -898,10 +869,7 @@ void SrmAgent::drain_send_queue() {
   std::deque<QueuedSend>& queue = *send_queue_;
   const sim::Time now = transport_->queue().now();
   while (!queue.empty()) {
-    const double bytes = static_cast<double>(
-        queue.front().packet.payload
-            ? queue.front().packet.payload->size_bytes()
-            : 0);
+    const double bytes = bytes_of(queue.front().packet);
     if (!rate_limiter_.try_consume(bytes, now)) {
       send_queue_timer_->schedule_in(
           rate_limiter_.delay_until_available(bytes, now));

@@ -35,7 +35,6 @@
 #include <optional>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "net/packet.h"
@@ -91,6 +90,12 @@ class SrmAgent : public net::PacketSink {
   // abandoned ADU is not re-requested when further requests for it are
   // overheard (only actual arrival of the data clears the abandonment).
   static constexpr int kMaxRequestBackoffs = 16;
+
+  // What one message may reveal (wire input is untrusted): a name or state
+  // entry this many seqs or more past the end of a stream's ADU table is
+  // ignored, and counted in AgentMetrics::far_names_ignored.  So one
+  // datagram detects at most this many losses and grows a table as much.
+  static constexpr SeqNo kMaxSeqReveal = SeqNo{1} << 16;
 
   // Callbacks into the application.
   struct AppHooks {
@@ -155,7 +160,9 @@ class SrmAgent : public net::PacketSink {
   // Installs an ADU into the local store without transmitting or triggering
   // loss detection.  Used by simulation setup to model state acquired before
   // the simulated window (and by tests).  Seeded sequence numbers must be
-  // contiguous from 0 per stream or the gap will be requested.
+  // contiguous from 0 per stream or the gap will be requested; like a name
+  // heard on the wire, one kMaxSeqReveal or more past the stream's table is
+  // ignored.
   void seed_data(const DataName& name, Payload payload);
 
   // Supplies an ADU recovered out-of-band (e.g. reconstructed from parity
@@ -245,20 +252,14 @@ class SrmAgent : public net::PacketSink {
                   const net::DeliveryInfo& info) override;
 
  private:
-  // ---- per-stream reception state ----
-  struct StreamState {
-    SeqNo advertised_max = 0;   // highest seq known to exist
-    bool any_known = false;     // false until first evidence of the stream
-    std::unordered_map<SeqNo, bool> received;  // set of seqs in the store
-  };
-
   // ---- request (loss recovery) state, one per missing ADU ----
   struct RequestState {
-    std::unique_ptr<sim::Timer> timer;
+    RequestState(sim::EventQueue& queue, std::function<void()> on_expire)
+        : timer(queue, std::move(on_expire)) {}
+    sim::Timer timer;
     double dist = 1.0;             // d_S at detection time
     int backoffs = 0;              // backoff iteration i
-    sim::Time detect_time = 0.0;   // when the loss was detected
-    sim::Time timer_set_time = 0.0;
+    sim::Time detect_time = 0.0;   // loss detected and first timer set
     sim::Time ignore_backoff_until = 0.0;
     bool we_sent_request = false;
     bool delay_recorded = false;   // req_delay recorded once per loss
@@ -281,6 +282,28 @@ class SrmAgent : public net::PacketSink {
     sim::Time holddown_until = 0.0;   // ignore requests until then
   };
 
+  // ---- the ADU table: seqs are dense per stream (Sec. III-A) ----
+  // A stream's per-ADU state is a vector indexed by seq.  Request and repair
+  // state live behind pointers, so a slot stays 40 bytes and a handler's
+  // RequestState& survives the vector growing (an app hook may supply data).
+  struct Slot {
+    PayloadPtr payload;                      // the ADU, once held
+    std::unique_ptr<RequestState> request;   // while recovering it
+    std::unique_ptr<RepairState> repair;     // once asked for it by a peer
+    bool held = false;           // in the store (a held payload may be null)
+    bool abandoned = false;      // recovery given up; cleared on arrival
+    bool step_two_sent = false;  // two-step repair re-multicast (at most once)
+    RepairState& repair_state() {
+      if (!repair) repair = std::make_unique<RepairState>();
+      return *repair;
+    }
+  };
+  struct Stream {
+    SeqNo advertised_max = 0;   // highest seq known to exist
+    bool any_known = false;     // false until first evidence of the stream
+    std::vector<Slot> slots;    // by seq, up to the highest seq touched
+  };
+
   // ---- adaptive-algorithm period accounting (Sec. VII-A) ----
   struct Period {
     DataName name;
@@ -288,8 +311,13 @@ class SrmAgent : public net::PacketSink {
     bool we_sent = false;
   };
 
-  // message handlers
-  void handle_data(const DataName& name, const PayloadPtr& payload,
+  // admit() sizes the table of `key` to hold `seq`, or is nullptr when `seq`
+  // is too far (kMaxSeqReveal).  find_slot() is nullptr past the table.
+  Stream* admit(const StreamKey& key, SeqNo seq);
+  const Slot* find_slot(const DataName& name) const;
+
+  // message handlers; each takes the ADU's stream, already admitted
+  void handle_data(Stream& s, const DataName& name, const PayloadPtr& payload,
                    bool via_repair);
   void handle_request(const RequestMessage& msg, net::Scope scope);
   void handle_repair(const RepairMessage& msg);
@@ -298,27 +326,39 @@ class SrmAgent : public net::PacketSink {
   void handle_page_reply(const PageReplyMessage& msg);
 
   // loss recovery internals
-  void note_stream_advance(const StreamKey& stream, SeqNo seen_seq);
-  void detect_loss(const DataName& name, bool via_request);
+  void note_stream_advance(Stream& s, const StreamKey& stream, SeqNo seen_seq);
+  void note_state_report(const SessionMessage::StateReport& state);
+  void detect_loss(Stream& s, const DataName& name, bool via_request);
   void schedule_request_timer(RequestState& state, const DataName& name);
   void on_request_timer_expired(const DataName& name);
   void backoff_request(const DataName& name, RequestState& state);
-  void complete_recovery(const DataName& name, const PayloadPtr& payload);
+  // Data that came by repair or out of band: ends a pending recovery and
+  // is delivered if it is new.
+  void complete_recovery(Stream& s, const DataName& name,
+                         const PayloadPtr& payload);
 
   // repair internals
-  void maybe_schedule_repair(const DataName& name, const RequestMessage& msg,
-                             net::Scope scope);
+  void maybe_schedule_repair(RepairState& rs, const DataName& name,
+                             const RequestMessage& msg, net::Scope scope);
   void on_repair_timer_expired(const DataName& name);
   double holddown_distance(const DataName& name, SourceId requestor) const;
 
-  // period bookkeeping
-  void open_request_period(const DataName& name);
-  void note_request_observed(const DataName& name, bool ours);
-  void open_repair_period(const DataName& name);
-  void note_repair_observed(const DataName& name, bool ours);
+  // period bookkeeping, for requests or for repairs
+  void open_period(std::optional<Period>& period, AdaptiveTuner& tuner,
+                   std::uint64_t& dups_heard, trace::EventType adapted,
+                   const DataName& name);
+  static void note_observed(std::optional<Period>& period,
+                            const DataName& name, bool ours);
+  void record_delay(bool& recorded, sim::Time timer_set_time, double dist,
+                    util::Samples& samples, AdaptiveTuner& tuner);
 
   // transmit paths (respect the rate limiter and priorities)
   enum class Priority { kCurrentPageRecovery, kNewData, kOldPageRecovery };
+  net::Packet packet_for(net::MessagePtr payload, int ttl = net::kMaxTtl,
+                         net::Scope scope = net::Scope::kGlobal) const;
+  net::Scope own_scope() const {  // admin scope (Sec. VII-B.1) if set
+    return use_admin_scope_ ? net::Scope::kAdmin : net::Scope::kGlobal;
+  }
   void transmit(net::Packet packet, Priority priority);
   void drain_send_queue();
   Priority recovery_priority(const DataName& name) const;
@@ -358,30 +398,20 @@ class SrmAgent : public net::PacketSink {
   util::Rng rng_;
   sim::LocalClock clock_;
 
-  // protocol state
-  std::unordered_map<DataName, PayloadPtr> store_;
-  std::unordered_map<StreamKey, StreamState> streams_;
-  std::unordered_map<PageId, SeqNo> next_seq_;
-  std::unordered_map<DataName, RequestState> requests_;
-  std::unordered_map<DataName, RepairState> repairs_;
-  // ADUs whose recovery was abandoned; cleared if the data later arrives.
-  std::unordered_set<DataName> abandoned_;
-  // ADUs whose two-step local repair we already re-multicast (step two
-  // happens at most once per ADU).
-  std::unordered_set<DataName> step_two_sent_;
+  // protocol state: every stream known, own ones included (node-based, so a
+  // Stream& survives insertions).  An own stream's next seq is
+  // advertised_max + 1, or 0 before the first send.
+  std::unordered_map<StreamKey, Stream> streams_;
+  std::size_t abandoned_count_ = 0;  // slots with `abandoned` set
   std::optional<Period> request_period_;
   std::optional<Period> repair_period_;
   PageId current_page_;
 
   // ---- page-state recovery (Sec. III-A) ----
-  // Pending reply timers, keyed by the requested page; the list request
-  // uses the sentinel PageId{kInvalidSource, 0}.
-  struct PageReplyState {
-    std::unique_ptr<sim::Timer> timer;
-    SourceId requestor = kInvalidSource;
-  };
+  // Reply timers, keyed by the requested page; the list request uses the
+  // sentinel PageId{kInvalidSource, 0}.
   static constexpr PageId kPageListKey{kInvalidSource, 0};
-  std::unordered_map<PageId, PageReplyState> page_replies_;
+  std::unordered_map<PageId, std::unique_ptr<sim::Timer>> page_replies_;
   std::set<PageId> known_pages_;
   void note_page(const PageId& page) { known_pages_.insert(page); }
   void on_page_reply_timer(const PageId& key);

@@ -30,6 +30,9 @@ struct AgentMetrics {
   std::uint64_t losses_detected = 0;
   std::uint64_t recoveries = 0;            // losses repaired
   std::uint64_t recovery_abandoned = 0;    // gave up after max backoffs
+  // Names and state entries heard more than SrmAgent::kMaxSeqReveal past
+  // the end of what this member knew of their stream, and ignored.
+  std::uint64_t far_names_ignored = 0;
 
   // Coded repair (srm/fec): parity ADUs this agent originated and losses it
   // reconstructed locally from parity instead of requesting.

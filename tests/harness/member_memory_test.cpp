@@ -1,10 +1,11 @@
-// What a member of a hierarchical session holds (ARCHITECTURE.md §12).
-// Two-level reporting makes what a member hears grow like sqrt(G), and the
+// What a member holds.  In a hierarchical session (ARCHITECTURE.md §12),
+// two-level reporting makes what a member hears grow like sqrt(G), and the
 // member's heap should track what it has heard: no idle echo tables between
 // reports, no doubling slack in the distance estimator, no RNG engine that
-// is never drawn from.  The session is built as bench/session_scaling's
+// is never drawn from.  That session is built as bench/session_scaling's
 // hierarchy panel builds it: G members on a tree of ~sqrt(G) LANs, one area
-// per LAN, TTL-2 local reports every 10 s, estimated distances.
+// per LAN, TTL-2 local reports every 10 s, estimated distances.  For the
+// data a member holds, each ADU costs one slot of its stream's ADU table.
 #include <malloc.h>
 
 #include <gtest/gtest.h>
@@ -80,6 +81,41 @@ TEST(MemberMemoryTest, HierarchyMemberHoldsWhatItHeard) {
   if (kHeapVisible) {
     EXPECT_LT(per_member, kMaxBytesPerMember)
         << "heap per member: " << per_member << " B";
+  }
+}
+
+TEST(MemberMemoryTest, HeldAduCostsOneTableSlot) {
+  constexpr std::size_t kMembers = 100;
+  constexpr SeqNo kAdus = 1000;
+  // Heap per member per held ADU.  A hash-map node in a store plus another
+  // in a per-stream received set cost 115 B here; one 40-byte slot in a
+  // seq-indexed vector (capacity 1024 for 1000 ADUs) costs 42 B.
+  constexpr double kMaxBytesPerAdu = 64.0;
+
+  std::vector<net::NodeId> members(kMembers);
+  for (std::size_t i = 0; i < kMembers; ++i) {
+    members[i] = static_cast<net::NodeId>(i);
+  }
+  SimSession session(topo::make_bounded_degree_tree(kMembers, 3), members,
+                     {SrmConfig{}, 1001, 1});
+  const double heap0 = heap_bytes();
+  // One ADU a second, so that little is in flight at any time.
+  const PageId page{0, 0};
+  for (SeqNo q = 0; q < kAdus; ++q) {
+    session.agent_at(0).send_data(page, {});
+    session.run_until(session.queue().now() + 1.0);
+  }
+  session.run();
+  const double per_adu = (heap_bytes() - heap0) /
+                         static_cast<double>(kMembers * kAdus);
+
+  for (std::size_t i = 0; i < kMembers; ++i) {
+    ASSERT_TRUE(session.agent(i).has_data(DataName{0, page, kAdus - 1}))
+        << "member " << i;
+  }
+  if (kHeapVisible) {
+    EXPECT_LT(per_adu, kMaxBytesPerAdu)
+        << "heap per member per held ADU: " << per_adu << " B";
   }
 }
 

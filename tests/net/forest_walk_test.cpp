@@ -316,7 +316,7 @@ void differential(const Topology& base, std::uint64_t seed, int steps) {
   }
 }
 
-TEST(ForestWalkTest, RandomTreesMatchPerSenderTraces) {
+TEST(ForestWalkTest, RandomTreesMatchRoutingTrees) {
   util::Rng rng(97);
   for (int trial = 0; trial < 12; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
@@ -325,7 +325,7 @@ TEST(ForestWalkTest, RandomTreesMatchPerSenderTraces) {
   }
 }
 
-TEST(ForestWalkTest, BoundedDegreeTreesMatchPerSenderTraces) {
+TEST(ForestWalkTest, BoundedDegreeTreesMatchRoutingTrees) {
   for (int degree : {2, 3, 4, 6}) {
     SCOPED_TRACE("degree " + std::to_string(degree));
     differential(topo::make_bounded_degree_tree(40, degree), 2000 + degree,
@@ -333,7 +333,7 @@ TEST(ForestWalkTest, BoundedDegreeTreesMatchPerSenderTraces) {
   }
 }
 
-TEST(ForestWalkTest, TreesOfLansMatchPerSenderTraces) {
+TEST(ForestWalkTest, TreesOfLansMatchRoutingTrees) {
   differential(topo::make_tree_of_lans(6, 3, 4).topo, 3001, 200);
   differential(topo::make_tree_of_lans(10, 4, 3).topo, 3002, 200);
 }

@@ -288,7 +288,7 @@ TEST_F(NetworkTest, DeliveryTimingMatchesLinkDelays) {
   EXPECT_DOUBLE_EQ(sinks_[2]->received[0].at, 4.0);
 }
 
-TEST_F(NetworkTest, MembershipChangeInvalidatesPrunedTree) {
+TEST_F(NetworkTest, MembershipChangeRevalidatesMemberCounts) {
   build_chain(4);
   net_->join(1, 1);
   net_->multicast(0, make_packet(1));
@@ -300,7 +300,7 @@ TEST_F(NetworkTest, MembershipChangeInvalidatesPrunedTree) {
   EXPECT_EQ(sinks_[3]->received.size(), 1u);
 }
 
-TEST_F(NetworkTest, JoinLeaveMidRunInvalidatesPrunedTree) {
+TEST_F(NetworkTest, JoinLeaveMidRunRevalidatesMemberCounts) {
   // Membership changes from *inside* scheduled events (agents joining and
   // leaving while traffic is in flight) must invalidate the cached member
   // counts for subsequent multicasts.

@@ -346,6 +346,53 @@ TEST(BackoffTest, BackoffFactorThreeSpreadsRetries) {
   s.network().set_drop_policy(nullptr);
 }
 
+TEST(BackoffTest, SessionReportReArmsAbandonedAdusInSeqOrder) {
+  // Node 2 misses seqs 0-4 (seq 5 reveals them) and every request it sends
+  // is black-holed, so it abandons all five.  A session report that
+  // re-confirms the stream re-arms them, each re-arm drawing a timer, so
+  // they go in ascending seq order rather than in hash-table order.
+  constexpr SeqNo kLost = 5;
+  SimSession s(topo::make_chain(3), all_nodes(3),
+               {deterministic_chain_config(), 2, 1});
+  auto composite = std::make_shared<net::CompositeDrop>();
+  composite->add(std::make_shared<net::ScriptedLinkDrop>(
+      1, 2,
+      [](const net::Packet& p) {
+        const auto* d = dynamic_cast<const DataMessage*>(p.payload.get());
+        return d != nullptr && d->name().seq < kLost;
+      },
+      /*max_drops=*/1000));
+  composite->add(std::make_shared<net::ScriptedLinkDrop>(
+      2, 1,
+      [](const net::Packet& p) {
+        return dynamic_cast<const RequestMessage*>(p.payload.get()) != nullptr;
+      },
+      /*max_drops=*/1000));
+  s.network().set_drop_policy(composite);
+  const PageId page{0, 0};
+  for (SeqNo q = 0; q <= kLost; ++q) s.agent_at(0).send_data(page, {});
+  s.queue().run();
+  ASSERT_EQ(s.agent_at(2).metrics().recovery_abandoned, kLost);
+  s.network().set_drop_policy(nullptr);
+
+  trace::VectorSink capture;
+  trace::Tracer tracer;
+  tracer.set_sink(&capture);
+  tracer.set_mask(trace::kMaskAll);
+  s.agent_at(2).set_tracer(&tracer);
+  s.agent_at(0).set_current_page(page);
+  s.agent_at(0).send_session_message();
+  s.queue().run();
+  std::vector<SeqNo> rearmed;
+  for (const trace::Event& ev : capture.events()) {
+    if (ev.type == trace::EventType::kSrmLoss) rearmed.push_back(ev.d);
+  }
+  EXPECT_EQ(rearmed, (std::vector<SeqNo>{0, 1, 2, 3, 4}));
+  for (SeqNo q = 0; q < kLost; ++q) {
+    EXPECT_TRUE(s.agent_at(2).has_data(DataName{0, page, q})) << q;
+  }
+}
+
 TEST(HolddownTest, DuplicateRequestDoesNotRetriggerRepair) {
   // After answering a request, a member ignores further requests for the
   // same data for 3 * d_S seconds (Sec. III-B).

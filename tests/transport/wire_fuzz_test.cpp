@@ -12,13 +12,16 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
 
+#include "harness/session.h"
 #include "net/packet.h"
 #include "srm/messages.h"
 #include "srm/names.h"
+#include "topo/builders.h"
 #include "util/rng.h"
 
 namespace srm::transport {
@@ -175,6 +178,52 @@ TEST(WireFuzz, MutantsAreRejectedOrReencodeToAFixedPoint) {
   // Both outcomes must be exercised, or the fuzzer tests nothing.
   EXPECT_GT(accepted, kMutants / 20);
   EXPECT_LT(accepted, kMutants);
+}
+
+// A frame that decodes reaches the agent, so the agent bounds what one frame
+// can reveal.  A name or state entry far past what the member knows of its
+// stream would otherwise be a loss, with a request timer, for every seq up
+// to it; at UINT64_MAX the scan would never end.
+TEST(WireFuzz, FarSequenceNumbersAreIgnoredAndCounted) {
+  constexpr SeqNo kBound = SrmAgent::kMaxSeqReveal;
+  const PageId page{0, 0};
+  const auto bytes = std::make_shared<const Payload>(Payload{1});
+  // 2^18 first: an unbounded agent fails there rather than looping forever.
+  for (const SeqNo seq : {SeqNo{1} << 18, std::numeric_limits<SeqNo>::max()}) {
+    const DataName name{0, page, seq};
+    SessionMessage::StateReport state;
+    state.insert_or_assign(stream_of(name), seq);
+    const std::vector<net::MessagePtr> messages = {
+        std::make_shared<DataMessage>(name, bytes),
+        std::make_shared<RequestMessage>(name, 0, 1.0, net::kMaxTtl),
+        std::make_shared<RepairMessage>(name, bytes, 0, 0, 1.0, net::kMaxTtl,
+                                        false),
+        std::make_shared<SessionMessage>(0, 0.0, state,
+                                         SessionMessage::Echoes{}),
+        std::make_shared<PageReplyMessage>(0, page, state,
+                                           std::vector<PageId>{}),
+    };
+    for (const net::MessagePtr& message : messages) {
+      std::vector<std::uint8_t> frame;
+      ASSERT_TRUE(encode_frame(packet_of(message, net::kMaxTtl), frame));
+      DecodePools pools;
+      net::Packet packet;
+      ASSERT_TRUE(decode_frame(frame.data(), frame.size(), pools, packet));
+
+      harness::SimSession s(topo::make_chain(2),
+                            std::vector<net::NodeId>{0, 1},
+                            {SrmConfig{}, 1, 1});
+      SrmAgent& agent = s.agent_at(1);
+      agent.on_receive(packet, net::DeliveryInfo{1, 1.0, 1, 0});
+      ASSERT_LE(agent.metrics().losses_detected, kBound)
+          << message->describe() << " at seq " << seq;
+      ASSERT_LE(s.queue().pending_events(), kBound)
+          << message->describe() << " at seq " << seq;
+      EXPECT_EQ(agent.metrics().far_names_ignored, 1u)
+          << message->describe() << " at seq " << seq;
+      EXPECT_FALSE(agent.has_data(name));
+    }
+  }
 }
 
 }  // namespace
