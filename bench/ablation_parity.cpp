@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
         session.network().routing(), source, members);
     auto drop = std::make_shared<net::RandomDrop>(
         loss, seed ^ 0xF00D, [](const net::Packet& p) {
-          return dynamic_cast<const DataMessage*>(p.payload.get()) != nullptr;
+          return message_cast<DataMessage>(p.payload.get()) != nullptr;
         });
     drop->restrict_to(congested.from, congested.to);
     session.network().set_drop_policy(drop);
@@ -67,11 +67,11 @@ int main(int argc, char** argv) {
     std::uint64_t requests = 0, repairs = 0, data_sent = 0;
     session.network().set_send_observer(
         [&](net::NodeId, const net::Packet& p) {
-          if (dynamic_cast<const RequestMessage*>(p.payload.get())) {
+          if (message_cast<RequestMessage>(p.payload.get())) {
             ++requests;
-          } else if (dynamic_cast<const RepairMessage*>(p.payload.get())) {
+          } else if (message_cast<RepairMessage>(p.payload.get())) {
             ++repairs;
-          } else if (dynamic_cast<const DataMessage*>(p.payload.get())) {
+          } else if (message_cast<DataMessage>(p.payload.get())) {
             ++data_sent;
           }
         });

@@ -44,7 +44,7 @@ BaselineResult run_baseline(net::Topology topo,
 
   auto drop = std::make_shared<net::ScriptedLinkDrop>(
       congested.from, congested.to, [](const net::Packet& p) {
-        const auto* d = dynamic_cast<const DataMessage*>(p.payload.get());
+        const auto* d = message_cast<DataMessage>(p.payload.get());
         return d != nullptr && d->name().seq == 0;
       });
   network.set_drop_policy(drop);

@@ -103,13 +103,11 @@ FecTrialResult run_fec_trial(const FecTrialSpec& spec) {
   FecTrialResult result;
   session.network().set_send_observer(
       [&result](net::NodeId, const net::Packet& p) {
-        if (dynamic_cast<const RequestMessage*>(p.payload.get()) != nullptr) {
+        if (message_cast<RequestMessage>(p.payload.get()) != nullptr) {
           result.request_bytes += p.payload->size_bytes();
-        } else if (dynamic_cast<const RepairMessage*>(p.payload.get()) !=
-                   nullptr) {
+        } else if (message_cast<RepairMessage>(p.payload.get()) != nullptr) {
           result.repair_bytes += p.payload->size_bytes();
-        } else if (const auto* d =
-                       dynamic_cast<const DataMessage*>(p.payload.get())) {
+        } else if (const auto* d = message_cast<DataMessage>(p.payload.get())) {
           const auto& body = *d->payload();
           if (!body.empty() && body[0] == fec::kFecParityTag) {
             result.parity_bytes += p.payload->size_bytes();
@@ -138,8 +136,7 @@ FecTrialResult run_fec_trial(const FecTrialSpec& spec) {
           std::make_shared<net::ScriptedLinkDrop>(
               spec.congested.from, spec.congested.to,
               [dropped = std::move(dropped)](const net::Packet& p) {
-                const auto* d =
-                    dynamic_cast<const DataMessage*>(p.payload.get());
+                const auto* d = message_cast<DataMessage>(p.payload.get());
                 return d != nullptr &&
                        std::find(dropped.begin(), dropped.end(),
                                  d->name().seq) != dropped.end();

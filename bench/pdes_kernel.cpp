@@ -89,7 +89,7 @@ RunOutcome run_scenario(const Scenario& sc, unsigned kernel_threads) {
     drops->add(std::make_shared<net::ScriptedLinkDrop>(
         congested.from, congested.to,
         [id](const net::Packet& p) {
-          const auto* d = dynamic_cast<const DataMessage*>(p.payload.get());
+          const auto* d = message_cast<DataMessage>(p.payload.get());
           return d != nullptr && d->name().page.creator == id &&
                  d->name().seq % 4 == 0;
         },

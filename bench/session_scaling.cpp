@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
         std::uint64_t backbone_rx = 0;
         session.network().set_delivery_observer(
             [&](const net::Packet& p, const net::DeliveryInfo& info) {
-              if (dynamic_cast<const SessionMessage*>(p.payload.get()) &&
+              if (message_cast<SessionMessage>(p.payload.get()) &&
                   info.hops > 2) {
                 ++backbone_rx;
               }

@@ -59,8 +59,8 @@ int main() {
     std::set<net::NodeId> touched;
     session.network().set_delivery_observer(
         [&](const net::Packet& p, const net::DeliveryInfo& info) {
-          if (dynamic_cast<const RequestMessage*>(p.payload.get()) ||
-              dynamic_cast<const RepairMessage*>(p.payload.get())) {
+          if (message_cast<RequestMessage>(p.payload.get()) ||
+              message_cast<RepairMessage>(p.payload.get())) {
             touched.insert(info.receiver);
           }
         });
@@ -70,7 +70,7 @@ int main() {
     const PageId page{0, 0};
     auto drop = std::make_shared<net::ScriptedLinkDrop>(
         cache, office, [](const net::Packet& p) {
-          const auto* d = dynamic_cast<const DataMessage*>(p.payload.get());
+          const auto* d = message_cast<DataMessage>(p.payload.get());
           return d != nullptr && d->name().seq == 0;
         });
     session.network().set_drop_policy(drop);

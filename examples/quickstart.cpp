@@ -38,7 +38,7 @@ int main() {
   //    members 3, 4, 5 miss it.
   auto drop = std::make_shared<net::ScriptedLinkDrop>(
       2, 3, [](const net::Packet& p) {
-        const auto* d = dynamic_cast<const DataMessage*>(p.payload.get());
+        const auto* d = message_cast<DataMessage>(p.payload.get());
         return d != nullptr && d->name().seq == 0;
       });
   session.network().set_drop_policy(drop);

@@ -66,11 +66,8 @@ int main() {
   bool eaten = false;
   bob_bus.set_receive_filter(
       [&eaten](const net::Packet& packet, const net::DeliveryInfo&) {
-        if (eaten || !packet.payload || packet.payload->trace_kind() != 1) {
-          return false;
-        }
-        const auto& data = static_cast<const DataMessage&>(*packet.payload);
-        if (data.name().seq != 0) return false;
+        const auto* data = message_cast<DataMessage>(packet.payload.get());
+        if (eaten || data == nullptr || data->name().seq != 0) return false;
         eaten = true;
         return true;
       });

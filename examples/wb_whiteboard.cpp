@@ -43,7 +43,7 @@ int main() {
   // 15% loss on all data packets: the whiteboard must not care.
   session.network().set_drop_policy(std::make_shared<net::RandomDrop>(
       0.15, 5, [](const net::Packet& p) {
-        return dynamic_cast<const DataMessage*>(p.payload.get()) != nullptr;
+        return message_cast<DataMessage>(p.payload.get()) != nullptr;
       }));
 
   const PageId page = alice.create_page();

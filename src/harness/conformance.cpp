@@ -47,8 +47,7 @@ void ConformanceChecker::flag(const std::string& rule,
 void ConformanceChecker::on_send(net::NodeId from, const net::Packet& packet) {
   const double now = network_->queue().now();
 
-  if (const auto* data =
-          dynamic_cast<const DataMessage*>(packet.payload.get())) {
+  if (const auto* data = message_cast<DataMessage>(packet.payload.get())) {
     ++data_seen_;
     const DataName& name = data->name();
     holds_[from].insert(name);
@@ -71,8 +70,7 @@ void ConformanceChecker::on_send(net::NodeId from, const net::Packet& packet) {
     return;
   }
 
-  if (const auto* req =
-          dynamic_cast<const RequestMessage*>(packet.payload.get())) {
+  if (const auto* req = message_cast<RequestMessage>(packet.payload.get())) {
     ++requests_seen_;
     const DataName& name = req->name();
     // 1. no request for data this member demonstrably has.
@@ -90,8 +88,7 @@ void ConformanceChecker::on_send(net::NodeId from, const net::Packet& packet) {
     return;
   }
 
-  if (const auto* rep =
-          dynamic_cast<const RepairMessage*>(packet.payload.get())) {
+  if (const auto* rep = message_cast<RepairMessage>(packet.payload.get())) {
     ++repairs_seen_;
     const DataName& name = rep->name();
     holds_[from].insert(name);  // sending a repair proves possession
@@ -140,13 +137,11 @@ void ConformanceChecker::on_send(net::NodeId from, const net::Packet& packet) {
 
 void ConformanceChecker::on_delivery(const net::Packet& packet,
                                      const net::DeliveryInfo& info) {
-  if (const auto* data =
-          dynamic_cast<const DataMessage*>(packet.payload.get())) {
+  if (const auto* data = message_cast<DataMessage>(packet.payload.get())) {
     holds_[info.receiver].insert(data->name());
     return;
   }
-  if (const auto* rep =
-          dynamic_cast<const RepairMessage*>(packet.payload.get())) {
+  if (const auto* rep = message_cast<RepairMessage>(packet.payload.get())) {
     holds_[info.receiver].insert(rep->name());
     repaired_[info.receiver].insert(rep->name());
     // 6. scoping: hops within the initial TTL.
@@ -157,8 +152,7 @@ void ConformanceChecker::on_delivery(const net::Packet& packet,
     }
     return;
   }
-  if (const auto* req =
-          dynamic_cast<const RequestMessage*>(packet.payload.get())) {
+  if (const auto* req = message_cast<RequestMessage>(packet.payload.get())) {
     if (info.hops > req->initial_ttl()) {
       flag("scoping", "REQUEST " + to_string(req->name()) + " traveled " +
                           std::to_string(info.hops) + " hops with ttl " +

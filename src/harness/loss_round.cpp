@@ -17,11 +17,11 @@ namespace {
 constexpr sim::Time kInterPacketGap = 1.0;
 
 bool is_request(const net::Packet& p) {
-  return dynamic_cast<const RequestMessage*>(p.payload.get()) != nullptr;
+  return message_cast<RequestMessage>(p.payload.get()) != nullptr;
 }
 
 bool is_repair(const net::Packet& p) {
-  return dynamic_cast<const RepairMessage*>(p.payload.get()) != nullptr;
+  return message_cast<RepairMessage>(p.payload.get()) != nullptr;
 }
 
 }  // namespace
@@ -105,7 +105,7 @@ RoundResult run_loss_round(SimSession& session, const RoundSpec& spec,
   auto drop = std::make_shared<net::ScriptedLinkDrop>(
       spec.congested.from, spec.congested.to,
       [dropped](const net::Packet& p) {
-        const auto* d = dynamic_cast<const DataMessage*>(p.payload.get());
+        const auto* d = message_cast<DataMessage>(p.payload.get());
         return d != nullptr && d->name() == dropped;
       });
   net.set_drop_policy(drop);

@@ -65,7 +65,9 @@ using MessagePtr = std::shared_ptr<const Message>;
 // immutability holds for every observer.
 //
 // The freelist is shared-ownership: messages returned after the pool is
-// destroyed are freed normally.  acquire() runs on the owner's thread, but
+// destroyed are freed normally.  It is built by the first acquire(), so a
+// pool that never sends (most members never request or repair) holds no
+// mutex and no freelist.  acquire() runs on the owner's thread, but
 // under the parallel kernel the last reference to a message can drop on
 // another region's worker (the tail of a remote delivery chain), so the
 // freelist is guarded by a mutex.  It is uncontended in practice: the two
@@ -75,6 +77,7 @@ class MessagePool {
  public:
   template <typename... Args>
   std::shared_ptr<T> acquire(Args&&... args) {
+    if (!store_) store_ = std::make_shared<Store>();
     std::unique_ptr<T> recycled;
     {
       const std::lock_guard<std::mutex> lock(store_->mu);
@@ -103,6 +106,7 @@ class MessagePool {
   }
 
   std::size_t free_count() const {
+    if (!store_) return 0;
     const std::lock_guard<std::mutex> lock(store_->mu);
     return store_->free.size();
   }
@@ -116,7 +120,7 @@ class MessagePool {
     std::mutex mu;
     std::vector<std::unique_ptr<T>> free;
   };
-  std::shared_ptr<Store> store_ = std::make_shared<Store>();
+  std::shared_ptr<Store> store_;  // null until the first acquire()
 };
 
 struct Packet {

@@ -152,7 +152,7 @@ void SrmAgent::seed_data(const DataName& name, Payload payload) {
       std::make_shared<const Payload>(std::move(payload));
   s->any_known = true;
   s->advertised_max = std::max(s->advertised_max, name.seq);
-  note_page(name.page);
+  note_stream_page(*s, name.page);
 }
 
 void SrmAgent::supply_data(const DataName& name, Payload payload) {
@@ -254,26 +254,38 @@ const SrmAgent::Slot* SrmAgent::find_slot(const DataName& name) const {
 
 void SrmAgent::on_receive(const net::Packet& packet,
                           const net::DeliveryInfo& info) {
-  if (const auto* data = dynamic_cast<const DataMessage*>(packet.payload.get())) {
-    if (Stream* s = admit(stream_of(data->name()), data->name().seq)) {
-      handle_data(*s, data->name(), data->payload(), /*via_repair=*/false);
+  const net::Message* msg = packet.payload.get();
+  if (msg == nullptr) return;
+  // One switch on the message's kind (srm/messages.h), as the wire codec
+  // classifies it; any other kind is not an SRM payload and is ignored.
+  switch (msg->trace_kind()) {
+    case DataMessage::kKind: {
+      const auto& data = static_cast<const DataMessage&>(*msg);
+      if (Stream* s = admit(stream_of(data.name()), data.name().seq)) {
+        handle_data(*s, data.name(), data.payload(), /*via_repair=*/false);
+      }
+      break;
     }
-  } else if (const auto* req =
-                 dynamic_cast<const RequestMessage*>(packet.payload.get())) {
-    handle_request(*req, packet.scope);
-  } else if (const auto* rep =
-                 dynamic_cast<const RepairMessage*>(packet.payload.get())) {
-    handle_repair(*rep);
-  } else if (const auto* sess =
-                 dynamic_cast<const SessionMessage*>(packet.payload.get())) {
-    handle_session(*sess);
-    if (hooks_.on_session_message) hooks_.on_session_message(*sess, info);
-  } else if (const auto* preq = dynamic_cast<const PageRequestMessage*>(
-                 packet.payload.get())) {
-    handle_page_request(*preq);
-  } else if (const auto* prep =
-                 dynamic_cast<const PageReplyMessage*>(packet.payload.get())) {
-    handle_page_reply(*prep);
+    case RequestMessage::kKind:
+      handle_request(static_cast<const RequestMessage&>(*msg), packet.scope);
+      break;
+    case RepairMessage::kKind:
+      handle_repair(static_cast<const RepairMessage&>(*msg));
+      break;
+    case SessionMessage::kKind: {
+      const auto& sess = static_cast<const SessionMessage&>(*msg);
+      handle_session(sess);
+      if (hooks_.on_session_message) hooks_.on_session_message(sess, info);
+      break;
+    }
+    case PageRequestMessage::kKind:
+      handle_page_request(static_cast<const PageRequestMessage&>(*msg));
+      break;
+    case PageReplyMessage::kKind:
+      handle_page_reply(static_cast<const PageReplyMessage&>(*msg));
+      break;
+    default:
+      break;
   }
 }
 
@@ -347,7 +359,7 @@ void SrmAgent::handle_page_reply(const PageReplyMessage& msg) {
   // recovery take over from here.
   note_state_report(msg.state());
   if (!msg.page()) {
-    for (const PageId& p : msg.known_pages()) note_page(p);
+    known_pages_.insert(msg.known_pages().begin(), msg.known_pages().end());
     if (hooks_.on_page_list) hooks_.on_page_list(msg.known_pages());
   }
 }
@@ -377,7 +389,7 @@ void SrmAgent::handle_data(Stream& s, const DataName& name,
 
 void SrmAgent::note_stream_advance(Stream& s, const StreamKey& stream,
                                    SeqNo seen_seq) {
-  note_page(stream.page);
+  note_stream_page(s, stream.page);
   if (stream.source == id_) return;  // we cannot miss our own data
   SeqNo scan_from = 0;
   if (s.any_known) {

@@ -301,6 +301,7 @@ class SrmAgent : public net::PacketSink {
   struct Stream {
     SeqNo advertised_max = 0;   // highest seq known to exist
     bool any_known = false;     // false until first evidence of the stream
+    bool page_noted = false;    // its page is in known_pages_
     std::vector<Slot> slots;    // by seq, up to the highest seq touched
   };
 
@@ -413,7 +414,13 @@ class SrmAgent : public net::PacketSink {
   static constexpr PageId kPageListKey{kInvalidSource, 0};
   std::unordered_map<PageId, std::unique_ptr<sim::Timer>> page_replies_;
   std::set<PageId> known_pages_;
-  void note_page(const PageId& page) { known_pages_.insert(page); }
+  // A stream's page goes into known_pages_ on the stream's first advance
+  // only: the set never shrinks, so later inserts would change nothing.
+  void note_stream_page(Stream& s, const PageId& page) {
+    if (s.page_noted) return;
+    s.page_noted = true;
+    known_pages_.insert(page);
+  }
   void on_page_reply_timer(const PageId& key);
 
   // services

@@ -75,10 +75,9 @@ double NackAgent::rtt_to(SourceId peer) const {
 
 void NackAgent::on_receive(const net::Packet& packet,
                            const net::DeliveryInfo&) {
-  if (const auto* d = dynamic_cast<const DataMessage*>(packet.payload.get())) {
+  if (const auto* d = message_cast<DataMessage>(packet.payload.get())) {
     handle_data(d->name(), d->payload());
-  } else if (const auto* n =
-                 dynamic_cast<const NackMessage*>(packet.payload.get())) {
+  } else if (const auto* n = message_cast<NackMessage>(packet.payload.get())) {
     handle_nack(*n);
   }
 }

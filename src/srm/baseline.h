@@ -28,9 +28,12 @@
 
 namespace srm::baseline {
 
-// NACK for one missing ADU, unicast to the data's source.
+// NACK for one missing ADU, unicast to the data's source.  Its kind is 7
+// (the srm/messages.h table); the wire codec does not carry it.
 class NackMessage final : public net::Message {
  public:
+  static constexpr std::uint32_t kKind = 7;
+
   NackMessage(DataName name, SourceId requestor)
       : name_(name), requestor_(requestor) {}
 
@@ -41,6 +44,7 @@ class NackMessage final : public net::Message {
     return "NACK " + to_string(name_) + " by " + std::to_string(requestor_);
   }
   std::size_t size_bytes() const override { return 40; }
+  std::uint32_t trace_kind() const override { return kKind; }
 
  private:
   DataName name_;

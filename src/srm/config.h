@@ -99,8 +99,9 @@ struct FecConfig {
 // report with TTL-limited scope, one representative per local area (the
 // lowest live Source-ID) aggregates into global session messages carrying a
 // per-area digest.  When enabled, the harness drives reporting through
-// srm::SessionHierarchy (batched timer wheels, struct-of-arrays liveness
-// state sharded per area) instead of the agent's flat session schedule.  An
+// srm::SessionHierarchy (batched timer wheels, one liveness record per
+// slot of the member's own area) instead of the agent's flat session
+// schedule.  An
 // agent's DistanceEstimator then hears, and keeps records for, only its area
 // plus the representatives.
 struct HierarchyConfig {

@@ -13,9 +13,12 @@
 // Requests/repairs also carry their initial TTL in a payload field so
 // receivers can recover the sender's intended scope (Sec. VII-B.3).
 //
-// Each class reports a stable trace_kind() for the `kind` field of net-layer
-// trace events: 1=DATA, 2=REQUEST, 3=REPAIR, 4=SESSION, 5=PAGE-REQUEST,
-// 6=PAGE-REPLY (0 = non-SRM payload).
+// Each class names its kind as `kKind`, which its trace_kind() returns: the
+// `kind` field of net-layer trace events and the wire frame's kind byte.
+// 1=DATA, 2=REQUEST, 3=REPAIR, 4=SESSION, 5=PAGE-REQUEST, 6=PAGE-REPLY,
+// 7=NACK (baseline::NackMessage, srm/baseline.h; never on the wire);
+// 0 = any other payload.  message_cast<T>() below classifies a payload by
+// that kind: receivers switch on trace_kind() or call it, never RTTI.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +40,8 @@ using PayloadPtr = std::shared_ptr<const Payload>;
 
 class DataMessage final : public net::Message {
  public:
+  static constexpr std::uint32_t kKind = 1;
+
   DataMessage(DataName name, PayloadPtr payload)
       : name_(name), payload_(std::move(payload)) {}
 
@@ -47,7 +52,7 @@ class DataMessage final : public net::Message {
   std::size_t size_bytes() const override {
     return 32 + (payload_ ? payload_->size() : 0);
   }
-  std::uint32_t trace_kind() const override { return 1; }
+  std::uint32_t trace_kind() const override { return kKind; }
 
  private:
   DataName name_;
@@ -56,6 +61,8 @@ class DataMessage final : public net::Message {
 
 class RequestMessage final : public net::Message {
  public:
+  static constexpr std::uint32_t kKind = 2;
+
   RequestMessage(DataName name, SourceId requestor,
                  double requestor_dist_to_source, int initial_ttl)
       : name_(name),
@@ -83,7 +90,7 @@ class RequestMessage final : public net::Message {
     return "REQUEST " + to_string(name_) + " by " + std::to_string(requestor_);
   }
   std::size_t size_bytes() const override { return 48; }
-  std::uint32_t trace_kind() const override { return 2; }
+  std::uint32_t trace_kind() const override { return kKind; }
 
  private:
   DataName name_;
@@ -94,6 +101,8 @@ class RequestMessage final : public net::Message {
 
 class RepairMessage final : public net::Message {
  public:
+  static constexpr std::uint32_t kKind = 3;
+
   RepairMessage(DataName name, PayloadPtr payload, SourceId responder,
                 SourceId first_requestor, double responder_dist_to_requestor,
                 int initial_ttl, bool local_step_one = false)
@@ -138,7 +147,7 @@ class RepairMessage final : public net::Message {
   std::size_t size_bytes() const override {
     return 48 + (payload_ ? payload_->size() : 0);
   }
-  std::uint32_t trace_kind() const override { return 3; }
+  std::uint32_t trace_kind() const override { return kKind; }
 
  private:
   DataName name_;
@@ -152,6 +161,8 @@ class RepairMessage final : public net::Message {
 
 class SessionMessage final : public net::Message {
  public:
+  static constexpr std::uint32_t kKind = 4;
+
   // State report: highest sequence number seen per active stream of the
   // page the sender is currently viewing (Sec. III-A).  Flat sorted vector:
   // built once per send, binary-searched on receive (see util/flat_map.h).
@@ -216,7 +227,7 @@ class SessionMessage final : public net::Message {
     return 24 + 16 * state_.size() + 20 * echoes_.size() +
            12 * digests_.size();
   }
-  std::uint32_t trace_kind() const override { return 4; }
+  std::uint32_t trace_kind() const override { return kKind; }
 
  private:
   SourceId sender_;
@@ -234,6 +245,8 @@ class SessionMessage final : public net::Message {
 // suppressible delay.
 class PageRequestMessage final : public net::Message {
  public:
+  static constexpr std::uint32_t kKind = 5;
+
   // A nullopt page asks for the list of known pages instead of one page's
   // sequence state.
   PageRequestMessage(SourceId requestor, std::optional<PageId> page)
@@ -247,7 +260,7 @@ class PageRequestMessage final : public net::Message {
                  : "PAGE-REQUEST <list>";
   }
   std::size_t size_bytes() const override { return 32; }
-  std::uint32_t trace_kind() const override { return 5; }
+  std::uint32_t trace_kind() const override { return kKind; }
 
  private:
   SourceId requestor_;
@@ -256,6 +269,8 @@ class PageRequestMessage final : public net::Message {
 
 class PageReplyMessage final : public net::Message {
  public:
+  static constexpr std::uint32_t kKind = 6;
+
   PageReplyMessage(SourceId responder, std::optional<PageId> page,
                    SessionMessage::StateReport state,
                    std::vector<PageId> known_pages)
@@ -277,7 +292,7 @@ class PageReplyMessage final : public net::Message {
   std::size_t size_bytes() const override {
     return 32 + 16 * state_.size() + 8 * known_pages_.size();
   }
-  std::uint32_t trace_kind() const override { return 6; }
+  std::uint32_t trace_kind() const override { return kKind; }
 
  private:
   SourceId responder_;
@@ -285,5 +300,15 @@ class PageReplyMessage final : public net::Message {
   SessionMessage::StateReport state_;
   std::vector<PageId> known_pages_;
 };
+
+// The payload as a T when it reports T's kind, else null (a null payload
+// included).  Kinds are unique per class (the table above), so this is the
+// checked downcast every receiver uses in place of dynamic_cast.
+template <typename T>
+const T* message_cast(const net::Message* msg) {
+  return msg != nullptr && msg->trace_kind() == T::kKind
+             ? static_cast<const T*>(msg)
+             : nullptr;
+}
 
 }  // namespace srm

@@ -74,32 +74,25 @@ std::optional<double> DistanceEstimator::distance(SourceId peer) const {
   return it->estimate;
 }
 
-void AreaLiveTable::resize(std::uint32_t areas) {
-  live_.resize(areas, 0);
-  max_seq_.resize(areas, 0);
-  heard_.resize(areas, 0.0);
-  has_.resize(areas, 0);
-}
+void AreaLiveTable::resize(std::uint32_t areas) { areas_.resize(areas); }
 
 void AreaLiveTable::fold(const SessionMessage::AreaDigests& digests,
                          sim::Time now) {
   for (const SessionMessage::AreaDigest& d : digests) {
-    if (d.area >= live_.size()) continue;  // unknown area: stale topology
-    live_[d.area] = d.live_members;
-    if (d.max_seq > max_seq_[d.area]) max_seq_[d.area] = d.max_seq;
-    heard_[d.area] = now;
-    has_[d.area] = 1;
+    if (d.area >= areas_.size()) continue;  // unknown area: stale topology
+    areas_[d.area] = Area{now, d.live_members};
   }
 }
 
 std::size_t AreaLiveTable::live_elsewhere(std::uint32_t self_area,
                                           sim::Time now,
                                           sim::Time horizon) const {
+  // A never-heard area is infinitely stale; were the horizon infinite too,
+  // it would still add its zero live members.
   std::size_t total = 0;
-  for (std::uint32_t a = 0; a < live_.size(); ++a) {
-    if (a == self_area || !has_[a]) continue;
-    if (now - heard_[a] > horizon) continue;
-    total += live_[a];
+  for (std::uint32_t a = 0; a < areas_.size(); ++a) {
+    if (a == self_area || now - areas_[a].heard > horizon) continue;
+    total += areas_[a].live;
   }
   return total;
 }

@@ -14,6 +14,7 @@
 // The estimate assumes roughly symmetric paths (the paper's assumption).
 #pragma once
 
+#include <limits>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -83,18 +84,20 @@ class DistanceEstimator {
 
 // Per-area digest state for two-level reporting (Sec. IX-A;
 // ARCHITECTURE.md §12).  Each member folds the AreaDigest tables heard in
-// representatives' global session messages into dense per-area vectors
-// (live count, freshness watermark, arrival stamp), giving it a whole-group
-// size estimate at O(areas) memory — it never tracks remote members
-// individually.  Also builds the digest table a representative embeds in
-// its own global reports.
+// representatives' global session messages into one 16-byte record per
+// area (when its last digest arrived, and the live count it carried),
+// giving it a whole-group size estimate at O(areas) memory — it never
+// tracks remote members individually.  A never-heard area reads as heard at
+// -infinity with no live members.  The digests' max_seq watermark is not
+// kept: nothing here reads it.  Also builds the digest table a
+// representative embeds in its own global reports.
 class AreaLiveTable {
  public:
   explicit AreaLiveTable(std::uint32_t areas = 0) { resize(areas); }
 
   void resize(std::uint32_t areas);
   std::uint32_t areas() const {
-    return static_cast<std::uint32_t>(live_.size());
+    return static_cast<std::uint32_t>(areas_.size());
   }
 
   // Folds a received digest table; `now` stamps freshness.
@@ -115,10 +118,11 @@ class AreaLiveTable {
                                                    SeqNo self_max_seq);
 
  private:
-  std::vector<std::uint32_t> live_;
-  std::vector<SeqNo> max_seq_;
-  std::vector<sim::Time> heard_;
-  std::vector<std::uint8_t> has_;
+  struct Area {
+    sim::Time heard = -std::numeric_limits<sim::Time>::infinity();
+    std::uint32_t live = 0;
+  };
+  std::vector<Area> areas_;
 };
 
 // Schedules session messages at an average rate that scales inversely with

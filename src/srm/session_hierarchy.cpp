@@ -1,7 +1,6 @@
 #include "srm/session_hierarchy.h"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 #include "util/rng.h"
@@ -9,8 +8,6 @@
 namespace srm {
 
 namespace {
-
-constexpr sim::Time kNeverHeard = -std::numeric_limits<sim::Time>::infinity();
 
 // Each steady-state report interval is uniform in [1-kJitter, 1+kJitter] x
 // report_interval, drawn statelessly keyed by (area, member slot, draw
@@ -64,8 +61,7 @@ SessionHierarchy::Member& SessionHierarchy::ensure_member(SrmAgent& agent,
     m.area = area;
     m.slot = static_cast<std::uint32_t>(areas_[area].member_dense.size());
     areas_[area].member_dense.push_back(dense);
-    m.last_heard.clear();
-    m.last_report_seq.clear();
+    m.slots.clear();
   }
   return *members_[dense];
 }
@@ -178,13 +174,12 @@ void SessionHierarchy::on_session(Member& m, const SessionMessage& msg,
   }
   const Member& s = *members_[sender];
   if (s.area != m.area || s.dense == m.dense) return;
-  if (s.slot >= m.last_heard.size()) {
-    const std::size_t size = areas_[m.area].member_dense.size();
-    m.last_heard.resize(size, kNeverHeard);
-    m.last_report_seq.resize(size, 0);
+  if (s.slot >= m.slots.size()) {
+    m.slots.resize(areas_[m.area].member_dense.size());
   }
-  m.last_heard[s.slot] = now;
-  ++m.last_report_seq[s.slot];
+  SlotRecord& heard = m.slots[s.slot];
+  heard.last_heard = now;
+  ++heard.reports;
   m.heard_local = true;
 }
 
@@ -192,10 +187,9 @@ SourceId SessionHierarchy::elect(const Member& m, sim::Time now) const {
   SourceId rep = directory_->index().source_at(m.dense);  // self: always live
   const sim::Time horizon = staleness_horizon();
   const AreaInfo& area = areas_[m.area];
-  const std::size_t n =
-      std::min(m.last_heard.size(), area.member_dense.size());
+  const std::size_t n = std::min(m.slots.size(), area.member_dense.size());
   for (std::size_t s = 0; s < n; ++s) {
-    if (now - m.last_heard[s] > horizon) continue;
+    if (now - m.slots[s].last_heard > horizon) continue;
     const SourceId id = directory_->index().source_at(area.member_dense[s]);
     if (id < rep) rep = id;
   }
@@ -207,11 +201,10 @@ std::uint32_t SessionHierarchy::count_live(const Member& m, sim::Time now,
   const sim::Time horizon = staleness_horizon();
   std::uint32_t live = 1;  // self
   SeqNo max_seq = m.local_sent + m.global_sent;
-  const std::size_t n = m.last_heard.size();
-  for (std::size_t s = 0; s < n; ++s) {
-    if (now - m.last_heard[s] > horizon) continue;
+  for (const SlotRecord& heard : m.slots) {
+    if (now - heard.last_heard > horizon) continue;
     ++live;
-    max_seq = std::max(max_seq, m.last_report_seq[s]);
+    max_seq = std::max(max_seq, heard.reports);
   }
   if (max_seq_out != nullptr) *max_seq_out = max_seq;
   return live;

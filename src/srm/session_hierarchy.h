@@ -22,12 +22,12 @@
 // This is the session-level coordinator (one per SimSession, not one per
 // agent).  Scaling rests on three structural choices:
 //
-//   1. Struct-of-arrays liveness, sharded per area: each member's peer
-//      state is dense vectors indexed by its area's member slot (last-heard
-//      stamp, last-report seq), sized by ITS OWN area only, plus an
-//      AreaLiveTable of per-area digests — O(area + areas) per member, not
-//      O(G), and written only by that member's own event queue (the
-//      parallel-kernel single-writer rule).
+//   1. Liveness sharded per area: each member keeps one 16-byte record per
+//      slot of ITS OWN area (last-heard stamp, reports heard), in one
+//      vector indexed by the area's member slot, plus an AreaLiveTable of
+//      one record per area — O(area + areas) per member, not O(G), and
+//      written only by that member's own event queue (the parallel-kernel
+//      single-writer rule).
 //   2. Batched timer wheels (sim/timer_wheel.h): all reports of one
 //      (area, interval-bucket) share one heap entry, so event-heap
 //      occupancy grows with areas x buckets, not members.
@@ -37,6 +37,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <vector>
@@ -116,23 +117,29 @@ class SessionHierarchy {
   std::size_t pending_wheel_items() const;
 
  private:
+  // What a member heard from one slot of its OWN area.
+  struct SlotRecord {
+    // Last local report heard (never: -infinity).
+    sim::Time last_heard = -std::numeric_limits<sim::Time>::infinity();
+    SeqNo reports = 0;  // local reports heard from that slot
+  };
+
+  // The fields on_session reads come first (for the receiver and for the
+  // sender it looks up), the hooks and report counters last.
   struct Member {
     SrmAgent* agent = nullptr;   // null while detached
     std::uint32_t dense = 0;     // directory member-index slot
     std::uint32_t area = 0;
     std::uint32_t slot = 0;      // index into areas_[area].member_dense
-    std::uint32_t epoch = 0;     // bumped per attach; stale items ignored
-    std::uint64_t ordinal = 0;   // jitter draw counter
-    std::uint64_t local_sent = 0;
-    std::uint64_t global_sent = 0;
     bool heard_local = false;  // gates the cold-start representative claim
     bool attached = false;
+    std::vector<SlotRecord> slots;  // by area slot; grown to the area size
+    AreaLiveTable area_table;       // digests heard from reps
+    std::uint32_t epoch = 0;     // bumped per attach; stale items ignored
+    std::uint64_t ordinal = 0;   // jitter draw counter
     SrmAgent::AppHooks previous_hooks;
-
-    // SoA slices over this member's OWN area, indexed by area slot.
-    std::vector<sim::Time> last_heard;   // last local report heard
-    std::vector<SeqNo> last_report_seq;  // reports heard from that slot
-    AreaLiveTable area_table;            // digests heard from reps
+    std::uint64_t local_sent = 0;
+    std::uint64_t global_sent = 0;
   };
 
   struct AreaInfo {

@@ -23,7 +23,8 @@ class DropScript {
   // Drops the next `count` messages of `kind` (trace_kind: 1=DATA,
   // 2=REQUEST, 3=REPAIR) naming ADU seq `seq` that arrive at node
   // `receiver`; a `source` other than kInvalidSource also requires the
-  // ADU's Source-ID.
+  // ADU's Source-ID.  The other kinds (4=SESSION, 5=PAGE-REQUEST,
+  // 6=PAGE-REPLY, 7=NACK; srm/messages.h) name no ADU and never match.
   void arm(net::NodeId receiver, std::uint32_t kind, SeqNo seq,
            std::size_t count, SourceId source = kInvalidSource) {
     rules_.push_back(Rule{receiver, kind, seq, source, count});
@@ -68,11 +69,11 @@ class DropScript {
     if (!packet.payload) return nullptr;
     const net::Message& msg = *packet.payload;
     switch (msg.trace_kind()) {
-      case 1:
+      case DataMessage::kKind:
         return &static_cast<const DataMessage&>(msg).name();
-      case 2:
+      case RequestMessage::kKind:
         return &static_cast<const RequestMessage&>(msg).name();
-      case 3:
+      case RepairMessage::kKind:
         return &static_cast<const RepairMessage&>(msg).name();
       default:
         return nullptr;

@@ -189,7 +189,7 @@ bool encode_frame(const net::Packet& packet, std::vector<std::uint8_t>& out) {
   const net::Message* msg = packet.payload.get();
   if (msg == nullptr) return false;
   const std::uint32_t kind = msg->trace_kind();
-  if (kind < 1 || kind > 6) return false;
+  if (kind < DataMessage::kKind || kind > PageReplyMessage::kKind) return false;
 
   Writer w(out);
   w.u32(kWireMagic);
@@ -203,13 +203,13 @@ bool encode_frame(const net::Packet& packet, std::vector<std::uint8_t>& out) {
   w.u16(0);
 
   switch (kind) {
-    case 1: {
+    case DataMessage::kKind: {
       const auto& m = static_cast<const DataMessage&>(*msg);
       put_name(w, m.name());
       put_payload(w, m.payload());
       break;
     }
-    case 2: {
+    case RequestMessage::kKind: {
       const auto& m = static_cast<const RequestMessage&>(*msg);
       put_name(w, m.name());
       w.u32(m.requestor());
@@ -217,7 +217,7 @@ bool encode_frame(const net::Packet& packet, std::vector<std::uint8_t>& out) {
       w.u32(static_cast<std::uint32_t>(m.initial_ttl()));
       break;
     }
-    case 3: {
+    case RepairMessage::kKind: {
       const auto& m = static_cast<const RepairMessage&>(*msg);
       put_name(w, m.name());
       w.u32(m.responder());
@@ -228,7 +228,7 @@ bool encode_frame(const net::Packet& packet, std::vector<std::uint8_t>& out) {
       put_payload(w, m.payload());
       break;
     }
-    case 4: {
+    case SessionMessage::kKind: {
       const auto& m = static_cast<const SessionMessage&>(*msg);
       w.u32(m.sender());
       w.f64(m.sender_timestamp());
@@ -247,13 +247,13 @@ bool encode_frame(const net::Packet& packet, std::vector<std::uint8_t>& out) {
       }
       break;
     }
-    case 5: {
+    case PageRequestMessage::kKind: {
       const auto& m = static_cast<const PageRequestMessage&>(*msg);
       w.u32(m.requestor());
       put_opt_page(w, m.page());
       break;
     }
-    case 6: {
+    case PageReplyMessage::kKind: {
       const auto& m = static_cast<const PageReplyMessage&>(*msg);
       w.u32(m.responder());
       put_opt_page(w, m.page());
@@ -288,14 +288,14 @@ bool decode_frame(const std::uint8_t* data, std::size_t len,
 
   net::MessagePtr payload;
   switch (kind) {
-    case 1: {
+    case DataMessage::kKind: {
       DataName name;
       PayloadPtr bytes;
       if (!get_name(r, name) || !get_payload(r, bytes)) return false;
       payload = std::make_shared<DataMessage>(name, std::move(bytes));
       break;
     }
-    case 2: {
+    case RequestMessage::kKind: {
       DataName name;
       std::uint32_t requestor = 0, initial_ttl = 0;
       double dist = 0.0;
@@ -307,7 +307,7 @@ bool decode_frame(const std::uint8_t* data, std::size_t len,
                                        static_cast<int>(initial_ttl));
       break;
     }
-    case 3: {
+    case RepairMessage::kKind: {
       DataName name;
       std::uint32_t responder = 0, first_requestor = 0, initial_ttl = 0;
       double dist = 0.0;
@@ -325,7 +325,7 @@ bool decode_frame(const std::uint8_t* data, std::size_t len,
                                       step_one != 0);
       break;
     }
-    case 4: {
+    case SessionMessage::kKind: {
       std::uint32_t sender = 0, n_echo = 0, n_digest = 0;
       double timestamp = 0.0;
       SessionMessage::StateReport state;
@@ -363,14 +363,14 @@ bool decode_frame(const std::uint8_t* data, std::size_t len,
           std::move(digests));
       break;
     }
-    case 5: {
+    case PageRequestMessage::kKind: {
       std::uint32_t requestor = 0;
       std::optional<PageId> page;
       if (!r.u32(requestor) || !get_opt_page(r, page)) return false;
       payload = std::make_shared<PageRequestMessage>(requestor, page);
       break;
     }
-    case 6: {
+    case PageReplyMessage::kKind: {
       std::uint32_t responder = 0, n_pages = 0;
       std::optional<PageId> page;
       SessionMessage::StateReport state;

@@ -6,7 +6,7 @@
 //   ------  --------------------------------------------------------------
 //   0       u32  magic 0x53524D46 ("SRMF")
 //   4       u8   version (kWireVersion)
-//   5       u8   kind (srm trace_kind: 1=DATA .. 6=PAGE-REPLY)
+//   5       u8   kind (srm trace_kind: 1=DATA .. 6=PAGE-REPLY; not 7=NACK)
 //   6       u8   scope (net::Scope)
 //   7       u8   reserved (0)
 //   8       u32  source node id

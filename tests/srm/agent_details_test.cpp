@@ -8,6 +8,7 @@
 
 #include "harness/session.h"
 #include "net/drop_policy.h"
+#include "srm/baseline.h"
 #include "srm/messages.h"
 #include "topo/builders.h"
 
@@ -258,6 +259,55 @@ TEST(AgentLifecycleTest, StopCancelsOutstandingTimers) {
   s.agent_at(2).stop();
   s.queue().run();  // must not fire the cancelled timer or crash
   EXPECT_EQ(s.agent_at(2).metrics().requests_sent, 0u);
+}
+
+TEST(AgentDispatchTest, IgnoresPayloadsOfOtherKinds) {
+  // The agent classifies a delivery by its kind: a kind-0 payload (not an
+  // SRM message), the baseline's NACK (kind 7) and a null payload reach no
+  // handler, so no counter moves, no hook runs and nothing is scheduled.
+  struct Foreign final : net::Message {
+    std::string describe() const override { return "FOREIGN"; }
+  };
+  harness::SimSession s(topo::make_chain(2), all_nodes(2), {det_cfg(), 3, 1});
+  SrmAgent& a = s.agent_at(1);
+  int hook_calls = 0;
+  SrmAgent::AppHooks hooks;
+  hooks.on_data = [&](const DataName&, const Payload&, bool) { ++hook_calls; };
+  hooks.on_loss_detected = [&](const DataName&) { ++hook_calls; };
+  hooks.on_request_heard = [&](const DataName&, SourceId) { ++hook_calls; };
+  hooks.on_session_message = [&](const SessionMessage&,
+                                 const net::DeliveryInfo&) { ++hook_calls; };
+  hooks.on_page_list = [&](const std::vector<PageId>&) { ++hook_calls; };
+  a.set_app_hooks(hooks);
+
+  const auto counters = [](const AgentMetrics& m) {
+    return std::vector<std::uint64_t>{
+        m.data_sent, m.requests_sent, m.repairs_sent, m.session_sent,
+        m.requests_heard, m.repairs_heard, m.losses_detected, m.recoveries,
+        m.recovery_abandoned, m.far_names_ignored, m.fec_parity_sent,
+        m.fec_reconstructions, m.recovery_delay_seconds.count(),
+        m.recovery_delay_rtt.count(), m.request_delay_rtt.count(),
+        m.repair_delay_rtt.count(), m.dup_requests_heard,
+        m.dup_repairs_heard};
+  };
+  const auto before = counters(a.metrics());
+  const std::size_t events_before = s.queue().pending_events();
+  const std::vector<net::MessagePtr> payloads = {
+      std::make_shared<Foreign>(),
+      std::make_shared<baseline::NackMessage>(DataName{0, PageId{0, 0}, 5}, 0),
+      nullptr};
+  for (const net::MessagePtr& payload : payloads) {
+    net::Packet p;
+    p.source = 0;
+    p.group = 1;
+    p.payload = payload;
+    a.on_receive(p, net::DeliveryInfo{a.node(), 1.0, 1, net::kMaxTtl - 1});
+  }
+  EXPECT_EQ(counters(a.metrics()), before);
+  EXPECT_EQ(hook_calls, 0);
+  EXPECT_EQ(s.queue().pending_events(), events_before);
+  EXPECT_TRUE(a.known_pages().empty());
+  EXPECT_FALSE(a.advertised_max(StreamKey{0, PageId{0, 0}}).has_value());
 }
 
 }  // namespace

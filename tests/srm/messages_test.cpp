@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <type_traits>
+#include <vector>
+
+#include "srm/baseline.h"
+
 namespace srm {
 namespace {
 
@@ -62,20 +68,77 @@ TEST(MessagesTest, SessionSizeGrowsWithContent) {
 }
 
 TEST(MessagesTest, PolymorphicDispatchViaBasePointer) {
-  // The network stores MessagePtr (shared_ptr<const Message>); agents
-  // dispatch with dynamic_cast.  Verify each type round-trips.
-  std::vector<net::MessagePtr> msgs;
-  msgs.push_back(std::make_shared<DataMessage>(DataName{}, nullptr));
-  msgs.push_back(std::make_shared<RequestMessage>(DataName{}, 0, 0.0, 1));
-  msgs.push_back(
-      std::make_shared<RepairMessage>(DataName{}, nullptr, 0, 0, 0.0, 1));
-  msgs.push_back(std::make_shared<SessionMessage>(
-      0, 0.0, SessionMessage::StateReport{}, SessionMessage::Echoes{}));
-  EXPECT_NE(dynamic_cast<const DataMessage*>(msgs[0].get()), nullptr);
-  EXPECT_EQ(dynamic_cast<const DataMessage*>(msgs[1].get()), nullptr);
-  EXPECT_NE(dynamic_cast<const RequestMessage*>(msgs[1].get()), nullptr);
-  EXPECT_NE(dynamic_cast<const RepairMessage*>(msgs[2].get()), nullptr);
-  EXPECT_NE(dynamic_cast<const SessionMessage*>(msgs[3].get()), nullptr);
+  // The network stores MessagePtr (shared_ptr<const Message>); receivers
+  // classify a payload by its kind.  Every class reports its own kind, a
+  // payload of any other class reports 0, and message_cast<T> finds exactly
+  // the payloads dynamic_cast finds: each payload of T's kind, else null.
+  struct Foreign final : net::Message {
+    std::string describe() const override { return "FOREIGN"; }
+  };
+  const std::vector<net::MessagePtr> msgs = {
+      std::make_shared<DataMessage>(DataName{}, nullptr),
+      std::make_shared<RequestMessage>(DataName{}, 0, 0.0, 1),
+      std::make_shared<RepairMessage>(DataName{}, nullptr, 0, 0, 0.0, 1),
+      std::make_shared<SessionMessage>(0, 0.0, SessionMessage::StateReport{},
+                                       SessionMessage::Echoes{}),
+      std::make_shared<PageRequestMessage>(0, std::nullopt),
+      std::make_shared<PageReplyMessage>(0, std::nullopt,
+                                         SessionMessage::StateReport{},
+                                         std::vector<PageId>{}),
+      std::make_shared<baseline::NackMessage>(DataName{}, 0),
+      std::make_shared<Foreign>(),
+  };
+  for (std::uint32_t i = 0; i < 7; ++i) {
+    EXPECT_EQ(msgs[i]->trace_kind(), i + 1) << msgs[i]->describe();
+  }
+  EXPECT_EQ(msgs[6]->trace_kind(), baseline::NackMessage::kKind);
+  EXPECT_EQ(msgs[7]->trace_kind(), 0u);
+
+  const auto matches_rtti = [&msgs](auto* tag, std::size_t own) {
+    using T = std::remove_pointer_t<decltype(tag)>;
+    EXPECT_EQ(T::kKind, own + 1);
+    for (std::size_t i = 0; i < msgs.size(); ++i) {
+      const T* got = message_cast<T>(msgs[i].get());
+      EXPECT_EQ(got, dynamic_cast<const T*>(msgs[i].get())) << i;
+      EXPECT_EQ(got != nullptr, i == own) << i;
+    }
+    EXPECT_EQ(message_cast<T>(nullptr), nullptr);
+  };
+  matches_rtti(static_cast<DataMessage*>(nullptr), 0);
+  matches_rtti(static_cast<RequestMessage*>(nullptr), 1);
+  matches_rtti(static_cast<RepairMessage*>(nullptr), 2);
+  matches_rtti(static_cast<SessionMessage*>(nullptr), 3);
+  matches_rtti(static_cast<PageRequestMessage*>(nullptr), 4);
+  matches_rtti(static_cast<PageReplyMessage*>(nullptr), 5);
+  matches_rtti(static_cast<baseline::NackMessage*>(nullptr), 6);
+}
+
+TEST(MessagePoolTest, StoreBuiltOnFirstAcquireAndRecycles) {
+  net::MessagePool<RequestMessage> pool;
+  EXPECT_EQ(pool.free_count(), 0u);  // nothing built before the first send
+  const RequestMessage* first = nullptr;
+  {
+    const auto m = pool.acquire(DataName{1, PageId{1, 0}, 2}, 3, 4.0, 5);
+    first = m.get();
+    EXPECT_EQ(pool.free_count(), 0u);
+  }
+  EXPECT_EQ(pool.free_count(), 1u);  // the last reference returned it
+  const auto again = pool.acquire(DataName{6, PageId{6, 0}, 7}, 8, 9.0, 10);
+  EXPECT_EQ(again.get(), first);
+  EXPECT_EQ(again->name(), (DataName{6, PageId{6, 0}, 7}));
+  EXPECT_EQ(again->requestor(), 8u);
+  EXPECT_DOUBLE_EQ(again->requestor_dist_to_source(), 9.0);
+  EXPECT_EQ(again->initial_ttl(), 10);
+  EXPECT_EQ(pool.free_count(), 0u);
+
+  // A message outliving its pool is freed normally when released.
+  net::MessagePtr survivor;
+  {
+    net::MessagePool<RequestMessage> short_lived;
+    survivor = short_lived.acquire(DataName{}, 0, 0.0, 1);
+  }
+  EXPECT_EQ(survivor->trace_kind(), RequestMessage::kKind);
+  survivor.reset();
 }
 
 }  // namespace

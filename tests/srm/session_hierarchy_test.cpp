@@ -155,6 +155,37 @@ TEST(SessionHierarchyTest, AreaDigestsDriveGroupSizeEstimate) {
   }
 }
 
+TEST(SessionHierarchyTest, RejoinIntoAnotherAreaClearsSlotRecords) {
+  HierarchyConfig hcfg;
+  hcfg.enabled = true;
+  hcfg.local_ttl = 3;
+  hcfg.report_interval = 5.0;
+  HierWorld w(two_cluster_topo(), {0, 1, 2, 3, 4, 5, 6, 7}, hcfg,
+              /*areas=*/2, /*seed=*/13);
+  w.attach_all({0, 0, 0, 0, 1, 1, 1, 1});
+  w.session.queue().run_until(100.0);
+  SrmAgent& moved = w.session.agent_at(1);
+  ASSERT_EQ(w.hierarchy.live_local_peers(moved), 3u);
+  ASSERT_EQ(w.hierarchy.representative_of(moved), 0u);
+
+  // Re-join into area 1: what member 1 heard is indexed by area 0's slots,
+  // so it must not be read as area 1's.
+  w.hierarchy.detach(moved);
+  w.hierarchy.attach(moved, 1);
+  EXPECT_EQ(w.hierarchy.area_of(moved), 1u);
+  EXPECT_EQ(w.hierarchy.live_local_peers(moved), 0u);
+  EXPECT_EQ(w.hierarchy.representative_of(moved), 1u);
+
+  // Its cluster neighbours are area 0 and area 1's members are out of
+  // local reach, so it keeps hearing no local peer and represents itself.
+  w.session.queue().run_until(150.0);
+  EXPECT_EQ(w.hierarchy.live_local_peers(moved), 0u);
+  EXPECT_TRUE(w.hierarchy.is_representative(moved));
+  for (int i : {0, 2, 3}) {
+    EXPECT_EQ(w.hierarchy.live_local_peers(w.session.agent_at(i)), 2u) << i;
+  }
+}
+
 TEST(SessionHierarchyTest, WheelOccupancyGrowsWithAreasNotMembers) {
   // One LAN, 64 members: the event heap must hold O(buckets) wheel entries,
   // not one per member.

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "topo/builders.h"
@@ -284,6 +287,91 @@ TEST(DistanceEstimatorTest, MatchesMapBasedReferenceOnRecordedExchange) {
     }
     replay_against_reference(many, false, 5);
   }
+}
+
+// --- AreaLiveTable against a map-based reference ---------------------------
+
+// The per-area digest state as plainly as it can be said: the last digest
+// heard per known area, in a map, with "never heard" as absence.
+struct AreaReference {
+  std::uint32_t areas = 0;
+  std::map<std::uint32_t, std::pair<sim::Time, std::uint32_t>> heard;
+
+  void fold(const SessionMessage::AreaDigests& digests, sim::Time now) {
+    for (const auto& d : digests) {
+      if (d.area < areas) heard[d.area] = {now, d.live_members};
+    }
+  }
+  std::size_t live_elsewhere(std::uint32_t self, sim::Time now,
+                             sim::Time horizon) const {
+    std::size_t total = 0;
+    for (const auto& [area, entry] : heard) {
+      if (area != self && now - entry.first <= horizon) total += entry.second;
+    }
+    return total;
+  }
+};
+
+TEST(AreaLiveTableTest, MatchesMapReference) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    const auto areas = static_cast<std::uint32_t>(rng.uniform_int(0, 12));
+    AreaLiveTable table(areas);
+    AreaReference ref{areas, {}};
+    ASSERT_EQ(table.areas(), areas);
+    // Quarter-second clock ticks keep every difference exact, so some
+    // queries land exactly on now - heard == horizon.
+    double now = 0.0;
+    std::vector<double> stamps;
+    for (int step = 0; step < 200; ++step) {
+      now += 0.25 * static_cast<double>(rng.uniform_int(0, 3));
+      if (rng.uniform(0.0, 1.0) < 0.5) {
+        SessionMessage::AreaDigests digests;
+        const auto n = rng.uniform_int(0, 3);
+        for (std::int64_t i = 0; i < n; ++i) {
+          // Areas up to 3 past the table: out-of-range digests are ignored.
+          digests.push_back(SessionMessage::AreaDigest{
+              static_cast<std::uint32_t>(rng.uniform_int(0, areas + 2)),
+              static_cast<std::uint32_t>(rng.uniform_int(0, 500)),
+              static_cast<SeqNo>(rng.uniform_int(0, 1000))});
+        }
+        table.fold(digests, now);
+        ref.fold(digests, now);
+        stamps.push_back(now);
+        continue;
+      }
+      // Self areas in range, one past it and far past it.
+      const std::uint32_t self =
+          rng.uniform(0.0, 1.0) < 0.8
+              ? static_cast<std::uint32_t>(rng.uniform_int(0, areas))
+              : 0xFFFFFFFFu;
+      double horizon = 0.25 * static_cast<double>(rng.uniform_int(0, 40));
+      const double pick = rng.uniform(0.0, 1.0);
+      if (pick < 0.2) {
+        horizon = kInf;
+      } else if (pick < 0.5 && !stamps.empty()) {
+        // Exactly on the boundary of some fold's stamp.
+        horizon = now - stamps[static_cast<std::size_t>(rng.uniform_int(
+                            0, static_cast<std::int64_t>(stamps.size()) - 1))];
+      }
+      EXPECT_EQ(table.live_elsewhere(self, now, horizon),
+                ref.live_elsewhere(self, now, horizon))
+          << "step " << step << " self " << self << " horizon " << horizon;
+    }
+  }
+
+  // Growing the table adds never-heard areas, which an infinite horizon
+  // still does not count.
+  AreaLiveTable table(2);
+  table.fold({{0, 5, 1}, {1, 7, 1}, {3, 100, 1}}, 1.0);
+  table.resize(4);
+  EXPECT_EQ(table.live_elsewhere(0, 2.0, kInf), 7u);
+  table.fold({{3, 11, 2}}, 3.0);
+  EXPECT_EQ(table.live_elsewhere(0, 3.0, kInf), 18u);
+  EXPECT_EQ(table.live_elsewhere(0, 3.0, 1.0), 11u);
+  EXPECT_EQ(table.live_elsewhere(0, 3.0, 2.0), 18u);  // now - heard == 2
 }
 
 // --- End-to-end: agents exchanging real session messages --------------------
