@@ -3,6 +3,7 @@
 output that differs.
 
 Usage: scripts/check_identity.py [--quick] [--out DIR] PARENT_BUILD CHANGE_BUILD
+       scripts/check_identity.py --perfbench PARENT_EXE CHANGE_EXE
 
 PARENT_BUILD and CHANGE_BUILD are CMake build directories of this
 repository (each holding examples/srmsim and bench/*).  Every command of the
@@ -21,14 +22,26 @@ The full checklist:
 both sides it checks that the outputs do not vary from run to run.
 
 OUT defaults to a fresh temporary directory, removed when every output
-matches.  Exit status: 0 when every command exits 0 on both sides and all
-outputs match; 1 on a failed command or at the first difference (named by
-its path under OUT); 2 on a usage error or a missing program.
+matches.
+
+--perfbench compares the benchmark's simulated outcome instead: PARENT_EXE
+and CHANGE_EXE are two srm_perfbench programs (built by perfbench/run.py
+under .bench_build/perfbench/).  Each runs the four workloads traced at
+seed 1001 with a one-second budget, and every metric of its result must be
+equal on both sides, counts and simulated ratios alike.  Metrics in bytes
+or wall-clock units (B, MB, s, ns, us) are skipped, as are the two ratios
+of wall-clock times, trace.overhead and sim.pdes.cpu_util.
+
+Exit status: 0 when every command exits 0 on both sides and all outputs
+match; 1 on a failed command or at the first difference (named by its path
+under OUT, or by workload and metric); 2 on a usage error or a missing
+program.
 """
 
 import argparse
 import concurrent.futures
 import filecmp
+import json
 import os
 import re
 import shutil
@@ -77,6 +90,13 @@ BENCHES = (
     + [(name, []) for name in (
         "fig_chain_analysis", "fig_extended_topologies", "fig_mixed_drops",
         "ablation_targets", "ablation_parity")])
+
+PERFBENCH_WORKLOADS = ["fig3_sweep", "burst_stream", "burst_stream_pdes",
+                       "hier_5k"]
+PERFBENCH_ARGS = ["--seed", "1001", "--seconds", "1", "--mode", "traced"]
+# Units that measure the host, not the simulation.
+HOST_UNITS = {"B", "MB", "s", "ns", "us"}
+HOST_RATIOS = {"trace.overhead", "sim.pdes.cpu_util"}
 
 QUICK = [
     ("srmsim", TRACE),
@@ -173,6 +193,56 @@ def first_difference(a, b, rel=""):
     return None
 
 
+def perfbench_metrics(exe, workload):
+    """The metrics of one traced srm_perfbench run, or an error string."""
+    try:
+        proc = subprocess.run([exe, "--workload", workload] + PERFBENCH_ARGS,
+                              capture_output=True, text=True,
+                              timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return f"{exe} --workload {workload} timed out"
+    lines = [l for l in proc.stdout.splitlines() if l.startswith("{")]
+    if proc.returncode != 0 or not lines:
+        return (f"{exe} --workload {workload} exited {proc.returncode}: "
+                f"{proc.stderr.strip()[-500:]}")
+    return json.loads(lines[-1])["metrics"]
+
+
+def check_perfbench(parent_exe, change_exe):
+    for exe in (parent_exe, change_exe):
+        if not os.access(exe, os.X_OK):
+            print(f"check_identity: no program {exe}", file=sys.stderr)
+            return 2
+    with concurrent.futures.ThreadPoolExecutor(
+            max_workers=max(1, min(4, os.cpu_count() or 1))) as pool:
+        runs = {(w, exe): pool.submit(perfbench_metrics, exe, w)
+                for w in PERFBENCH_WORKLOADS
+                for exe in (parent_exe, change_exe)}
+    compared = 0
+    for w in PERFBENCH_WORKLOADS:
+        parent, change = runs[w, parent_exe].result(), runs[w, change_exe].result()
+        for side in (parent, change):
+            if isinstance(side, str):
+                print(f"check_identity: FAIL: {side}", file=sys.stderr)
+                return 1
+        for name in sorted(set(parent) | set(change)):
+            if name not in parent or name not in change:
+                print(f"check_identity: FAIL: {w}: metric {name} is measured "
+                      f"on one side only", file=sys.stderr)
+                return 1
+            if parent[name]["unit"] in HOST_UNITS or name in HOST_RATIOS:
+                continue
+            if parent[name] != change[name]:
+                print(f"check_identity: FAIL: {w}: {name} is "
+                      f"{parent[name]['value']!r} against "
+                      f"{change[name]['value']!r}", file=sys.stderr)
+                return 1
+            compared += 1
+    print(f"check_identity: {len(PERFBENCH_WORKLOADS)} perfbench workloads, "
+          f"{compared} metrics, every one equal")
+    return 0
+
+
 def main(argv):
     parser = argparse.ArgumentParser(
         description=__doc__.split("\n\n")[0],
@@ -181,7 +251,13 @@ def main(argv):
     parser.add_argument("change_build")
     parser.add_argument("--quick", action="store_true")
     parser.add_argument("--out")
+    parser.add_argument("--perfbench", action="store_true")
     opts = parser.parse_args(argv[1:])
+    if opts.perfbench:
+        if opts.quick or opts.out:
+            parser.error("--perfbench takes no --quick or --out")
+        return check_perfbench(os.path.abspath(opts.parent_build),
+                               os.path.abspath(opts.change_build))
     # Each command runs from its own directory, so resolve the builds first.
     opts.parent_build = os.path.abspath(opts.parent_build)
     opts.change_build = os.path.abspath(opts.change_build)

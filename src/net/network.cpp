@@ -1,6 +1,7 @@
 #include "net/network.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <limits>
 #include <stdexcept>
@@ -249,15 +250,14 @@ void MulticastNetwork::mark(NodeId root, const GroupState& gs, int radius,
 template <typename Children, typename Needed>
 void MulticastNetwork::walk(NodeId root, const Packet& pkt,
                             std::uint64_t packet_ordinal, const GroupState& gs,
-                            const Children& children, const Needed& needed,
-                            DeliveryChain& chain) {
+                            const Children& children, const Needed& needed) {
   walk_stack_.clear();
   walk_stack_.push_back(WalkFrame{root, kInvalidNode, 0.0, pkt.ttl, 0});
   while (!walk_stack_.empty()) {
     const WalkFrame fr = walk_stack_.back();
     walk_stack_.pop_back();
     if (fr.node != root && gs.test(fr.node)) {
-      collect(fr.node, fr.delay, fr.hops, chain);
+      collect(fr.node, fr.delay, fr.hops);
     }
     children(fr.node, fr.prev, [&](const LinkEnd& hop) {
       if (needed(fr.node, hop.peer) &&
@@ -273,7 +273,7 @@ void MulticastNetwork::walk(NodeId root, const Packet& pkt,
 void MulticastNetwork::walk_forest(const Forest& f, NodeId root,
                                    const Packet& pkt,
                                    std::uint64_t packet_ordinal, bool scoped,
-                                   GroupState& gs, DeliveryChain& chain) {
+                                   GroupState& gs) {
   const auto children = [&f](NodeId node, NodeId prev, const auto& visit) {
     for (std::uint32_t e = f.first[node]; e < f.first[node + 1]; ++e) {
       if (f.ends[e].peer != prev) visit(f.ends[e]);
@@ -294,12 +294,12 @@ void MulticastNetwork::walk_forest(const Forest& f, NodeId root,
     return f.parent[next] == node ? b[next] > 0
                                   : b[f.component[node]] > b[node];
   };
-  walk(root, pkt, packet_ordinal, gs, children, needed, chain);
+  walk(root, pkt, packet_ordinal, gs, children, needed);
 }
 
 void MulticastNetwork::walk_spt(const Spt& t, const Packet& pkt,
                                 std::uint64_t packet_ordinal, bool scoped,
-                                const GroupState& gs, DeliveryChain& chain) {
+                                const GroupState& gs) {
   const auto children = [&](NodeId node, NodeId, const auto& visit) {
     for (NodeId c = t.first_child[node]; c != kInvalidNode;
          c = t.next_sibling[c]) {
@@ -321,7 +321,7 @@ void MulticastNetwork::walk_spt(const Spt& t, const Packet& pkt,
     }
   }
   walk(t.root, pkt, packet_ordinal, gs, children,
-       [this](NodeId, NodeId next) { return marked(next); }, chain);
+       [this](NodeId, NodeId next) { return marked(next); });
 }
 
 template <typename Visit>
@@ -428,13 +428,12 @@ std::uint64_t MulticastNetwork::begin_send(NodeId from, Packet& packet,
   return packet_ordinal;
 }
 
-void MulticastNetwork::collect(NodeId node, double delay, int hops,
-                               DeliveryChain& chain) {
+void MulticastNetwork::collect(NodeId node, double delay, int hops) {
   if (!attached_[node]) return;
   const std::uint32_t reg =
       region_map_ != nullptr ? region_map_->of[node] : self_region_;
   if (reg == self_region_) {
-    chain.items.push_back(ChainItem{delay, 0, node, hops});
+    walked_.push_back(ChainItem{delay, 0, node, hops});
     ++stats_.deliveries;
   } else {
     // Receiver lives in another region: bucket for a remote chain.  The
@@ -453,18 +452,16 @@ void MulticastNetwork::multicast(NodeId from, Packet packet) {
   const auto shared = std::make_shared<const Packet>(std::move(packet));
   const Packet& pkt = *shared;
 
-  const std::uint32_t chain_index = acquire_chain(shared);
-  DeliveryChain& chain = chain_pool_[chain_index];
+  walked_.clear();
   // A group nobody ever joined has nothing to walk.
   if (const auto git = groups_.find(pkt.group); git != groups_.end()) {
     if (const Forest* f = forest()) {
-      walk_forest(*f, from, pkt, packet_ordinal, scoped, git->second, chain);
+      walk_forest(*f, from, pkt, packet_ordinal, scoped, git->second);
     } else {
-      walk_spt(routing_.spt(from), pkt, packet_ordinal, scoped, git->second,
-               chain);
+      walk_spt(routing_.spt(from), pkt, packet_ordinal, scoped, git->second);
     }
   }
-  dispatch_chain(chain_index, queue_->now());
+  if (!walked_.empty()) dispatch_chain(shared, queue_->now(), walked_);
   if (!touched_regions_.empty()) {
     // Ship each remote bucket as one chain.  Region index order makes the
     // per-origin chain counter — and thus the destination's drain order —
@@ -472,37 +469,14 @@ void MulticastNetwork::multicast(NodeId from, Packet packet) {
     std::sort(touched_regions_.begin(), touched_regions_.end());
     for (std::uint32_t reg : touched_regions_) {
       std::vector<ChainItem>& bucket = remote_buckets_[reg];
-      std::stable_sort(bucket.begin(), bucket.end(),
-                       [](const ChainItem& a, const ChainItem& b) {
-                         return a.delay < b.delay;
-                       });
-      // Conservative-safety invariant: the path to another region crosses
-      // the inter-region cut, so no remote arrival can undercut the kernel's
-      // pair bound D(origin, dest).
-      assert(kernel_ == nullptr ||
-             bucket.front().delay >= kernel_->min_delay(self_region_, reg));
-      peers_[reg]->accept_remote_chain(self_region_, remote_seq_++, shared,
-                                       std::move(bucket), queue_->now());
-      bucket = std::vector<ChainItem>();
+      peers_[reg]->accept_remote_chain(
+          self_region_, remote_seq_++, shared,
+          std::vector<ChainItem>(bucket.begin(), bucket.end()),
+          queue_->now());
+      bucket.clear();
     }
     touched_regions_.clear();
   }
-}
-
-std::uint32_t MulticastNetwork::acquire_chain(
-    std::shared_ptr<const Packet> packet) {
-  std::uint32_t index;
-  if (!free_chains_.empty()) {
-    index = free_chains_.back();
-    free_chains_.pop_back();
-  } else {
-    index = static_cast<std::uint32_t>(chain_pool_.size());
-    chain_pool_.emplace_back();
-  }
-  DeliveryChain& chain = chain_pool_[index];
-  chain.packet = std::move(packet);
-  chain.cursor = 0;
-  return index;
 }
 
 void MulticastNetwork::accept_remote_chain(std::uint32_t origin_region,
@@ -510,8 +484,15 @@ void MulticastNetwork::accept_remote_chain(std::uint32_t origin_region,
                                            std::shared_ptr<const Packet> packet,
                                            std::vector<ChainItem> items,
                                            double sent_at) {
+  double nearest = items.front().delay;
+  for (const ChainItem& item : items) nearest = std::min(nearest, item.delay);
+  // Conservative-safety invariant: the path to another region crosses the
+  // inter-region cut, so no remote arrival can undercut the kernel's pair
+  // bound D(origin, dest).
+  assert(kernel_ == nullptr ||
+         nearest >= kernel_->min_delay(origin_region, self_region_));
   RemoteChain rc;
-  rc.first_arrival = sent_at + items.front().delay;
+  rc.first_arrival = sent_at + nearest;
   rc.packet = std::move(packet);
   rc.items = std::move(items);
   rc.sent_at = sent_at;
@@ -550,15 +531,12 @@ std::uint64_t MulticastNetwork::drain_remote() {
               return a.origin_seq < b.origin_seq;
             });
   for (RemoteChain& rc : remote_merge_scratch_) {
-    const std::uint32_t index = acquire_chain(std::move(rc.packet));
-    DeliveryChain& chain = chain_pool_[index];
-    chain.items = std::move(rc.items);
-    for (const ChainItem& item : chain.items) {
+    for (const ChainItem& item : rc.items) {
       // Items invalidated while still in the inbox (a cut during the same
       // global phase as the send) were never counted as deliveries here.
       if (!item.dropped) ++stats_.deliveries;
     }
-    dispatch_chain(index, rc.sent_at);
+    dispatch_chain(std::move(rc.packet), rc.sent_at, rc.items);
   }
   const std::uint64_t adopted = remote_merge_scratch_.size();
   remote_merge_scratch_.clear();
@@ -572,29 +550,78 @@ void MulticastNetwork::release_chain(std::uint32_t index) {
   free_chains_.push_back(index);
 }
 
-void MulticastNetwork::dispatch_chain(std::uint32_t index, double sent_at) {
+void MulticastNetwork::dispatch_chain(std::shared_ptr<const Packet> packet,
+                                      double sent_at,
+                                      std::span<const ChainItem> walked) {
+  assert(!walked.empty());
+  std::uint32_t index;
+  if (!free_chains_.empty()) {
+    index = free_chains_.back();
+    free_chains_.pop_back();
+  } else {
+    index = static_cast<std::uint32_t>(chain_pool_.size());
+    chain_pool_.emplace_back();
+  }
   DeliveryChain& chain = chain_pool_[index];
-  if (chain.items.empty()) {
-    release_chain(index);
-    return;
-  }
+  chain.packet = std::move(packet);
   chain.sent_at = sent_at;
-  // The walk collected receivers in trace order, which is exactly the order
-  // eager scheduling would have drawn sequence numbers in; assigning the
-  // reserved block in that same order and then sorting by (delay, seq)
-  // reproduces the eager scheme's delivery order bit-for-bit.
-  const std::uint64_t base = queue_->allocate_seqs(chain.items.size());
-  for (std::size_t i = 0; i < chain.items.size(); ++i) {
-    chain.items[i].seq = base + i;
-  }
-  std::sort(chain.items.begin(), chain.items.end(),
-            [](const ChainItem& a, const ChainItem& b) {
-              if (a.delay != b.delay) return a.delay < b.delay;
-              return a.seq < b.seq;
-            });
+  chain.cursor = 0;
+  // The walk found receivers in the order eager scheduling would have drawn
+  // sequence numbers in, so walk index i takes the reserved block's i-th:
+  // firing by delay, walk order on ties, is then the eager scheme's
+  // delivery order bit for bit.
+  place_by_delay(walked, queue_->allocate_seqs(walked.size()), chain.items);
   queue_->schedule_at_seq(sent_at + chain.items.front().delay,
                           chain.items.front().seq,
                           [this, index] { fire_chain(index); });
+}
+
+void MulticastNetwork::place_by_delay(std::span<const ChainItem> walked,
+                                      std::uint64_t base,
+                                      std::vector<ChainItem>& out) {
+  const std::size_t n = walked.size();
+  // 1. Count the items per distinct delay, in one pass over a table at
+  // least twice their number.
+  const std::size_t mask = std::bit_ceil(std::max<std::size_t>(2 * n, 16)) - 1;
+  if (delay_table_.size() <= mask) delay_table_.resize(mask + 1, 0);
+  item_slot_.resize(n);
+  delay_classes_.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    const double delay = walked[i].delay;
+    std::uint64_t h = std::bit_cast<std::uint64_t>(delay);
+    h = (h ^ (h >> 31)) * 0x9E3779B97F4A7C15ull;
+    std::size_t slot = (h ^ (h >> 29)) & mask;
+    while (delay_table_[slot] != 0 &&
+           delay_classes_[delay_table_[slot] - 1].delay != delay) {
+      slot = (slot + 1) & mask;
+    }
+    if (delay_table_[slot] == 0) {
+      delay_classes_.push_back(
+          DelayClass{delay, static_cast<std::uint32_t>(slot), 0});
+      delay_table_[slot] = static_cast<std::uint32_t>(delay_classes_.size());
+    }
+    ++delay_classes_[delay_table_[slot] - 1].count;
+    item_slot_[i] = static_cast<std::uint32_t>(slot);
+  }
+  // 2. Order the distinct delays; each one's block starts after the items
+  // of every smaller delay.
+  std::sort(delay_classes_.begin(), delay_classes_.end(),
+            [](const DelayClass& a, const DelayClass& b) {
+              return a.delay < b.delay;
+            });
+  std::uint32_t start = 0;
+  for (const DelayClass& c : delay_classes_) {
+    delay_table_[c.slot] = start;
+    start += c.count;
+  }
+  // 3. Scatter in walk order to each delay's next position.
+  out.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ChainItem& item = out[delay_table_[item_slot_[i]]++];
+    item = walked[i];
+    item.seq = base + i;
+  }
+  for (const DelayClass& c : delay_classes_) delay_table_[c.slot] = 0;
 }
 
 void MulticastNetwork::fire_chain(std::uint32_t index) {
@@ -751,16 +778,12 @@ void MulticastNetwork::unicast(NodeId from, NodeId to, Packet packet) {
   const std::uint32_t dest_region =
       region_map_ != nullptr ? region_map_->of[to] : self_region_;
   if (dest_region == self_region_) {
-    const std::uint32_t index = acquire_chain(std::move(shared));
-    chain_pool_[index].items.push_back(item);
     ++stats_.deliveries;
-    dispatch_chain(index, queue_->now());
+    dispatch_chain(std::move(shared), queue_->now(), {&item, 1});
     return;
   }
   // Cross-region: a one-item remote chain, adopted and counted by the
   // owning network.
-  assert(kernel_ == nullptr ||
-         delay >= kernel_->min_delay(self_region_, dest_region));
   peers_[dest_region]->accept_remote_chain(self_region_, remote_seq_++,
                                            std::move(shared), {item},
                                            queue_->now());

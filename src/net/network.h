@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -230,7 +231,14 @@ class MulticastNetwork final : public transport::Transport {
     std::vector<NodeId> order;  // parents before children
   };
 
-  struct DeliveryChain;  // one transmission in flight; see chain_pool_
+  // One receiver of a transmission in flight; see chain_pool_.
+  struct ChainItem {
+    double delay;       // path delay from the sender
+    std::uint64_t seq;  // pre-assigned event-queue tie-break
+    NodeId to;
+    int hops;
+    bool dropped = false;  // invalidated by a link failure after scheduling
+  };
 
   // The forest of the current topology, rebuilt when its version moved;
   // nullptr while the up links contain a cycle.
@@ -240,13 +248,12 @@ class MulticastNetwork final : public transport::Transport {
   // hops with no member beyond them by the forest's member counts, a
   // scoped one by mark().
   void walk_forest(const Forest& f, NodeId root, const Packet& pkt,
-                   std::uint64_t packet_ordinal, bool scoped, GroupState& gs,
-                   DeliveryChain& chain);
+                   std::uint64_t packet_ordinal, bool scoped, GroupState& gs);
   // walk() on Routing's tree `t` of a graph with a cycle.  An unscoped
   // send marks each member's path by climbing its parent chain, a scoped
   // one by mark().
   void walk_spt(const Spt& t, const Packet& pkt, std::uint64_t packet_ordinal,
-                bool scoped, const GroupState& gs, DeliveryChain& chain);
+                bool scoped, const GroupState& gs);
   // The one walker, a stack DFS from `root`.  children(node, prev, visit)
   // calls visit(hop) for each child of `node` (reached from `prev`) in
   // ascending id; the walk consults every hop with needed(node, child)
@@ -256,7 +263,7 @@ class MulticastNetwork final : public transport::Transport {
   template <typename Children, typename Needed>
   void walk(NodeId root, const Packet& pkt, std::uint64_t packet_ordinal,
             const GroupState& gs, const Children& children,
-            const Needed& needed, DeliveryChain& chain);
+            const Needed& needed);
   // Marks, in a new generation, the nodes on the tree paths from `root` to
   // the members within `radius` hops of it.
   template <typename Children>
@@ -274,17 +281,23 @@ class MulticastNetwork final : public transport::Transport {
   bool forest_path(const Forest& f, NodeId from, NodeId to,
                    const Visit& visit);
   // A walked member's receiver bookkeeping: attached in this region, it
-  // joins the chain; attached in another, its region's bucket.
-  void collect(NodeId node, double delay, int hops, DeliveryChain& chain);
+  // joins walked_; attached in another, its region's bucket.
+  void collect(NodeId node, double delay, int hops);
   // Send prologue shared by multicast() and unicast(): stamps the source,
   // counts the send, notifies the send observer and traces kNetSend.
   // Returns the packet's per-source transmission ordinal.
   std::uint64_t begin_send(NodeId from, Packet& packet,
                            std::uint64_t& sent_counter);
-  std::uint32_t acquire_chain(std::shared_ptr<const Packet> packet);
+  // Puts `walked` (receivers in walk order, at least one) in flight as one
+  // chain sent at `sent_at` and schedules its first delivery.
+  void dispatch_chain(std::shared_ptr<const Packet> packet, double sent_at,
+                      std::span<const ChainItem> walked);
+  // Writes `walked` into `out` at its exact size, stably by delay, walk
+  // item i taking seq `base + i`.
+  void place_by_delay(std::span<const ChainItem> walked, std::uint64_t base,
+                      std::vector<ChainItem>& out);
   // Returns a chain to the free list with its packet and item storage.
   void release_chain(std::uint32_t index);
-  void dispatch_chain(std::uint32_t index, double sent_at);
   void fire_chain(std::uint32_t index);
   void join_local(GroupId g, NodeId n);
   void leave_local(GroupId g, NodeId n);
@@ -339,36 +352,48 @@ class MulticastNetwork final : public transport::Transport {
 
   // In-flight deliveries, one chain per transmission: a multicast's walk
   // collects every receiver, reserves the whole block of event-queue
-  // sequence numbers up front, and sorts by (delay, seq); a unicast is a
-  // one-item chain.  Only the chain's NEXT delivery lives in the event heap;
-  // each firing re-inserts the following one under its pre-assigned
-  // (time, seq) key.  That keeps the heap at one entry per in-flight
-  // transmission instead of one per receiver — a large-session round goes
-  // from hundreds of thousands of pending heap entries (every sift a cache
-  // miss) to a few hundred — while executing deliveries in exactly the
-  // order eager per-receiver scheduling would have.  Chains are referenced
+  // sequence numbers up front (walk index i takes the block's i-th), and
+  // places the receivers stably by delay; a unicast is a one-item chain.
+  // Only the chain's NEXT delivery lives in the event heap; each firing
+  // re-inserts the following one under its pre-assigned (time, seq) key.
+  // That keeps the heap at one entry per in-flight transmission instead of
+  // one per receiver — a large-session round goes from hundreds of
+  // thousands of pending heap entries (every sift a cache miss) to a few
+  // hundred — while executing deliveries in exactly the order eager
+  // per-receiver scheduling would have.  Chains are referenced
   // from event closures by index, so a transmission copies its Packet once
   // and each closure stays within std::function's inline buffer.  The sink
   // is re-resolved at fire time: the receiver may detach between sending
   // and delivery (member crash/leave), and a link failure may mark an item
   // `dropped`.  A chain gives its item storage back when its last delivery
-  // fires or when it dispatches empty, so the pool holds the items of the
-  // transmissions in flight, not the largest multicast each chain carried.
-  struct ChainItem {
-    double delay;       // path delay from the sender
-    std::uint64_t seq;  // pre-assigned event-queue tie-break
-    NodeId to;
-    int hops;
-    bool dropped = false;  // invalidated by a link failure after scheduling
-  };
+  // fires, so the pool holds the items of the transmissions in flight, not
+  // the largest multicast each chain carried.
   struct DeliveryChain {
     std::shared_ptr<const Packet> packet;
-    std::vector<ChainItem> items;
+    std::vector<ChainItem> items;  // by delay, walk order on ties
     double sent_at = 0.0;
     std::uint32_t cursor = 0;
   };
   std::vector<DeliveryChain> chain_pool_;
   std::vector<std::uint32_t> free_chains_;
+  // multicast(): this region's receivers of the send being walked.
+  std::vector<ChainItem> walked_;
+  // place_by_delay() scratch.  A chain's receivers have few distinct
+  // delays (on a tree of LANs often one), so instead of sorting the items
+  // it counts them per delay in one pass over an open-address table, orders
+  // the distinct delays, and scatters each item to its delay's next
+  // position.  Delays are finite (Topology::add_link) sums starting from
+  // +0.0, so equal values have equal bits.
+  struct DelayClass {
+    double delay;
+    std::uint32_t slot;   // its delay_table_ slot
+    std::uint32_t count;  // items with this delay
+  };
+  std::vector<DelayClass> delay_classes_;  // first-seen order, then by delay
+  // Slot -> 1 + class index while counting, then the class's next position;
+  // all zero between placements.
+  std::vector<std::uint32_t> delay_table_;
+  std::vector<std::uint32_t> item_slot_;  // walk index -> its delay's slot
 
   // --- Region state (one region, no inboxes, in sequential mode) ---------
   // A delivery chain crossing a region boundary, in flight between the
@@ -378,9 +403,9 @@ class MulticastNetwork final : public transport::Transport {
   // the sequential kernel would compute.
   struct RemoteChain {
     std::shared_ptr<const Packet> packet;
-    std::vector<ChainItem> items;  // sorted by delay, walk order on ties
+    std::vector<ChainItem> items;  // walk order, at their exact size
     double sent_at = 0.0;
-    double first_arrival = 0.0;    // sent_at + items.front().delay
+    double first_arrival = 0.0;    // sent_at + the smallest item delay
     std::uint32_t origin_region = 0;
     std::uint64_t origin_seq = 0;  // per-origin monotonic chain counter
   };
@@ -411,7 +436,8 @@ class MulticastNetwork final : public transport::Transport {
   std::vector<std::vector<RemoteChain>> inboxes_;  // [origin region]
   std::uint64_t remote_seq_ = 0;
   std::vector<RemoteChain> remote_merge_scratch_;
-  // multicast() walk scratch: items destined for other regions, per region.
+  // multicast() walk scratch: items destined for other regions, per region,
+  // in walk order; each is shipped as a copy at its exact size.
   std::vector<std::vector<ChainItem>> remote_buckets_;
   std::vector<std::uint32_t> touched_regions_;
 };

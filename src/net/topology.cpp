@@ -1,5 +1,6 @@
 #include "net/topology.h"
 
+#include <cmath>
 #include <stdexcept>
 #include <vector>
 
@@ -19,8 +20,11 @@ LinkId Topology::add_link(NodeId a, NodeId b, double delay, int threshold) {
     throw std::out_of_range("Topology::add_link: node out of range");
   }
   if (a == b) throw std::invalid_argument("Topology::add_link: self-loop");
-  if (delay <= 0.0) {
-    throw std::invalid_argument("Topology::add_link: non-positive delay");
+  // NaN fails every comparison, so finiteness is checked explicitly: a
+  // walk sums these delays into event times, which must be finite.
+  if (!std::isfinite(delay) || delay <= 0.0) {
+    throw std::invalid_argument(
+        "Topology::add_link: non-positive or non-finite delay");
   }
   if (threshold < 1) {
     throw std::invalid_argument("Topology::add_link: threshold < 1");

@@ -8,19 +8,8 @@
 
 namespace srm::sim {
 
-bool EventHandle::pending() const {
-  return queue_ != nullptr && queue_->handle_pending(slot_, generation_);
-}
-
 bool EventHandle::cancel() {
   return queue_ != nullptr && queue_->handle_cancel(slot_, generation_);
-}
-
-bool EventQueue::handle_pending(std::uint32_t index,
-                                std::uint32_t generation) const {
-  if (index >= slot_count_) return false;
-  const Slot& s = slot(index);
-  return s.live && s.generation == generation;
 }
 
 bool EventQueue::handle_cancel(std::uint32_t index, std::uint32_t generation) {
@@ -117,8 +106,16 @@ EventHandle EventQueue::schedule_at_seq(Time t, std::uint64_t seq,
   Slot& s = slot(index);
   s.fn = std::move(fn);
   s.live = true;
-  heap_.push_back(HeapEntry{t, seq, index, s.generation});
-  sift_up(heap_.size() - 1);
+  const HeapEntry entry{t, seq, index, s.generation};
+  if (!heap_.empty() && !entry_live(heap_.front())) {
+    // Most often the event firing right now (run_top): the new entry takes
+    // its place, and one sift down restores the heap.
+    heap_.front() = entry;
+    sift_down(0);
+  } else {
+    heap_.push_back(entry);
+    sift_up(heap_.size() - 1);
+  }
   ++live_;
   if (tracer_->wants(trace::Category::kSim)) {
     trace::Event ev;
@@ -142,17 +139,16 @@ EventHandle EventQueue::schedule_after(Time dt, std::function<void()> fn) {
 
 bool EventQueue::prune_top() {
   while (!heap_.empty()) {
-    const HeapEntry& top = heap_.front();
-    const Slot& s = slot(top.slot);
-    if (s.live && s.generation == top.generation) return true;
+    if (entry_live(heap_.front())) return true;
     pop_top();
   }
   return false;
 }
 
 void EventQueue::run_top() {
+  // No pop: releasing the slot below turns the root into a tombstone, which
+  // the body's first schedule overwrites or prune_top() pops.
   const HeapEntry top = heap_.front();
-  pop_top();
   now_ = top.when;
   if (tracer_->wants(trace::Category::kSim)) {
     trace::Event ev;
@@ -224,20 +220,6 @@ std::size_t EventQueue::run_steps(std::size_t max_events) {
   std::size_t executed = 0;
   while (!stopped_ && executed < max_events && pop_and_run_one()) ++executed;
   return executed;
-}
-
-void EventQueue::reset() {
-  // Release every still-live slot so outstanding handles report
-  // pending() == false (their stored generation no longer matches).
-  for (const HeapEntry& e : heap_) {
-    Slot& s = slot(e.slot);
-    if (s.live && s.generation == e.generation) release_slot(e.slot);
-  }
-  heap_.clear();
-  live_ = 0;
-  now_ = 0.0;
-  next_seq_ = 0;
-  stopped_ = false;
 }
 
 }  // namespace srm::sim

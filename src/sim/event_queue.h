@@ -13,13 +13,12 @@
 // Implementation: events live in a slab-allocated pool of stable Slots
 // (closure storage is reused across events, so a schedule/cancel/reschedule
 // cycle costs no heap churn beyond what the closure itself needs).  The
-// ready queue is a binary heap of small POD entries.  Handles are
-// generation-stamped (queue pointer, slot index, generation): cancellation
-// marks the slot free and bumps its generation, so stale handles — including
-// every handle outstanding across reset() — become inert without any
-// shared-ownership bookkeeping.  A handle must not be used after its
-// EventQueue has been destroyed (in practice handles are owned by agents
-// that the queue outlives, e.g. inside a SimSession).
+// ready queue is a 4-ary heap of small POD entries.  Handles are
+// generation-stamped (queue pointer, slot index, generation): cancelling or
+// firing an event frees its slot and bumps its generation, so stale handles
+// become inert without any shared-ownership bookkeeping.  A handle must not
+// be used after its EventQueue has been destroyed (in practice handles are
+// owned by agents that the queue outlives, e.g. inside a SimSession).
 #pragma once
 
 #include <cstdint>
@@ -118,14 +117,9 @@ class EventQueue {
   bool empty() const { return live_ == 0; }
   std::size_t pending_events() const { return live_; }
 
-  // Total events executed over the queue's lifetime (not reset by reset());
-  // benches use this for events/s accounting.
+  // Total events executed over the queue's lifetime; benches use this for
+  // events/s accounting.
   std::uint64_t executed_events() const { return executed_total_; }
-
-  // Clears all pending events (they are treated as cancelled: outstanding
-  // EventHandles report pending() == false) and resets the clock to zero.
-  // Used between independent simulation rounds.
-  void reset();
 
   // Structured tracing (sim category: sched/fire/cancel with slot+generation
   // handle ids).  Never pass nullptr; pass &trace::Tracer::null() to detach.
@@ -150,8 +144,13 @@ class EventQueue {
   // The heap is 4-ary rather than binary: half the sift depth, and the four
   // children of a node share a cache line pair, which matters when a burst
   // of multicast deliveries holds tens of thousands of pending events.
-  // Pop order is the strict total order (when, seq) either way, so the
-  // simulation executes identically regardless of heap arity.
+  // Cancelled and fired events leave their entry behind as a tombstone (its
+  // generation no longer matches the slot's), popped lazily off the top.
+  // A fired event's entry stays at the root while its body runs, and the
+  // first event the body schedules is written over it and sifted down: one
+  // sift per delivery chain step or timer re-arm, not a pop's and a push's.
+  // Pop order is the strict total order (when, seq) whatever the heap's
+  // shape, so the simulation executes identically either way.
   struct HeapEntry {
     Time when;
     std::uint64_t seq;  // FIFO tie-break for equal timestamps
@@ -169,8 +168,16 @@ class EventQueue {
   const Slot& slot(std::uint32_t index) const {
     return slabs_[index >> kSlabBits][index & (kSlabSize - 1)];
   }
-  bool handle_pending(std::uint32_t index, std::uint32_t generation) const;
+  bool handle_pending(std::uint32_t index, std::uint32_t generation) const {
+    // Only acquired slots are ever handed out, and slots are never freed.
+    const Slot& s = slot(index);
+    return s.live && s.generation == generation;
+  }
   bool handle_cancel(std::uint32_t index, std::uint32_t generation);
+  // False for a tombstone: a cancelled or fired event's entry.
+  bool entry_live(const HeapEntry& e) const {
+    return handle_pending(e.slot, e.generation);
+  }
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t index);
@@ -182,7 +189,8 @@ class EventQueue {
 
   // Drops cancelled entries off the top; returns false if no live event.
   bool prune_top();
-  // Fires the top event; requires prune_top() to have returned true.
+  // Fires the top event, leaving its entry at the root as a tombstone;
+  // requires prune_top() to have returned true.
   void run_top();
   bool pop_and_run_one();
 
@@ -197,5 +205,9 @@ class EventQueue {
   bool stopped_ = false;
   trace::Tracer* tracer_ = &trace::Tracer::null();
 };
+
+inline bool EventHandle::pending() const {
+  return queue_ != nullptr && queue_->handle_pending(slot_, generation_);
+}
 
 }  // namespace srm::sim

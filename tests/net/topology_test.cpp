@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 namespace srm::net {
 namespace {
 
@@ -41,6 +44,21 @@ TEST(TopologyTest, RejectsBadLinks) {
   EXPECT_THROW(t.add_link(0, 1, 1.0, 0), std::invalid_argument);  // threshold
   t.add_link(0, 1);
   EXPECT_THROW(t.add_link(1, 0), std::invalid_argument);  // duplicate
+}
+
+TEST(TopologyTest, RejectsNonFiniteDelay) {
+  // NaN fails `delay <= 0.0` too, so it needs its own check; a walk would
+  // otherwise sum it into an event time and throw mid-send.
+  Topology t(3);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(t.add_link(0, 1, nan), std::invalid_argument);
+  EXPECT_THROW(t.add_link(1, 2, inf), std::invalid_argument);
+  EXPECT_THROW(t.add_link(1, 2, -inf), std::invalid_argument);
+  EXPECT_EQ(t.link_count(), 0u);
+  EXPECT_EQ(t.version(), 0u);
+  t.add_link(0, 1, 0.5);
+  EXPECT_EQ(t.link_count(), 1u);
 }
 
 TEST(TopologyTest, LinkBetweenFindsLink) {

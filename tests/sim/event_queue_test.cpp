@@ -2,8 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <iterator>
 #include <limits>
+#include <map>
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
+
+#include "trace/trace.h"
 
 namespace srm::sim {
 namespace {
@@ -149,47 +160,6 @@ TEST(EventQueueTest, EventsCanScheduleEvents) {
   EXPECT_DOUBLE_EQ(q.now(), 49.0);
 }
 
-TEST(EventQueueTest, ResetClearsEverything) {
-  EventQueue q;
-  q.schedule_at(5.0, [] {});
-  q.schedule_at(6.0, [] {});
-  q.reset();
-  EXPECT_TRUE(q.empty());
-  EXPECT_DOUBLE_EQ(q.now(), 0.0);
-}
-
-TEST(EventQueueTest, ResetCancelsOutstandingHandles) {
-  EventQueue q;
-  bool ran = false;
-  EventHandle h = q.schedule_at(5.0, [&] { ran = true; });
-  ASSERT_TRUE(h.pending());
-  q.reset();
-  // A handle that survived reset must read as cancelled, not pending forever.
-  EXPECT_FALSE(h.pending());
-  EXPECT_FALSE(h.cancel());
-  EXPECT_EQ(q.run(), 0u);
-  EXPECT_FALSE(ran);
-}
-
-TEST(EventQueueTest, ResetThenReuseIsClean) {
-  EventQueue q;
-  std::vector<EventHandle> stale;
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 100; ++i) {
-      stale.push_back(q.schedule_at(static_cast<double>(i), [] {}));
-    }
-    q.reset();
-  }
-  for (const EventHandle& h : stale) EXPECT_FALSE(h.pending());
-  // The queue is fully usable after repeated resets: FIFO order intact.
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    q.schedule_at(1.0, [&order, i] { order.push_back(i); });
-  }
-  EXPECT_EQ(q.run(), 10u);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
-}
-
 TEST(EventQueueTest, StaleHandleCannotTouchRecycledSlot) {
   EventQueue q;
   EventHandle first = q.schedule_at(1.0, [] {});
@@ -272,6 +242,331 @@ TEST(EventQueueTest, CancelledEventsNotCounted) {
   q.schedule_at(2.0, [] {});
   h.cancel();
   EXPECT_EQ(q.run(), 1u);
+}
+
+// --- Root reuse against a reference queue ----------------------------------
+//
+// EventQueue fires an event without popping it: the entry stays at the heap
+// root as a tombstone, and the first event the body schedules is written
+// over it.  The reference keeps no heap: its pending events sit in an
+// ordered map by (when, seq), beside a mirror of the queue's LIFO slot
+// free list and per-slot generations, and it writes the `sim` trace records
+// the queue's contract promises.  Seeded scripts drive both through the
+// same calls; the fire order, every value read back and every trace record
+// must match.
+
+class ReferenceQueue {
+ public:
+  class Handle {
+   public:
+    Handle() = default;
+    bool pending() const {
+      return queue_ != nullptr && queue_->live(slot_, generation_);
+    }
+    bool cancel() {
+      return queue_ != nullptr && queue_->cancel(slot_, generation_);
+    }
+
+   private:
+    friend class ReferenceQueue;
+    Handle(ReferenceQueue* q, std::uint32_t slot, std::uint32_t generation)
+        : queue_(q), slot_(slot), generation_(generation) {}
+    ReferenceQueue* queue_ = nullptr;
+    std::uint32_t slot_ = 0;
+    std::uint32_t generation_ = 0;
+  };
+
+  Time now() const { return now_; }
+  std::size_t pending_events() const { return pending_.size(); }
+  std::uint64_t executed_events() const { return executed_; }
+  const std::vector<trace::Event>& trace() const { return trace_; }
+  void stop() { stopped_ = true; }
+
+  Handle schedule_at(Time t, std::function<void()> fn) {
+    std::uint32_t slot;
+    if (!free_.empty()) {
+      slot = free_.back();
+      free_.pop_back();
+    } else {
+      slot = static_cast<std::uint32_t>(generation_.size());
+      generation_.push_back(0);
+      live_.push_back(false);
+      key_.emplace_back();
+    }
+    live_[slot] = true;
+    key_[slot] = {t, next_seq_++};
+    pending_.emplace(key_[slot], Pending{slot, std::move(fn)});
+    emit(trace::EventType::kSimSchedule, slot, t);
+    return Handle(this, slot, generation_[slot]);
+  }
+
+  Time next_event_time() const {
+    return pending_.empty() ? std::numeric_limits<Time>::infinity()
+                            : pending_.begin()->first.first;
+  }
+  void advance_to(Time t) {
+    if (t <= now_) return;
+    if (next_event_time() < t) throw std::logic_error("pending event earlier");
+    now_ = t;
+  }
+
+  std::size_t run() {
+    return run_while([](Time) { return true; });
+  }
+  std::size_t run_until(Time t_end) {
+    const std::size_t n = run_while([t_end](Time t) { return t <= t_end; });
+    if (!stopped_ && now_ < t_end) now_ = t_end;
+    return n;
+  }
+  std::size_t run_before(Time t_end) {
+    return run_while([t_end](Time t) { return t < t_end; });
+  }
+  std::size_t run_steps(std::size_t max_events) {
+    std::size_t left = max_events;
+    return run_while([&left](Time) {
+      if (left == 0) return false;
+      --left;
+      return true;
+    });
+  }
+
+ private:
+  struct Pending {
+    std::uint32_t slot;
+    std::function<void()> fn;
+  };
+
+  bool live(std::uint32_t slot, std::uint32_t generation) const {
+    return slot < live_.size() && live_[slot] &&
+           generation_[slot] == generation;
+  }
+  bool cancel(std::uint32_t slot, std::uint32_t generation) {
+    if (!live(slot, generation)) return false;
+    emit(trace::EventType::kSimCancel, slot);
+    pending_.erase(key_[slot]);
+    release(slot);
+    return true;
+  }
+  void release(std::uint32_t slot) {
+    live_[slot] = false;
+    ++generation_[slot];
+    free_.push_back(slot);
+  }
+  void emit(trace::EventType type, std::uint32_t slot, double x = 0.0) {
+    trace::Event ev;
+    ev.type = type;
+    ev.t = now_;
+    ev.a = slot;
+    ev.b = generation_[slot];
+    ev.x = x;
+    trace_.push_back(ev);
+  }
+  template <typename Until>
+  std::size_t run_while(const Until& until) {
+    stopped_ = false;
+    std::size_t executed = 0;
+    while (!stopped_ && !pending_.empty() &&
+           until(pending_.begin()->first.first)) {
+      const auto top = pending_.begin();
+      now_ = top->first.first;
+      const std::uint32_t slot = top->second.slot;
+      std::function<void()> fn = std::move(top->second.fn);
+      pending_.erase(top);
+      emit(trace::EventType::kSimFire, slot);
+      release(slot);
+      ++executed_;
+      ++executed;
+      fn();
+    }
+    return executed;
+  }
+
+  std::map<std::pair<Time, std::uint64_t>, Pending> pending_;
+  std::vector<std::uint32_t> generation_;
+  std::vector<bool> live_;
+  std::vector<std::pair<Time, std::uint64_t>> key_;  // of each live slot
+  std::vector<std::uint32_t> free_;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t executed_ = 0;
+  Time now_ = 0.0;
+  bool stopped_ = false;
+  std::vector<trace::Event> trace_;
+};
+
+// Plays one seeded script on a queue of type Q.  Events are named by
+// schedule order, which is also their seq order, so the script knows the
+// (when, seq) order of what it has pending without asking the queue.
+template <typename Q>
+class Script {
+ public:
+  Script(Q& q, std::uint64_t seed) : q_(q), state_(seed) {}
+
+  void play() {
+    for (int i = 0; i < 16; ++i) schedule(later());
+    for (int step = 0; step < 600; ++step) {
+      switch (draw(10)) {
+        case 0:
+          for (std::uint64_t k = draw(3); k-- > 0;) schedule(pick_time());
+          break;
+        case 1:
+          cancel_near_root();
+          break;
+        case 2:
+          log(q_.run_steps(1 + draw(24)));
+          break;
+        case 3:
+        case 4:
+          log(q_.run_until(q_.now() + later()));
+          break;
+        case 5:
+        case 6:
+          log(q_.run_before(q_.now() + later()));
+          break;
+        case 7: {
+          // Legal up to the next event; past it both must refuse.
+          const Time next = q_.next_event_time();
+          const Time target = draw(2) == 0 && next != kNever
+                                  ? next
+                                  : q_.now() + later();
+          bool refused = false;
+          try {
+            q_.advance_to(target);
+          } catch (const std::logic_error&) {
+            refused = true;
+          }
+          log(refused ? 1.0 : 0.0);
+          break;
+        }
+        case 8:
+          if (draw(8) == 0) log(q_.run());
+          break;
+        default:
+          log(q_.next_event_time());
+          break;
+      }
+      log(q_.now());
+      log(q_.pending_events());
+      log(q_.executed_events());
+    }
+    // Drain; a stop() inside a callback can end a run early, but a run
+    // that executes nothing has lost the events it counts as pending.
+    while (q_.pending_events() > 0) {
+      const std::size_t executed = q_.run();
+      log(executed);
+      if (executed == 0) break;
+    }
+  }
+
+  std::vector<int> fired;
+  std::vector<double> values;
+
+ private:
+  static constexpr Time kNever = std::numeric_limits<Time>::infinity();
+  static constexpr int kMaxEvents = 4000;
+
+  std::uint64_t draw(std::uint64_t n) {
+    std::uint64_t z = (state_ += 0x9E3779B97F4A7C15ull);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return (z ^ (z >> 31)) % n;
+  }
+  void log(double v) { values.push_back(v); }
+  // A delay ahead of now: mostly quarter units, so times tie often.
+  Time later() {
+    if (draw(5) == 0) return static_cast<double>(draw(1u << 20)) / 7e5;
+    return 0.25 * static_cast<double>(draw(9));
+  }
+  // Now, the time of another pending event, or later.
+  Time pick_time() {
+    switch (draw(3)) {
+      case 0:
+        return q_.now();
+      case 1:
+        // Never in the past, even where a broken queue lost the event.
+        if (!live_.empty()) {
+          return std::max(q_.now(), nth_live(draw(live_.size()))->first);
+        }
+        return q_.now();
+      default:
+        return q_.now() + later();
+    }
+  }
+  // The k-th pending event in fire order, k capped at 15 and at the last.
+  std::set<std::pair<Time, int>>::iterator nth_live(std::uint64_t k) {
+    const std::uint64_t last = live_.size() - 1;
+    return std::next(live_.begin(), static_cast<std::ptrdiff_t>(
+                                        std::min<std::uint64_t>({k, last, 15})));
+  }
+
+  void schedule(Time t) {
+    if (static_cast<int>(when_.size()) >= kMaxEvents) return;
+    const int id = static_cast<int>(when_.size());
+    when_.push_back(t);
+    handles_.push_back(q_.schedule_at(t, [this, id] { fire(id); }));
+    live_.emplace(t, id);
+  }
+  void cancel(int id) {
+    const bool was = handles_[id].pending();
+    log(handles_[id].cancel() ? 1.0 : 0.0);
+    if (was) live_.erase({when_[id], id});
+  }
+  // Cancels the next event to fire or one of the few after it: while an
+  // event body runs, the first of them sits just below the root.
+  void cancel_near_root() {
+    if (!live_.empty()) cancel(nth_live(draw(3))->second);
+  }
+
+  void fire(int id) {
+    fired.push_back(id);
+    live_.erase({when_[id], id});
+    if (draw(4) == 0) {
+      log(q_.next_event_time());
+      log(q_.pending_events());
+    }
+    for (std::uint64_t k = draw(4); k-- > 0;) {
+      schedule(pick_time());
+      if (draw(6) == 0 && static_cast<int>(when_.size()) - 1 > id) {
+        cancel(static_cast<int>(when_.size()) - 1);  // just scheduled
+      }
+    }
+    if (draw(5) == 0) cancel_near_root();
+    if (draw(9) == 0) log(handles_[id].pending() ? 1.0 : 0.0);
+    if (draw(40) == 0) q_.stop();
+  }
+
+  Q& q_;
+  std::uint64_t state_;
+  std::vector<Time> when_;
+  std::vector<decltype(std::declval<Q&>().schedule_at(0.0, {}))> handles_;
+  std::set<std::pair<Time, int>> live_;
+};
+
+TEST(EventQueueTest, RootReuseMatchesReferenceQueue) {
+  std::size_t fired = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    EventQueue q;
+    trace::Tracer tracer;
+    trace::VectorSink sink;
+    tracer.set_sink(&sink);
+    tracer.set_mask(static_cast<std::uint32_t>(trace::Category::kSim));
+    q.set_tracer(&tracer);
+    Script<EventQueue> got(q, seed);
+    got.play();
+
+    ReferenceQueue ref;
+    Script<ReferenceQueue> want(ref, seed);
+    want.play();
+
+    ASSERT_EQ(got.fired, want.fired);
+    ASSERT_EQ(got.values, want.values);
+    ASSERT_EQ(sink.events().size(), ref.trace().size());
+    for (std::size_t i = 0; i < ref.trace().size(); ++i) {
+      ASSERT_EQ(sink.events()[i], ref.trace()[i]) << "trace record " << i;
+    }
+    fired += got.fired.size();
+  }
+  EXPECT_GT(fired, 40000u);
 }
 
 }  // namespace
