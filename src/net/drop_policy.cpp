@@ -25,17 +25,18 @@ std::uint64_t directed_edge_key(const HopContext& hop) {
 
 ScriptedLinkDrop::ScriptedLinkDrop(NodeId from, NodeId to, Predicate match,
                                    std::size_t max_drops)
-    : from_(from), to_(to), match_(std::move(match)), max_drops_(max_drops) {
+    : match_(std::move(match)), max_drops_(max_drops) {
   if (!match_) {
     throw std::invalid_argument("ScriptedLinkDrop: null predicate");
   }
+  restrict_to(from, to);
 }
 
 bool ScriptedLinkDrop::should_drop(const Packet& packet,
                                    const HopContext& hop) {
   // Link and predicate first: hops that cannot match never touch the budget,
   // so concurrent walks in other regions only read it.
-  if (hop.from != from_ || hop.to != to_) return false;
+  if (!applies(hop)) return false;
   if (drops_.load(std::memory_order_relaxed) >= max_drops_) return false;
   if (!match_(packet)) return false;
   drops_.fetch_add(1, std::memory_order_relaxed);
@@ -54,14 +55,8 @@ RandomDrop::RandomDrop(double rate, std::uint64_t seed, Predicate match)
   }
 }
 
-void RandomDrop::restrict_to(NodeId from, NodeId to) {
-  restricted_ = true;
-  from_ = from;
-  to_ = to;
-}
-
 bool RandomDrop::should_drop(const Packet& packet, const HopContext& hop) {
-  if (restricted_ && (hop.from != from_ || hop.to != to_)) return false;
+  if (!applies(hop)) return false;
   if (match_ && !match_(packet)) return false;
   // Pure function of (seed, directed edge, transmission): keyed_unit is in
   // [0, 1), so rate 0 never drops and rate 1 always does.
@@ -80,10 +75,10 @@ void CompositeDrop::add(std::shared_ptr<DropPolicy> policy) {
 
 bool CompositeDrop::should_drop(const Packet& packet, const HopContext& hop) {
   bool drop = false;
-  // Every policy sees every hop so drop accounting stays complete even when
-  // an earlier policy already decided to drop.
+  // Every policy that applies to the hop sees it, so drop accounting stays
+  // complete even when an earlier policy already decided to drop.
   for (const auto& p : policies_) {
-    if (p->should_drop(packet, hop)) drop = true;
+    if (p->applies(hop) && p->should_drop(packet, hop)) drop = true;
   }
   return drop;
 }
@@ -105,12 +100,6 @@ GilbertElliottDrop::GilbertElliottDrop(Params params, std::uint64_t seed,
   if (!(params_.slot_dt > 0.0)) {
     throw std::invalid_argument("GilbertElliottDrop: slot_dt must be > 0");
   }
-}
-
-void GilbertElliottDrop::restrict_to(NodeId from, NodeId to) {
-  restricted_ = true;
-  from_ = from;
-  to_ = to;
 }
 
 void GilbertElliottDrop::prepare(std::size_t link_count,
@@ -169,13 +158,17 @@ bool GilbertElliottDrop::in_bad_state(LinkId link, double at,
 
 bool GilbertElliottDrop::should_drop(const Packet& packet,
                                      const HopContext& hop) {
-  if (restricted_ && (hop.from != from_ || hop.to != to_)) return false;
+  if (!applies(hop)) return false;
   if (match_ && !match_(packet)) return false;
   const auto slot = static_cast<std::uint64_t>(hop.now / params_.slot_dt);
   const bool bad = chain_state(hop.region, hop.link, slot);
   const double loss = bad ? params_.loss_bad : params_.loss_good;
-  if (util::keyed_unit(seed_, directed_edge_key(hop), hop.packet_ordinal,
-                       kSaltGeLoss) >= loss) {
+  // keyed_unit lies in [0, 1): loss 0 never drops and loss 1 always does,
+  // so only a loss strictly between them needs the draw.
+  if (loss == 0.0) return false;
+  if (loss != 1.0 && util::keyed_unit(seed_, directed_edge_key(hop),
+                                      hop.packet_ordinal,
+                                      kSaltGeLoss) >= loss) {
     return false;
   }
   drops_.fetch_add(1, std::memory_order_relaxed);

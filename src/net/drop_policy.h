@@ -51,6 +51,11 @@ struct HopContext {
   std::uint32_t region = 0;
 };
 
+// A policy may be restricted to one directed link.  The restriction lives
+// here, not in each policy: the network and CompositeDrop test applies()
+// before the virtual should_drop call, so a hop on another link costs a
+// restricted policy an inline test, not a call, and each should_drop tests
+// it again so that direct calls stay correct.
 class DropPolicy {
  public:
   virtual ~DropPolicy() = default;
@@ -63,6 +68,22 @@ class DropPolicy {
     (void)link_count;
     (void)region_count;
   }
+
+  // Restricts loss to the directed link from -> to; every other hop passes.
+  void restrict_to(NodeId from, NodeId to) {
+    restricted_ = true;
+    from_ = from;
+    to_ = to;
+  }
+  // False when the policy is restricted to another directed link.
+  bool applies(const HopContext& hop) const {
+    return !restricted_ || (hop.from == from_ && hop.to == to_);
+  }
+
+ private:
+  bool restricted_ = false;
+  NodeId from_ = kInvalidNode;
+  NodeId to_ = kInvalidNode;
 };
 
 // Never drops anything.
@@ -89,8 +110,6 @@ class ScriptedLinkDrop final : public DropPolicy {
   void rearm(std::size_t max_drops = 1);
 
  private:
-  NodeId from_;
-  NodeId to_;
   Predicate match_;
   std::size_t max_drops_;
   // Atomic so concurrent region walks (which only read it until the link and
@@ -99,7 +118,7 @@ class ScriptedLinkDrop final : public DropPolicy {
 };
 
 // Drops packets matching an (optional) predicate with fixed probability on
-// every hop, or only on one directed link if specified.  Each decision is
+// every hop, or only on one directed link if restricted.  Each decision is
 // keyed_unit(seed, directed edge, packet ordinal) < rate — a pure function,
 // so the same transmission crossing the same hop drops identically in every
 // kernel and the policy shares safely across concurrent region walks.
@@ -108,9 +127,6 @@ class RandomDrop final : public DropPolicy {
   using Predicate = std::function<bool(const Packet&)>;
 
   RandomDrop(double rate, std::uint64_t seed, Predicate match = nullptr);
-
-  // Restricts loss to a single directed link.
-  void restrict_to(NodeId from, NodeId to);
 
   bool should_drop(const Packet& packet, const HopContext& hop) override;
 
@@ -122,16 +138,15 @@ class RandomDrop final : public DropPolicy {
   double rate_;
   std::uint64_t seed_;
   Predicate match_;
-  bool restricted_ = false;
-  NodeId from_ = kInvalidNode;
-  NodeId to_ = kInvalidNode;
   std::atomic<std::size_t> drops_{0};
 };
 
-// Applies several policies in order; drops if any of them drops.  The
-// burst_stream and burst_stream_pdes worlds of perfbench/main.cpp and
-// bench/pdes_kernel each install one to hold a scripted congested-link
-// drop per source.
+// Applies several policies in order; drops if any of them drops.  Every
+// policy that applies to the hop is consulted, even after one has dropped,
+// so drop accounting stays complete; a policy restricted to another link
+// is skipped without a call.  The burst_stream and burst_stream_pdes worlds
+// of perfbench/main.cpp and bench/pdes_kernel each install one to hold a
+// scripted congested-link drop per source.
 class CompositeDrop final : public DropPolicy {
  public:
   void add(std::shared_ptr<DropPolicy> policy);
@@ -149,7 +164,10 @@ class CompositeDrop final : public DropPolicy {
 // slot_dt seconds) is a pure function of (seed, link, k), obtained by
 // advancing the per-slot transition draws from slot 0 (all links start
 // good).  The per-hop loss decision is keyed by (seed, directed edge,
-// packet ordinal) under the current slot's state.  Pure coordinates mean no
+// packet ordinal) under the current slot's state; when that state's loss
+// probability is exactly 0 or 1 (the defaults) the outcome is known, since
+// keyed_unit lies in [0, 1), and no draw is made.  A draw advances no
+// state, so skipping it changes no decision.  Pure coordinates mean no
 // draw-order dependence: the policy composes with the parallel kernel and
 // replays bit-identically at any thread count.
 //
@@ -174,9 +192,6 @@ class GilbertElliottDrop final : public DropPolicy {
   GilbertElliottDrop(Params params, std::uint64_t seed,
                      Predicate match = nullptr);
 
-  // Restricts loss to a single directed link.
-  void restrict_to(NodeId from, NodeId to);
-
   bool should_drop(const Packet& packet, const HopContext& hop) override;
   // Sizes the chain memos, one row of links per region; links or regions
   // beyond these counts grow lazily, which is only safe before concurrent
@@ -196,9 +211,6 @@ class GilbertElliottDrop final : public DropPolicy {
   Params params_;
   std::uint64_t seed_;
   Predicate match_;
-  bool restricted_ = false;
-  NodeId from_ = kInvalidNode;
-  NodeId to_ = kInvalidNode;
   // Memo of the last evaluated (slot, state) per (region, link), at
   // chain_[region * links_ + link], packed as ((slot + 1) << 1) | bad with
   // 0 meaning "unset".  Relaxed atomics keep even a shared row race-free;

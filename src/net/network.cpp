@@ -392,8 +392,10 @@ bool MulticastNetwork::hop_allowed(const Packet& packet, int ttl_at_from,
                        queue_->now(), self_region_};
   // Primary policy first; the fault slot is only consulted when the primary
   // passes, so a scripted round drop does not also advance burst-loss state.
-  if (drop_policy_->should_drop(packet, hop) ||
-      (fault_drop_policy_ && fault_drop_policy_->should_drop(packet, hop))) {
+  // A policy restricted to another link is skipped without a call.
+  if ((drop_policy_->applies(hop) && drop_policy_->should_drop(packet, hop)) ||
+      (fault_drop_policy_ && fault_drop_policy_->applies(hop) &&
+       fault_drop_policy_->should_drop(packet, hop))) {
     ++stats_.drops;
     trace_hop(trace::EventType::kNetDrop, edge.link);
     return false;

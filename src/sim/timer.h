@@ -3,6 +3,11 @@
 // SRM's request and repair timers are set, suppressed (cancelled), backed
 // off (rescheduled), and re-armed many times per loss-recovery round; Timer
 // wraps that lifecycle so protocol code never juggles raw EventHandles.
+//
+// Arming allocates nothing: the callback is stored once, in the Timer, and
+// each scheduled event captures only the Timer's address, which fits
+// std::function's local buffer.  The Timer keeps its own armed flag, so
+// pending() reads a field rather than the queue's slot.
 #pragma once
 
 #include <functional>
@@ -22,22 +27,27 @@ class Timer {
   Timer(const Timer&) = delete;
   Timer& operator=(const Timer&) = delete;
 
-  ~Timer() { cancel(); }
+  ~Timer() {
+    if (alive_ != nullptr) *alive_ = false;
+    cancel();
+  }
 
   // (Re)schedules the timer to fire dt seconds from now.  Any pending expiry
   // is cancelled first.
   void schedule_in(Time dt) {
     cancel();
     expiry_ = queue_->now() + dt;
-    // The callback is copied into the event, so the Timer itself may be
-    // destroyed from inside the callback (e.g. a protocol state machine
-    // erasing its own state on final expiry).
-    handle_ = queue_->schedule_at(expiry_, on_expire_);
+    handle_ = queue_->schedule_at(expiry_, [this] { expire(); });
+    armed_ = true;
   }
 
-  void cancel() { handle_.cancel(); }
+  void cancel() {
+    if (!armed_) return;
+    armed_ = false;
+    handle_.cancel();
+  }
 
-  bool pending() const { return handle_.pending(); }
+  bool pending() const { return armed_; }
 
   // Absolute virtual time of the pending expiry; meaningful only if
   // pending() is true (otherwise it is the last scheduled expiry).
@@ -49,10 +59,33 @@ class Timer {
   }
 
  private:
+  // The expiry event's body.  The callback is moved out of the Timer for
+  // the call, so a callback may destroy its own Timer (a protocol state
+  // machine erasing its state on final expiry): the destructor then clears
+  // `alive`, and the callback, still whole on this frame, is not moved back.
+  // A surviving Timer gets it back, re-armed or not.
+  void expire() {
+    armed_ = false;
+    struct Call {
+      Timer* timer;
+      std::function<void()> fn;
+      bool alive = true;
+      ~Call() {
+        if (!alive) return;
+        timer->alive_ = nullptr;
+        timer->on_expire_ = std::move(fn);
+      }
+    } call{this, std::move(on_expire_)};
+    alive_ = &call.alive;
+    call.fn();
+  }
+
   EventQueue* queue_;
   std::function<void()> on_expire_;
   EventHandle handle_;
   Time expiry_ = 0.0;
+  bool* alive_ = nullptr;  // set while the callback runs
+  bool armed_ = false;     // scheduled and neither fired nor cancelled
 };
 
 // A per-host virtual clock with a constant offset from simulation time.

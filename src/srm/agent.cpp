@@ -505,7 +505,7 @@ void SrmAgent::on_request_timer_expired(const DataName& name) {
     Slot& again = streams_[stream_of(name)].slots[name.seq];
     again.abandoned = true;
     ++abandoned_count_;
-    again.request.reset();  // safe: Timer callbacks are copied into events
+    again.request.reset();  // safe: a Timer may die in its own callback
     return;
   }
   schedule_request_timer(st, name);
@@ -612,8 +612,8 @@ void SrmAgent::maybe_schedule_repair(RepairState& rs, const DataName& name,
   rs.timer_set_time = now;
   rs.delay_recorded = false;
   if (!rs.timer) {
-    rs.timer = std::make_unique<sim::Timer>(
-        transport_->queue(), [this, name] { on_repair_timer_expired(name); });
+    rs.timer.emplace(transport_->queue(),
+                     [this, name] { on_repair_timer_expired(name); });
   }
 
   open_period(repair_period_, repair_tuner_, metrics_.dup_repairs_heard,

@@ -268,7 +268,7 @@ class SrmAgent : public net::PacketSink {
 
   // ---- repair (response) state, one per ADU we owe an answer for ----
   struct RepairState {
-    std::unique_ptr<sim::Timer> timer;
+    std::optional<sim::Timer> timer;  // built on the first request heard
     double dist = 1.0;              // d_A to the requestor
     // rep_delay is normalized by the RTT to the original source of the
     // data (Sec. VII-A), which keeps the delay signal meaningful even for

@@ -14,35 +14,6 @@ constexpr std::uint64_t kUpperMask = ~std::uint64_t{0} << 31;
 
 }  // namespace
 
-std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9E3779B97F4A7C15ULL;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t keyed_u64(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
-                        std::uint64_t c) {
-  // Fold each key through one splitmix64 step; the chained state makes the
-  // mapping sensitive to every coordinate independently.
-  std::uint64_t state = seed;
-  std::uint64_t h = splitmix64(state);
-  state ^= a;
-  h ^= splitmix64(state);
-  state ^= b;
-  h ^= splitmix64(state);
-  state ^= c;
-  h ^= splitmix64(state);
-  return h;
-}
-
-double keyed_unit(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
-                  std::uint64_t c) {
-  // Top 53 bits -> [0, 1), the usual uniform-double construction.
-  return static_cast<double>(keyed_u64(seed, a, b, c) >> 11) * 0x1.0p-53;
-}
-
 Mt19937_64::Mt19937_64(const std::uint32_t (&words)[kSeedWords]) {
   const auto word = [&words](std::size_t i) {
     return words[2 * i] | static_cast<std::uint64_t>(words[2 * i + 1]) << 32;

@@ -18,7 +18,13 @@ namespace srm::util {
 // splitmix64: used to expand a user seed into well-distributed stream seeds.
 // Reference: Steele, Lea & Flood, "Fast Splittable Pseudorandom Number
 // Generators", OOPSLA 2014.
-std::uint64_t splitmix64(std::uint64_t& state);
+inline std::uint64_t splitmix64(std::uint64_t& state) {
+  state += 0x9E3779B97F4A7C15ULL;
+  std::uint64_t z = state;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
 
 // Stateless keyed draws: a pure function of (seed, a, b, c) with no stream
 // state to share or order-depend on.  Components whose draw order differs
@@ -26,13 +32,29 @@ std::uint64_t splitmix64(std::uint64_t& state);
 // jitter serviced from per-region timer wheels) key each draw by stable
 // coordinates — (area, member slot, draw ordinal) — instead of consuming a
 // shared Rng, so the value a given draw produces is identical no matter
-// which worker, region or interleaving executes it.
-std::uint64_t keyed_u64(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
-                        std::uint64_t c);
+// which worker, region or interleaving executes it.  Inline: every hop of
+// a stochastic drop policy makes one.
+inline std::uint64_t keyed_u64(std::uint64_t seed, std::uint64_t a,
+                               std::uint64_t b, std::uint64_t c) {
+  // Fold each key through one splitmix64 step; the chained state makes the
+  // mapping sensitive to every coordinate independently.
+  std::uint64_t state = seed;
+  std::uint64_t h = splitmix64(state);
+  state ^= a;
+  h ^= splitmix64(state);
+  state ^= b;
+  h ^= splitmix64(state);
+  state ^= c;
+  h ^= splitmix64(state);
+  return h;
+}
 
-// The same draw mapped to a double in [0, 1).
-double keyed_unit(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
-                  std::uint64_t c);
+// The same draw mapped to a double in [0, 1): the top 53 bits, the usual
+// uniform-double construction.
+inline double keyed_unit(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
+                         std::uint64_t c) {
+  return static_cast<double>(keyed_u64(seed, a, b, c) >> 11) * 0x1.0p-53;
+}
 
 // MT19937-64 (Matsumoto & Nishimura), the engine behind every Rng.  Its
 // output equals std::mt19937_64's built from the same seed words

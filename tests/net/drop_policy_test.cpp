@@ -5,9 +5,13 @@
 #include <cstdint>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "net/network.h"
 #include "srm/messages.h"
+#include "topo/builders.h"
+#include "util/rng.h"
 
 namespace srm::net {
 namespace {
@@ -402,6 +406,53 @@ TEST(GilbertElliottDropTest, RestrictToLeavesOtherLinksUntouched) {
   EXPECT_EQ(d.drops_so_far(), 0u);
 }
 
+TEST(GilbertElliottDropTest, CertainLossSkipsOnlyKnownDraws) {
+  // A state whose loss probability is exactly 0 or 1 decides without the
+  // keyed draw.  The decisions must be exactly those of a reference that
+  // always draws keyed_unit against the chain state: the policy's salt and
+  // directed-edge key, restated here.
+  constexpr std::uint64_t kSeed = 31;
+  constexpr std::uint64_t kSaltGeLoss = 2;
+  const std::pair<double, double> losses[] = {
+      {0.0, 1.0}, {0.0, 0.3}, {0.7, 1.0}, {0.25, 0.75}};
+  util::Rng rng(5);
+  const Packet packet = packet_with_tag(0);
+  for (const auto& [loss_good, loss_bad] : losses) {
+    GilbertElliottDrop::Params p;
+    p.p_good_bad = 0.3;
+    p.p_bad_good = 0.3;
+    p.loss_good = loss_good;
+    p.loss_bad = loss_bad;
+    GilbertElliottDrop policy(p, kSeed);
+    GilbertElliottDrop chain(p, kSeed);  // the reference's state
+    std::size_t want_drops = 0;
+    std::size_t bad_hops = 0;
+    for (int i = 0; i < 50000; ++i) {
+      HopContext hop;
+      hop.link = static_cast<LinkId>(rng.index(8));
+      hop.from = static_cast<NodeId>(rng.index(6));
+      hop.to = static_cast<NodeId>((hop.from + 1 + rng.index(5)) % 6);
+      hop.packet_ordinal = rng.next_u64();
+      hop.now = rng.uniform(0.0, 40.0);
+      hop.region = static_cast<std::uint32_t>(rng.index(2));
+      const bool bad = chain.in_bad_state(hop.link, hop.now, hop.region);
+      const std::uint64_t edge =
+          (static_cast<std::uint64_t>(hop.link) << 1) | (hop.from > hop.to);
+      const bool want =
+          util::keyed_unit(kSeed, edge, hop.packet_ordinal, kSaltGeLoss) <
+          (bad ? loss_bad : loss_good);
+      ASSERT_EQ(policy.should_drop(packet, hop), want)
+          << "losses (" << loss_good << ", " << loss_bad << ") hop " << i;
+      want_drops += want ? 1 : 0;
+      bad_hops += bad ? 1 : 0;
+    }
+    EXPECT_EQ(policy.drops_so_far(), want_drops);
+    // Both states were visited, so both losses were exercised.
+    EXPECT_GT(bad_hops, 10000u);
+    EXPECT_LT(bad_hops, 40000u);
+  }
+}
+
 TEST(GilbertElliottDropTest, RejectsBadParams) {
   GilbertElliottDrop::Params p;
   p.p_good_bad = 1.5;
@@ -412,6 +463,104 @@ TEST(GilbertElliottDropTest, RejectsBadParams) {
   p = {};
   p.slot_dt = 0.0;
   EXPECT_THROW(GilbertElliottDrop(p, 1), std::invalid_argument);
+}
+
+// ---- the one-link restriction, shared by every policy ----------------------
+
+// Records the hop of every should_drop call; drops on every hop its
+// restriction applies to when `drop` is set.
+class CountingDrop final : public DropPolicy {
+ public:
+  explicit CountingDrop(bool drop) : drop_(drop) {}
+  bool should_drop(const Packet&, const HopContext& hop) override {
+    hops.emplace_back(hop.from, hop.to);
+    return drop_ && applies(hop);
+  }
+  std::vector<std::pair<NodeId, NodeId>> hops;
+
+ private:
+  bool drop_;
+};
+
+class NullSink final : public PacketSink {
+ public:
+  void on_receive(const Packet&, const DeliveryInfo&) override { ++received; }
+  int received = 0;
+};
+
+TEST(DropPolicyTest, RestrictionLivesInTheBase) {
+  const Packet packet = packet_with_tag(0);
+  const HopContext on{0, 3, 4};
+  const HopContext reverse{0, 4, 3};
+  const HopContext elsewhere{1, 0, 1};
+
+  // restrict_to works on all three classes, and a direct should_drop on
+  // another hop still passes it.
+  ScriptedLinkDrop scripted(0, 1, [](const Packet&) { return true; },
+                            /*max_drops=*/100);
+  scripted.restrict_to(3, 4);
+  RandomDrop random(1.0, 1);
+  random.restrict_to(3, 4);
+  GilbertElliottDrop::Params p;
+  p.p_good_bad = 1.0;  // bad from slot 1 on
+  p.p_bad_good = 0.0;
+  GilbertElliottDrop bursty(p, 1);
+  bursty.restrict_to(3, 4);
+  const HopContext late_on{0, 3, 4, 0, 10.0};
+  const HopContext late_elsewhere{1, 0, 1, 0, 10.0};
+  for (DropPolicy* d :
+       std::vector<DropPolicy*>{&scripted, &random, &bursty}) {
+    EXPECT_TRUE(d->applies(on));
+    EXPECT_FALSE(d->applies(reverse));
+    EXPECT_FALSE(d->applies(elsewhere));
+    EXPECT_FALSE(d->should_drop(packet, reverse));
+    EXPECT_FALSE(d->should_drop(packet, late_elsewhere));
+    EXPECT_TRUE(d->should_drop(packet, late_on));
+  }
+  EXPECT_EQ(scripted.drops_so_far(), 1u);
+  EXPECT_EQ(random.drops_so_far(), 1u);
+  EXPECT_EQ(bursty.drops_so_far(), 1u);
+  EXPECT_TRUE(NoDrop().applies(elsewhere));  // unrestricted by default
+
+  // Through CompositeDrop, a restricted policy is never invoked for another
+  // hop; an unrestricted one sees every hop.
+  auto counted = std::make_shared<CountingDrop>(/*drop=*/true);
+  counted->restrict_to(3, 4);
+  auto everything = std::make_shared<CountingDrop>(/*drop=*/false);
+  CompositeDrop composite;
+  composite.add(counted);
+  composite.add(everything);
+  EXPECT_FALSE(composite.should_drop(packet, reverse));
+  EXPECT_FALSE(composite.should_drop(packet, elsewhere));
+  EXPECT_TRUE(composite.should_drop(packet, on));
+  using Hops = std::vector<std::pair<NodeId, NodeId>>;
+  EXPECT_EQ(counted->hops, (Hops{{3, 4}}));
+  EXPECT_EQ(everything->hops, (Hops{{4, 3}, {0, 1}, {3, 4}}));
+
+  // Nor by a MulticastNetwork walk, in either policy slot: on a chain, only
+  // sends that cross 1 -> 2 consult it, once per send.
+  sim::EventQueue queue;
+  Topology topo = topo::make_chain(4);
+  MulticastNetwork net(queue, topo);
+  std::vector<NullSink> sinks(4);
+  for (NodeId v = 0; v < 4; ++v) {
+    net.attach(v, &sinks[v]);
+    net.join(1, v);
+  }
+  auto primary = std::make_shared<CountingDrop>(/*drop=*/true);
+  primary->restrict_to(1, 2);
+  auto fault = std::make_shared<CountingDrop>(/*drop=*/true);
+  fault->restrict_to(2, 1);
+  net.set_drop_policy(primary);
+  net.set_fault_drop_policy(fault);
+  Packet data = packet_with_tag(0);
+  data.group = 1;
+  for (NodeId sender = 0; sender < 4; ++sender) net.multicast(sender, data);
+  queue.run();
+  // Senders 0 and 1 cross 1 -> 2 (and drop there); 2 and 3 cross 2 -> 1.
+  EXPECT_EQ(primary->hops, (Hops{{1, 2}, {1, 2}}));
+  EXPECT_EQ(fault->hops, (Hops{{2, 1}, {2, 1}}));
+  EXPECT_EQ(net.stats().drops, 4u);
 }
 
 }  // namespace
