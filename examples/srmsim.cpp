@@ -22,7 +22,6 @@
 #include "fault/checker.h"
 #include "fault/injector.h"
 #include "fault/plan.h"
-#include "harness/conformance.h"
 #include "harness/fault_scenarios.h"
 #include "harness/loss_round.h"
 #include "srm/fec/session.h"
@@ -261,22 +260,14 @@ void warm_up_hierarchy(harness::SimSession& session, const SrmConfig& cfg,
 }
 
 // Arms `plan` before the first round.  Membership churn drives the session
-// and, with coded repair, its FecSessions and burst-epoch budget floor; a
-// conformance checker forgets each departed member's evidence.
-std::unique_ptr<fault::FaultInjector> arm_faults(
-    harness::SimSession& session, fault::FaultPlan plan, CodedRepair* coded,
-    harness::ConformanceChecker* checker) {
+// and, with coded repair, its FecSessions and burst-epoch budget floor.
+std::unique_ptr<fault::FaultInjector> arm_faults(harness::SimSession& session,
+                                                 fault::FaultPlan plan,
+                                                 CodedRepair* coded) {
   auto injector = std::make_unique<fault::FaultInjector>(
       session.queue(), session.mutable_topology(), session.network(),
       std::move(plan), session.rng().fork());
   fault::MembershipHooks membership = harness::membership_hooks(session);
-  if (checker != nullptr) {
-    auto inner = std::move(membership.leave);
-    membership.leave = [checker, inner](net::NodeId node, bool graceful) {
-      inner(node, graceful);
-      checker->forget(node);
-    };
-  }
   if (coded != nullptr) {
     auto inner = std::move(membership);
     membership.join = [coded, inner](net::NodeId node) {
@@ -535,6 +526,7 @@ int run(const util::Flags& flags) {
         std::vector<trace::Event> events;
         net::NetworkStats stats;
         fault::CheckerReport report;
+        fault::Conformance conformance;
         std::size_t disrupted = 0;
       };
       const auto run_fault_mode = [&](unsigned kthreads) {
@@ -547,8 +539,7 @@ int run(const util::Flags& flags) {
         vtracer.set_mask(static_cast<std::uint32_t>(trace::Category::kSrm) |
                          static_cast<std::uint32_t>(trace::Category::kFault));
         session.set_tracer(&vtracer);
-        const auto injector =
-            arm_faults(session, fault_plan, nullptr, nullptr);
+        const auto injector = arm_faults(session, fault_plan, nullptr);
         for (int r = 0; r < rounds; ++r) {
           try {
             harness::run_loss_round(session, spec,
@@ -559,6 +550,8 @@ int run(const util::Flags& flags) {
         }
         mr.report = check_recovery(capture.events(), *injector,
                                    session.queue().now(), fault_deadline);
+        mr.conformance =
+            harness::check_conformance(session, capture.events());
         mr.events = capture.events();
         mr.stats = session.network_stats();
         return mr;
@@ -590,6 +583,14 @@ int run(const util::Flags& flags) {
                 pkt.report.storm_violations);
       stat_diff("checker verdict", seq.report.passed ? 1 : 0,
                 pkt.report.passed ? 1 : 0);
+      stat_diff("conformance data", seq.conformance.data_seen,
+                pkt.conformance.data_seen);
+      stat_diff("conformance requests", seq.conformance.requests_seen,
+                pkt.conformance.requests_seen);
+      stat_diff("conformance repairs", seq.conformance.repairs_seen,
+                pkt.conformance.repairs_seen);
+      stat_diff("conformance violations", seq.conformance.violations.size(),
+                pkt.conformance.violations.size());
       stat_diff("disrupted rounds", seq.disrupted, pkt.disrupted);
       if (diffs.empty()) {
         std::cout << "pdes-verify: OK (fault plan, " << p1.events.size()
@@ -682,29 +683,19 @@ int run(const util::Flags& flags) {
               << ", " << kernel_threads << " worker thread"
               << (kernel_threads == 1 ? "" : "s") << "\n";
   }
-  // The conformance checker chains one network's observers, which under the
-  // parallel kernel would see only one region's packets; --pdes-verify is
-  // the equivalence check in that mode.
-  std::unique_ptr<harness::ConformanceChecker> checker;
-  if (session.kernel() == nullptr) {
-    checker = std::make_unique<harness::ConformanceChecker>(
-        session.network(), session.directory());
-  }
-
-  // Structured tracing: one Tracer + file sink for the whole run.  With a
-  // fault plan the trace is additionally captured in memory (tee'd if a file
-  // sink is also active) and the mask force-includes the srm and fault
-  // categories the recovery-invariant checker consumes.
+  // Structured tracing: one Tracer for the whole run, on either kernel.  An
+  // in-memory capture of the srm and fault categories feeds the conformance
+  // fold (and, with a fault plan, the recovery-invariant checker); the
+  // --trace file receives exactly the categories --trace-mask names.
+  constexpr std::uint32_t kCheckedMask =
+      static_cast<std::uint32_t>(trace::Category::kSrm) |
+      static_cast<std::uint32_t>(trace::Category::kFault);
   std::ofstream trace_file;
   std::unique_ptr<trace::Sink> trace_sink;
-  trace::VectorSink fault_capture;
+  trace::VectorSink capture;
   trace::TeeSink tee;
   trace::Tracer tracer;
-  std::uint32_t effective_mask = trace_mask;
-  if (!fault_plan.empty()) {
-    effective_mask |= static_cast<std::uint32_t>(trace::Category::kSrm) |
-                      static_cast<std::uint32_t>(trace::Category::kFault);
-  }
+  tee.add(&capture, kCheckedMask);
   if (!trace_path.empty()) {
     const auto mode = trace_format == "binary"
                           ? std::ios::out | std::ios::binary
@@ -721,28 +712,18 @@ int run(const util::Flags& flags) {
     }
     std::cout << "tracing " << trace::format_mask(trace_mask) << " ("
               << trace_format << ") to " << trace_path << "\n";
+    tee.add(trace_sink.get(), trace_mask);
   }
-  if (!fault_plan.empty() && trace_sink != nullptr) {
-    tee.add(trace_sink.get());
-    tee.add(&fault_capture);
-    tracer.set_sink(&tee);
-  } else if (!fault_plan.empty()) {
-    tracer.set_sink(&fault_capture);
-  } else if (trace_sink != nullptr) {
-    tracer.set_sink(trace_sink.get());
-  }
-  if (tracer.sink() != nullptr) {
-    tracer.set_mask(effective_mask);
-    session.set_tracer(&tracer);
-  }
+  tracer.set_sink(&tee);
+  tracer.set_mask(trace_mask | kCheckedMask);
+  session.set_tracer(&tracer);
 
   warm_up_hierarchy(session, cfg, &std::cout);
   std::unique_ptr<CodedRepair> coded;
   if (fec) coded = std::make_unique<CodedRepair>(session, cfg.fec);
   std::unique_ptr<fault::FaultInjector> injector;
   if (!fault_plan.empty()) {
-    injector = arm_faults(session, std::move(fault_plan), coded.get(),
-                          checker.get());
+    injector = arm_faults(session, std::move(fault_plan), coded.get());
     std::cout << "fault plan: " << faults_path << " ("
               << injector->plan().size() << " events, deadline "
               << fault_deadline << "s)\n";
@@ -796,12 +777,11 @@ int run(const util::Flags& flags) {
   }
   table.print(std::cout);
 
+  const fault::Conformance conformance =
+      harness::check_conformance(session, capture.events());
   std::cout << "\nconformance: "
-            << (checker == nullptr ? std::string(
-                                         "skipped (parallel kernel; use "
-                                         "--pdes-verify)\n")
-                : checker->clean() ? std::string("clean\n")
-                                   : checker->report());
+            << (conformance.clean() ? std::string("clean\n")
+                                    : conformance.report());
   const net::NetworkStats totals = session.network_stats();
   std::cout << "network totals: " << totals.multicasts_sent << " multicasts, "
             << totals.link_transmissions << " link transmissions, "
@@ -840,12 +820,12 @@ int run(const util::Flags& flags) {
       }
     }
   }
-  // With faults active the conformance checker sees duplicate repairs and
+  // With faults active the conformance fold sees duplicate repairs and
   // timer restarts that are legitimate under churn, so the pass/fail verdict
   // comes from the recovery-invariant checker instead.
   if (injector != nullptr) {
     const fault::CheckerReport report =
-        check_recovery(fault_capture.events(), *injector,
+        check_recovery(capture.events(), *injector,
                        session.queue().now(), fault_deadline);
     std::cout << "\n" << report.summary();
     const auto& fs = injector->stats();
@@ -855,7 +835,7 @@ int run(const util::Flags& flags) {
               << " departures, " << fs.burst_epochs << " burst epochs\n";
     return report.passed && trace_ok ? 0 : 1;
   }
-  return (checker == nullptr || checker->clean()) && trace_ok ? 0 : 1;
+  return conformance.clean() && trace_ok ? 0 : 1;
 }
 
 }  // namespace

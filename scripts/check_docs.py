@@ -105,8 +105,8 @@ def check_section_refs():
 
 PATH_RE = re.compile(
     r"(?<![\w./-])(?:src|tests|bench|examples|scripts|perfbench)/[\w./-]+")
-PATH_DOCS = ("ARCHITECTURE.md", "DESIGN.md", "EXPERIMENTS.md", "PAPER.md",
-             "PAPERS.md", "README.md")
+PATH_DOCS = ("ARCHITECTURE.md", "CONTRACTS.md", "DESIGN.md", "EXPERIMENTS.md",
+             "PAPER.md", "PAPERS.md", "README.md")
 
 
 def check_source_paths():

@@ -14,7 +14,9 @@ trees must be identical file for file.  Stderr is not compared.
 
 The full checklist:
   - the srmsim runs of CI with every trace category (--trace-mask=all),
-    the fault-plan runs fed the plans that .github/workflows/ci.yml writes;
+    the fault-plan runs fed the plans that .github/workflows/ci.yml writes,
+    and the parallel-kernel run whose exit status carries the conformance
+    verdict;
   - every srmsim --pdes-verify command in ci.yml, verbatim;
   - the figure, ablation and baseline benches at small sizes;
   - the four workloads at --members=16 --seed=42.
@@ -73,6 +75,8 @@ SRMSIM_TRACED = [
      "--seed=5", "--hierarchy", "--local-ttl=2"],
     ["--topo=random-graph", "--nodes=300", "--members=0", "--rounds=2",
      "--seed=5", "--hierarchy", "--local-ttl=2"],
+    ["--topo=btree", "--nodes=300", "--members=60", "--rounds=3", "--seed=7",
+     "--kernel-threads=2", "--kernel-regions=4"],
 ]
 
 WORKLOADS = ["flash-crowd", "conference", "diurnal", "repair-storm"]

@@ -46,6 +46,16 @@ fault::MembershipHooks membership_hooks(SimSession& session) {
   return hooks;
 }
 
+fault::Conformance check_conformance(SimSession& session,
+                                     const std::vector<trace::Event>& events) {
+  return fault::check_conformance(
+      events, [&session](std::uint64_t member, std::uint64_t source) {
+        return session.network().try_distance(
+            static_cast<net::NodeId>(member),
+            static_cast<net::NodeId>(source));
+      });
+}
+
 fault::FaultPlan partition_heal_plan(const net::Topology& topo,
                                      net::NodeId root, double t_down,
                                      double t_heal, util::Rng& rng,

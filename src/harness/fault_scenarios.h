@@ -1,11 +1,13 @@
 // Fault-scenario builders: canned FaultPlans for the network-dynamics
 // experiments (Sec. III-D robustness), plus the wiring that connects a
-// FaultInjector's membership events to a SimSession's agents.
+// FaultInjector's membership events to a SimSession's agents and the
+// conformance fold to its network.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
+#include "fault/conformance.h"
 #include "fault/injector.h"
 #include "fault/plan.h"
 #include "harness/session.h"
@@ -20,6 +22,12 @@ namespace srm::harness {
 // (no-op if absent) — fault plans can then be replayed against sessions
 // whose membership already drifted.  The session must outlive the injector.
 fault::MembershipHooks membership_hooks(SimSession& session);
+
+// The conformance fold (fault/conformance.h) over a trace of `session`, its
+// hold-down rule judged against the session network's ground-truth
+// distances as they stand now.
+fault::Conformance check_conformance(SimSession& session,
+                                     const std::vector<trace::Event>& events);
 
 // A partition/heal round trip: at `t_down`, cut `island` (chosen as the
 // subtree under a random tree link so the cut severs exactly one link on a

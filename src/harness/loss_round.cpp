@@ -35,7 +35,7 @@ RoundResult run_loss_round(SimSession& session, const RoundSpec& spec,
 
   // --- instrumentation ------------------------------------------------------
   // Chain onto (and later restore) any observers already installed, e.g. a
-  // ConformanceChecker or a bench's own counters.  Under the parallel kernel
+  // bench's own counters.  Under the parallel kernel
   // there is one network per region, each observed on its own worker thread,
   // so every network gets its own recorder (no shared mutable state inside a
   // window); per-region records are folded after the run.  Timestamps come

@@ -183,7 +183,7 @@ class MulticastNetwork final : public transport::Transport {
   using SendObserver = std::function<void(NodeId from, const Packet&)>;
   void set_send_observer(SendObserver obs) { send_observer_ = std::move(obs); }
 
-  // Current observers, so instrumentation (e.g. the conformance checker)
+  // Current observers, so instrumentation (e.g. a loss round's counters)
   // can chain rather than replace.
   const DeliveryObserver& delivery_observer() const {
     return delivery_observer_;

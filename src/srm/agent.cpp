@@ -92,10 +92,6 @@ SrmAgent::SrmAgent(transport::Transport& transport, MemberDirectory& directory,
       request_tuner_(config.adaptive, config.timers.c1, config.timers.c2),
       repair_tuner_(config.adaptive, config.timers.d1, config.timers.d2),
       rate_limiter_(config.rate_limit, transport_->queue().now()) {
-  session_timer_ = std::make_unique<sim::Timer>(
-      transport_->queue(), [this] { send_session_message(); });
-  send_queue_timer_ = std::make_unique<sim::Timer>(
-      transport_->queue(), [this] { drain_send_queue(); });
   request_ttl_policy_ = [](const DataName&) { return net::kMaxTtl; };
 }
 
@@ -115,8 +111,8 @@ void SrmAgent::start() {
 void SrmAgent::stop() {
   if (!started_) return;
   started_ = false;
-  session_timer_->cancel();
-  send_queue_timer_->cancel();
+  if (session_timer_) session_timer_->cancel();
+  if (send_queue_timer_) send_queue_timer_->cancel();
   for (auto& [key, s] : streams_) {
     for (Slot& slot : s.slots) {
       if (slot.request) slot.request->timer.cancel();
@@ -138,8 +134,12 @@ DataName SrmAgent::send_data(const PageId& page, Payload payload) {
   const DataName name{id_, page, own.any_known ? own.advertised_max + 1 : 0};
   seed_data(name, std::move(payload));
   ++metrics_.data_sent;
-  transmit(packet_for(std::make_shared<DataMessage>(
-               name, own.slots[name.seq].payload)),
+  const PayloadPtr& stored = own.slots[name.seq].payload;
+  if (tracer_->wants(trace::Category::kSrm)) {
+    trace_adu(trace::EventType::kSrmDataSend, name, 0, 0.0,
+              payload_digest(stored));
+  }
+  transmit(packet_for(std::make_shared<DataMessage>(name, stored)),
            Priority::kNewData);
   return name;
 }
@@ -262,15 +262,17 @@ void SrmAgent::on_receive(const net::Packet& packet,
     case DataMessage::kKind: {
       const auto& data = static_cast<const DataMessage&>(*msg);
       if (Stream* s = admit(stream_of(data.name()), data.name().seq)) {
+        trace_adu(trace::EventType::kSrmDataHear, data.name());
         handle_data(*s, data.name(), data.payload(), /*via_repair=*/false);
       }
       break;
     }
     case RequestMessage::kKind:
-      handle_request(static_cast<const RequestMessage&>(*msg), packet.scope);
+      handle_request(static_cast<const RequestMessage&>(*msg), packet.scope,
+                     info.hops);
       break;
     case RepairMessage::kKind:
-      handle_repair(static_cast<const RepairMessage&>(*msg));
+      handle_repair(static_cast<const RepairMessage&>(*msg), info.hops);
       break;
     case SessionMessage::kKind: {
       const auto& sess = static_cast<const SessionMessage&>(*msg);
@@ -553,12 +555,14 @@ void SrmAgent::complete_recovery(Stream& s, const DataName& name,
 // Request handling (the receiving side)
 // ---------------------------------------------------------------------------
 
-void SrmAgent::handle_request(const RequestMessage& msg, net::Scope scope) {
+void SrmAgent::handle_request(const RequestMessage& msg, net::Scope scope,
+                              int hops) {
   const DataName& name = msg.name();
   Stream* s = admit(stream_of(name), name.seq);
   if (s == nullptr) return;
   ++metrics_.requests_heard;
-  trace_adu(trace::EventType::kSrmReqHear, name, msg.requestor());
+  trace_adu(trace::EventType::kSrmReqHear, name, msg.requestor(), hops,
+            msg.initial_ttl());
   Slot& slot = s->slots[name.seq];
 
   // Duplicate accounting continues for the whole request period, even after
@@ -648,8 +652,11 @@ void SrmAgent::on_repair_timer_expired(const DataName& name) {
       config_.local_recovery.enabled && rs.request_ttl < net::kMaxTtl;
   const int ttl = step_one ? rs.request_ttl : net::kMaxTtl;
 
-  trace_adu(trace::EventType::kSrmRepSend, name,
-            static_cast<std::uint64_t>(ttl), step_one ? 1.0 : 0.0);
+  if (tracer_->wants(trace::Category::kSrm)) {
+    trace_adu(trace::EventType::kSrmRepSend, name,
+              static_cast<std::uint64_t>(ttl), step_one ? 1.0 : 0.0,
+              payload_digest(slot->payload));
+  }
   // The repair answers with the scope the request used, so an escalated
   // (global) request is answered globally even by admin-scoped members.
   transmit(packet_for(repair_pool_.acquire(name, slot->payload, id_,
@@ -672,13 +679,14 @@ double SrmAgent::holddown_distance(const DataName& name,
   return distance_to(requestor);
 }
 
-void SrmAgent::handle_repair(const RepairMessage& msg) {
+void SrmAgent::handle_repair(const RepairMessage& msg, int hops) {
   const DataName& name = msg.name();
   Stream* s = admit(stream_of(name), name.seq);
   if (s == nullptr) return;
   ++metrics_.repairs_heard;
   const sim::Time now = transport_->queue().now();
-  trace_adu(trace::EventType::kSrmRepHear, name, msg.responder());
+  trace_adu(trace::EventType::kSrmRepHear, name, msg.responder(), hops,
+            msg.initial_ttl());
   Slot& slot = s->slots[name.seq];
 
   // Repair-side suppression and hold-down.  A holder that had no repair
@@ -714,8 +722,11 @@ void SrmAgent::handle_repair(const RepairMessage& msg) {
     after.repair_state().holddown_until =
         now + kHolddownMultiplier * holddown_distance(name, msg.responder());
     ++metrics_.repairs_sent;
-    trace_adu(trace::EventType::kSrmRepSend, name,
-              static_cast<std::uint64_t>(our_ttl), /*step_one=*/0.0);
+    if (tracer_->wants(trace::Category::kSrm)) {
+      trace_adu(trace::EventType::kSrmRepSend, name,
+                static_cast<std::uint64_t>(our_ttl), /*step=*/2.0,
+                payload_digest(msg.payload()));
+    }
     transmit(packet_for(repair_pool_.acquire(name, msg.payload(), id_, id_,
                                              0.0, our_ttl,
                                              /*local_step_one=*/false),
@@ -774,6 +785,10 @@ void SrmAgent::send_session_message(int ttl,
 void SrmAgent::schedule_next_session_message() {
   const std::size_t group_size = estimator_.peers_heard() + 1;
   const std::size_t bytes = 24 + 20 * estimator_.peers_heard();
+  if (!session_timer_) {
+    session_timer_ = std::make_unique<sim::Timer>(
+        transport_->queue(), [this] { send_session_message(); });
+  }
   session_timer_->schedule_in(
       session_scheduler_.next_interval(group_size, bytes));
 }
@@ -870,6 +885,10 @@ void SrmAgent::transmit(net::Packet packet, Priority priority) {
                                    static_cast<int>(priority);
                           });
   queue.insert(pos, std::move(qs));
+  if (!send_queue_timer_) {
+    send_queue_timer_ = std::make_unique<sim::Timer>(
+        transport_->queue(), [this] { drain_send_queue(); });
+  }
   if (!send_queue_timer_->pending()) {
     send_queue_timer_->schedule_in(rate_limiter_.delay_until_available(
         bytes_of(queue.front().packet), now));

@@ -320,8 +320,8 @@ class SrmAgent : public net::PacketSink {
   // message handlers; each takes the ADU's stream, already admitted
   void handle_data(Stream& s, const DataName& name, const PayloadPtr& payload,
                    bool via_repair);
-  void handle_request(const RequestMessage& msg, net::Scope scope);
-  void handle_repair(const RepairMessage& msg);
+  void handle_request(const RequestMessage& msg, net::Scope scope, int hops);
+  void handle_repair(const RepairMessage& msg, int hops);
   void handle_session(const SessionMessage& msg);
   void handle_page_request(const PageRequestMessage& msg);
   void handle_page_reply(const PageReplyMessage& msg);
@@ -429,6 +429,8 @@ class SrmAgent : public net::PacketSink {
   AdaptiveTuner request_tuner_;
   AdaptiveTuner repair_tuner_;
   RateLimiter rate_limiter_;
+  // Built on their first arm: flat session timers are off under the
+  // hierarchy, and only a send the token bucket defers arms the queue timer.
   std::unique_ptr<sim::Timer> session_timer_;
   std::unique_ptr<sim::Timer> send_queue_timer_;
 

@@ -150,8 +150,9 @@ struct SrmConfig {
 };
 
 // Hold-down: ignore requests for 3 * d_S seconds after sending or receiving
-// a repair for that data (Sec. III-B).  The agent enforces it and
-// harness::ConformanceChecker checks it, so both read this one constant.
+// a repair for that data (Sec. III-B).  The agent enforces it and the
+// conformance fold (fault/conformance.h) checks it, so both read this one
+// constant.
 inline constexpr double kHolddownMultiplier = 3.0;
 
 }  // namespace srm

@@ -38,6 +38,17 @@ namespace srm {
 using Payload = std::vector<std::uint8_t>;
 using PayloadPtr = std::shared_ptr<const Payload>;
 
+// 32-bit FNV-1a digest of a payload (null reads as empty).  The data_send
+// and rep_send trace events carry it, so the conformance fold
+// (fault/conformance.h) can tell two payloads under one name apart.
+inline std::uint32_t payload_digest(const PayloadPtr& payload) {
+  std::uint32_t h = 2166136261u;
+  if (payload) {
+    for (const std::uint8_t byte : *payload) h = (h ^ byte) * 16777619u;
+  }
+  return h;
+}
+
 class DataMessage final : public net::Message {
  public:
   static constexpr std::uint32_t kKind = 1;

@@ -27,6 +27,11 @@ bool names_adu(EventType type) {
     case EventType::kSrmFecBudgetDecay:
     case EventType::kSrmFecParity:
       return false;
+    // The data path's sends and deliveries name every ADU, lost or not;
+    // they feed the conformance fold, not recovery stories.
+    case EventType::kSrmDataSend:
+    case EventType::kSrmDataHear:
+      return false;
     default:
       return category_of(type) == Category::kSrm;
   }
@@ -104,6 +109,44 @@ RecoveryTimeline RecoveryTimeline::fold(const std::vector<Event>& events) {
     }
   }
   return tl;
+}
+
+std::string RecoveryStory::timing_free() const {
+  std::string out = to_string(adu);
+  const auto add = [&out](const char* label, std::uint64_t v) {
+    out += label;
+    out += std::to_string(v);
+  };
+  add(": det=", detections);
+  add(" req=", requests_sent);
+  add(" backoff=", request_backoffs);
+  add(" rep=", repairs_sent);
+  add(" suppress=", repair_suppressions);
+  add(" recovered=", recoveries);
+  add(" abandoned=", abandoned);
+  add(" first[det=", first_detector);
+  add(" req=", first_requestor);
+  add(" rep=", first_responder);
+  out += "] [";
+  bool first = true;
+  for (const StoryEntry& entry : entries) {
+    switch (entry.type) {
+      case EventType::kSrmLoss:
+      case EventType::kSrmReqSend:
+      case EventType::kSrmRepSend:
+      case EventType::kSrmRecovered:
+      case EventType::kSrmAbandoned:
+        if (!first) out += ' ';
+        first = false;
+        out += spec_of(entry.type).name;
+        out += '@' + std::to_string(entry.actor);
+        break;
+      default:
+        break;
+    }
+  }
+  out += ']';
+  return out;
 }
 
 const RecoveryStory* RecoveryTimeline::find(const AduKey& key) const {

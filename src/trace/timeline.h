@@ -104,11 +104,20 @@ struct RecoveryStory {
   std::size_t duplicate_repairs() const {
     return repairs_sent > 0 ? repairs_sent - 1 : 0;
   }
+
+  // The story without its times, on one line: the counts and first actors,
+  // then the (milestone, actor) pairs of loss, req_send, rep_send,
+  // recovered and abandoned in trace order.  Repair suppressions count but
+  // do not place: a holder's suppression and the requestor's recovery react
+  // to one repair at different members, so their order is concurrent.  Two
+  // backends that ran one scenario render equal when only times differ.
+  std::string timing_free() const;
 };
 
 // Folds a trace (live VectorSink capture or read_jsonl/read_binary output)
-// into per-loss stories.  Non-srm events and srm events that name no ADU
-// (adaptive-parameter updates) are ignored.
+// into per-loss stories.  Non-srm events, srm events that name no ADU
+// (adaptive-parameter updates) and the data path's data_send/data_hear are
+// ignored.
 class RecoveryTimeline {
  public:
   static RecoveryTimeline fold(const std::vector<Event>& events);

@@ -46,7 +46,7 @@ const std::vector<EventSpec>& specs() {
       {EventType::kSrmReqSend, Category::kSrm, "req_send", "src", "page_c",
        "page_n", "seq", "ttl", "escalated", nullptr},
       {EventType::kSrmReqHear, Category::kSrm, "req_hear", "src", "page_c",
-       "page_n", "seq", "requestor", nullptr, nullptr},
+       "page_n", "seq", "requestor", "hops", "ttl"},
       {EventType::kSrmReqBackoff, Category::kSrm, "req_backoff", "src",
        "page_c", "page_n", "seq", "backoffs", "ignored", nullptr},
       {EventType::kSrmRepTimerSet, Category::kSrm, "rep_timer_set", "src",
@@ -54,9 +54,9 @@ const std::vector<EventSpec>& specs() {
       {EventType::kSrmRepFire, Category::kSrm, "rep_fire", "src", "page_c",
        "page_n", "seq", nullptr, nullptr, nullptr},
       {EventType::kSrmRepSend, Category::kSrm, "rep_send", "src", "page_c",
-       "page_n", "seq", "ttl", "step_one", nullptr},
+       "page_n", "seq", "ttl", "step", "digest"},
       {EventType::kSrmRepHear, Category::kSrm, "rep_hear", "src", "page_c",
-       "page_n", "seq", "responder", nullptr, nullptr},
+       "page_n", "seq", "responder", "hops", "ttl"},
       {EventType::kSrmRepSuppress, Category::kSrm, "rep_suppress", "src",
        "page_c", "page_n", "seq", "responder", nullptr, nullptr},
       {EventType::kSrmRecovered, Category::kSrm, "recovered", "src", "page_c",
@@ -77,6 +77,11 @@ const std::vector<EventSpec>& specs() {
        "page_c", "page_n", "seq", "gen", "scheme", "k"},
       {EventType::kSrmFecReconstruct, Category::kSrm, "fec_reconstruct",
        "src", "page_c", "page_n", "seq", "gen", "scheme", "erasures"},
+
+      {EventType::kSrmDataSend, Category::kSrm, "data_send", "src", "page_c",
+       "page_n", "seq", nullptr, nullptr, "digest"},
+      {EventType::kSrmDataHear, Category::kSrm, "data_hear", "src", "page_c",
+       "page_n", "seq", nullptr, nullptr, nullptr},
 
       {EventType::kFaultLinkDown, Category::kFault, "link_down", "link",
        "end_a", "end_b", nullptr, nullptr, nullptr, nullptr},
@@ -253,11 +258,11 @@ std::string JsonlSink::to_line(const Event& event) {
   return line;
 }
 
-void TeeSink::add(Sink* sink) {
+void TeeSink::add(Sink* sink, std::uint32_t mask) {
   if (sink == nullptr) {
     throw std::invalid_argument("trace::TeeSink::add: null sink");
   }
-  sinks_.push_back(sink);
+  branches_.push_back(Branch{sink, mask});
 }
 
 void JsonlSink::on_event(const Event& event) {
@@ -373,7 +378,9 @@ std::vector<Event> read_jsonl(std::istream& in) {
 namespace {
 
 constexpr char kBinaryMagic[6] = {'S', 'R', 'M', 'T', 'R', 'C'};
-constexpr std::uint8_t kBinaryVersion = 1;
+// Version 2 added data_send/data_hear and the hops, ttl, step and digest
+// slots the conformance fold reads.
+constexpr std::uint8_t kBinaryVersion = 2;
 // type(2) + t(8) + actor(8) + a..e(40) + x,y(16)
 constexpr std::size_t kRecordBytes = 74;
 

@@ -9,8 +9,9 @@
 //   sim  - event-queue schedule / fire / cancel, with slab handle ids
 //   net  - packet send / deliver / drop / TTL-prune, with link, TTL and
 //          group context
-//   srm  - timer set / fire / suppress, request / repair send / hear,
-//          backoff, adaptive-parameter updates, recovery-scope decisions
+//   srm  - timer set / fire / suppress, data / request / repair send /
+//          hear, backoff, adaptive-parameter updates, recovery-scope
+//          decisions
 //
 // Zero cost when disabled: every instrumentation site is guarded by a single
 // branch on a relaxed atomic bitmask (`Tracer::wants`).  Components hold a
@@ -82,12 +83,13 @@ enum class EventType : std::uint16_t {
   kSrmReqTimerSet = 21,     // e=backoffs, x=timer delay, y=dist
   kSrmReqFire = 22,         // e=backoffs
   kSrmReqSend = 23,         // e=ttl, x=escalated (0/1)
-  kSrmReqHear = 24,         // e=requestor
+  kSrmReqHear = 24,         // e=requestor, x=hops, y=initial ttl
   kSrmReqBackoff = 25,      // e=backoffs after, x=ignored (0/1)
   kSrmRepTimerSet = 26,     // e=requestor, x=timer delay, y=dist
   kSrmRepFire = 27,         // (no extra fields)
-  kSrmRepSend = 28,         // e=ttl, x=step_one (0/1)
-  kSrmRepHear = 29,         // e=responder
+  kSrmRepSend = 28,         // e=ttl, x=step (0 plain, 1 one, 2 two),
+                            // y=payload digest
+  kSrmRepHear = 29,         // e=responder, x=hops, y=initial ttl
   kSrmRepSuppress = 30,     // e=responder
   kSrmRecovered = 31,       // x=recovery delay seconds
   kSrmAbandoned = 32,       // (no extra fields)
@@ -114,6 +116,10 @@ enum class EventType : std::uint16_t {
   kFaultRejoin = 47,     // actor=node
   kFaultBurstOn = 48,    // a=loss_good_ppm, b=loss_bad_ppm, x=p_gb, y=p_bg
   kFaultBurstOff = 49,   // (no extra fields)
+  // --- srm data path: what the conformance fold (fault/conformance.h)
+  // reads besides recovery; the recovery timeline skips both ---
+  kSrmDataSend = 50,  // y=payload digest
+  kSrmDataHear = 51,  // (no extra fields)
 };
 
 // A traced event: timestamp, actor, and five integer + two double slots
@@ -178,21 +184,32 @@ class VectorSink final : public Sink {
   std::vector<Event> events_;
 };
 
-// Fans one event stream out to several sinks (e.g. a JSONL file plus an
-// in-memory capture feeding the recovery-invariant checker).  Added sinks
-// are not owned and must outlive the tee.
+// Fans one event stream out to several sinks, each receiving the
+// categories of its own mask (e.g. a JSONL file of what --trace-mask names
+// plus an in-memory srm and fault capture feeding the checkers).  Added
+// sinks are not owned and must outlive the tee.
 class TeeSink final : public Sink {
  public:
-  void add(Sink* sink);
+  void add(Sink* sink, std::uint32_t mask = kMaskAll);
   void on_event(const Event& event) override {
-    for (Sink* s : sinks_) s->on_event(event);
+    for (const Branch& b : branches_) {
+      if (b.mask == kMaskAll ||
+          (b.mask & static_cast<std::uint32_t>(category_of(event.type))) !=
+              0) {
+        b.sink->on_event(event);
+      }
+    }
   }
   void flush() override {
-    for (Sink* s : sinks_) s->flush();
+    for (const Branch& b : branches_) b.sink->flush();
   }
 
  private:
-  std::vector<Sink*> sinks_;
+  struct Branch {
+    Sink* sink;
+    std::uint32_t mask;
+  };
+  std::vector<Branch> branches_;
 };
 
 // JSON Lines backend: one object per line, e.g.

@@ -23,6 +23,9 @@ namespace {
 
 constexpr net::GroupId kGroup = 1;
 constexpr PageId kPage{0, 1};
+// The distance every agent uses on both backends, which spaces decisions
+// far above UDP jitter (~2 ms); the conformance fold judges hold-down at it.
+constexpr double kDistance = 0.05;
 
 // Both backends run the identical protocol configuration.  Session messages
 // are off and the agents opt out of the simulator's distance oracle, so every
@@ -38,7 +41,7 @@ SrmConfig scenario_config(const Scenario& scenario) {
   config.timers.d2 = scenario.d2;
   config.backoff_factor = 3.0;
   config.distance_mode = DistanceMode::kEstimated;
-  config.default_distance = 0.05;  // decision spacing >> UDP jitter (~2 ms)
+  config.default_distance = kDistance;
   config.session.enabled = false;
   return config;
 }
@@ -47,63 +50,24 @@ util::Rng member_rng(const Scenario& scenario, std::uint32_t ordinal) {
   return util::Rng(scenario.seed * 1000 + ordinal);
 }
 
-const char* milestone_name(trace::EventType type) {
-  switch (type) {
-    case trace::EventType::kSrmLoss:
-      return "loss";
-    case trace::EventType::kSrmReqSend:
-      return "req_send";
-    case trace::EventType::kSrmRepSend:
-      return "rep_send";
-    // kSrmRepSuppress is intentionally NOT a milestone: a holder's
-    // suppression and the requestor's recovery are both reactions to the
-    // same repair multicast at *different* members, so their relative order
-    // is genuinely concurrent — it depends on delivery order, which no
-    // backend guarantees.  The suppression count is still compared via the
-    // repair_suppressions field.
-    case trace::EventType::kSrmRecovered:
-      return "recovered";
-    case trace::EventType::kSrmAbandoned:
-      return "abandoned";
-    default:
-      return nullptr;
-  }
-}
-
 ScenarioResult fold_result(const std::vector<trace::Event>& events,
                            std::size_t scripted_drops) {
   ScenarioResult result;
   result.scripted_drops_fired = scripted_drops;
-  const auto timeline = trace::RecoveryTimeline::fold(events);
-  bool all_recovered = !timeline.stories().empty();
-  for (const auto& story : timeline.stories()) {
-    StoryFingerprint fp;
-    fp.adu = story.adu;
-    fp.detections = story.detections;
-    fp.requests_sent = story.requests_sent;
-    fp.request_backoffs = story.request_backoffs;
-    fp.repairs_sent = story.repairs_sent;
-    fp.repair_suppressions = story.repair_suppressions;
-    fp.recoveries = story.recoveries;
-    fp.abandoned = story.abandoned;
-    fp.first_detector = story.first_detector;
-    fp.first_requestor = story.first_requestor;
-    fp.first_responder = story.first_responder;
-    for (const auto& entry : story.entries) {
-      if (const char* name = milestone_name(entry.type)) {
-        fp.milestones.emplace_back(name, entry.actor);
-      }
-    }
-    if (story.recoveries < story.detections || story.abandoned > 0) {
-      all_recovered = false;
-    }
-    result.stories.push_back(std::move(fp));
-  }
+  result.stories = trace::RecoveryTimeline::fold(events).stories();
   std::sort(result.stories.begin(), result.stories.end(),
-            [](const StoryFingerprint& a, const StoryFingerprint& b) {
+            [](const trace::RecoveryStory& a, const trace::RecoveryStory& b) {
               return a.adu < b.adu;
             });
-  result.all_recovered = all_recovered;
+  result.all_recovered =
+      !result.stories.empty() &&
+      std::all_of(result.stories.begin(), result.stories.end(),
+                  [](const trace::RecoveryStory& story) {
+                    return story.recoveries >= story.detections &&
+                           story.abandoned == 0;
+                  });
+  result.conformance = fault::check_conformance(
+      events, [](std::uint64_t, std::uint64_t) { return kDistance; });
   return result;
 }
 
@@ -233,22 +197,6 @@ ScenarioResult run_scenario_udp(const Scenario& scenario) {
 // Comparison
 // ---------------------------------------------------------------------------
 
-std::string to_string(const StoryFingerprint& fp) {
-  std::ostringstream os;
-  os << trace::to_string(fp.adu) << ": det=" << fp.detections
-     << " req=" << fp.requests_sent << " backoff=" << fp.request_backoffs
-     << " rep=" << fp.repairs_sent << " suppress=" << fp.repair_suppressions
-     << " recovered=" << fp.recoveries << " abandoned=" << fp.abandoned
-     << " first[det=" << fp.first_detector << " req=" << fp.first_requestor
-     << " rep=" << fp.first_responder << "] [";
-  for (std::size_t i = 0; i < fp.milestones.size(); ++i) {
-    if (i > 0) os << " ";
-    os << fp.milestones[i].first << "@" << fp.milestones[i].second;
-  }
-  os << "]";
-  return os.str();
-}
-
 std::string diff_results(const ScenarioResult& sim_result,
                          const ScenarioResult& udp_result) {
   std::ostringstream os;
@@ -258,11 +206,10 @@ std::string diff_results(const ScenarioResult& sim_result,
     return os.str();
   }
   for (std::size_t i = 0; i < sim_result.stories.size(); ++i) {
-    const auto& a = sim_result.stories[i];
-    const auto& b = udp_result.stories[i];
-    if (!(a == b)) {
-      os << "story " << i << " differs:\n  sim: " << to_string(a)
-         << "\n  udp: " << to_string(b);
+    const std::string a = sim_result.stories[i].timing_free();
+    const std::string b = udp_result.stories[i].timing_free();
+    if (a != b) {
+      os << "story " << i << " differs:\n  sim: " << a << "\n  udp: " << b;
       return os.str();
     }
   }
@@ -270,6 +217,18 @@ std::string diff_results(const ScenarioResult& sim_result,
     os << "scripted drop count differs: sim="
        << sim_result.scripted_drops_fired
        << " udp=" << udp_result.scripted_drops_fired;
+    return os.str();
+  }
+  const fault::Conformance& a = sim_result.conformance;
+  const fault::Conformance& b = udp_result.conformance;
+  if (a.data_seen != b.data_seen || a.requests_seen != b.requests_seen ||
+      a.repairs_seen != b.repairs_seen ||
+      a.violations.size() != b.violations.size()) {
+    os << "conformance counts differ (data/requests/repairs/violations): sim="
+       << a.data_seen << "/" << a.requests_seen << "/" << a.repairs_seen
+       << "/" << a.violations.size() << " udp=" << b.data_seen << "/"
+       << b.requests_seen << "/" << b.repairs_seen << "/"
+       << b.violations.size();
     return os.str();
   }
   return "";

@@ -1,11 +1,12 @@
 // Cross-backend conformance (ARCHITECTURE.md §13): the same scripted loss
 // scenario runs once over the simulator's net::MulticastNetwork and once
 // over UdpTransport, through one runner that sees only the Transport
-// interface; both traces fold through trace::RecoveryTimeline, and the
-// per-loss recovery stories are compared as timing-free fingerprints —
-// every milestone (detection, request, backoff, repair, suppression,
-// recovery) with its actor and multiplicity must match; only wall-clock
-// times may differ.
+// interface.  Both traces fold through trace::RecoveryTimeline, and the
+// per-loss recovery stories are compared by their timing-free rendering
+// (RecoveryStory::timing_free) — every milestone (detection, request,
+// backoff, repair, suppression, recovery) with its actor and multiplicity
+// must match; only wall-clock times may differ.  Both traces also fold
+// through the six Sec. III-B rules (fault/conformance.h).
 //
 // Why this is a fair determinism bar: both backends construct agents with
 // identical per-member RNG streams, session messages disabled and
@@ -23,9 +24,9 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "fault/conformance.h"
 #include "net/packet.h"
 #include "srm/names.h"
 #include "trace/timeline.h"
@@ -73,36 +74,13 @@ struct Scenario {
 // two holders.
 std::vector<Scenario> conformance_scenarios();
 
-// Timing-free digest of one recovery story.
-struct StoryFingerprint {
-  trace::AduKey adu;
-  std::size_t detections = 0;
-  std::size_t requests_sent = 0;
-  std::size_t request_backoffs = 0;
-  std::size_t repairs_sent = 0;
-  std::size_t repair_suppressions = 0;
-  std::size_t recoveries = 0;
-  std::size_t abandoned = 0;
-  std::uint64_t first_detector = 0;
-  std::uint64_t first_requestor = 0;
-  std::uint64_t first_responder = 0;
-  // Ordered (milestone, actor) pairs for the order-sensitive event types:
-  // "loss", "req_send", "rep_send", "recovered", "abandoned".  Repair
-  // suppressions are compared by count only (see repair_suppressions):
-  // a holder's suppression and the requestor's recovery react to the same
-  // repair multicast at different members, so their order is concurrent.
-  std::vector<std::pair<std::string, std::uint64_t>> milestones;
-
-  friend bool operator==(const StoryFingerprint&,
-                         const StoryFingerprint&) = default;
-};
-
-std::string to_string(const StoryFingerprint& fp);
-
 struct ScenarioResult {
-  std::vector<StoryFingerprint> stories;  // sorted by ADU key
-  std::size_t scripted_drops_fired = 0;   // receive-filter hits
-  bool all_recovered = false;             // every story closed, none abandoned
+  std::vector<trace::RecoveryStory> stories;  // sorted by ADU key
+  // The six rules, hold-down judged at the distance every agent of a
+  // scenario uses on either backend (config.default_distance).
+  fault::Conformance conformance;
+  std::size_t scripted_drops_fired = 0;  // receive-filter hits
+  bool all_recovered = false;  // every story closed, none abandoned
 };
 
 // Each builds a backend and hands it to the one scenario runner, which sees
@@ -115,8 +93,9 @@ ScenarioResult run_scenario_sim(const Scenario& scenario);
 // multicast; gate with UdpTransport::available().
 ScenarioResult run_scenario_udp(const Scenario& scenario);
 
-// Empty when the results agree story-for-story; otherwise a readable
-// description of the first difference.
+// Empty when the results agree story-for-story (by timing-free rendering),
+// in scripted drops and in the conformance fold's counts; otherwise a
+// readable description of the first difference.
 std::string diff_results(const ScenarioResult& sim_result,
                          const ScenarioResult& udp_result);
 

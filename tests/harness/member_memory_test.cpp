@@ -6,15 +6,19 @@
 // hierarchy panel builds it: G members on a tree of ~sqrt(G) LANs, one area
 // per LAN, TTL-2 local reports every 10 s, estimated distances.  For the
 // data a member holds, each ADU costs one slot of its stream's ADU table.
+// A timer a member never arms costs nothing.
 #include <malloc.h>
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "harness/session.h"
+#include "net/network.h"
+#include "srm/agent.h"
 #include "srm/session_hierarchy.h"
 #include "topo/builders.h"
 
@@ -116,6 +120,41 @@ TEST(MemberMemoryTest, HeldAduCostsOneTableSlot) {
   if (kHeapVisible) {
     EXPECT_LT(per_adu, kMaxBytesPerAdu)
         << "heap per member per held ADU: " << per_adu << " B";
+  }
+}
+
+TEST(MemberMemoryTest, UnarmedTimersCostNothing) {
+  constexpr std::size_t kMembers = 2000;
+  // Heap per started agent with flat session messages off (as under the
+  // hierarchy) and no rate limit, so neither the session timer nor the
+  // send-queue timer is ever armed.  Agents that build both timers up front
+  // hold 4 340 B here; agents that build them on first arm hold 4 144 B.
+  constexpr double kMaxBytesPerAgent = 4240.0;
+
+  const topo::Star star = topo::make_star(kMembers);
+  sim::EventQueue queue;
+  net::MulticastNetwork network(queue, star.topo);
+  MemberDirectory directory;
+  SrmConfig cfg;
+  cfg.session.enabled = false;
+  cfg.rate_limit.enabled = false;
+  std::vector<std::unique_ptr<SrmAgent>> agents;
+  agents.reserve(kMembers);
+  const double heap0 = heap_bytes();
+  for (std::size_t i = 0; i < kMembers; ++i) {
+    agents.push_back(std::make_unique<SrmAgent>(
+        network, directory, star.leaves[i], static_cast<SourceId>(i),
+        /*group=*/1, cfg, util::Rng(1001 + i)));
+    agents.back()->start();
+  }
+  const double per_agent =
+      (heap_bytes() - heap0) / static_cast<double>(kMembers);
+  queue.run();
+  EXPECT_EQ(queue.pending_events(), 0u);
+
+  if (kHeapVisible) {
+    EXPECT_LT(per_agent, kMaxBytesPerAgent)
+        << "heap per agent: " << per_agent << " B";
   }
 }
 

@@ -77,6 +77,7 @@ struct FigOutcome {
   std::vector<harness::RoundResult> rounds;
   net::NetworkStats stats;
   std::vector<trace::Event> events;
+  fault::Conformance conformance;  // the six Sec. III-B rules
   double end_time = 0.0;
   std::uint64_t messages = 0;  // cross-region chains the kernel drained
 };
@@ -129,6 +130,7 @@ FigOutcome run_fig(Fig fig, std::uint64_t seed, unsigned kernel_threads,
   }
   out.stats = session.network_stats();
   out.events = capture.events();
+  out.conformance = harness::check_conformance(session, out.events);
   out.end_time = session.now();
   if (session.kernel() != nullptr) {
     out.messages = session.kernel()->total_stats().messages;
@@ -172,6 +174,13 @@ TEST_P(PdesFigureTest, StatsMatchSequentialKernel) {
   }
   expect_stats_identical(seq.stats, par.stats, "seq vs parallel");
   EXPECT_EQ(seq.end_time, par.end_time);
+  // Both kernels' traces fold clean, over the same sends.
+  EXPECT_TRUE(seq.conformance.clean()) << seq.conformance.report();
+  EXPECT_TRUE(par.conformance.clean()) << par.conformance.report();
+  EXPECT_GT(seq.conformance.requests_seen, 0u);
+  EXPECT_EQ(seq.conformance.data_seen, par.conformance.data_seen);
+  EXPECT_EQ(seq.conformance.requests_seen, par.conformance.requests_seen);
+  EXPECT_EQ(seq.conformance.repairs_seen, par.conformance.repairs_seen);
 }
 
 INSTANTIATE_TEST_SUITE_P(Figures, PdesFigureTest,

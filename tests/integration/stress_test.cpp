@@ -9,12 +9,13 @@
 
 #include <memory>
 
-#include "harness/conformance.h"
+#include "harness/fault_scenarios.h"
 #include "harness/scenario.h"
 #include "harness/session.h"
 #include "net/drop_policy.h"
 #include "srm/messages.h"
 #include "topo/builders.h"
+#include "trace/trace.h"
 
 namespace srm {
 namespace {
@@ -37,8 +38,12 @@ TEST_P(StressTest, ConvergesUnderOmnidirectionalLoss) {
   SrmConfig cfg;
   cfg.timers = paper_fixed_params(p.members);
   cfg.backoff_factor = 3.0;
+  trace::VectorSink capture;
+  trace::Tracer tracer;
+  tracer.set_sink(&capture);
+  tracer.set_mask(static_cast<std::uint32_t>(trace::Category::kSrm));
   harness::SimSession session(std::move(topo), members, {cfg, p.seed, 1});
-  harness::ConformanceChecker checker(session.network(), session.directory());
+  session.set_tracer(&tracer);
 
   // Loss on everything (no payload filter): data, requests, repairs,
   // session messages alike.
@@ -76,7 +81,9 @@ TEST_P(StressTest, ConvergesUnderOmnidirectionalLoss) {
   }
   EXPECT_TRUE(converged) << "seed " << p.seed << " loss " << p.loss_rate;
   // Conformance must hold even under control-plane loss.
-  EXPECT_TRUE(checker.clean()) << checker.report();
+  const fault::Conformance c =
+      harness::check_conformance(session, capture.events());
+  EXPECT_TRUE(c.clean()) << c.report();
 }
 
 std::vector<StressCase> stress_cases() {

@@ -1,7 +1,7 @@
 // Backend conformance: the scripted loss scenarios must produce the same
 // per-loss recovery story on the sim and UDP backends (modulo wall-clock
-// timing), and the sim-side stories must have the structure each scenario
-// was built to exercise.
+// timing), both traces must keep the six Sec. III-B rules, and the sim-side
+// stories must have the structure each scenario was built to exercise.
 #include "transport/conformance.h"
 
 #include <gtest/gtest.h>
@@ -60,8 +60,8 @@ TEST(Conformance, LostRequestForcesBackoff) {
   // reserved for suppression-heard requests).
   EXPECT_GE(story.requests_sent, 2u);
   std::size_t req_sends = 0;
-  for (const auto& [name, actor] : story.milestones) {
-    if (name == "req_send") ++req_sends;
+  for (const trace::StoryEntry& entry : story.entries) {
+    if (entry.type == trace::EventType::kSrmReqSend) ++req_sends;
   }
   EXPECT_GE(req_sends, 2u);
   EXPECT_EQ(story.recoveries, 1u);
@@ -110,6 +110,11 @@ TEST_P(CrossBackend, StoriesMatch) {
       << "scenario: " << scenario.name;
   EXPECT_TRUE(sim_result.all_recovered) << scenario.name;
   EXPECT_TRUE(udp_result.all_recovered) << scenario.name;
+  EXPECT_TRUE(sim_result.conformance.clean())
+      << scenario.name << ": " << sim_result.conformance.report();
+  EXPECT_TRUE(udp_result.conformance.clean())
+      << scenario.name << ": " << udp_result.conformance.report();
+  EXPECT_GT(udp_result.conformance.repairs_seen, 0u) << scenario.name;
 }
 
 std::string scenario_test_name(
