@@ -15,86 +15,8 @@
 #include <cstddef>
 
 #include "common.h"
-#include "fault/checker.h"
-#include "fault/injector.h"
-#include "fault/plan.h"
 #include "harness/fault_scenarios.h"
-#include "trace/trace.h"
-
-namespace srm::bench {
-namespace {
-
-struct FaultTrialSpec {
-  net::Topology topo;
-  std::vector<net::NodeId> members;
-  net::NodeId source = 0;
-  harness::DirectedLink congested;
-  SrmConfig config;
-  fault::FaultPlan plan;
-  double deadline = 200.0;
-  int rounds = 6;
-  std::uint64_t seed = 1;
-};
-
-struct FaultTrialResult {
-  std::vector<double> latencies;  // seconds of virtual time
-  std::size_t losses = 0;
-  std::size_t unrecovered = 0;
-  std::size_t exempt = 0;
-  std::size_t disrupted_rounds = 0;
-  bool passed = true;
-};
-
-FaultTrialResult run_fault_trial(FaultTrialSpec spec) {
-  harness::SimSession session(std::move(spec.topo), spec.members,
-                              {spec.config, spec.seed, /*group=*/1});
-  trace::VectorSink capture;
-  trace::Tracer tracer;
-  tracer.set_sink(&capture);
-  tracer.set_mask(static_cast<std::uint32_t>(trace::Category::kSrm) |
-                  static_cast<std::uint32_t>(trace::Category::kFault));
-  session.set_tracer(&tracer);
-
-  fault::FaultInjector injector(session.queue(), session.mutable_topology(),
-                                session.network(), std::move(spec.plan),
-                                session.rng().fork());
-  injector.set_membership_hooks(harness::membership_hooks(session));
-  injector.set_tracer(&tracer);
-  injector.arm();
-
-  harness::RoundSpec round;
-  round.source_node = spec.source;
-  round.congested = spec.congested;
-  round.page = PageId{static_cast<SourceId>(spec.source), 0};
-  FaultTrialResult result;
-  for (int r = 0; r < spec.rounds; ++r) {
-    try {
-      harness::run_loss_round(session, round, r * 2);
-    } catch (const std::exception&) {
-      // The faults made this round unrunnable (source crashed, congested
-      // link down, scripted drop swallowed by the partition) — that is the
-      // scenario, not an error; the checker judges what did happen.
-      ++result.disrupted_rounds;
-    }
-  }
-
-  fault::CheckerOptions copts;
-  copts.deadline = spec.deadline;
-  const fault::CheckerReport report =
-      fault::RecoveryInvariantChecker(copts).check(
-          capture.events(), injector.disruption_windows(),
-          session.queue().now());
-  result.latencies = report.recovery_latencies;
-  result.losses = report.losses;
-  result.unrecovered = report.unrecovered.size();
-  result.exempt = report.exempt_departed + report.exempt_unhealed +
-                  report.pending_past_trace;
-  result.passed = report.passed;
-  return result;
-}
-
-}  // namespace
-}  // namespace srm::bench
+#include "harness/run.h"
 
 int main(int argc, char** argv) {
   using namespace srm;
@@ -126,10 +48,10 @@ int main(int argc, char** argv) {
   std::size_t replications = 0;
 
   for (const std::size_t cycles : {2u, 5u, 10u}) {
-    std::vector<bench::FaultTrialSpec> specs;
+    std::vector<harness::Scenario> specs;
     specs.reserve(static_cast<std::size_t>(trials));
     for (int t = 0; t < trials; ++t) {
-      bench::FaultTrialSpec spec;
+      harness::Scenario spec;
       spec.topo = topo::make_random_tree(nodes, rng);
       std::vector<net::NodeId> all(nodes);
       for (std::size_t i = 0; i < nodes; ++i) {
@@ -138,44 +60,50 @@ int main(int argc, char** argv) {
       rng.shuffle(all);
       spec.members.assign(all.begin(), all.begin() + static_cast<long>(group));
       std::sort(spec.members.begin(), spec.members.end());
-      spec.source = spec.members[rng.index(group)];
+      const net::NodeId source = spec.members[rng.index(group)];
       net::Routing routing(spec.topo);
-      spec.congested = harness::choose_congested_link(routing, spec.source,
-                                                      spec.members, rng);
-      SrmConfig cfg = bench::paper_sim_config(paper_fixed_params(group));
-      cfg.adaptive.enabled = true;
-      spec.config = cfg;
+      spec.round.source_node = source;
+      spec.round.congested =
+          harness::choose_congested_link(routing, source, spec.members, rng);
+      spec.round.page = PageId{static_cast<SourceId>(source), 0};
+      spec.srm = bench::paper_sim_config(paper_fixed_params(group));
+      spec.srm.adaptive.enabled = true;
       spec.rounds = rounds;
       // One partition at t=30 healed at t=90, plus `cycles` crash/rejoin
       // pairs spread over the run (60 s downtime each).
-      spec.plan = harness::partition_heal_plan(spec.topo, spec.source,
-                                               /*t_down=*/30.0,
-                                               /*t_heal=*/90.0, rng);
-      spec.plan.merge(harness::churn_plan(spec.members, spec.source, cycles,
-                                          /*t_begin=*/20.0, /*t_end=*/400.0,
-                                          /*downtime=*/60.0, /*crash=*/true,
-                                          rng));
+      spec.faults = harness::partition_heal_plan(spec.topo, source,
+                                                 /*t_down=*/30.0,
+                                                 /*t_heal=*/90.0, rng);
+      spec.faults.merge(harness::churn_plan(spec.members, source, cycles,
+                                            /*t_begin=*/20.0,
+                                            /*t_end=*/400.0,
+                                            /*downtime=*/60.0,
+                                            /*crash=*/true, rng));
+      spec.fault_deadline = 200.0;
       spec.seed = rng.next_u64();
       specs.push_back(std::move(spec));
     }
     replications += specs.size();
-    const auto results = runner.map<bench::FaultTrialResult>(
+    // The faults can make a round unrunnable (source crashed, congested
+    // link down, scripted drop swallowed by the partition); that is the
+    // scenario, and the recovery checker judges what did happen.
+    const auto results = runner.map<harness::ScenarioResult>(
         specs.size(),
-        [&specs](std::size_t i) {
-          return bench::run_fault_trial(std::move(specs[i]));
-        });
+        [&specs](std::size_t i) { return harness::run(specs[i], 0); });
 
     util::Samples latency;
     std::size_t losses = 0;
     std::size_t unrecovered = 0;
     std::size_t exempt = 0;
     bool passed = true;
-    for (const auto& r : results) {
-      for (double s : r.latencies) latency.add(s);
-      losses += r.losses;
-      unrecovered += r.unrecovered;
-      exempt += r.exempt;
-      passed = passed && r.passed;
+    for (const harness::ScenarioResult& r : results) {
+      const fault::CheckerReport& report = *r.recovery;
+      for (double s : report.recovery_latencies) latency.add(s);
+      losses += report.losses;
+      unrecovered += report.unrecovered.size();
+      exempt += report.exempt_departed + report.exempt_unhealed +
+                report.pending_past_trace;
+      passed = passed && report.passed;
     }
     all_passed = all_passed && passed;
 

@@ -28,7 +28,6 @@
 // section (gated by scripts/check_bench.py); wheel-occupancy keys record
 // the areas-not-members heap-growth evidence.
 #include <chrono>
-#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -221,17 +220,11 @@ int main(int argc, char** argv) {
     {
       const std::size_t g = 5000;
       const std::size_t senders = 250;
-      const auto areas = static_cast<int>(std::lround(
-          std::sqrt(static_cast<double>(g))));
-      const int hosts = static_cast<int>((g + areas - 1) / areas);
-      auto tl = topo::make_tree_of_lans(areas, 4, hosts);
-      std::vector<net::NodeId> members(tl.workstations.begin(),
-                                       tl.workstations.begin() + g);
-      SrmConfig cfg;
-      cfg.distance_mode = DistanceMode::kEstimated;
-      cfg.session.enabled = false;  // rounds are driven explicitly below
-      harness::SimSession session(std::move(tl.topo), members,
-                                  {cfg, seed, 1});
+      harness::LanWorld world = harness::tree_of_lans_world(g);
+      world.srm.hierarchy.enabled = false;
+      world.srm.session.enabled = false;  // rounds are driven explicitly below
+      harness::SimSession session(std::move(world.topo), world.members,
+                                  {world.srm, seed, 1});
       const std::size_t stride = g / senders;
       auto run_round = [&](double base) {
         for (std::size_t i = 0; i < senders; ++i) {
@@ -262,19 +255,10 @@ int main(int argc, char** argv) {
                    "wheel buckets", "wheel items", "vs flat5000"});
     double g20000_rate = 0.0;
     for (std::size_t g : gs) {
-      const auto areas = static_cast<std::size_t>(std::lround(
-          std::sqrt(static_cast<double>(g))));
-      const int hosts = static_cast<int>((g + areas - 1) / areas);
-      auto tl = topo::make_tree_of_lans(static_cast<int>(areas), 4, hosts);
-      std::vector<net::NodeId> members(tl.workstations.begin(),
-                                       tl.workstations.begin() + g);
-      SrmConfig cfg;
-      cfg.distance_mode = DistanceMode::kEstimated;
-      cfg.hierarchy.enabled = true;
-      cfg.hierarchy.local_ttl = 2;
-      cfg.hierarchy.report_interval = 10.0;
-      cfg.hierarchy.areas = static_cast<std::uint32_t>(areas);
-      harness::SimSession session(std::move(tl.topo), members,
+      harness::LanWorld world = harness::tree_of_lans_world(g);
+      const SrmConfig& cfg = world.srm;
+      const std::size_t areas = cfg.hierarchy.areas;
+      harness::SimSession session(std::move(world.topo), world.members,
                                   {cfg, seed, 1});
       const SessionHierarchy& hier = *session.hierarchy();
 

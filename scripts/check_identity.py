@@ -14,7 +14,8 @@ trees must be identical file for file.  Stderr is not compared.
 
 The full checklist:
   - the srmsim runs of CI with every trace category (--trace-mask=all),
-    the fault-plan runs fed the plans that .github/workflows/ci.yml writes,
+    the fault-plan runs fed the plans that .github/workflows/ci.yml writes
+    (one of them composing the hierarchy, coded repair and a burst plan),
     and the parallel-kernel run whose exit status carries the conformance
     verdict;
   - every srmsim --pdes-verify command in ci.yml, verbatim;
@@ -75,6 +76,9 @@ SRMSIM_TRACED = [
      "--seed=5", "--hierarchy", "--local-ttl=2"],
     ["--topo=random-graph", "--nodes=300", "--members=0", "--rounds=2",
      "--seed=5", "--hierarchy", "--local-ttl=2"],
+    ["--topo=lans", "--nodes=120", "--members=0", "--rounds=2", "--seed=5",
+     "--hierarchy", "--local-ttl=2", "--fec", "--faults=" + PLAN + "burst",
+     "--fault-deadline=150"],
     ["--topo=btree", "--nodes=300", "--members=60", "--rounds=3", "--seed=7",
      "--kernel-threads=2", "--kernel-regions=4"],
 ]

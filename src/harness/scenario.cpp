@@ -1,11 +1,14 @@
 #include "harness/scenario.h"
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
 #include <limits>
 #include <queue>
 #include <set>
 #include <stdexcept>
+
+#include "topo/builders.h"
 
 namespace srm::harness {
 
@@ -178,6 +181,23 @@ int min_ttl_to_reach_any(const net::Topology& topo, net::NodeId origin,
     out = std::min(out, need[t]);
   }
   return out == std::numeric_limits<int>::max() ? -1 : out;
+}
+
+LanWorld tree_of_lans_world(std::size_t members) {
+  const auto lans = static_cast<std::size_t>(
+      std::lround(std::sqrt(static_cast<double>(members))));
+  topo::TreeOfLans tl =
+      topo::make_tree_of_lans(lans, 4, (members + lans - 1) / lans);
+  LanWorld world;
+  world.topo = std::move(tl.topo);
+  world.members.assign(tl.workstations.begin(),
+                       tl.workstations.begin() +
+                           static_cast<std::ptrdiff_t>(members));
+  world.srm.distance_mode = DistanceMode::kEstimated;
+  world.srm.hierarchy.enabled = true;
+  world.srm.hierarchy.local_ttl = 2;
+  world.srm.hierarchy.areas = static_cast<std::uint32_t>(lans);
+  return world;
 }
 
 }  // namespace srm::harness

@@ -8,6 +8,7 @@
 
 #include "net/routing.h"
 #include "net/topology.h"
+#include "srm/config.h"
 #include "util/rng.h"
 
 namespace srm::harness {
@@ -60,5 +61,15 @@ int min_ttl_to_reach_all(const net::Topology& topo, net::NodeId origin,
 // Smallest TTL from `origin` that reaches at least one node in `targets`.
 int min_ttl_to_reach_any(const net::Topology& topo, net::NodeId origin,
                          const std::vector<net::NodeId>& targets);
+
+// The world of hierarchical sessions at G members: round(sqrt(G)) LANs of
+// degree 4 holding the first G workstations, one area per LAN, TTL-2 local
+// reports and estimated distances.
+struct LanWorld {
+  net::Topology topo;
+  std::vector<net::NodeId> members;
+  SrmConfig srm;  // hierarchy on
+};
+LanWorld tree_of_lans_world(std::size_t members);
 
 }  // namespace srm::harness

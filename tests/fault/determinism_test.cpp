@@ -6,68 +6,41 @@
 #include <cstdint>
 #include <vector>
 
-#include "fault/injector.h"
-#include "fault/plan.h"
 #include "harness/fault_scenarios.h"
-#include "harness/loss_round.h"
 #include "harness/replication.h"
+#include "harness/run.h"
 #include "harness/scenario.h"
-#include "harness/session.h"
 #include "topo/builders.h"
-#include "trace/trace.h"
 
 namespace srm {
 namespace {
-
-constexpr std::uint32_t kMask =
-    static_cast<std::uint32_t>(trace::Category::kSrm) |
-    static_cast<std::uint32_t>(trace::Category::kFault);
 
 // One full fault scenario: random tree, partition/heal + crash/rejoin churn,
 // four loss-recovery rounds.  Returns every captured trace event.
 std::vector<trace::Event> run_scenario(std::uint64_t seed) {
   util::Rng rng(seed);
-  net::Topology topo = topo::make_random_tree(40, rng);
-  std::vector<net::NodeId> members;
-  for (net::NodeId n = 0; n < 40; n += 3) members.push_back(n);
-  const net::NodeId source = members[rng.index(members.size())];
+  harness::Scenario scenario;
+  scenario.topo = topo::make_random_tree(40, rng);
+  for (net::NodeId n = 0; n < 40; n += 3) scenario.members.push_back(n);
+  const net::NodeId source =
+      scenario.members[rng.index(scenario.members.size())];
 
-  fault::FaultPlan plan =
-      harness::partition_heal_plan(topo, source, 20.0, 60.0, rng);
-  plan.merge(harness::churn_plan(members, source, /*cycles=*/3,
-                                 /*t_begin=*/10.0, /*t_end=*/150.0,
-                                 /*downtime=*/30.0, /*crash=*/true, rng));
+  scenario.faults =
+      harness::partition_heal_plan(scenario.topo, source, 20.0, 60.0, rng);
+  scenario.faults.merge(harness::churn_plan(
+      scenario.members, source, /*cycles=*/3, /*t_begin=*/10.0,
+      /*t_end=*/150.0, /*downtime=*/30.0, /*crash=*/true, rng));
 
-  SrmConfig cfg;
-  cfg.backoff_factor = 3.0;
-  cfg.adaptive.enabled = true;
-  harness::SimSession session(std::move(topo), members, {cfg, seed, 1});
-  trace::VectorSink capture;
-  trace::Tracer tracer;
-  tracer.set_sink(&capture);
-  tracer.set_mask(kMask);
-  session.set_tracer(&tracer);
-
-  fault::FaultInjector injector(session.queue(), session.mutable_topology(),
-                                session.network(), std::move(plan),
-                                session.rng().fork());
-  injector.set_membership_hooks(harness::membership_hooks(session));
-  injector.set_tracer(&tracer);
-  injector.arm();
-
-  harness::RoundSpec spec;
-  spec.source_node = source;
-  spec.congested = harness::choose_congested_link(
-      session.network().routing(), source, members, rng);
-  spec.page = PageId{static_cast<SourceId>(source), 0};
-  for (int r = 0; r < 4; ++r) {
-    try {
-      harness::run_loss_round(session, spec, r * 2);
-    } catch (const std::exception&) {
-      // A fault made the round unrunnable — still part of the scenario.
-    }
-  }
-  return capture.events();
+  scenario.srm.backoff_factor = 3.0;
+  scenario.srm.adaptive.enabled = true;
+  scenario.seed = seed;
+  net::Routing routing(scenario.topo);
+  scenario.round.source_node = source;
+  scenario.round.congested =
+      harness::choose_congested_link(routing, source, scenario.members, rng);
+  scenario.round.page = PageId{static_cast<SourceId>(source), 0};
+  scenario.rounds = 4;
+  return harness::run(scenario, 0).capture;
 }
 
 TEST(FaultDeterminismTest, SameSeedSameTrace) {

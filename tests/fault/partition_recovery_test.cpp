@@ -6,97 +6,24 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <vector>
 
-#include "fault/checker.h"
-#include "fault/injector.h"
-#include "fault/plan.h"
-#include "harness/fault_scenarios.h"
-#include "harness/loss_round.h"
-#include "harness/scenario.h"
-#include "harness/session.h"
-#include "topo/builders.h"
-#include "trace/trace.h"
+#include "partition_scenario.h"
 
 namespace srm {
 namespace {
-
-struct Outcome {
-  fault::CheckerReport report;
-  std::size_t island_members = 0;
-  std::size_t disrupted_rounds = 0;
-};
-
-Outcome run_partition_heal(std::uint64_t seed) {
-  util::Rng rng(seed);
-  net::Topology topo = topo::make_random_tree(100, rng);
-  std::vector<net::NodeId> all(100);
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    all[i] = static_cast<net::NodeId>(i);
-  }
-  rng.shuffle(all);
-  std::vector<net::NodeId> members(all.begin(), all.begin() + 40);
-  std::sort(members.begin(), members.end());
-  const net::NodeId source = members[rng.index(members.size())];
-
-  std::vector<net::NodeId> island;
-  fault::FaultPlan plan = harness::partition_heal_plan(
-      topo, source, /*t_down=*/30.0, /*t_heal=*/90.0, rng, &island);
-
-  SrmConfig cfg;
-  cfg.timers = paper_fixed_params(members.size());
-  cfg.backoff_factor = 3.0;
-  cfg.adaptive.enabled = true;
-  harness::SimSession session(std::move(topo), members, {cfg, seed, 1});
-  trace::VectorSink capture;
-  trace::Tracer tracer;
-  tracer.set_sink(&capture);
-  tracer.set_mask(static_cast<std::uint32_t>(trace::Category::kSrm) |
-                  static_cast<std::uint32_t>(trace::Category::kFault));
-  session.set_tracer(&tracer);
-
-  fault::FaultInjector injector(session.queue(), session.mutable_topology(),
-                                session.network(), std::move(plan),
-                                session.rng().fork());
-  injector.set_membership_hooks(harness::membership_hooks(session));
-  injector.set_tracer(&tracer);
-  injector.arm();
-
-  harness::RoundSpec spec;
-  spec.source_node = source;
-  spec.congested = harness::choose_congested_link(
-      session.network().routing(), source, members, rng);
-  spec.page = PageId{static_cast<SourceId>(source), 0};
-  Outcome out;
-  for (int r = 0; r < 6; ++r) {
-    try {
-      harness::run_loss_round(session, spec, r * 2);
-    } catch (const std::exception&) {
-      ++out.disrupted_rounds;  // the partition ate the round — expected
-    }
-  }
-
-  fault::CheckerOptions copts;
-  copts.deadline = 200.0;
-  out.report = fault::RecoveryInvariantChecker(copts).check(
-      capture.events(), injector.disruption_windows(), session.queue().now());
-  for (net::NodeId n : island) {
-    if (session.has_member(n)) ++out.island_members;
-  }
-  return out;
-}
 
 class PartitionRecoveryTest : public ::testing::TestWithParam<std::uint64_t> {
 };
 
 TEST_P(PartitionRecoveryTest, ZeroUnrecoveredAtSurvivingMembers) {
-  const Outcome out = run_partition_heal(GetParam());
-  EXPECT_TRUE(out.report.passed) << out.report.summary();
-  EXPECT_TRUE(out.report.unrecovered.empty()) << out.report.summary();
-  EXPECT_EQ(out.report.storm_violations, 0u);
+  const fault::CheckerReport report =
+      *harness::run(partition_heal_scenario(GetParam()), 0).recovery;
+  EXPECT_TRUE(report.passed) << report.summary();
+  EXPECT_TRUE(report.unrecovered.empty()) << report.summary();
+  EXPECT_EQ(report.storm_violations, 0u);
   // The scenario has to have exercised recovery to mean anything.
-  EXPECT_GT(out.report.losses, 0u);
-  EXPECT_GT(out.report.recovered, 0u);
+  EXPECT_GT(report.losses, 0u);
+  EXPECT_GT(report.recovered, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PartitionRecoveryTest,

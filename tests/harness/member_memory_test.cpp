@@ -2,11 +2,12 @@
 // two-level reporting makes what a member hears grow like sqrt(G), and the
 // member's heap should track what it has heard: no idle echo tables between
 // reports, no doubling slack in the distance estimator, no RNG engine that
-// is never drawn from.  That session is built as bench/session_scaling's
-// hierarchy panel builds it: G members on a tree of ~sqrt(G) LANs, one area
-// per LAN, TTL-2 local reports every 10 s, estimated distances.  For the
-// data a member holds, each ADU costs one slot of its stream's ADU table.
-// A timer a member never arms costs nothing.
+// is never drawn from.  That session is harness::tree_of_lans_world, the
+// world of bench/session_scaling's hierarchy panel: G members on a tree of
+// ~sqrt(G) LANs, one area per LAN, TTL-2 local reports every 10 s,
+// estimated distances.  For the data a member holds, each ADU costs one
+// slot of its stream's ADU table.  A timer a member never arms costs
+// nothing.
 #include <malloc.h>
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <memory>
 #include <vector>
 
+#include "harness/scenario.h"
 #include "harness/session.h"
 #include "net/network.h"
 #include "srm/agent.h"
@@ -49,19 +51,11 @@ TEST(MemberMemoryTest, HierarchyMemberHoldsWhatItHeard) {
   constexpr double kMaxBytesPerMember = 22.0 * 1024;
 
   const double heap0 = heap_bytes();
-  const auto areas = static_cast<std::size_t>(
-      std::lround(std::sqrt(static_cast<double>(kMembers))));
-  topo::TreeOfLans tl =
-      topo::make_tree_of_lans(areas, 4, (kMembers + areas - 1) / areas);
-  const std::vector<net::NodeId> members(
-      tl.workstations.begin(), tl.workstations.begin() + kMembers);
-  SrmConfig cfg;
-  cfg.distance_mode = DistanceMode::kEstimated;
-  cfg.hierarchy.enabled = true;
-  cfg.hierarchy.local_ttl = 2;
-  cfg.hierarchy.report_interval = kInterval;
-  cfg.hierarchy.areas = static_cast<std::uint32_t>(areas);
-  SimSession session(std::move(tl.topo), members, {cfg, 1001, 1});
+  LanWorld world = tree_of_lans_world(kMembers);
+  const std::size_t areas = world.srm.hierarchy.areas;
+  world.srm.hierarchy.report_interval = kInterval;
+  SimSession session(std::move(world.topo), world.members,
+                     {world.srm, 1001, 1});
   session.run_until(kInterval);        // warm-up interval
   session.run_until(3.0 * kInterval);  // two measured intervals
   const double per_member =

@@ -21,6 +21,7 @@
 #include "harness/session.h"
 #include "topo/builders.h"
 #include "trace/trace.h"
+#include "../fault/partition_scenario.h"
 
 namespace srm {
 namespace {
@@ -340,116 +341,58 @@ INSTANTIATE_TEST_SUITE_P(StochasticLoss, PdesStochasticTest,
 
 // --- the fault-injection acceptance scenario under PDES --------------------
 
-struct FaultOutcome {
-  fault::CheckerReport report;
-  std::size_t disrupted_rounds = 0;
-  std::vector<trace::Event> events;
-  net::NetworkStats stats;
-};
+// The partition_recovery_test scenario on the chosen kernel.
+harness::ScenarioResult run_partition_heal(std::uint64_t seed,
+                                           unsigned kernel_threads,
+                                           std::uint32_t kernel_regions) {
+  harness::Scenario scenario = partition_heal_scenario(seed);
+  scenario.kernel_regions = kernel_regions;
+  return harness::run(scenario, kernel_threads);
+}
 
-// The partition_recovery_test scenario (N=100 random tree, G=40, partition
-// at t=30, heal at t=90, six loss rounds) on the chosen kernel.
-FaultOutcome run_partition_heal(std::uint64_t seed, unsigned kernel_threads,
-                                std::uint32_t kernel_regions) {
-  util::Rng rng(seed);
-  net::Topology topo = topo::make_random_tree(100, rng);
-  std::vector<net::NodeId> all(100);
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    all[i] = static_cast<net::NodeId>(i);
-  }
-  rng.shuffle(all);
-  std::vector<net::NodeId> members(all.begin(), all.begin() + 40);
-  std::sort(members.begin(), members.end());
-  const net::NodeId source = members[rng.index(members.size())];
-
-  std::vector<net::NodeId> island;
-  fault::FaultPlan plan = harness::partition_heal_plan(
-      topo, source, /*t_down=*/30.0, /*t_heal=*/90.0, rng, &island);
-
-  SrmConfig cfg;
-  cfg.timers = paper_fixed_params(members.size());
-  cfg.backoff_factor = 3.0;
-  cfg.adaptive.enabled = true;
-  harness::SimSession::Options opts{cfg, seed, /*group=*/1};
-  opts.kernel_threads = kernel_threads;
-  opts.kernel_regions = kernel_regions;
-  harness::SimSession session(std::move(topo), members, opts);
-
-  trace::VectorSink capture;
-  trace::Tracer tracer;
-  tracer.set_sink(&capture);
-  tracer.set_mask(static_cast<std::uint32_t>(trace::Category::kSrm) |
-                  static_cast<std::uint32_t>(trace::Category::kFault));
-  session.set_tracer(&tracer);
-
-  fault::FaultInjector injector(session.queue(), session.mutable_topology(),
-                                session.network(), std::move(plan),
-                                session.rng().fork());
-  injector.set_membership_hooks(harness::membership_hooks(session));
-  // Injector events are global-queue events: under the parallel kernel they
-  // must emit via the control lane to join the deterministic merge.
-  injector.set_tracer(session.control_tracer());
-  injector.arm();
-
-  harness::RoundSpec spec;
-  spec.source_node = source;
-  spec.congested = harness::choose_congested_link(
-      session.network().routing(), source, members, rng);
-  spec.page = PageId{static_cast<SourceId>(source), 0};
-  FaultOutcome out;
-  for (int r = 0; r < 6; ++r) {
-    try {
-      harness::run_loss_round(session, spec, static_cast<SeqNo>(r * 2));
-    } catch (const std::exception&) {
-      ++out.disrupted_rounds;  // the partition ate the round — expected
-    }
-  }
-
-  fault::CheckerOptions copts;
-  copts.deadline = 200.0;
-  out.report = fault::RecoveryInvariantChecker(copts).check(
-      capture.events(), injector.disruption_windows(), session.queue().now());
-  out.events = capture.events();
-  out.stats = session.network_stats();
-  return out;
+std::size_t disrupted_rounds(const harness::ScenarioResult& result) {
+  return static_cast<std::size_t>(std::count_if(
+      result.rounds.begin(), result.rounds.end(),
+      [](const harness::RoundOutcome& r) { return !r.disruption.empty(); }));
 }
 
 TEST(PdesPartitionRecoveryTest, InvariantsHoldUnderParallelKernel) {
-  const FaultOutcome out = run_partition_heal(7, /*kernel_threads=*/2,
-                                              /*kernel_regions=*/4);
-  EXPECT_TRUE(out.report.passed) << out.report.summary();
-  EXPECT_TRUE(out.report.unrecovered.empty()) << out.report.summary();
-  EXPECT_EQ(out.report.storm_violations, 0u);
-  EXPECT_GT(out.report.losses, 0u);
-  EXPECT_GT(out.report.recovered, 0u);
+  const harness::ScenarioResult out = run_partition_heal(
+      7, /*kernel_threads=*/2, /*kernel_regions=*/4);
+  const fault::CheckerReport& report = *out.recovery;
+  EXPECT_TRUE(report.passed) << report.summary();
+  EXPECT_TRUE(report.unrecovered.empty()) << report.summary();
+  EXPECT_EQ(report.storm_violations, 0u);
+  EXPECT_GT(report.losses, 0u);
+  EXPECT_GT(report.recovered, 0u);
 }
 
 TEST(PdesPartitionRecoveryTest, BitIdenticalAcrossKernelThreadCounts) {
-  const FaultOutcome t1 = run_partition_heal(7, 1, 4);
-  const FaultOutcome t2 = run_partition_heal(7, 2, 4);
-  const FaultOutcome t8 = run_partition_heal(7, 8, 4);
-  EXPECT_EQ(t1.disrupted_rounds, t2.disrupted_rounds);
-  EXPECT_EQ(t1.disrupted_rounds, t8.disrupted_rounds);
-  EXPECT_EQ(t1.report.losses, t2.report.losses);
-  EXPECT_EQ(t1.report.losses, t8.report.losses);
-  EXPECT_EQ(t1.report.recovered, t2.report.recovered);
-  EXPECT_EQ(t1.report.recovered, t8.report.recovered);
-  expect_stats_identical(t1.stats, t2.stats, "threads 1 vs 2");
-  expect_stats_identical(t1.stats, t8.stats, "threads 1 vs 8");
-  expect_traces_identical(t1.events, t2.events, "threads 1 vs 2");
-  expect_traces_identical(t1.events, t8.events, "threads 1 vs 8");
-  EXPECT_FALSE(t1.events.empty());
+  const harness::ScenarioResult t1 = run_partition_heal(7, 1, 4);
+  const harness::ScenarioResult t2 = run_partition_heal(7, 2, 4);
+  const harness::ScenarioResult t8 = run_partition_heal(7, 8, 4);
+  EXPECT_EQ(disrupted_rounds(t1), disrupted_rounds(t2));
+  EXPECT_EQ(disrupted_rounds(t1), disrupted_rounds(t8));
+  EXPECT_EQ(t1.recovery->losses, t2.recovery->losses);
+  EXPECT_EQ(t1.recovery->losses, t8.recovery->losses);
+  EXPECT_EQ(t1.recovery->recovered, t2.recovery->recovered);
+  EXPECT_EQ(t1.recovery->recovered, t8.recovery->recovered);
+  expect_stats_identical(t1.totals, t2.totals, "threads 1 vs 2");
+  expect_stats_identical(t1.totals, t8.totals, "threads 1 vs 8");
+  expect_traces_identical(t1.capture, t2.capture, "threads 1 vs 2");
+  expect_traces_identical(t1.capture, t8.capture, "threads 1 vs 8");
+  EXPECT_FALSE(t1.capture.empty());
 }
 
 TEST(PdesPartitionRecoveryTest, InvariantCountsMatchSequentialKernel) {
-  const FaultOutcome seq = run_partition_heal(1995, 0, 0);
-  const FaultOutcome par = run_partition_heal(1995, 2, 4);
-  EXPECT_EQ(seq.report.passed, par.report.passed);
-  EXPECT_EQ(seq.report.losses, par.report.losses);
-  EXPECT_EQ(seq.report.recovered, par.report.recovered);
-  EXPECT_EQ(seq.report.storm_violations, par.report.storm_violations);
-  EXPECT_EQ(seq.disrupted_rounds, par.disrupted_rounds);
-  expect_stats_identical(seq.stats, par.stats, "seq vs parallel");
+  const harness::ScenarioResult seq = run_partition_heal(1995, 0, 0);
+  const harness::ScenarioResult par = run_partition_heal(1995, 2, 4);
+  EXPECT_EQ(seq.recovery->passed, par.recovery->passed);
+  EXPECT_EQ(seq.recovery->losses, par.recovery->losses);
+  EXPECT_EQ(seq.recovery->recovered, par.recovery->recovered);
+  EXPECT_EQ(seq.recovery->storm_violations, par.recovery->storm_violations);
+  EXPECT_EQ(disrupted_rounds(seq), disrupted_rounds(par));
+  expect_stats_identical(seq.totals, par.totals, "seq vs parallel");
 }
 
 // --- region-count invariance of the partitioner role -----------------------
