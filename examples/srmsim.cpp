@@ -86,7 +86,8 @@ Flags (defaults in brackets):
                   warm-up, coded repair and fault plan; the
                   parallel traces must be bit-identical and
                   every statistic must match the sequential
-                  kernel's; exits non-zero on any mismatch  [false]
+                  kernel's; exits non-zero on any mismatch;
+                  refuses --trace and --verbose             [false]
   --workload      run a heavy-traffic workload instead of
                   the loss rounds: flash-crowd | conference
                   | diurnal | repair-storm, judged by the
@@ -246,6 +247,16 @@ int run(const util::Flags& flags) {
   scenario.kernel_regions =
       static_cast<std::uint32_t>(flags.get_int("kernel-regions", 0));
   const bool pdes_verify = flags.get_bool("pdes-verify", false);
+  // The verification runs the scenario three times and prints a verdict,
+  // not a run: it has no one trace to write or sends to print.
+  if (pdes_verify && !trace_path.empty()) {
+    std::cerr << "srmsim: --pdes-verify does not write a --trace\n";
+    return 1;
+  }
+  if (pdes_verify && scenario.log_sends) {
+    std::cerr << "srmsim: --pdes-verify does not print --verbose sends\n";
+    return 1;
+  }
   SrmConfig& cfg = scenario.srm;
   const bool fec = scenario.coded_repair = flags.get_bool("fec", false);
   cfg.fec.max_k = static_cast<std::size_t>(flags.get_int("fec-max-k", 4));
@@ -329,21 +340,8 @@ int run(const util::Flags& flags) {
     const harness::ScenarioResult seq = harness::run(scenario, 0);
     const harness::ScenarioResult p1 = harness::run(scenario, 1);
     const harness::ScenarioResult pk = harness::run(scenario, kt);
-    std::vector<std::string> diffs;
-    const auto [at1, atk] = std::mismatch(p1.capture.begin(), p1.capture.end(),
-                                          pk.capture.begin(), pk.capture.end());
-    if (at1 != p1.capture.end() || atk != pk.capture.end()) {
-      diffs.push_back("parallel traces diverge at event " +
-                      std::to_string(at1 - p1.capture.begin()) + " of " +
-                      std::to_string(p1.capture.size()) + " vs " +
-                      std::to_string(pk.capture.size()));
-    }
-    for (const auto& [threads, par] : {std::pair{1u, &p1}, {kt, &pk}}) {
-      for (const std::string& d : harness::diff(seq, *par)) {
-        diffs.push_back("sequential vs " + std::to_string(threads) +
-                        "-thread " + d);
-      }
-    }
+    const std::vector<std::string> diffs =
+        harness::compare_kernels(seq, p1, pk, kt);
     if (!diffs.empty()) {
       std::cout << "pdes-verify: MISMATCH (" << diffs.size()
                 << " differences)\n";

@@ -18,11 +18,17 @@ The full checklist:
     (one of them composing the hierarchy, coded repair and a burst plan),
     and the parallel-kernel run whose exit status carries the conformance
     verdict;
+  - the same srmsim runs again tracing every category but sim
+    (--trace-mask=net,srm,fault): without sim tracing the network delivers
+    a multicast's receivers inline, with it each delivery is a queued
+    event, so a build that queued them where the other runs them inline
+    is compared path against path, record for record;
   - every srmsim --pdes-verify command in ci.yml, verbatim;
   - the figure, ablation and baseline benches at small sizes;
   - the four workloads at --members=16 --seed=42.
---quick runs a subset in well under three seconds: with the same build on
-both sides it checks that the outputs do not vary from run to run.
+--quick runs a subset in well under three seconds (one of its runs traced
+without sim): with the same build on both sides it checks that the outputs
+do not vary from run to run.
 
 OUT defaults to a fresh temporary directory, removed when every output
 matches.
@@ -58,6 +64,7 @@ TIMEOUT_S = 600
 PLAN = "@PLAN:"  # argument prefix: the path of a ci.yml fault plan
 
 TRACE = ["--trace=t.jsonl", "--trace-mask=all"]
+TRACE_NO_SIM = ["--trace=t.jsonl", "--trace-mask=net,srm,fault"]
 
 SRMSIM_TRACED = [
     [],
@@ -110,6 +117,7 @@ QUICK = [
     ("srmsim", TRACE),
     ("srmsim", SRMSIM_TRACED[1] + TRACE),
     ("srmsim", SRMSIM_TRACED[4] + TRACE),
+    ("srmsim", SRMSIM_TRACED[4] + TRACE_NO_SIM),
     ("srmsim", ["--topo=lans", "--nodes=120", "--members=0", "--rounds=2",
                 "--seed=5", "--hierarchy", "--local-ttl=2"] + TRACE),
     ("srmsim", ["--workload=repair-storm", "--members=16", "--seed=42"]),
@@ -153,6 +161,7 @@ def checklist(quick, ci_text):
     if quick:
         return list(QUICK)
     commands = [("srmsim", args + TRACE) for args in SRMSIM_TRACED]
+    commands += [("srmsim", args + TRACE_NO_SIM) for args in SRMSIM_TRACED]
     commands += [("srmsim", args) for args in ci_pdes_verify(ci_text)]
     commands += [("srmsim", ["--workload=" + w, "--members=16", "--seed=42"])
                  for w in WORKLOADS]

@@ -2,8 +2,9 @@
 """srmsim rejects every malformed flag value the way it rejects other bad
 input: exit status 1 and an `srmsim: ...` line on stderr, never an uncaught
 exception (which aborts with status 134).  The cases cover bad topologies,
-numbers that do not parse or overflow, an unknown trace category, and timer
-parameters the event queue or the RNG would refuse.
+numbers that do not parse or overflow, an unknown trace category, timer
+parameters the event queue or the RNG would refuse, and the flags
+--pdes-verify has no use for (its message must name the flag).
 
 Usage: scripts/check_srmsim_errors.py PATH_TO_SRMSIM_BINARY
 Exits non-zero with a report on any failure.
@@ -32,6 +33,11 @@ CASES = [
     ["--d2=-0.5"],
     ["--backoff=-1"],
     ["--backoff=nan"],
+    # --pdes-verify prints a verdict over three runs, not one run's output.
+    ["--pdes-verify", "--topo=ring", "--nodes=30", "--rounds=3",
+     "--trace=t.jsonl"],
+    ["--pdes-verify", "--topo=ring", "--nodes=30", "--rounds=3",
+     "--verbose"],
 ]
 
 
@@ -50,7 +56,8 @@ def main():
         if len(lines) != 1 or not lines[0].startswith("srmsim: "):
             errors.append(f"{cmd}: want one 'srmsim: ' line on stderr, "
                           f"got {lines!r}")
-        elif args[-1].endswith("=abc") and args[-1][:-4] not in lines[0]:
+        elif ((args[-1].endswith("=abc") or args[0] == "--pdes-verify")
+              and args[-1].split("=")[0] not in lines[0]):
             errors.append(f"{cmd}: the message does not name the flag")
     if errors:
         print("srmsim error check FAILED:")

@@ -110,19 +110,4 @@ fault::FaultPlan churn_plan(const std::vector<net::NodeId>& members,
   return plan;
 }
 
-fault::FaultPlan link_flap_plan(net::LinkId link, std::size_t flaps,
-                                double t_begin, double period,
-                                double downtime) {
-  if (downtime >= period) {
-    throw std::invalid_argument("link_flap_plan: downtime must be < period");
-  }
-  fault::FaultPlan plan;
-  for (std::size_t i = 0; i < flaps; ++i) {
-    const double t = t_begin + static_cast<double>(i) * period;
-    plan.link_down(t, link);
-    plan.link_up(t + downtime, link);
-  }
-  return plan;
-}
-
 }  // namespace srm::harness

@@ -48,10 +48,4 @@ fault::FaultPlan churn_plan(const std::vector<net::NodeId>& members,
                             double t_begin, double t_end, double downtime,
                             bool crash, util::Rng& rng);
 
-// Link flapping: `flaps` down/up cycles of `link`, starting at `t_begin`,
-// `period` seconds apart, each outage lasting `downtime` seconds.
-fault::FaultPlan link_flap_plan(net::LinkId link, std::size_t flaps,
-                                double t_begin, double period,
-                                double downtime);
-
 }  // namespace srm::harness

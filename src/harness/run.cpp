@@ -293,4 +293,26 @@ std::vector<std::string> diff(const ScenarioResult& a,
   return out;
 }
 
+std::vector<std::string> compare_kernels(const ScenarioResult& seq,
+                                         const ScenarioResult& p1,
+                                         const ScenarioResult& pk,
+                                         unsigned k) {
+  std::vector<std::string> out;
+  const auto [at1, atk] = std::mismatch(p1.capture.begin(), p1.capture.end(),
+                                        pk.capture.begin(), pk.capture.end());
+  if (at1 != p1.capture.end() || atk != pk.capture.end()) {
+    out.push_back("parallel traces diverge at event " +
+                  std::to_string(at1 - p1.capture.begin()) + " of " +
+                  std::to_string(p1.capture.size()) + " vs " +
+                  std::to_string(pk.capture.size()));
+  }
+  for (const auto& [threads, par] : {std::pair{1u, &p1}, {k, &pk}}) {
+    for (const std::string& d : diff(seq, *par)) {
+      out.push_back("sequential vs " + std::to_string(threads) + "-thread " +
+                    d);
+    }
+  }
+  return out;
+}
+
 }  // namespace srm::harness

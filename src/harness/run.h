@@ -87,4 +87,13 @@ ScenarioResult run(const Scenario& scenario, unsigned kernel_threads);
 std::vector<std::string> diff(const ScenarioResult& a,
                               const ScenarioResult& b);
 
+// The parallel kernel's equivalence verdict on one scenario run on the
+// sequential kernel (`seq`), on the parallel kernel with one worker (`p1`)
+// and with k workers (`pk`): the two parallel captures must be
+// bit-identical, and each parallel result must agree with the sequential
+// one by diff().  One line per difference; empty when the kernels agree.
+std::vector<std::string> compare_kernels(const ScenarioResult& seq,
+                                         const ScenarioResult& p1,
+                                         const ScenarioResult& pk, unsigned k);
+
 }  // namespace srm::harness

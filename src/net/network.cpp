@@ -573,8 +573,13 @@ void MulticastNetwork::dispatch_chain(std::shared_ptr<const Packet> packet,
   // firing by delay, walk order on ties, is then the eager scheme's
   // delivery order bit for bit.
   place_by_delay(walked, queue_->allocate_seqs(walked.size()), chain.items);
-  queue_->schedule_at_seq(sent_at + chain.items.front().delay,
-                          chain.items.front().seq,
+  schedule_next(index);
+}
+
+void MulticastNetwork::schedule_next(std::uint32_t index) {
+  const DeliveryChain& chain = chain_pool_[index];
+  const ChainItem& next = chain.items[chain.cursor];
+  queue_->schedule_at_seq(chain.sent_at + next.delay, next.seq,
                           [this, index] { fire_chain(index); });
 }
 
@@ -627,19 +632,47 @@ void MulticastNetwork::place_by_delay(std::span<const ChainItem> walked,
 }
 
 void MulticastNetwork::fire_chain(std::uint32_t index) {
-  DeliveryChain& chain = chain_pool_[index];
-  const ChainItem item = chain.items[chain.cursor++];
-  std::shared_ptr<const Packet> packet;
-  if (chain.cursor < chain.items.size()) {
-    packet = chain.packet;
-    const ChainItem& next = chain.items[chain.cursor];
-    queue_->schedule_at_seq(chain.sent_at + next.delay, next.seq,
-                            [this, index] { fire_chain(index); });
-  } else {
-    // Freed first: the sink may multicast and recycle this very chain.
-    packet = std::move(chain.packet);
-    release_chain(index);
+  // Under `sim` tracing every delivery stays one queued event, its
+  // successor scheduled before it is delivered, so the sched and fire
+  // records keep their order and slot handles.  Otherwise the successor is
+  // delivered right here for as long as the queue confirms it is the event
+  // its loop would execute next, and queued once it is not.
+  const bool queued = queue_->tracer()->wants(trace::Category::kSim);
+  for (;;) {
+    DeliveryChain& chain = chain_pool_[index];
+    const ChainItem item = chain.items[chain.cursor++];
+    const bool last = chain.cursor == chain.items.size();
+    // The chain owns the packet until its last delivery.
+    const Packet* packet = chain.packet.get();
+    std::shared_ptr<const Packet> owned;
+    if (last) {
+      // Freed first: the sink may multicast and recycle this very chain.
+      owned = std::move(chain.packet);
+      release_chain(index);
+    } else if (queued) {
+      schedule_next(index);
+    }
+    if (last || queued) {
+      deliver(item, *packet);
+      return;
+    }
+    try {
+      deliver(item, *packet);
+    } catch (...) {
+      schedule_next(index);  // as if it had been queued before delivery
+      throw;
+    }
+    // Re-read: the sink may have multicast and grown the pool.
+    const DeliveryChain& rest = chain_pool_[index];
+    const ChainItem& next = rest.items[rest.cursor];
+    if (!queue_->run_inline(rest.sent_at + next.delay, next.seq)) {
+      schedule_next(index);
+      return;
+    }
   }
+}
+
+void MulticastNetwork::deliver(const ChainItem& item, const Packet& packet) {
   if (item.dropped) return;  // invalidated by a link failure while in flight
   // Re-resolve the sink at fire time: the receiver may have detached
   // (member crash or leave) after this chain was built.
@@ -653,23 +686,23 @@ void MulticastNetwork::fire_chain(std::uint32_t index) {
   info.receiver = item.to;
   info.path_delay = item.delay;
   info.hops = item.hops;
-  info.remaining_ttl = packet->ttl - item.hops;
+  info.remaining_ttl = packet.ttl - item.hops;
   if (tracer_->wants(trace::Category::kNet)) {
     trace::Event ev;
     ev.type = trace::EventType::kNetDeliver;
     ev.t = queue_->now();
     ev.actor = info.receiver;
-    ev.a = packet->group;
-    ev.b = kind_of(*packet);
-    ev.c = packet->source;
+    ev.a = packet.group;
+    ev.b = kind_of(packet);
+    ev.c = packet.source;
     ev.d = static_cast<std::uint64_t>(info.hops);
     ev.x = info.path_delay;
     tracer_->emit(ev);
   }
-  if (!receive_filter_ || !(*receive_filter_)(*packet, info)) {
-    sink->on_receive(*packet, info);
+  if (!receive_filter_ || !(*receive_filter_)(packet, info)) {
+    sink->on_receive(packet, info);
   }
-  if (delivery_observer_) delivery_observer_(*packet, info);
+  if (delivery_observer_) delivery_observer_(packet, info);
 }
 
 double MulticastNetwork::distance(NodeId from, NodeId to) {

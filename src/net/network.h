@@ -298,7 +298,14 @@ class MulticastNetwork final : public transport::Transport {
                       std::vector<ChainItem>& out);
   // Returns a chain to the free list with its packet and item storage.
   void release_chain(std::uint32_t index);
+  // Queues the delivery at the chain's cursor under its reserved key.
+  void schedule_next(std::uint32_t index);
+  // Delivers the item at the cursor, and the ones after it while each is
+  // the queue's next event (EventQueue::run_inline); queues the rest.
   void fire_chain(std::uint32_t index);
+  // Hands one chain item to its sink, unless it was dropped in flight or
+  // the sink detached.
+  void deliver(const ChainItem& item, const Packet& packet);
   void join_local(GroupId g, NodeId n);
   void leave_local(GroupId g, NodeId n);
   void invalidate_in_flight_local(LinkId link);
@@ -354,13 +361,18 @@ class MulticastNetwork final : public transport::Transport {
   // collects every receiver, reserves the whole block of event-queue
   // sequence numbers up front (walk index i takes the block's i-th), and
   // places the receivers stably by delay; a unicast is a one-item chain.
-  // Only the chain's NEXT delivery lives in the event heap; each firing
-  // re-inserts the following one under its pre-assigned (time, seq) key.
-  // That keeps the heap at one entry per in-flight transmission instead of
-  // one per receiver — a large-session round goes from hundreds of
-  // thousands of pending heap entries (every sift a cache miss) to a few
-  // hundred — while executing deliveries in exactly the order eager
-  // per-receiver scheduling would have.  Chains are referenced
+  // At most the chain's NEXT delivery lives in the event heap.  A firing
+  // delivers its item and then, while the queue confirms that the
+  // following one is the event its loop would run next
+  // (EventQueue::run_inline), delivers that one too; the first that is not
+  // goes into the heap under its pre-assigned (time, seq) key.  Most
+  // deliveries of a burst never touch the heap, and the heap holds at most
+  // one entry per in-flight transmission instead of one per receiver — a
+  // large-session round goes from hundreds of thousands of pending heap
+  // entries (every sift a cache miss) to a few hundred — while deliveries
+  // execute in exactly the order eager per-receiver scheduling would have.
+  // Under `sim` tracing every delivery is queued, so the trace shows one
+  // scheduled and fired event per delivery.  Chains are referenced
   // from event closures by index, so a transmission copies its Packet once
   // and each closure stays within std::function's inline buffer.  The sink
   // is re-resolved at fire time: the receiver may detach between sending

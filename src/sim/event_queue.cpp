@@ -8,6 +8,33 @@
 
 namespace srm::sim {
 
+namespace {
+constexpr Time kInf = std::numeric_limits<Time>::infinity();
+constexpr std::uint64_t kNoBudget = std::numeric_limits<std::uint64_t>::max();
+}  // namespace
+
+class EventQueue::RunScope {
+ public:
+  RunScope(EventQueue& q, Time before, std::uint64_t budget) : q_(q) {
+    if (q.in_loop_) {
+      throw std::logic_error("EventQueue: run loops do not nest");
+    }
+    q.in_loop_ = true;
+    q.stopped_ = false;
+    q.inline_before_ = before;
+    q.inline_budget_ = budget;
+  }
+  ~RunScope() {
+    q_.in_loop_ = false;
+    q_.inline_budget_ = 0;
+  }
+  RunScope(const RunScope&) = delete;
+  RunScope& operator=(const RunScope&) = delete;
+
+ private:
+  EventQueue& q_;
+};
+
 bool EventHandle::cancel() {
   return queue_ != nullptr && queue_->handle_cancel(slot_, generation_);
 }
@@ -22,10 +49,9 @@ bool EventQueue::handle_cancel(std::uint32_t index, std::uint32_t generation) {
     ev.b = generation;
     tracer_->emit(ev);
   }
+  remove_at(heap_pos_[index]);
   release_slot(index);
   --live_;
-  // The heap entry stays behind as a tombstone; its generation no longer
-  // matches the slot's, so prune_top()/pop skip it lazily.
   return true;
 }
 
@@ -37,6 +63,7 @@ std::uint32_t EventQueue::acquire_slot() {
   }
   if ((slot_count_ & (kSlabSize - 1)) == 0) {
     slabs_.push_back(std::make_unique<Slot[]>(kSlabSize));
+    heap_pos_.resize(heap_pos_.size() + kSlabSize);
   }
   return slot_count_++;
 }
@@ -44,7 +71,7 @@ std::uint32_t EventQueue::acquire_slot() {
 void EventQueue::release_slot(std::uint32_t index) {
   Slot& s = slot(index);
   s.live = false;
-  ++s.generation;       // invalidates outstanding handles and heap tombstones
+  ++s.generation;       // invalidates outstanding handles
   s.fn = nullptr;       // destroy the closure (and anything it keeps alive)
   free_slots_.push_back(index);
 }
@@ -54,10 +81,10 @@ void EventQueue::sift_up(std::size_t i) {
   while (i > 0) {
     const std::size_t parent = (i - 1) >> 2;
     if (!earlier(e, heap_[parent])) break;
-    heap_[i] = heap_[parent];
+    place(i, heap_[parent]);
     i = parent;
   }
-  heap_[i] = e;
+  place(i, e);
 }
 
 void EventQueue::sift_down(std::size_t i) {
@@ -72,17 +99,24 @@ void EventQueue::sift_down(std::size_t i) {
       if (earlier(heap_[c], heap_[best])) best = c;
     }
     if (!earlier(heap_[best], e)) break;
-    heap_[i] = heap_[best];
+    place(i, heap_[best]);
     i = best;
   }
-  heap_[i] = e;
+  place(i, e);
 }
 
-void EventQueue::pop_top() {
-  const std::size_t n = heap_.size() - 1;
-  heap_[0] = heap_[n];
+void EventQueue::remove_at(std::size_t i) {
+  const HeapEntry last = heap_.back();
   heap_.pop_back();
-  if (n > 1) sift_down(0);
+  if (i == heap_.size()) return;
+  heap_[i] = last;
+  // Every pending entry sorts after a fired root, so a sift up stops
+  // below it.
+  if (i > 0 && earlier(last, heap_[(i - 1) >> 2])) {
+    sift_up(i);
+  } else {
+    sift_down(i);
+  }
 }
 
 EventHandle EventQueue::schedule_at(Time t, std::function<void()> fn) {
@@ -107,9 +141,10 @@ EventHandle EventQueue::schedule_at_seq(Time t, std::uint64_t seq,
   s.fn = std::move(fn);
   s.live = true;
   const HeapEntry entry{t, seq, index, s.generation};
-  if (!heap_.empty() && !entry_live(heap_.front())) {
-    // Most often the event firing right now (run_top): the new entry takes
-    // its place, and one sift down restores the heap.
+  if (root_fired_) {
+    // The event firing right now (run_top): the new entry takes its place,
+    // and one sift down restores the heap.
+    root_fired_ = false;
     heap_.front() = entry;
     sift_down(0);
   } else {
@@ -137,18 +172,39 @@ EventHandle EventQueue::schedule_after(Time dt, std::function<void()> fn) {
   return schedule_at(now_ + dt, std::move(fn));
 }
 
-bool EventQueue::prune_top() {
-  while (!heap_.empty()) {
-    if (entry_live(heap_.front())) return true;
-    pop_top();
+bool EventQueue::run_inline(Time t, std::uint64_t seq) {
+  if (stopped_ || !(t < inline_before_) || executed_total_ >= inline_budget_ ||
+      !(t >= now_) || tracer_->wants(trace::Category::kSim)) {
+    return false;
   }
-  return false;
+  const HeapEntry e{t, seq, 0, 0};
+  if (root_fired_) {
+    // The fired root bounds nothing pending; each child bounds its subtree.
+    const std::size_t end = std::min<std::size_t>(heap_.size(), 5);
+    for (std::size_t c = 1; c < end; ++c) {
+      if (!earlier(e, heap_[c])) return false;
+    }
+  } else if (!heap_.empty() && !earlier(e, heap_.front())) {
+    return false;
+  }
+  now_ = t;
+  ++executed_total_;
+  return true;
+}
+
+bool EventQueue::prune_top() {
+  if (root_fired_) {
+    root_fired_ = false;
+    remove_at(0);
+  }
+  return !heap_.empty();
 }
 
 void EventQueue::run_top() {
-  // No pop: releasing the slot below turns the root into a tombstone, which
-  // the body's first schedule overwrites or prune_top() pops.
+  // No pop: the root stays as the fired event's entry, which the body's
+  // first schedule overwrites or prune_top() pops.
   const HeapEntry top = heap_.front();
+  root_fired_ = true;
   now_ = top.when;
   if (tracer_->wants(trace::Category::kSim)) {
     trace::Event ev;
@@ -167,42 +223,30 @@ void EventQueue::run_top() {
   fn();
 }
 
-bool EventQueue::pop_and_run_one() {
-  if (!prune_top()) return false;
-  run_top();
-  return true;
-}
-
 std::size_t EventQueue::run() {
-  stopped_ = false;
-  std::size_t executed = 0;
-  while (!stopped_ && pop_and_run_one()) ++executed;
-  return executed;
+  const RunScope scope(*this, kInf, kNoBudget);
+  const std::uint64_t start = executed_total_;
+  while (!stopped_ && prune_top()) run_top();
+  return executed_total_ - start;
 }
 
 std::size_t EventQueue::run_until(Time t_end) {
-  stopped_ = false;
-  std::size_t executed = 0;
-  while (!stopped_ && prune_top() && heap_.front().when <= t_end) {
-    run_top();
-    ++executed;
-  }
+  const RunScope scope(*this, std::nextafter(t_end, kInf), kNoBudget);
+  const std::uint64_t start = executed_total_;
+  while (!stopped_ && prune_top() && heap_.front().when <= t_end) run_top();
   if (!stopped_ && now_ < t_end) now_ = t_end;
-  return executed;
+  return executed_total_ - start;
 }
 
 std::size_t EventQueue::run_before(Time t_end) {
-  stopped_ = false;
-  std::size_t executed = 0;
-  while (!stopped_ && prune_top() && heap_.front().when < t_end) {
-    run_top();
-    ++executed;
-  }
-  return executed;
+  const RunScope scope(*this, t_end, kNoBudget);
+  const std::uint64_t start = executed_total_;
+  while (!stopped_ && prune_top() && heap_.front().when < t_end) run_top();
+  return executed_total_ - start;
 }
 
 Time EventQueue::next_event_time() {
-  if (!prune_top()) return std::numeric_limits<Time>::infinity();
+  if (!prune_top()) return kInf;
   return heap_.front().when;
 }
 
@@ -216,10 +260,14 @@ void EventQueue::advance_to(Time t) {
 }
 
 std::size_t EventQueue::run_steps(std::size_t max_events) {
-  stopped_ = false;
-  std::size_t executed = 0;
-  while (!stopped_ && executed < max_events && pop_and_run_one()) ++executed;
-  return executed;
+  const std::uint64_t start = executed_total_;
+  const RunScope scope(
+      *this, kInf,
+      max_events < kNoBudget - start ? start + max_events : kNoBudget);
+  while (!stopped_ && executed_total_ < inline_budget_ && prune_top()) {
+    run_top();
+  }
+  return executed_total_ - start;
 }
 
 }  // namespace srm::sim

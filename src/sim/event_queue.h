@@ -13,12 +13,15 @@
 // Implementation: events live in a slab-allocated pool of stable Slots
 // (closure storage is reused across events, so a schedule/cancel/reschedule
 // cycle costs no heap churn beyond what the closure itself needs).  The
-// ready queue is a 4-ary heap of small POD entries.  Handles are
-// generation-stamped (queue pointer, slot index, generation): cancelling or
-// firing an event frees its slot and bumps its generation, so stale handles
-// become inert without any shared-ownership bookkeeping.  A handle must not
-// be used after its EventQueue has been destroyed (in practice handles are
-// owned by agents that the queue outlives, e.g. inside a SimSession).
+// ready queue is a 4-ary heap of small POD entries holding exactly the
+// pending events, plus the fired event's entry at the root while its body
+// runs: cancelling an event takes its entry out of the heap at once.
+// Handles are generation-stamped (queue pointer, slot index, generation):
+// cancelling or firing an event frees its slot and bumps its generation, so
+// stale handles become inert without any shared-ownership bookkeeping.  A
+// handle must not be used after its EventQueue has been destroyed (in
+// practice handles are owned by agents that the queue outlives, e.g. inside
+// a SimSession).
 #pragma once
 
 #include <cstdint>
@@ -87,8 +90,23 @@ class EventQueue {
   EventHandle schedule_at_seq(Time t, std::uint64_t seq,
                               std::function<void()> fn);
 
+  // True when (t, seq), a key reserved via allocate_seqs() with t >= now(),
+  // is exactly the event the running loop would execute next: the loop is
+  // not stopped, t is inside its bound (run_until's t_end inclusive,
+  // run_before's exclusive) and its run_steps budget is not spent, (t, seq)
+  // is earlier than every pending event, and the queue does not trace
+  // `sim`.  Then the clock moves to t and the event counts in
+  // executed_events() and in the loop's return value, and the caller runs
+  // its body at once instead of scheduling it: a delivery chain executes
+  // its receivers back to back without a heap entry each.  Legal only from
+  // an event body that this queue's own loop runs; anywhere else it
+  // returns false.
+  bool run_inline(Time t, std::uint64_t seq);
+
   // Runs events until the queue is empty or stop() is called.
-  // Returns the number of events executed.
+  // Returns the number of events executed, run_inline()'s included.  Run
+  // loops do not nest: one called from an event body throws
+  // std::logic_error.
   std::size_t run();
   // Runs events with timestamp <= t_end, then sets now() to t_end.
   std::size_t run_until(Time t_end);
@@ -102,7 +120,7 @@ class EventQueue {
   std::size_t run_steps(std::size_t max_events);
 
   // Timestamp of the earliest pending event, or +infinity when empty.
-  // Lazily prunes cancelled tombstones off the heap top.
+  // Pops a fired event's entry off the heap top first.
   Time next_event_time();
 
   // Moves the clock forward to t (no-op if now() >= t) without executing
@@ -131,7 +149,7 @@ class EventQueue {
 
   // Closure storage.  Slots live in fixed-size slabs so they never move;
   // a slot's generation is bumped every time it is released, which
-  // invalidates any handle (and any stale heap entry) still pointing at it.
+  // invalidates any handle still pointing at it.
   struct Slot {
     std::function<void()> fn;
     std::uint32_t generation = 0;
@@ -144,13 +162,14 @@ class EventQueue {
   // The heap is 4-ary rather than binary: half the sift depth, and the four
   // children of a node share a cache line pair, which matters when a burst
   // of multicast deliveries holds tens of thousands of pending events.
-  // Cancelled and fired events leave their entry behind as a tombstone (its
-  // generation no longer matches the slot's), popped lazily off the top.
-  // A fired event's entry stays at the root while its body runs, and the
-  // first event the body schedules is written over it and sifted down: one
-  // sift per delivery chain step or timer re-arm, not a pop's and a push's.
-  // Pop order is the strict total order (when, seq) whatever the heap's
-  // shape, so the simulation executes identically either way.
+  // Every entry is a pending event's but one: a fired event's entry stays
+  // at the root while its body runs (root_fired_), and the first event the
+  // body schedules is written over it and sifted down: one sift per timer
+  // re-arm or queued chain step, not a pop's and a push's.  A cancelled
+  // event's entry leaves at once: the heap's last entry fills its place and
+  // sifts up or down, so the heap never carries dead timers.  Pop order is
+  // the strict total order (when, seq) whatever the heap's shape, so the
+  // simulation executes identically either way.
   struct HeapEntry {
     Time when;
     std::uint64_t seq;  // FIFO tie-break for equal timestamps
@@ -174,35 +193,47 @@ class EventQueue {
     return s.live && s.generation == generation;
   }
   bool handle_cancel(std::uint32_t index, std::uint32_t generation);
-  // False for a tombstone: a cancelled or fired event's entry.
-  bool entry_live(const HeapEntry& e) const {
-    return handle_pending(e.slot, e.generation);
-  }
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t index);
 
+  // Writes e at heap position i and records i as its slot's position.
+  void place(std::size_t i, const HeapEntry& e) {
+    heap_[i] = e;
+    heap_pos_[e.slot] = static_cast<std::uint32_t>(i);
+  }
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
-  // Removes the top heap entry (live or tombstone) and restores heap order.
-  void pop_top();
+  // Takes the entry at position i out of the heap and restores heap order.
+  void remove_at(std::size_t i);
 
-  // Drops cancelled entries off the top; returns false if no live event.
+  // Pops the fired event's entry, if it is still at the root; returns false
+  // if no event is pending.
   bool prune_top();
-  // Fires the top event, leaving its entry at the root as a tombstone;
-  // requires prune_top() to have returned true.
+  // Fires the top event, leaving its entry at the root; requires
+  // prune_top() to have returned true.
   void run_top();
-  bool pop_and_run_one();
+
+  // Sets the loop's bound for run_inline() and clears it on exit.
+  class RunScope;
 
   std::vector<std::unique_ptr<Slot[]>> slabs_;
   std::vector<std::uint32_t> free_slots_;
   std::vector<HeapEntry> heap_;
+  std::vector<std::uint32_t> heap_pos_;  // by slot: a pending event's entry
+  bool root_fired_ = false;  // heap_.front() is the fired event's entry
   std::uint32_t slot_count_ = 0;  // slots ever allocated (all slabs)
   std::size_t live_ = 0;          // scheduled minus cancelled/fired
   Time now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_total_ = 0;
   bool stopped_ = false;
+  // The running loop's bound: run_inline() admits events before
+  // inline_before_ while executed_total_ < inline_budget_.  Outside a loop
+  // the budget is 0, which admits nothing.
+  bool in_loop_ = false;
+  Time inline_before_ = 0.0;
+  std::uint64_t inline_budget_ = 0;
   trace::Tracer* tracer_ = &trace::Tracer::null();
 };
 

@@ -96,21 +96,5 @@ TEST(ChurnPlanTest, RejectsEmptyPool) {
                std::invalid_argument);
 }
 
-TEST(LinkFlapPlanTest, AlternatesDownUpAtThePeriod) {
-  const fault::FaultPlan plan =
-      link_flap_plan(/*link=*/2, /*flaps=*/3, /*t_begin=*/10.0,
-                     /*period=*/20.0, /*downtime=*/4.0);
-  ASSERT_EQ(plan.size(), 6u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    const auto& down = plan.events()[2 * i];
-    const auto& up = plan.events()[2 * i + 1];
-    EXPECT_EQ(down.kind, fault::FaultEvent::Kind::kLinkDown);
-    EXPECT_EQ(up.kind, fault::FaultEvent::Kind::kLinkUp);
-    EXPECT_DOUBLE_EQ(down.at, 10.0 + 20.0 * static_cast<double>(i));
-    EXPECT_DOUBLE_EQ(up.at, down.at + 4.0);
-  }
-  EXPECT_THROW(link_flap_plan(0, 1, 0.0, 1.0, 2.0), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace srm::harness

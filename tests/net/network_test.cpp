@@ -4,6 +4,7 @@
 
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "topo/builders.h"
@@ -74,6 +75,49 @@ TEST_F(NetworkTest, MulticastReachesAllMembersExceptSender) {
     EXPECT_DOUBLE_EQ(sinks_[v]->received[0].info.path_delay,
                      static_cast<double>(v));
     EXPECT_EQ(sinks_[v]->received[0].info.hops, static_cast<int>(v));
+  }
+}
+
+// A sink that throws out of a delivery leaves the rest of its chain
+// queued, on the inline path as on the queued one that `sim` tracing
+// keeps, and the next run delivers it.
+TEST(NetworkChainTest, SinkExceptionLeavesTheRestOfTheChainQueued) {
+  class Throwing : public PacketSink {
+   public:
+    Throwing(std::vector<NodeId>& log, NodeId node) : log_(log), node_(node) {}
+    void on_receive(const Packet&, const DeliveryInfo&) override {
+      log_.push_back(node_);
+      if (node_ == 2 && log_.size() == 2) throw std::runtime_error("sink");
+    }
+
+   private:
+    std::vector<NodeId>& log_;
+    NodeId node_;
+  };
+  for (const trace::Category category :
+       {trace::Category::kSim, trace::Category::kNet}) {
+    SCOPED_TRACE(static_cast<int>(category));
+    sim::EventQueue queue;
+    trace::VectorSink records;
+    trace::Tracer tracer;
+    tracer.set_sink(&records);
+    tracer.set_mask(static_cast<std::uint32_t>(category));
+    queue.set_tracer(&tracer);
+    const Topology topo = topo::make_chain(5);
+    MulticastNetwork net(queue, topo);
+    std::vector<NodeId> log;
+    std::vector<std::unique_ptr<Throwing>> sinks;
+    for (NodeId v = 0; v < 5; ++v) {
+      sinks.push_back(std::make_unique<Throwing>(log, v));
+      net.attach(v, sinks.back().get());
+      net.join(1, v);
+    }
+    net.multicast(0, make_packet(1));
+    EXPECT_THROW(queue.run(), std::runtime_error);
+    EXPECT_EQ(queue.pending_events(), 1u);
+    EXPECT_EQ(queue.run(), 2u);
+    EXPECT_EQ(log, (std::vector<NodeId>{1, 2, 3, 4}));
+    EXPECT_EQ(queue.executed_events(), 4u);
   }
 }
 

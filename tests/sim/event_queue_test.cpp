@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <iterator>
@@ -244,11 +245,186 @@ TEST(EventQueueTest, CancelledEventsNotCounted) {
   EXPECT_EQ(q.run(), 1u);
 }
 
+// --- run_inline: the next event, run by the body that asks -----------------
+
+TEST(EventQueueTest, RunInlineRefusesOutsideARunLoop) {
+  EventQueue q;
+  EXPECT_FALSE(q.run_inline(0.0, q.allocate_seqs(1)));
+  q.schedule_at(1.0, [] {});
+  EXPECT_EQ(q.run(), 1u);
+  EXPECT_FALSE(q.run_inline(1.0, q.allocate_seqs(1)));
+  EXPECT_EQ(q.executed_events(), 1u);
+  EXPECT_DOUBLE_EQ(q.now(), 1.0);
+}
+
+TEST(EventQueueTest, RunInlineAtRunUntilBoundIsInclusive) {
+  EventQueue q;
+  const std::uint64_t seq = q.allocate_seqs(2);
+  bool above = true;
+  bool at = false;
+  q.schedule_at(1.0, [&] {
+    above = q.run_inline(std::nextafter(2.0, 3.0), seq);
+    at = q.run_inline(2.0, seq + 1);
+    EXPECT_DOUBLE_EQ(q.now(), 2.0);
+  });
+  EXPECT_EQ(q.run_until(2.0), 2u);
+  EXPECT_FALSE(above);
+  EXPECT_TRUE(at);
+}
+
+TEST(EventQueueTest, RunInlineAtRunBeforeBoundIsExclusive) {
+  EventQueue q;
+  const std::uint64_t seq = q.allocate_seqs(2);
+  bool at = true;
+  bool below = false;
+  q.schedule_at(1.0, [&] {
+    at = q.run_inline(2.0, seq);
+    below = q.run_inline(std::nextafter(2.0, 0.0), seq + 1);
+  });
+  EXPECT_EQ(q.run_before(2.0), 2u);
+  EXPECT_FALSE(at);
+  EXPECT_TRUE(below);
+  EXPECT_DOUBLE_EQ(q.now(), std::nextafter(2.0, 0.0));
+}
+
+TEST(EventQueueTest, RunInlineRefusesOnceRunStepsBudgetIsSpent) {
+  EventQueue q;
+  const std::uint64_t seq = q.allocate_seqs(3);
+  std::vector<bool> answers;
+  q.schedule_at(1.0, [&] {
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      answers.push_back(q.run_inline(2.0 + static_cast<double>(i), seq + i));
+    }
+  });
+  q.schedule_at(9.0, [] {});
+  EXPECT_EQ(q.run_steps(3), 3u);  // the fired event and two inline ones
+  EXPECT_EQ(answers, (std::vector<bool>{true, true, false}));
+  EXPECT_EQ(q.pending_events(), 1u);
+  EXPECT_DOUBLE_EQ(q.now(), 3.0);
+
+  bool refused = false;
+  q.schedule_at(8.0, [&] { refused = !q.run_inline(8.5, q.allocate_seqs(1)); });
+  EXPECT_EQ(q.run_steps(1), 1u);
+  EXPECT_TRUE(refused);
+}
+
+TEST(EventQueueTest, RunInlineRefusesAfterStop) {
+  EventQueue q;
+  bool accepted = true;
+  q.schedule_at(1.0, [&] {
+    q.stop();
+    accepted = q.run_inline(1.5, q.allocate_seqs(1));
+  });
+  q.schedule_at(2.0, [] {});
+  EXPECT_EQ(q.run(), 1u);
+  EXPECT_FALSE(accepted);
+  EXPECT_DOUBLE_EQ(q.now(), 1.0);
+}
+
+TEST(EventQueueTest, RunInlineRefusesWhenTheBodyScheduledAnEarlierEvent) {
+  // The body's schedule takes the fired root's place: the root is live.
+  EventQueue q;
+  const std::uint64_t seq = q.allocate_seqs(2);
+  std::vector<bool> answers;
+  q.schedule_at(1.0, [&] {
+    q.schedule_at(1.5, [] {});
+    answers.push_back(q.run_inline(2.0, seq));
+    // Ties break by seq.
+    answers.push_back(q.run_inline(1.5, q.allocate_seqs(1)));
+    answers.push_back(q.run_inline(1.5, seq + 1));
+  });
+  EXPECT_EQ(q.run(), 3u);
+  EXPECT_EQ(answers, (std::vector<bool>{false, false, true}));
+}
+
+TEST(EventQueueTest, RunInlineRefusesWhenAnEventBelowTheFiredRootIsEarlier) {
+  // Nothing is scheduled by the body, so the fired event's entry is still
+  // the root and the pending events are its children.
+  EventQueue q;
+  const std::uint64_t early = q.allocate_seqs(1);
+  q.schedule_at(1.0, [] {});  // fires first
+  std::vector<bool> answers;
+  q.schedule_at(1.0, [&] {
+    const std::uint64_t late = q.allocate_seqs(1);
+    answers.push_back(q.run_inline(3.0, late));
+    answers.push_back(q.run_inline(2.0, late));  // ties the pending event
+    answers.push_back(q.run_inline(2.0, early));
+  });
+  for (int i = 0; i < 4; ++i) q.schedule_at(2.0 + i, [] {});
+  EXPECT_EQ(q.run_steps(3), 3u);  // both events at 1.0 and the inline one
+  EXPECT_EQ(answers, (std::vector<bool>{false, false, true}));
+  EXPECT_EQ(q.pending_events(), 4u);
+}
+
+TEST(EventQueueTest, RunInlineRefusesWhileTheQueueTracesSim) {
+  trace::VectorSink sink;
+  trace::Tracer tracer;
+  tracer.set_sink(&sink);
+  EventQueue q;
+  q.set_tracer(&tracer);
+  std::vector<bool> answers;
+  for (const trace::Category c : {trace::Category::kSim, trace::Category::kNet}) {
+    tracer.set_mask(static_cast<std::uint32_t>(c));
+    q.schedule_at(q.now() + 1.0, [&] {
+      answers.push_back(q.run_inline(q.now() + 1.0, q.allocate_seqs(1)));
+    });
+    q.run();
+  }
+  EXPECT_EQ(answers, (std::vector<bool>{false, true}));
+}
+
+TEST(EventQueueTest, RunInlineEventsCountLikeQueuedOnes) {
+  EventQueue q;
+  const std::uint64_t seq = q.allocate_seqs(4);
+  q.schedule_at(1.0, [&] {
+    for (std::uint64_t i = 0; i < 4; ++i) {
+      ASSERT_TRUE(q.run_inline(1.0 + static_cast<double>(i), seq + i));
+    }
+  });
+  q.schedule_at(10.0, [] {});
+  EXPECT_EQ(q.run_until(5.0), 5u);
+  EXPECT_EQ(q.executed_events(), 5u);
+  EXPECT_EQ(q.run_before(20.0), 1u);
+  EXPECT_EQ(q.executed_events(), 6u);
+}
+
+TEST(EventQueueTest, RunLoopsDoNotNest) {
+  EventQueue q;
+  q.schedule_at(1.0, [&] { q.run_steps(1); });
+  q.schedule_at(2.0, [] {});
+  EXPECT_THROW(q.run(), std::logic_error);
+  // The outer loop's bound went with it: the queue runs on.
+  EXPECT_FALSE(q.run_inline(3.0, q.allocate_seqs(1)));
+  EXPECT_EQ(q.run(), 1u);
+  EXPECT_DOUBLE_EQ(q.now(), 2.0);
+}
+
+TEST(EventQueueTest, CancelAtAnyHeapPositionKeepsTimeOrder) {
+  // A cancelled timer leaves the heap when it is cancelled, whatever its
+  // position: the last entry fills the hole and sifts up or down.
+  EventQueue q;
+  std::vector<EventHandle> handles;
+  std::vector<int> fired;
+  for (int i = 0; i < 64; ++i) {
+    const double t = static_cast<double>((i * 37) % 64);
+    handles.push_back(q.schedule_at(t, [&fired, i] { fired.push_back(i); }));
+  }
+  for (int i = 0; i < 64; i += 3) EXPECT_TRUE(handles[i].cancel());
+  std::vector<int> want;  // by time: 45 inverts 37 mod 64
+  for (int t = 0; t < 64; ++t) {
+    if ((t * 45) % 64 % 3 != 0) want.push_back((t * 45) % 64);
+  }
+  EXPECT_EQ(q.pending_events(), want.size());
+  EXPECT_EQ(q.run(), want.size());
+  EXPECT_EQ(fired, want);
+}
+
 // --- Root reuse against a reference queue ----------------------------------
 //
 // EventQueue fires an event without popping it: the entry stays at the heap
-// root as a tombstone, and the first event the body schedules is written
-// over it.  The reference keeps no heap: its pending events sit in an
+// root while the body runs, and the first event the body schedules is
+// written over it.  A cancelled event's entry leaves the heap wherever it
+// sits.  The reference keeps no heap: its pending events sit in an
 // ordered map by (when, seq), beside a mirror of the queue's LIFO slot
 // free list and per-slot generations, and it writes the `sim` trace records
 // the queue's contract promises.  Seeded scripts drive both through the
@@ -282,7 +458,20 @@ class ReferenceQueue {
   const std::vector<trace::Event>& trace() const { return trace_; }
   void stop() { stopped_ = true; }
 
+  std::uint64_t allocate_seqs(std::uint64_t n) {
+    const std::uint64_t first = next_seq_;
+    next_seq_ += n;
+    return first;
+  }
+  // The reference runs nothing inline: a chain step it refuses is queued,
+  // and its loop then pops the steps in (when, seq) order, which is what
+  // EventQueue::run_inline must reproduce without queueing them.
+  bool run_inline(Time, std::uint64_t) { return false; }
+
   Handle schedule_at(Time t, std::function<void()> fn) {
+    return schedule_at_seq(t, next_seq_++, std::move(fn));
+  }
+  Handle schedule_at_seq(Time t, std::uint64_t seq, std::function<void()> fn) {
     std::uint32_t slot;
     if (!free_.empty()) {
       slot = free_.back();
@@ -294,7 +483,7 @@ class ReferenceQueue {
       key_.emplace_back();
     }
     live_[slot] = true;
-    key_[slot] = {t, next_seq_++};
+    key_[slot] = {t, seq};
     pending_.emplace(key_[slot], Pending{slot, std::move(fn)});
     emit(trace::EventType::kSimSchedule, slot, t);
     return Handle(this, slot, generation_[slot]);
@@ -396,6 +585,10 @@ class ReferenceQueue {
 // Plays one seeded script on a queue of type Q.  Events are named by
 // schedule order, which is also their seq order, so the script knows the
 // (when, seq) order of what it has pending without asking the queue.
+// Beside single events it sends chains, as the network's multicasts do: a
+// block of seqs reserved up front, the items ordered by time with the
+// block's order on ties, and each step running the next one through
+// run_inline() or else queueing it.
 template <typename Q>
 class Script {
  public:
@@ -404,7 +597,7 @@ class Script {
   void play() {
     for (int i = 0; i < 16; ++i) schedule(later());
     for (int step = 0; step < 600; ++step) {
-      switch (draw(10)) {
+      switch (draw(12)) {
         case 0:
           for (std::uint64_t k = draw(3); k-- > 0;) schedule(pick_time());
           break;
@@ -440,6 +633,12 @@ class Script {
         case 8:
           if (draw(8) == 0) log(q_.run());
           break;
+        case 9:
+          start_chain();
+          break;
+        case 10:
+          cancel_any();
+          break;
         default:
           log(q_.next_event_time());
           break;
@@ -459,6 +658,7 @@ class Script {
 
   std::vector<int> fired;
   std::vector<double> values;
+  std::size_t inline_steps = 0;  // chain steps run_inline() admitted
 
  private:
   static constexpr Time kNever = std::numeric_limits<Time>::infinity();
@@ -515,6 +715,55 @@ class Script {
   void cancel_near_root() {
     if (!live_.empty()) cancel(nth_live(draw(3))->second);
   }
+  // Cancels any pending single event: its entry may sit anywhere.
+  void cancel_any() {
+    if (live_.empty()) return;
+    cancel(std::next(live_.begin(),
+                     static_cast<std::ptrdiff_t>(draw(live_.size())))
+               ->second);
+  }
+
+  struct Chain {
+    std::vector<std::pair<Time, std::uint64_t>> keys;  // (when, seq)
+    std::vector<int> ids;
+    std::size_t cursor = 0;
+  };
+  void start_chain() {
+    const std::uint64_t n = 1 + draw(8);
+    if (when_.size() + n > static_cast<std::size_t>(kMaxEvents)) return;
+    const std::uint64_t base = q_.allocate_seqs(n);
+    std::vector<std::pair<Time, std::uint64_t>> keys;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      keys.emplace_back(q_.now() + later(), base + n - 1 - i);
+    }
+    std::sort(keys.begin(), keys.end());
+    Chain& c = chains_.emplace_back();
+    for (const auto& key : keys) {
+      c.keys.push_back(key);
+      c.ids.push_back(static_cast<int>(when_.size()));
+      when_.push_back(key.first);
+      handles_.emplace_back();  // a chain step has no handle
+    }
+    queue_step(chains_.size() - 1);
+  }
+  void queue_step(std::size_t c) {
+    const auto [t, seq] = chains_[c].keys[chains_[c].cursor];
+    q_.schedule_at_seq(t, seq, [this, c] { step(c); });
+  }
+  // One queued chain step, and the ones after it that run inline.  A step
+  // may start chains, so chains_ is re-read after each.
+  void step(std::size_t c) {
+    for (;;) {
+      fire(chains_[c].ids[chains_[c].cursor++]);
+      if (chains_[c].cursor == chains_[c].keys.size()) return;
+      const auto [t, seq] = chains_[c].keys[chains_[c].cursor];
+      if (!q_.run_inline(t, seq)) {
+        queue_step(c);
+        return;
+      }
+      ++inline_steps;
+    }
+  }
 
   void fire(int id) {
     fired.push_back(id);
@@ -530,6 +779,8 @@ class Script {
       }
     }
     if (draw(5) == 0) cancel_near_root();
+    if (draw(7) == 0) cancel_any();
+    if (draw(6) == 0) start_chain();
     if (draw(9) == 0) log(handles_[id].pending() ? 1.0 : 0.0);
     if (draw(40) == 0) q_.stop();
   }
@@ -538,7 +789,8 @@ class Script {
   std::uint64_t state_;
   std::vector<Time> when_;
   std::vector<decltype(std::declval<Q&>().schedule_at(0.0, {}))> handles_;
-  std::set<std::pair<Time, int>> live_;
+  std::set<std::pair<Time, int>> live_;  // pending single events
+  std::vector<Chain> chains_;
 };
 
 TEST(EventQueueTest, RootReuseMatchesReferenceQueue) {
@@ -567,6 +819,34 @@ TEST(EventQueueTest, RootReuseMatchesReferenceQueue) {
     fired += got.fired.size();
   }
   EXPECT_GT(fired, 40000u);
+}
+
+// The same scripts on an untraced queue, where chain steps run inline
+// whenever run_inline() admits them.  The reference queues every step, so
+// an admitted step that was not the next event, or that lay past the
+// loop's bound, shows in the fire order, the clock, the event counts or
+// the pending count logged after every step.
+TEST(EventQueueTest, InlineChainsMatchReferenceQueue) {
+  std::size_t fired = 0;
+  std::size_t inline_steps = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    EventQueue q;
+    Script<EventQueue> got(q, seed);
+    got.play();
+
+    ReferenceQueue ref;
+    Script<ReferenceQueue> want(ref, seed);
+    want.play();
+
+    ASSERT_EQ(got.fired, want.fired);
+    ASSERT_EQ(got.values, want.values);
+    EXPECT_EQ(want.inline_steps, 0u);
+    fired += got.fired.size();
+    inline_steps += got.inline_steps;
+  }
+  EXPECT_GT(fired, 40000u);
+  EXPECT_GT(inline_steps, 2000u);
 }
 
 }  // namespace
