@@ -9,7 +9,8 @@
 // member count), so BENCH_workload.json is machine-independent and
 // scripts/check_bench.py gates the ``*_us`` recovery percentiles exactly:
 // any drift is a behavioral change in the protocol, not measurement noise.
-// The checker verdict doubles as the pass/fail exit code.
+// The verdicts of the checker and of the six Sec. III-B rules double as the
+// pass/fail exit code.
 #include <chrono>
 #include <iostream>
 
@@ -69,9 +70,12 @@ int main(int argc, char** argv) {
     json.set(prefix + "repairs", static_cast<double>(r.repairs));
     json.set(prefix + "scripted_drops",
              static_cast<double>(r.scripted_drops));
-    if (!r.passed) {
+    if (!r.checker.passed) {
       std::cout << name << " checker report:\n" << r.checker.summary()
                 << "\n";
+    }
+    if (!r.conformance.clean()) {
+      std::cout << name << " conformance: " << r.conformance.report() << "\n";
     }
   }
   table.print(std::cout);

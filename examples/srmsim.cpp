@@ -91,7 +91,8 @@ Flags (defaults in brackets):
   --workload      run a heavy-traffic workload instead of
                   the loss rounds: flash-crowd | conference
                   | diurnal | repair-storm, judged by the
-                  recovery-invariant checker
+                  recovery-invariant checker and the six
+                  Sec. III-B conformance rules
                   (ARCHITECTURE.md §13)                     [off]
   --transport     backend for --workload: sim (virtual
                   time) | udp (real multicast on loopback,
@@ -230,6 +231,9 @@ int run(const util::Flags& flags) {
     std::cout << "\nfingerprint 0x" << std::hex << r.fingerprint << std::dec
               << "\n"
               << r.checker.summary();
+    if (!r.conformance.clean()) {
+      std::cout << "\nconformance: " << r.conformance.report();
+    }
     return r.passed ? 0 : 1;
   }
 

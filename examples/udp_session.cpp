@@ -31,9 +31,10 @@ int main() {
   transport::UdpTransport alice_bus(options);
   transport::UdpTransport bob_bus(options);
 
-  // The cross-backend conformance configuration (transport/conformance.h):
-  // session messages off, estimated distances, decision points spaced far
-  // above the transports' poll granularity.
+  // The configuration of the cross-backend conformance scenarios
+  // (workload::conformance_specs): session messages off, estimated
+  // distances, decision points spaced far above the transports' poll
+  // granularity.
   SrmConfig config;
   config.timers.c1 = 2.0;
   config.timers.c2 = 0.0;

@@ -23,9 +23,9 @@
 //     position a real deployment is in;
 //   * a receive filter — scripted receive-side loss, one per backend
 //     object, consulted for every delivery to every endpoint it hosts just
-//     before the sink would see the packet.  The conformance harness and
-//     the workload suite install one transport::DropScript this way to
-//     inject the same loss pattern under sim and UDP.
+//     before the sink would see the packet.  The workload runner
+//     (src/workload/workload.h) installs one transport::DropScript this
+//     way to inject the same loss pattern under sim and UDP.
 #pragma once
 
 #include <cstdint>

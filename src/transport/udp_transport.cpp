@@ -219,6 +219,7 @@ void UdpTransport::release_membership(net::GroupId group, GroupState& state) {
 // ---------------------------------------------------------------------------
 
 void UdpTransport::multicast(net::NodeId from, net::Packet packet) {
+  check_thread();
   packet.source = from;
   if (!encode_frame(packet, send_buf_)) {
     ++stats_.send_errors;
@@ -294,7 +295,15 @@ double UdpTransport::elapsed() const {
       .count();
 }
 
+void UdpTransport::check_thread() const {
+  if (std::this_thread::get_id() != owner_) {
+    throw std::logic_error(
+        "UdpTransport: used from a thread other than its constructor's");
+  }
+}
+
 void UdpTransport::poll_once(double max_wait) {
+  check_thread();
   // Fire everything already due; run_until also advances now() so newly
   // scheduled relative timers are anchored at wall time.
   queue_.run_until(elapsed());
@@ -315,6 +324,7 @@ void UdpTransport::poll_once(double max_wait) {
 }
 
 void UdpTransport::run_for(double wall_seconds) {
+  check_thread();
   const auto deadline =
       epoch_ + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                    std::chrono::duration<double>(elapsed() + wall_seconds));

@@ -29,12 +29,17 @@
 // topology_version() is constant 0, so agents fall back to session-message
 // estimation or config.default_distance — the same information a real
 // deployment has.
+//
+// One thread: the socket, the queue and every attached agent belong to the
+// thread that constructed the transport.  poll_once (and so run_for and
+// run_until_idle) and multicast throw std::logic_error on any other thread.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -127,6 +132,7 @@ class UdpTransport final : public Transport {
     bool membership_acquired = false;  // IP_ADD_MEMBERSHIP held
   };
 
+  void check_thread() const;
   void acquire_membership(net::GroupId group, GroupState& state);
   void release_membership(net::GroupId group, GroupState& state);
   void deliver(const std::uint8_t* data, std::size_t len);
@@ -137,6 +143,7 @@ class UdpTransport final : public Transport {
   std::uint16_t port_ = 0;
   std::uint32_t interface_ip_ = 0;  // network byte order
   std::chrono::steady_clock::time_point epoch_;
+  std::thread::id owner_ = std::this_thread::get_id();
 
   sim::EventQueue queue_;
   std::unordered_map<net::NodeId, net::PacketSink*> sinks_;

@@ -3,19 +3,20 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <initializer_list>
 #include <memory>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
-#include "harness/session.h"
+#include "net/network.h"
 #include "net/packet.h"
 #include "sim/event_queue.h"
 #include "srm/agent.h"
 #include "srm/messages.h"
 #include "topo/builders.h"
-#include "trace/timeline.h"
 #include "trace/trace.h"
 #include "transport/drop_script.h"
 #include "transport/udp_transport.h"
@@ -40,116 +41,9 @@ SrmConfig base_config() {
   return config;
 }
 
-// What a backend must provide for the action interpreter: the Transport
-// its members speak through, member lookup/churn by ordinal, and a
-// run-to-horizon loop.
-class Host {
- public:
-  virtual ~Host() = default;
-  virtual transport::Transport& backend() = 0;
-  virtual SrmAgent* find(std::uint32_t ordinal) = 0;
-  virtual void join(std::uint32_t ordinal) = 0;
-  virtual void part(std::uint32_t ordinal, bool graceful) = 0;
-  virtual net::NodeId node_of(std::uint32_t ordinal) const = 0;
-  // The SRM Source-ID the backend assigned the ordinal (node id on both
-  // backends, but sim node ids are not ordinals — star leaves start at 1).
-  virtual SourceId source_of(std::uint32_t ordinal) const = 0;
-  virtual void run(double until) = 0;
-};
-
-class SimHost final : public Host {
- public:
-  SimHost(const WorkloadSpec& spec, trace::Tracer* tracer)
-      : star_(topo::make_star(spec.peak_members, 0.01)) {
-    harness::SimSession::Options options;
-    options.srm = spec.config;
-    options.seed = spec.seed;
-    options.group = kGroup;
-    std::vector<net::NodeId> initial;
-    for (std::size_t i = 0; i < spec.initial_members; ++i) {
-      initial.push_back(star_.leaves[i]);
-    }
-    session_ = std::make_unique<harness::SimSession>(star_.topo, initial,
-                                                     options);
-    session_->set_tracer(tracer);
-  }
-
-  transport::Transport& backend() override { return session_->network(); }
-
-  SrmAgent* find(std::uint32_t ordinal) override {
-    const net::NodeId node = node_of(ordinal);
-    return session_->has_member(node) ? &session_->agent_at(node) : nullptr;
-  }
-
-  void join(std::uint32_t ordinal) override {
-    session_->add_member(node_of(ordinal));
-  }
-
-  void part(std::uint32_t ordinal, bool graceful) override {
-    session_->remove_member(node_of(ordinal), graceful);
-  }
-
-  net::NodeId node_of(std::uint32_t ordinal) const override {
-    return star_.leaves.at(ordinal);
-  }
-
-  SourceId source_of(std::uint32_t ordinal) const override {
-    return star_.leaves.at(ordinal);  // SimSession: Source-ID == node id
-  }
-
-  void run(double until) override { session_->run_until(until); }
-
- private:
-  topo::Star star_;
-  std::unique_ptr<harness::SimSession> session_;
-};
-
-class UdpHost final : public Host {
- public:
-  UdpHost(const WorkloadSpec& spec, trace::Tracer* tracer)
-      : spec_(spec), tracer_(tracer) {
-    agents_.resize(spec.peak_members);
-    for (std::uint32_t i = 0; i < spec.initial_members; ++i) join(i);
-  }
-
-  transport::Transport& backend() override { return transport_; }
-
-  SrmAgent* find(std::uint32_t ordinal) override {
-    return agents_.at(ordinal).get();
-  }
-
-  void join(std::uint32_t ordinal) override {
-    auto agent = std::make_unique<SrmAgent>(
-        transport_, directory_, /*node=*/ordinal, /*id=*/ordinal, kGroup,
-        spec_.config, util::Rng(spec_.seed * 1000 + ordinal));
-    agent->set_tracer(tracer_);
-    agent->start();
-    agents_.at(ordinal) = std::move(agent);
-  }
-
-  void part(std::uint32_t ordinal, bool graceful) override {
-    // Graceful vs. crash is indistinguishable at this backend's transport
-    // (no departure announcement without session messages); both detach.
-    (void)graceful;
-    agents_.at(ordinal).reset();
-  }
-
-  net::NodeId node_of(std::uint32_t ordinal) const override { return ordinal; }
-
-  SourceId source_of(std::uint32_t ordinal) const override { return ordinal; }
-
-  void run(double until) override {
-    const double remaining = until - transport_.elapsed();
-    if (remaining > 0) transport_.run_for(remaining);
-  }
-
- private:
-  const WorkloadSpec& spec_;
-  trace::Tracer* tracer_;
-  transport::UdpTransport transport_;
-  MemberDirectory directory_;
-  std::vector<std::unique_ptr<SrmAgent>> agents_;
-};
+// Member ordinal i is node i+1 and Source-ID i+1 on both backends: leaf i
+// of topo::make_star.
+net::NodeId node_of(std::uint32_t ordinal) { return ordinal + 1; }
 
 std::uint64_t fnv1a64(const std::string& s) {
   std::uint64_t h = 1469598103934665603ull;
@@ -169,18 +63,36 @@ double percentile(const std::vector<double>& sorted, double p) {
   return sorted[idx];
 }
 
-// kDropOnce actions arm `script`, installed as the backend's receive
-// filter; its rules name receiving nodes, so arming resolves ordinals.
-WorkloadResult execute(const WorkloadSpec& spec, Host& host,
-                       transport::DropScript& script,
-                       trace::VectorSink& sink) {
+// The one runner: members live on `backend` by ordinal, run_until(t)
+// drives the backend to its time t, and kDropOnce actions arm one
+// DropScript installed as the backend's receive filter.
+WorkloadResult execute(const WorkloadSpec& spec, transport::Transport& backend,
+                       const std::function<void(double)>& run_until) {
+  trace::VectorSink sink;
+  trace::Tracer tracer;
+  tracer.set_sink(&sink);
+  tracer.set_mask(static_cast<std::uint32_t>(trace::Category::kSrm));
+  transport::DropScript script;
+  MemberDirectory directory;
+  util::Rng rng(spec.seed);
+  std::vector<std::unique_ptr<SrmAgent>> members(spec.peak_members);
+  const auto join = [&](std::uint32_t ordinal) {
+    auto agent = std::make_unique<SrmAgent>(
+        backend, directory, node_of(ordinal),
+        static_cast<SourceId>(node_of(ordinal)), kGroup, spec.config,
+        rng.fork());
+    agent->set_tracer(&tracer);
+    agent->start();
+    members.at(ordinal) = std::move(agent);
+  };
+  for (std::uint32_t i = 0; i < spec.initial_members; ++i) join(i);
+
   WorkloadResult result;
-  host.backend().set_receive_filter(script.filter());
+  backend.set_receive_filter(script.filter());
   for (const Action& action : spec.actions) {
-    host.backend().queue().schedule_at(action.at, [&host, &script, &result,
-                                                   action] {
+    backend.queue().schedule_at(action.at, [&, action] {
       ++result.actions_executed;
-      SrmAgent* agent = host.find(action.member);
+      std::unique_ptr<SrmAgent>& agent = members.at(action.member);
       switch (action.kind) {
         case Action::Kind::kSend:
           if (agent) {
@@ -192,25 +104,28 @@ WorkloadResult execute(const WorkloadSpec& spec, Host& host,
           break;
         case Action::Kind::kJoin:
           if (!agent) {
-            host.join(action.member);
+            join(action.member);
             ++result.joins;
           }
           break;
         case Action::Kind::kLeave:
         case Action::Kind::kCrash:
           if (agent) {
-            host.part(action.member, action.kind == Action::Kind::kLeave);
+            if (action.kind == Action::Kind::kLeave) {
+              agent->send_session_message();
+            }
+            agent.reset();  // stops: leaves, cancels timers, detaches
             ++result.departures;
           }
           break;
         case Action::Kind::kDropOnce: {
           // Generators speak member ordinals; the script matches wire-level
-          // Source-IDs, so translate here where the backend is known.
+          // Source-IDs.
           SourceId source = action.drop_source;
           if (source != kInvalidSource) {
-            source = host.source_of(static_cast<std::uint32_t>(source));
+            source = node_of(static_cast<std::uint32_t>(source));
           }
-          script.arm(host.node_of(action.member), action.drop_kind,
+          script.arm(node_of(action.member), action.drop_kind,
                      action.drop_seq, action.drop_count, source);
           break;
         }
@@ -220,12 +135,16 @@ WorkloadResult execute(const WorkloadSpec& spec, Host& host,
       }
     });
   }
-  host.run(spec.duration);
+  run_until(spec.duration);
+  backend.set_receive_filter(nullptr);
 
   const std::vector<trace::Event>& events = sink.events();
   fault::RecoveryInvariantChecker checker(spec.checker);
   result.checker = checker.check(events, /*windows=*/{}, spec.duration);
-  result.passed = result.checker.passed;
+  const double distance = spec.config.default_distance;
+  result.conformance = fault::check_conformance(
+      events, [distance](std::uint64_t, std::uint64_t) { return distance; });
+  result.passed = result.checker.passed && result.conformance.clean();
   result.scripted_drops = script.fired();
 
   const auto timeline = trace::RecoveryTimeline::fold(events);
@@ -247,6 +166,8 @@ WorkloadResult execute(const WorkloadSpec& spec, Host& host,
          << " departures=" << result.departures
          << " drops=" << result.scripted_drops;
   result.fingerprint = fnv1a64(digest.str());
+  result.stories = timeline.stories();
+  std::ranges::sort(result.stories, {}, &trace::RecoveryStory::adu);
 
   std::vector<double> latencies = result.checker.recovery_latencies;
   std::sort(latencies.begin(), latencies.end());
@@ -254,20 +175,6 @@ WorkloadResult execute(const WorkloadSpec& spec, Host& host,
   result.recovery_p99 = percentile(latencies, 0.99);
   result.recovery_max = latencies.empty() ? 0.0 : latencies.back();
   return result;
-}
-
-WorkloadResult run_spec(const WorkloadSpec& spec, bool udp) {
-  trace::VectorSink sink;
-  trace::Tracer tracer;
-  tracer.set_sink(&sink);
-  tracer.set_mask(static_cast<std::uint32_t>(trace::Category::kSrm));
-  transport::DropScript script;  // outlives the host whose filter it is
-  if (udp) {
-    UdpHost host(spec, &tracer);
-    return execute(spec, host, script, sink);
-  }
-  SimHost host(spec, &tracer);
-  return execute(spec, host, script, sink);
 }
 
 util::Rng generator_rng(std::uint64_t seed, std::uint64_t salt) {
@@ -301,6 +208,37 @@ Action drop_action(double send_at, std::uint32_t member, SourceId source,
   a.drop_source = source;
   a.drop_count = 1;
   return a;
+}
+
+// The scripted-loss scenarios.  Member 0 sends ADUs seq 0 and 1 on one
+// page, 0.12 s apart from 0.25 s, and the run settles for 2 s.  Each drop
+// eats the first message of a kind (1=DATA, 2=REQUEST, 3=REPAIR) naming
+// seq 0 at a member.  C2 = 0 keeps the request side deterministic; D2 > 0
+// gives two holders a randomized repair window.  Decision points stay tens
+// of milliseconds apart, far above the UDP backend's ~2 ms jitter.
+WorkloadSpec scripted_loss(
+    std::string name, std::size_t members, std::uint64_t seed, double d2,
+    std::initializer_list<std::pair<std::uint32_t, std::uint32_t>> drops) {
+  WorkloadSpec spec;
+  spec.name = std::move(name);
+  spec.initial_members = members;
+  spec.peak_members = members;
+  spec.seed = seed;
+  spec.config = base_config();
+  spec.config.timers.c2 = 0.0;
+  spec.config.timers.d2 = d2;
+  spec.config.backoff_factor = 3.0;
+  for (const auto& [member, kind] : drops) {
+    Action drop;
+    drop.kind = Action::Kind::kDropOnce;
+    drop.member = member;
+    drop.drop_kind = kind;
+    spec.actions.push_back(drop);
+  }
+  spec.actions.push_back(send_action(0.25, /*member=*/0, kPage));
+  spec.actions.push_back(send_action(0.37, /*member=*/0, kPage));
+  spec.duration = 2.49;
+  return spec;
 }
 
 }  // namespace
@@ -499,16 +437,76 @@ WorkloadSpec make_workload(const std::string& name, std::size_t members,
   throw std::invalid_argument("unknown workload: " + name);
 }
 
+std::vector<WorkloadSpec> conformance_specs() {
+  return {
+      // Member 1 misses DATA seq 0: one request, one repair.
+      scripted_loss("clean-loss", 2, 7, 0.0, {{1, 1}}),
+      // The source misses the first REQUEST too: the requestor's timer
+      // backs off, refires, and the second request is answered.
+      scripted_loss("lost-request", 2, 11, 0.0, {{1, 1}, {0, 2}}),
+      // Member 1 misses the first REPAIR too: the re-request arrives after
+      // the source's hold-down and draws a second repair.
+      scripted_loss("lost-repair", 2, 13, 0.0, {{1, 1}, {1, 3}}),
+      // Only member 1 misses DATA seq 0, so two holders race to answer; the
+      // later timer is suppressed by the earlier holder's repair.  Seed 5
+      // draws repair delays 29.8 ms apart, more than a repair takes leaf to
+      // leaf.
+      scripted_loss("repair-suppression", 3, 5, 1.0, {{1, 1}}),
+  };
+}
+
 // ---------------------------------------------------------------------------
 // Runners
 // ---------------------------------------------------------------------------
 
 WorkloadResult run_workload_sim(const WorkloadSpec& spec) {
-  return run_spec(spec, /*udp=*/false);
+  const topo::Star star = topo::make_star(spec.peak_members, kStarLinkDelay);
+  sim::EventQueue queue;
+  net::MulticastNetwork network(queue, star.topo);
+  return execute(spec, network, [&queue](double t) { queue.run_until(t); });
 }
 
 WorkloadResult run_workload_udp(const WorkloadSpec& spec) {
-  return run_spec(spec, /*udp=*/true);
+  transport::UdpTransport transport;
+  return execute(spec, transport, [&transport](double t) {
+    const double remaining = t - transport.elapsed();
+    if (remaining > 0) transport.run_for(remaining);
+  });
+}
+
+std::string diff_runs(const WorkloadResult& a, const WorkloadResult& b) {
+  std::ostringstream os;
+  if (a.stories.size() != b.stories.size()) {
+    os << "story count differs: a=" << a.stories.size()
+       << " b=" << b.stories.size();
+    return os.str();
+  }
+  for (std::size_t i = 0; i < a.stories.size(); ++i) {
+    const std::string sa = a.stories[i].timing_free();
+    const std::string sb = b.stories[i].timing_free();
+    if (sa != sb) {
+      os << "story " << i << " differs:\n  a: " << sa << "\n  b: " << sb;
+      return os.str();
+    }
+  }
+  if (a.scripted_drops != b.scripted_drops) {
+    os << "scripted drop count differs: a=" << a.scripted_drops
+       << " b=" << b.scripted_drops;
+    return os.str();
+  }
+  const fault::Conformance& ca = a.conformance;
+  const fault::Conformance& cb = b.conformance;
+  if (ca.data_seen != cb.data_seen || ca.requests_seen != cb.requests_seen ||
+      ca.repairs_seen != cb.repairs_seen ||
+      ca.violations.size() != cb.violations.size()) {
+    os << "conformance counts differ (data/requests/repairs/violations): a="
+       << ca.data_seen << "/" << ca.requests_seen << "/" << ca.repairs_seen
+       << "/" << ca.violations.size() << " b=" << cb.data_seen << "/"
+       << cb.requests_seen << "/" << cb.repairs_seen << "/"
+       << cb.violations.size();
+    return os.str();
+  }
+  return "";
 }
 
 }  // namespace srm::workload

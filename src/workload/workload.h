@@ -1,14 +1,14 @@
-// Heavy-traffic workload suite (ARCHITECTURE.md §13): deterministic,
-// seeded scripts that drive an SRM session far outside the paper's figure
-// scenarios, runnable over either Transport backend and judged by the
-// fault-layer RecoveryInvariantChecker.
+// Scripted sessions on either Transport backend (ARCHITECTURE.md §13):
+// deterministic, seeded scripts that drive an SRM session, judged by the
+// fault layer's two folds, the RecoveryInvariantChecker and the six
+// Sec. III-B conformance rules.
 //
 // A workload is a WorkloadSpec: a protocol config plus a time-sorted list
 // of scripted Actions (sends, joins, leaves/crashes, receive-side drops,
 // page-state probes) generated up front from (members, seed) — the same
 // FaultPlan philosophy: all randomness is spent at generation time, so a
 // run is a pure function of the spec and the backend clock.  Four
-// generators ship:
+// heavy-traffic generators ship, far outside the paper's figure scenarios:
 //
 //   flash-crowd    a small core session accumulates page history, then a
 //                  crowd of late-joiners arrives within ~a second and hits
@@ -23,11 +23,20 @@
 //                  repair suppression machinery must keep the storm under
 //                  the checker's sliding-window budget
 //
-// run_workload_sim executes a spec on a harness::SimSession (virtual time,
-// deterministic); run_workload_udp executes the same spec over one
-// UdpTransport bus on loopback (wall time).  Both fold the srm trace into
-// the checker and a trace::RecoveryTimeline for the result's counters,
-// latency percentiles and determinism fingerprint.
+// and conformance_specs() holds four small scripted-loss scenarios whose
+// per-loss recovery stories must match across the backends.
+//
+// One runner executes a spec over a transport::Transport.  Member i is node
+// i+1 and Source-ID i+1 on both backends, which is leaf i of the
+// simulator's star; it is built when it joins, from the next fork() of
+// util::Rng(spec.seed), so a spec's members draw the same timers on either
+// backend.  A graceful leave sends one session message first.
+// run_workload_sim hands the runner a net::MulticastNetwork over
+// topo::make_star(peak_members, kStarLinkDelay) (virtual time,
+// deterministic); run_workload_udp hands it one UdpTransport bus on
+// loopback (wall time).  The runner folds the srm trace into both checks
+// and a trace::RecoveryTimeline for the result's stories, counters, latency
+// percentiles and determinism fingerprint.
 #pragma once
 
 #include <cstdint>
@@ -35,10 +44,15 @@
 #include <vector>
 
 #include "fault/checker.h"
+#include "fault/conformance.h"
 #include "srm/config.h"
 #include "srm/names.h"
+#include "trace/timeline.h"
 
 namespace srm::workload {
+
+// One-way delay of every link of the simulator backend's star.
+inline constexpr double kStarLinkDelay = 0.01;
 
 struct Action {
   enum class Kind : std::uint8_t {
@@ -92,9 +106,18 @@ std::vector<std::string> workload_names();
 WorkloadSpec make_workload(const std::string& name, std::size_t members,
                            std::uint64_t seed);
 
+// The scripted-loss scenarios the cross-backend check compares: a clean
+// single loss ("clean-loss"), a lost first request ("lost-request"), a lost
+// first repair ("lost-repair") and a repair-suppression race between two
+// holders ("repair-suppression").  Not among workload_names().
+std::vector<WorkloadSpec> conformance_specs();
+
 struct WorkloadResult {
   fault::CheckerReport checker;
-  bool passed = false;              // checker verdict
+  // The six Sec. III-B rules, hold-down judged at config.default_distance,
+  // the distance every member uses on either backend.
+  fault::Conformance conformance;
+  bool passed = false;              // the checker passed and the fold is clean
 
   std::size_t actions_executed = 0;
   std::size_t data_sent = 0;
@@ -114,6 +137,8 @@ struct WorkloadResult {
   double recovery_p99 = 0.0;
   double recovery_max = 0.0;
 
+  std::vector<trace::RecoveryStory> stories;  // sorted by ADU
+
   // Deterministic digest of the folded timeline + counters: two sim runs
   // of the same spec produce the same fingerprint.
   std::uint64_t fingerprint = 0;
@@ -126,5 +151,10 @@ WorkloadResult run_workload_sim(const WorkloadSpec& spec);
 // duration.  Throws transport::TransportError when multicast is
 // unavailable; gate with transport::UdpTransport::available().
 WorkloadResult run_workload_udp(const WorkloadSpec& spec);
+
+// Empty when two runs of one spec agree story for story (by
+// RecoveryStory::timing_free), in scripted drops and in the fold's counts;
+// otherwise a readable description of the first difference.
+std::string diff_runs(const WorkloadResult& a, const WorkloadResult& b);
 
 }  // namespace srm::workload

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <exception>
 #include <memory>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "net/packet.h"
@@ -140,6 +143,23 @@ TEST(UdpTransport, NoOracle) {
   EXPECT_TRUE(transport.try_distance(0, 1) ==
               std::numeric_limits<double>::infinity());
   EXPECT_EQ(transport.topology_version(), 0u);
+}
+
+TEST(UdpTransportTest, RefusesASecondThread) {
+  REQUIRE_UDP();
+  UdpTransport transport(test_options(7));
+  std::exception_ptr error;
+  std::thread other([&] {
+    try {
+      transport.run_for(0.01);
+    } catch (...) {
+      error = std::current_exception();
+    }
+  });
+  other.join();
+  ASSERT_TRUE(error) << "run_for ran on a second thread";
+  EXPECT_THROW(std::rethrow_exception(error), std::logic_error);
+  transport.run_for(0.01);  // the constructing thread still drives it
 }
 
 TEST(UdpTransport, RejectsBadOptions) {

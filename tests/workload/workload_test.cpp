@@ -1,6 +1,7 @@
 // Workload suite: every generator is deterministic from its seed, every
-// workload passes the recovery invariant checker under the sim backend, and
-// the scripts actually exercise what their names promise.
+// workload passes the recovery invariant checker and the six Sec. III-B
+// rules under the sim backend, and the scripts actually exercise what their
+// names promise.
 #include "workload/workload.h"
 
 #include <gtest/gtest.h>
@@ -78,6 +79,7 @@ TEST_P(WorkloadSim, PassesCheckerAndIsDeterministic) {
                                           /*seed=*/42);
   const WorkloadResult a = run_workload_sim(spec);
   EXPECT_TRUE(a.passed) << a.checker.summary();
+  EXPECT_TRUE(a.conformance.clean()) << a.conformance.report();
   EXPECT_GT(a.data_sent, 0u);
   EXPECT_GT(a.losses, 0u) << "workload produced no recovery work";
   EXPECT_GT(a.recoveries, 0u);
