@@ -46,18 +46,11 @@ struct TrialSpec {
   harness::DirectedLink congested;
   SrmConfig config;
   std::uint64_t seed = 1;
-  // Per-session parallel-kernel knobs (0 = sequential kernel).  Region count
-  // must stay a function of the topology, so set kernel_regions explicitly
-  // when comparing runs across kernel_threads values.
-  unsigned kernel_threads = 0;
-  std::uint32_t kernel_regions = 0;
 };
 
 inline harness::RoundResult run_trial(TrialSpec spec) {
-  harness::SimSession::Options opts{spec.config, spec.seed, /*group=*/1};
-  opts.kernel_threads = spec.kernel_threads;
-  opts.kernel_regions = spec.kernel_regions;
-  harness::SimSession session(std::move(spec.topo), spec.members, opts);
+  harness::SimSession session(std::move(spec.topo), spec.members,
+                              {spec.config, spec.seed, /*group=*/1});
   harness::RoundSpec round;
   round.source_node = spec.source;
   round.congested = spec.congested;
@@ -116,24 +109,6 @@ inline void print_header(const std::string& title, std::uint64_t seed,
 inline unsigned flag_threads(const util::Flags& flags) {
   const long long n = flags.get_int("threads", 0);
   return n > 0 ? static_cast<unsigned>(n) : 0u;  // <=0 = hardware concurrency
-}
-
-// --threads and --kernel-threads together, capped so the product never
-// oversubscribes the machine (harness::plan_thread_budget; replication
-// parallelism yields first).  Benches that run parallel-kernel sessions
-// should size their ReplicationRunner from .replication_threads and their
-// SimSession::Options::kernel_threads from .kernel_threads.
-inline harness::ThreadBudget flag_thread_budget(const util::Flags& flags) {
-  const long long k = flags.get_int("kernel-threads", 0);
-  const harness::ThreadBudget budget = harness::plan_thread_budget(
-      flag_threads(flags), k > 0 ? static_cast<unsigned>(k) : 0u);
-  if (budget.reduced) {
-    std::cout << "[threads] capped to " << budget.replication_threads
-              << " replication x " << std::max(1u, budget.kernel_threads)
-              << " kernel (hardware concurrency "
-              << harness::default_thread_count() << ")\n";
-  }
-  return budget;
 }
 
 // Runs one batch of independently-seeded trials across the replication

@@ -240,14 +240,9 @@ int run(const util::Flags& flags) {
   const std::string faults_path = flags.get_string("faults", "");
   scenario.fault_deadline = flags.get_double("fault-deadline", 100.0);
   const long long kernel_threads_flag = flags.get_int("kernel-threads", 0);
-  // srmsim runs one session, so the whole hardware budget belongs to the
-  // kernel side (replication = 1); plan_thread_budget caps oversubscription.
-  const unsigned kernel_threads =
-      harness::plan_thread_budget(
-          /*requested_replication=*/1,
-          kernel_threads_flag > 0 ? static_cast<unsigned>(kernel_threads_flag)
-                                  : 0u)
-          .kernel_threads;
+  const unsigned kernel_threads = harness::cap_kernel_threads(
+      kernel_threads_flag > 0 ? static_cast<unsigned>(kernel_threads_flag)
+                              : 0u);
   scenario.kernel_regions =
       static_cast<std::uint32_t>(flags.get_int("kernel-regions", 0));
   const bool pdes_verify = flags.get_bool("pdes-verify", false);

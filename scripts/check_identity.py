@@ -4,6 +4,8 @@ output that differs.
 
 Usage: scripts/check_identity.py [--quick] [--out DIR] PARENT_BUILD CHANGE_BUILD
        scripts/check_identity.py --perfbench PARENT_EXE CHANGE_EXE
+       scripts/check_identity.py --write-manifest PATH [--out DIR] BUILD
+       scripts/check_identity.py --check-manifest PATH [--out DIR] BUILD
 
 PARENT_BUILD and CHANGE_BUILD are CMake build directories of this
 repository (each holding examples/srmsim and bench/*).  Every command of the
@@ -33,6 +35,19 @@ do not vary from run to run.
 OUT defaults to a fresh temporary directory, removed when every output
 matches.
 
+--write-manifest runs the full checklist once with BUILD and writes PATH:
+each command's text with one SHA-256 digest per output (stdout, exit
+status and each trace file).  --check-manifest runs the checklist with
+BUILD and fails naming the first output whose digest differs from PATH's,
+so a build is checked against the recorded outputs without a parent
+build.  srmsim caps --kernel-threads at the host's cores and prints the
+capped count, so a command asking for more kernel workers than the host
+has is skipped on both sides (its entry then holds no digests); the
+digests of every command that runs are compared in full.  The digests
+pin the compiler and its standard library, as the golden BENCH files do.
+A change that alters outputs on purpose rewrites the manifest from its
+own build and names every changed entry.
+
 --perfbench compares the benchmark's simulated outcome instead: PARENT_EXE
 and CHANGE_EXE are two srm_perfbench programs (built by perfbench/run.py
 under .bench_build/perfbench/).  Each runs the four workloads traced at
@@ -50,6 +65,7 @@ program.
 import argparse
 import concurrent.futures
 import filecmp
+import hashlib
 import json
 import os
 import re
@@ -169,13 +185,28 @@ def checklist(quick, ci_text):
     return commands
 
 
+def command_text(name, args):
+    return " ".join([name, *args])
+
+
+def min_cores(args):
+    """Cores the host needs for the command to print what it prints
+    everywhere: srmsim runs at most one kernel worker per core and prints
+    the count it ran."""
+    return max([int(a.split("=", 1)[1]) for a in args
+                if a.startswith("--kernel-threads=")], default=1)
+
+
 def run_one(build, name, args, plans_dir, cwd):
     os.makedirs(cwd)
     argv = [program(build, name)]
     for a in args:
         if PLAN in a:
+            # Relative to the command's directory, so no output can carry
+            # the temporary directory's name.
             head, plan = a.split(PLAN, 1)
-            a = head + os.path.join(plans_dir, plan + ".txt")
+            a = head + os.path.relpath(
+                os.path.join(plans_dir, plan + ".txt"), cwd)
         argv.append(a)
     with open(os.path.join(cwd, "stdout.txt"), "wb") as out:
         try:
@@ -186,6 +217,57 @@ def run_one(build, name, args, plans_dir, cwd):
             status = "timeout"
     with open(os.path.join(cwd, "status.txt"), "w") as f:
         f.write(f"{status}\n")
+
+
+def run_commands(sides, commands, plans, out):
+    """Runs each of `commands` once per build of `sides` (name -> build
+    directory) from its own directory out/SIDE/NN-NAME; None runs a command
+    on no side.  Returns an error message for the first command that did
+    not exit 0, or None."""
+    for side in sides:
+        shutil.rmtree(os.path.join(out, side), ignore_errors=True)
+    plans_dir = os.path.join(out, "plans")
+    os.makedirs(plans_dir, exist_ok=True)
+    for plan, body in plans.items():
+        with open(os.path.join(plans_dir, plan + ".txt"), "w") as f:
+            f.write(body)
+
+    jobs = []
+    with concurrent.futures.ThreadPoolExecutor(
+            max_workers=max(1, min(4, os.cpu_count() or 1))) as pool:
+        for i, command in enumerate(commands):
+            if command is None:
+                continue
+            name, args = command
+            for side, build in sides.items():
+                cwd = os.path.join(out, side, f"{i:02d}-{name}")
+                jobs.append(pool.submit(run_one, build, name, args, plans_dir,
+                                        cwd))
+        for job in jobs:
+            job.result()
+
+    # A command that fails on both sides would match vacuously.
+    for side in sides:
+        for i, command in enumerate(commands):
+            if command is None:
+                continue
+            name, args = command
+            cwd = os.path.join(out, side, f"{i:02d}-{name}")
+            with open(os.path.join(cwd, "status.txt")) as f:
+                status = f.read().strip()
+            if status != "0":
+                return (f"{cwd} exited with status {status}; command: "
+                        f"{command_text(name, args)}")
+    return None
+
+
+def digests(cwd):
+    """SHA-256 of every file a command left in its directory, by name."""
+    out = {}
+    for name in sorted(os.listdir(cwd)):
+        with open(os.path.join(cwd, name), "rb") as f:
+            out[name] = hashlib.sha256(f.read()).hexdigest()
+    return out
 
 
 def first_difference(a, b, rel=""):
@@ -260,73 +342,127 @@ def check_perfbench(parent_exe, change_exe):
     return 0
 
 
+def check_programs(builds, commands, plans):
+    """A usage error message, or None when every plan and program exists."""
+    for name, args in commands:
+        for a in args:
+            if PLAN in a and a.split(PLAN, 1)[1] not in plans:
+                return f"ci.yml writes no plan for {a}"
+        for build in builds:
+            if not os.access(program(build, name), os.X_OK):
+                return f"no program {program(build, name)}"
+    return None
+
+
+def manifest(path, build, commands, plans, out, write):
+    """--write-manifest (write=True) and --check-manifest."""
+    cores = os.cpu_count() or 1
+    if write:
+        entries = [{"command": command_text(name, args),
+                    "min_cores": min_cores(args)}
+                   for name, args in commands]
+    else:
+        with open(path) as f:
+            entries = json.load(f)["commands"]
+        texts = [command_text(name, args) for name, args in commands]
+        recorded = [e["command"] for e in entries]
+        if recorded != texts:
+            i = next((i for i, (a, b) in enumerate(zip(texts, recorded))
+                      if a != b), min(len(texts), len(recorded)))
+            at = lambda seq: seq[i] if i < len(seq) else None
+            print(f"check_identity: FAIL: checklist command {i} is "
+                  f"{at(texts)!r}, {path} records {at(recorded)!r}",
+                  file=sys.stderr)
+            return 1
+    # An entry without digests was written on a host with too few cores.
+    runs = [c if e["min_cores"] <= cores and (write or e["outputs"] is not None)
+            else None for c, e in zip(commands, entries)]
+    error = run_commands({"build": build}, runs, plans, out)
+    if error is not None:
+        print(f"check_identity: FAIL: {error}", file=sys.stderr)
+        return 1
+    skipped = 0
+    for i, (command, entry) in enumerate(zip(runs, entries)):
+        if command is None:
+            skipped += 1
+            if write:
+                entry["outputs"] = None
+            continue
+        cwd = os.path.join(out, "build", f"{i:02d}-{command[0]}")
+        got = digests(cwd)
+        if write:
+            entry["outputs"] = got
+            continue
+        want = entry["outputs"]
+        for name in sorted(set(got) | set(want)):
+            if got.get(name) != want.get(name):
+                print(f"check_identity: FAIL: {os.path.join(cwd, name)} has "
+                      f"digest {got.get(name)}, {path} records "
+                      f"{want.get(name)}; command: {entry['command']}",
+                      file=sys.stderr)
+                return 1
+    note = (f" ({skipped} skipped: more kernel workers than this host's "
+            f"{cores} cores, or no digests recorded)" if skipped else "")
+    if write:
+        with open(path, "w") as f:
+            json.dump({"schema_version": 1, "commands": entries}, f,
+                      indent=1)
+            f.write("\n")
+        print(f"check_identity: wrote {path}: {len(commands)} commands{note}")
+    else:
+        print(f"check_identity: {len(commands)} commands, every output as "
+              f"{path} records{note}")
+    return 0
+
+
 def main(argv):
     parser = argparse.ArgumentParser(
         description=__doc__.split("\n\n")[0],
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("parent_build")
-    parser.add_argument("change_build")
+    parser.add_argument("builds", nargs="+")
     parser.add_argument("--quick", action="store_true")
     parser.add_argument("--out")
     parser.add_argument("--perfbench", action="store_true")
+    modes = parser.add_mutually_exclusive_group()
+    modes.add_argument("--write-manifest", metavar="PATH")
+    modes.add_argument("--check-manifest", metavar="PATH")
     opts = parser.parse_args(argv[1:])
+    manifest_path = opts.write_manifest or opts.check_manifest
+    if len(opts.builds) != (1 if manifest_path else 2):
+        parser.error("a manifest takes one build; a comparison takes two")
     if opts.perfbench:
-        if opts.quick or opts.out:
-            parser.error("--perfbench takes no --quick or --out")
-        return check_perfbench(os.path.abspath(opts.parent_build),
-                               os.path.abspath(opts.change_build))
+        if opts.quick or opts.out or manifest_path:
+            parser.error("--perfbench takes no --quick, --out or manifest")
+        return check_perfbench(os.path.abspath(opts.builds[0]),
+                               os.path.abspath(opts.builds[1]))
+    if manifest_path and opts.quick:
+        parser.error("a manifest covers the full checklist; no --quick")
     # Each command runs from its own directory, so resolve the builds first.
-    opts.parent_build = os.path.abspath(opts.parent_build)
-    opts.change_build = os.path.abspath(opts.change_build)
+    builds = [os.path.abspath(b) for b in opts.builds]
 
     with open(CI_YML) as f:
         ci_text = f.read()
     plans = ci_plans(ci_text)
     commands = checklist(opts.quick, ci_text)
-    for name, args in commands:
-        for a in args:
-            if PLAN in a and a.split(PLAN, 1)[1] not in plans:
-                print(f"check_identity: ci.yml writes no plan for {a}",
-                      file=sys.stderr)
-                return 2
-        for build in (opts.parent_build, opts.change_build):
-            if not os.access(program(build, name), os.X_OK):
-                print(f"check_identity: no program {program(build, name)}",
-                      file=sys.stderr)
-                return 2
+    error = check_programs(builds, commands, plans)
+    if error is not None:
+        print(f"check_identity: {error}", file=sys.stderr)
+        return 2
 
     out = opts.out or tempfile.mkdtemp(prefix="check_identity.")
-    sides = {"parent": opts.parent_build, "change": opts.change_build}
-    for side in sides:
-        shutil.rmtree(os.path.join(out, side), ignore_errors=True)
-    plans_dir = os.path.join(out, "plans")
-    os.makedirs(plans_dir, exist_ok=True)
-    for plan, body in plans.items():
-        with open(os.path.join(plans_dir, plan + ".txt"), "w") as f:
-            f.write(body)
+    if manifest_path:
+        status = manifest(os.path.abspath(manifest_path), builds[0],
+                          commands, plans, out,
+                          write=opts.write_manifest is not None)
+        if status == 0 and opts.out is None:
+            shutil.rmtree(out)
+        return status
 
-    jobs = []
-    with concurrent.futures.ThreadPoolExecutor(
-            max_workers=max(1, min(4, os.cpu_count() or 1))) as pool:
-        for i, (name, args) in enumerate(commands):
-            for side, build in sides.items():
-                cwd = os.path.join(out, side, f"{i:02d}-{name}")
-                jobs.append(pool.submit(run_one, build, name, args, plans_dir,
-                                        cwd))
-        for job in jobs:
-            job.result()
-
-    # A command that fails on both sides would match vacuously.
-    for side in sides:
-        for i, (name, args) in enumerate(commands):
-            cwd = os.path.join(out, side, f"{i:02d}-{name}")
-            with open(os.path.join(cwd, "status.txt")) as f:
-                status = f.read().strip()
-            if status != "0":
-                print(f"check_identity: FAIL: {cwd} exited with status "
-                      f"{status}; command: {name} {' '.join(args)}",
-                      file=sys.stderr)
-                return 1
+    sides = {"parent": builds[0], "change": builds[1]}
+    error = run_commands(sides, commands, plans, out)
+    if error is not None:
+        print(f"check_identity: FAIL: {error}", file=sys.stderr)
+        return 1
 
     diff = first_difference(os.path.join(out, "parent"),
                             os.path.join(out, "change"))
@@ -335,8 +471,8 @@ def main(argv):
         name, args = commands[index]
         print(f"check_identity: FAIL: {diff} differs "
               f"({os.path.join(out, 'parent', diff)} vs "
-              f"{os.path.join(out, 'change', diff)}); command: {name} "
-              f"{' '.join(args)}", file=sys.stderr)
+              f"{os.path.join(out, 'change', diff)}); command: "
+              f"{command_text(name, args)}", file=sys.stderr)
         return 1
     print(f"check_identity: {len(commands)} commands, every output "
           f"identical")

@@ -1,8 +1,15 @@
 #!/usr/bin/env python3
-"""Self-test of scripts/check_identity.py --perfbench against stand-in
-programs that print an srm_perfbench result line: host-measured metrics
-may differ, a count or simulated ratio may not, every metric must be
-measured on both sides, and a program that fails fails the check.
+"""Self-test of scripts/check_identity.py against stand-in programs.
+
+--perfbench: each stand-in prints an srm_perfbench result line;
+host-measured metrics may differ, a count or simulated ratio may not,
+every metric must be measured on both sides, and a program that fails
+fails the check.
+
+Manifest: a stand-in build holds a shell script per checklist program that
+prints its arguments.  A manifest written from it must pass its own check,
+and one extra byte of one program's output, a failing program or a
+checklist that no longer matches the manifest must each fail it.
 
 Usage: scripts/check_identity_test.py
 """
@@ -14,8 +21,10 @@ import subprocess
 import sys
 import tempfile
 
-CHECK = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                     "check_identity.py")
+HERE = os.path.dirname(os.path.abspath(__file__))
+CHECK = os.path.join(HERE, "check_identity.py")
+sys.path.insert(0, HERE)
+import check_identity  # noqa: E402  (the checklist the manifest covers)
 
 BASE = {
     "net.deliveries": (1892765, "count"),
@@ -47,6 +56,60 @@ def stand_in(directory, name, changes, status=0):
     return path
 
 
+def stand_in_build(directory, programs):
+    """A build directory whose every checklist program prints its
+    arguments."""
+    for name in programs:
+        sub = "examples" if name == "srmsim" else "bench"
+        os.makedirs(os.path.join(directory, sub), exist_ok=True)
+        path = os.path.join(directory, sub, name)
+        with open(path, "w") as f:
+            f.write('#!/bin/sh\necho "$@"\n')
+        os.chmod(path, os.stat(path).st_mode | stat.S_IXUSR)
+
+
+def manifest_errors(tmp):
+    with open(check_identity.CI_YML) as f:
+        commands = check_identity.checklist(False, f.read())
+    build = os.path.join(tmp, "build")
+    stand_in_build(build, {name for name, _ in commands})
+    path = os.path.join(tmp, "manifest.json")
+
+    def run(mode):
+        return subprocess.run([sys.executable, CHECK, mode, path, build],
+                              capture_output=True, text=True, timeout=120)
+
+    errors = []
+    for mode in ("--write-manifest", "--check-manifest"):
+        proc = run(mode)
+        if proc.returncode != 0:
+            errors.append(f"{mode} on the stand-in build: exit status "
+                          f"{proc.returncode}\n{proc.stdout}{proc.stderr}")
+    if errors:
+        return errors
+    drifted = os.path.join(build, "bench", "fig3_random_trees")
+    with open(drifted) as f:
+        body = f.read()
+    with open(os.path.join(tmp, "manifest.json")) as f:
+        recorded = json.load(f)
+    short = dict(recorded, commands=recorded["commands"][:-1])
+    for what, program, manifest in (
+            ("one byte more output", body.replace('"$@"', '"$@"x'), None),
+            ("a failing program", body + "exit 1\n", None),
+            ("a checklist the manifest does not match", body, short)):
+        with open(drifted, "w") as f:
+            f.write(program)
+        if manifest is not None:
+            with open(path, "w") as f:
+                json.dump(manifest, f)
+        proc = run("--check-manifest")
+        if proc.returncode != 1 or (manifest is None and
+                                    "fig3_random_trees" not in proc.stderr):
+            errors.append(f"{what}: exit status {proc.returncode}, want 1 "
+                          f"naming fig3_random_trees\n{proc.stderr}")
+    return errors
+
+
 def main():
     cases = [
         ({}, 0, True, "identical"),
@@ -75,12 +138,14 @@ def main():
                 errors.append(f"{what}: exit status {proc.returncode}, want "
                               f"{'0' if want_pass else '1'}\n"
                               f"{proc.stdout}{proc.stderr}")
+        errors += manifest_errors(tmp)
     if errors:
-        print("check_identity --perfbench self-test FAILED:")
+        print("check_identity self-test FAILED:")
         for e in errors:
             print(f"  {e}")
         return 1
-    print(f"check_identity --perfbench self-test OK ({len(cases)} cases)")
+    print(f"check_identity self-test OK ({len(cases)} --perfbench cases, "
+          f"3 manifest drifts)")
     return 0
 
 

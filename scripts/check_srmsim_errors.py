@@ -3,15 +3,18 @@
 input: exit status 1 and an `srmsim: ...` line on stderr, never an uncaught
 exception (which aborts with status 134).  The cases cover bad topologies,
 numbers that do not parse or overflow, an unknown trace category, timer
-parameters the event queue or the RNG would refuse, and the flags
---pdes-verify has no use for (its message must name the flag).
+parameters the event queue or the RNG would refuse, the flags --pdes-verify
+has no use for (its message must name the flag), and fault plans that name
+a node or link the topology lacks (its message must name the event).
 
 Usage: scripts/check_srmsim_errors.py PATH_TO_SRMSIM_BINARY
 Exits non-zero with a report on any failure.
 """
 
+import os
 import subprocess
 import sys
+import tempfile
 
 CASES = [
     ["--topo=bogus"],
@@ -40,31 +43,57 @@ CASES = [
      "--verbose"],
 ]
 
+# Fault plans naming ids a 30-node random tree lacks; each is written to a
+# temporary directory and passed with --faults.
+BAD_PLANS = [
+    "join 5.0 99999",
+    "partition 5.0 2 99999",
+    "link_down 5.0 99999",
+    "crash 5.0 99999",
+]
+PLAN_WORLD = ["--topo=random-tree", "--nodes=30", "--members=10",
+              "--rounds=2", "--seed=11"]
+
 
 def main():
     if len(sys.argv) != 2:
         print(__doc__)
         return 2
+    srmsim = os.path.abspath(sys.argv[1])  # each case runs from `tmp`
     errors = []
-    for args in CASES:
-        cmd = " ".join(["srmsim", *args])
-        proc = subprocess.run([sys.argv[1], *args], capture_output=True,
-                              text=True, timeout=60)
-        if proc.returncode != 1:
-            errors.append(f"{cmd}: exit status {proc.returncode}, want 1")
-        lines = proc.stderr.splitlines()
-        if len(lines) != 1 or not lines[0].startswith("srmsim: "):
-            errors.append(f"{cmd}: want one 'srmsim: ' line on stderr, "
-                          f"got {lines!r}")
-        elif ((args[-1].endswith("=abc") or args[0] == "--pdes-verify")
-              and args[-1].split("=")[0] not in lines[0]):
-            errors.append(f"{cmd}: the message does not name the flag")
+    with tempfile.TemporaryDirectory() as tmp:
+        # (args, text the message must contain, or None)
+        cases = []
+        for args in CASES:
+            named = None
+            if args[-1].endswith("=abc") or args[0] == "--pdes-verify":
+                named = args[-1].split("=")[0]
+            cases.append((args, named))
+        for i, plan in enumerate(BAD_PLANS):
+            path = os.path.join(tmp, f"plan{i}.txt")
+            with open(path, "w") as f:
+                f.write(plan + "\n")
+            cases.append(([*PLAN_WORLD, f"--faults={path}"],
+                          plan.split()[0]))
+        for args, named in cases:
+            cmd = " ".join(["srmsim", *args])
+            proc = subprocess.run([srmsim, *args], capture_output=True,
+                                  text=True, timeout=60, cwd=tmp)
+            if proc.returncode != 1:
+                errors.append(f"{cmd}: exit status {proc.returncode}, "
+                              "want 1")
+            lines = proc.stderr.splitlines()
+            if len(lines) != 1 or not lines[0].startswith("srmsim: "):
+                errors.append(f"{cmd}: want one 'srmsim: ' line on stderr, "
+                              f"got {lines!r}")
+            elif named is not None and named not in lines[0]:
+                errors.append(f"{cmd}: the message does not name {named}")
     if errors:
         print("srmsim error check FAILED:")
         for e in errors:
             print(f"  {e}")
         return 1
-    print(f"srmsim error check OK ({len(CASES)} bad commands rejected)")
+    print(f"srmsim error check OK ({len(cases)} bad commands rejected)")
     return 0
 
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -22,8 +23,51 @@ FaultInjector::FaultInjector(sim::EventQueue& queue, net::Topology& topology,
   }
 }
 
+namespace {
+
+// Throws naming `event` and the `what` id it names past the topology's
+// `count`.
+[[noreturn]] void refuse(const FaultEvent& event, const char* what,
+                         std::size_t id, std::size_t count) {
+  std::ostringstream os;
+  os << "fault plan: " << kind_name(event.kind) << " at " << event.at
+     << " names " << what << ' ' << id << ", but the topology has " << count
+     << ' ' << what << 's';
+  throw std::invalid_argument(os.str());
+}
+
+}  // namespace
+
 void FaultInjector::arm() {
   if (armed_) throw std::logic_error("FaultInjector::arm: already armed");
+  // An event naming a node or link the topology lacks would index past the
+  // topology's tables when it fires, so the plan is refused whole before
+  // anything is scheduled.
+  const std::size_t nodes = topo_->node_count();
+  const std::size_t links = topo_->link_count();
+  for (const FaultEvent& e : plan_.events()) {
+    switch (e.kind) {
+      case FaultEvent::Kind::kLinkDown:
+      case FaultEvent::Kind::kLinkUp:
+        if (e.link >= links) refuse(e, "link", e.link, links);
+        break;
+      case FaultEvent::Kind::kPartition:
+        for (const net::NodeId n : e.island) {
+          if (n >= nodes) refuse(e, "node", n, nodes);
+        }
+        break;
+      case FaultEvent::Kind::kJoin:
+      case FaultEvent::Kind::kLeave:
+      case FaultEvent::Kind::kCrash:
+      case FaultEvent::Kind::kRejoin:
+        if (e.node >= nodes) refuse(e, "node", e.node, nodes);
+        break;
+      case FaultEvent::Kind::kHeal:
+      case FaultEvent::Kind::kBurstOn:
+      case FaultEvent::Kind::kBurstOff:
+        break;
+    }
+  }
   armed_ = true;
   const double now = queue_->now();
   // Events that fire at the same instant are scheduled as one group, so a

@@ -108,7 +108,9 @@ class FaultInjector {
   void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
 
   // Schedules every plan event on the queue.  Call once, before running the
-  // simulation (all event times must be >= queue.now()).
+  // simulation (all event times must be >= queue.now()).  Throws
+  // std::invalid_argument, naming the event, and schedules nothing when an
+  // event names a node or link the topology lacks.
   void arm();
 
   const FaultPlan& plan() const { return plan_; }

@@ -11,31 +11,9 @@ unsigned default_thread_count() {
 ReplicationRunner::ReplicationRunner(unsigned threads)
     : threads_(threads == 0 ? default_thread_count() : threads) {}
 
-ThreadBudget plan_thread_budget(unsigned requested_replication,
-                                unsigned requested_kernel,
-                                unsigned hardware) {
+unsigned cap_kernel_threads(unsigned requested, unsigned hardware) {
   if (hardware == 0) hardware = default_thread_count();
-  ThreadBudget budget;
-  // Each replication occupies max(1, K) threads while it runs: a sequential
-  // session is inline work on its pool thread, a parallel session parks the
-  // pool thread and runs K workers.
-  const unsigned per_job = std::max(1u, requested_kernel);
-
-  budget.kernel_threads = requested_kernel;
-  if (per_job > hardware) {
-    budget.kernel_threads = hardware;  // requested_kernel > hardware >= 1
-    budget.reduced = true;
-  }
-  const unsigned room = std::max(1u, hardware / std::max(1u, budget.kernel_threads));
-  if (requested_replication == 0) {
-    budget.replication_threads = room;
-  } else if (requested_replication > room) {
-    budget.replication_threads = room;
-    budget.reduced = true;
-  } else {
-    budget.replication_threads = requested_replication;
-  }
-  return budget;
+  return std::min(requested, hardware);
 }
 
 }  // namespace srm::harness

@@ -29,25 +29,11 @@ namespace srm::harness {
 // concurrency, but never 0.
 unsigned default_thread_count();
 
-// Composition of the two thread knobs.  A bench can run R replications in
-// parallel (--threads) while each replication's session runs K region
-// workers (--kernel-threads); naively that is R*K live threads and the
-// machine thrashes.  plan_thread_budget caps the product at the hardware
-// concurrency, shrinking the *replication* side first — kernel threads are
-// what the PDES benches are measuring, replication parallelism is just a
-// convenience — and only then the kernel side.  Zeros mean "pick for me":
-// requested_replication == 0 becomes the largest count the budget allows,
-// requested_kernel is passed through (0 = sequential kernel, which costs
-// one thread like any inline job).  `hardware == 0` reads the real
-// hardware_concurrency(); tests pass an explicit value.
-struct ThreadBudget {
-  unsigned replication_threads = 1;  // ReplicationRunner size
-  unsigned kernel_threads = 0;       // per-session worker count (0 = seq)
-  bool reduced = false;              // an explicit request was scaled down
-};
-ThreadBudget plan_thread_budget(unsigned requested_replication,
-                                unsigned requested_kernel,
-                                unsigned hardware = 0);
+// Kernel workers for one parallel-kernel session: the request, capped at
+// the hardware concurrency so workers never oversubscribe the machine.  0
+// (the sequential kernel) passes through.  `hardware == 0` reads the real
+// concurrency; tests pass an explicit value.
+unsigned cap_kernel_threads(unsigned requested, unsigned hardware = 0);
 
 class ReplicationRunner {
  public:

@@ -10,10 +10,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <utility>
-#include <vector>
 
 namespace srm::net {
 
@@ -50,78 +47,6 @@ class Message {
 };
 
 using MessagePtr = std::shared_ptr<const Message>;
-
-// Freelist pool for Message subclasses.
-//
-// MulticastNetwork already shares one immutable Packet (and thus one
-// Message) across every delivery of a transmission; the pool closes the
-// remaining per-send allocation by recycling the message object itself once
-// the last in-flight delivery drops its reference.  It serves request and
-// repair messages, which own no tables.  Session messages are not pooled: a
-// recycled one would hold its per-peer tables between reports, so they are
-// built per send and freed with their last delivery.  T must provide
-// `rebind(Args...)` mirroring the constructor used with acquire(); rebind
-// is only invoked on objects no delivery can still see, so Message
-// immutability holds for every observer.
-//
-// The freelist is shared-ownership: messages returned after the pool is
-// destroyed are freed normally.  It is built by the first acquire(), so a
-// pool that never sends (most members never request or repair) holds no
-// mutex and no freelist.  acquire() runs on the owner's thread, but
-// under the parallel kernel the last reference to a message can drop on
-// another region's worker (the tail of a remote delivery chain), so the
-// freelist is guarded by a mutex.  It is uncontended in practice: the two
-// sides meet only when a remote chain ends while its sender acquires.
-template <typename T>
-class MessagePool {
- public:
-  template <typename... Args>
-  std::shared_ptr<T> acquire(Args&&... args) {
-    if (!store_) store_ = std::make_shared<Store>();
-    std::unique_ptr<T> recycled;
-    {
-      const std::lock_guard<std::mutex> lock(store_->mu);
-      if (!store_->free.empty()) {
-        recycled = std::move(store_->free.back());
-        store_->free.pop_back();
-      }
-    }
-    T* raw = nullptr;
-    if (recycled) {
-      recycled->rebind(std::forward<Args>(args)...);
-      raw = recycled.release();
-    } else {
-      raw = new T(std::forward<Args>(args)...);
-    }
-    // The deleter returns the object to the freelist instead of freeing it
-    // (bounded; overflow deletes).  It keeps the store alive by value.
-    return std::shared_ptr<T>(raw, [store = store_](T* p) {
-      const std::lock_guard<std::mutex> lock(store->mu);
-      if (store->free.size() < kMaxFree) {
-        store->free.emplace_back(p);
-      } else {
-        delete p;
-      }
-    });
-  }
-
-  std::size_t free_count() const {
-    if (!store_) return 0;
-    const std::lock_guard<std::mutex> lock(store_->mu);
-    return store_->free.size();
-  }
-
- private:
-  // One multicast keeps at most one message in flight per sender; the cap
-  // only matters if a burst of sends overlaps many pending deliveries.
-  static constexpr std::size_t kMaxFree = 64;
-
-  struct Store {
-    std::mutex mu;
-    std::vector<std::unique_ptr<T>> free;
-  };
-  std::shared_ptr<Store> store_;  // null until the first acquire()
-};
 
 struct Packet {
   NodeId source = kInvalidNode;   // originating end host

@@ -494,8 +494,8 @@ void SrmAgent::on_request_timer_expired(const DataName& name) {
   }
   trace_adu(trace::EventType::kSrmReqSend, name,
             static_cast<std::uint64_t>(ttl), escalate ? 1.0 : 0.0);
-  transmit(packet_for(request_pool_.acquire(name, id_, st.dist, ttl), ttl,
-                      escalate ? net::Scope::kGlobal : own_scope()),
+  transmit(packet_for(std::make_shared<RequestMessage>(name, id_, st.dist, ttl),
+                      ttl, escalate ? net::Scope::kGlobal : own_scope()),
            recovery_priority(name));
 
   // "...and doubles the request timer to wait for the repair."
@@ -659,10 +659,9 @@ void SrmAgent::on_repair_timer_expired(const DataName& name) {
   }
   // The repair answers with the scope the request used, so an escalated
   // (global) request is answered globally even by admin-scoped members.
-  transmit(packet_for(repair_pool_.acquire(name, slot->payload, id_,
-                                           rs.requestor,
-                                           distance_to(rs.requestor), ttl,
-                                           step_one),
+  transmit(packet_for(std::make_shared<RepairMessage>(
+                          name, slot->payload, id_, rs.requestor,
+                          distance_to(rs.requestor), ttl, step_one),
                       ttl, rs.request_scope),
            recovery_priority(name));
 
@@ -727,9 +726,9 @@ void SrmAgent::handle_repair(const RepairMessage& msg, int hops) {
                 static_cast<std::uint64_t>(our_ttl), /*step=*/2.0,
                 payload_digest(msg.payload()));
     }
-    transmit(packet_for(repair_pool_.acquire(name, msg.payload(), id_, id_,
-                                             0.0, our_ttl,
-                                             /*local_step_one=*/false),
+    transmit(packet_for(std::make_shared<RepairMessage>(
+                            name, msg.payload(), id_, id_, 0.0, our_ttl,
+                            /*local_step_one=*/false),
                         our_ttl),
              recovery_priority(name));
   }

@@ -434,12 +434,6 @@ class SrmAgent : public net::PacketSink {
   std::unique_ptr<sim::Timer> session_timer_;
   std::unique_ptr<sim::Timer> send_queue_timer_;
 
-  // Request and repair freelists: each send recycles a message object once
-  // the previous send's deliveries have all fired.  Session messages are
-  // not pooled: a recycled one would keep a dead echo table per member
-  // between reports.
-  net::MessagePool<RequestMessage> request_pool_;
-  net::MessagePool<RepairMessage> repair_pool_;
   // Oracle-mode distances by dense member index (< 0 = not yet resolved);
   // rebuilt whenever directory membership changes or the topology mutates
   // (link failures change the ground-truth distances).

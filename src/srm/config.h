@@ -110,13 +110,10 @@ struct HierarchyConfig {
   int local_ttl = 4;
   // Local-area count; 0 derives ~sqrt(member count) from the topology.
   std::uint32_t areas = 0;
-  // Mean reporting interval; SessionHierarchy jitters each draw and ages
-  // out peers after a fixed number of intervals.
+  // Mean reporting interval; SessionHierarchy jitters each draw, ages out
+  // peers after a fixed number of intervals and batches expiries into a
+  // fixed number of timer-wheel buckets per interval.
   sim::Time report_interval = 10.0;
-  // Timer-wheel buckets per report interval: expiries quantize to
-  // report_interval / wheel_buckets, bounding live heap entries at
-  // areas x wheel_buckets instead of one per member.
-  std::uint32_t wheel_buckets = 8;
 };
 
 struct RateLimitConfig {

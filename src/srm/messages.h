@@ -88,15 +88,6 @@ class RequestMessage final : public net::Message {
   double requestor_dist_to_source() const { return requestor_dist_to_source_; }
   int initial_ttl() const { return initial_ttl_; }
 
-  // Recycles this message for a new request (net::MessagePool contract).
-  void rebind(DataName name, SourceId requestor,
-              double requestor_dist_to_source, int initial_ttl) {
-    name_ = name;
-    requestor_ = requestor;
-    requestor_dist_to_source_ = requestor_dist_to_source;
-    initial_ttl_ = initial_ttl;
-  }
-
   std::string describe() const override {
     return "REQUEST " + to_string(name_) + " by " + std::to_string(requestor_);
   }
@@ -138,19 +129,6 @@ class RepairMessage final : public net::Message {
   // True for the first (responder -> requestor) step of a two-step local
   // repair; the requestor answers it with the second, full-scope step.
   bool local_step_one() const { return local_step_one_; }
-
-  // Recycles this message for a new repair (net::MessagePool contract).
-  void rebind(DataName name, PayloadPtr payload, SourceId responder,
-              SourceId first_requestor, double responder_dist_to_requestor,
-              int initial_ttl, bool local_step_one = false) {
-    name_ = name;
-    payload_ = std::move(payload);
-    responder_ = responder;
-    first_requestor_ = first_requestor;
-    responder_dist_to_requestor_ = responder_dist_to_requestor;
-    initial_ttl_ = initial_ttl;
-    local_step_one_ = local_step_one;
-  }
 
   std::string describe() const override {
     return "REPAIR " + to_string(name_) + " by " + std::to_string(responder_);

@@ -125,9 +125,7 @@ void SessionHierarchy::stop() {
 sim::BatchTimerWheel& SessionHierarchy::wheel_for(sim::EventQueue& queue) {
   auto& slot = wheels_[&queue];
   if (!slot) {
-    const sim::Time width =
-        config_.report_interval /
-        static_cast<double>(std::max<std::uint32_t>(1, config_.wheel_buckets));
+    const sim::Time width = config_.report_interval / kWheelBuckets;
     slot = std::make_unique<sim::BatchTimerWheel>(
         queue, width, [this](std::uint64_t item) { on_wheel_item(item); });
   }

@@ -53,6 +53,10 @@ class SessionHierarchy {
  public:
   // A local peer not heard for this many report intervals is presumed gone.
   static constexpr double kStalenessIntervals = 3.0;
+  // Timer-wheel buckets per report interval: expiries quantize to
+  // report_interval / kWheelBuckets, bounding live heap entries at
+  // areas x kWheelBuckets instead of one per member.
+  static constexpr std::uint32_t kWheelBuckets = 8;
 
   // `area_count` is the number of local areas the topology was partitioned
   // into (harness::SimSession derives it with net::partition_regions).
@@ -112,7 +116,7 @@ class SessionHierarchy {
   std::uint64_t local_reports_sent(const SrmAgent& agent) const;
 
   // Live heap entries across all timer wheels (the occupancy evidence the
-  // scaling bench records: bounded by areas x wheel_buckets, not members).
+  // scaling bench records: bounded by areas x kWheelBuckets, not members).
   std::size_t pending_wheel_buckets() const;
   std::size_t pending_wheel_items() const;
 

@@ -15,6 +15,7 @@
 #include <string>
 
 #include "srm/messages.h"
+#include "transport/wire.h"
 
 namespace srm::transport {
 
@@ -242,7 +243,7 @@ double UdpTransport::try_distance(net::NodeId, net::NodeId) {
 
 void UdpTransport::deliver(const std::uint8_t* data, std::size_t len) {
   net::Packet packet;
-  if (!decode_frame(data, len, pools_, packet)) {
+  if (!decode_frame(data, len, packet)) {
     ++stats_.decode_errors;
     return;
   }

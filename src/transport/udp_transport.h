@@ -46,7 +46,6 @@
 #include "net/packet.h"
 #include "sim/event_queue.h"
 #include "transport/transport.h"
-#include "transport/wire.h"
 
 namespace srm::transport {
 
@@ -149,7 +148,6 @@ class UdpTransport final : public Transport {
   std::unordered_map<net::NodeId, net::PacketSink*> sinks_;
   std::unordered_map<net::GroupId, GroupState> groups_;
   ReceiveFilter filter_;
-  DecodePools pools_;
   std::vector<std::uint8_t> recv_buf_;
   std::vector<std::uint8_t> send_buf_;
   std::vector<net::NodeId> fanout_scratch_;

@@ -273,7 +273,7 @@ bool encode_frame(const net::Packet& packet, std::vector<std::uint8_t>& out) {
 // ---------------------------------------------------------------------------
 
 bool decode_frame(const std::uint8_t* data, std::size_t len,
-                  DecodePools& pools, net::Packet& out) {
+                  net::Packet& out) {
   if (len > kMaxFrameBytes) return false;
   Reader r(data, len);
   std::uint32_t magic = 0, source = 0, group = 0;
@@ -303,8 +303,8 @@ bool decode_frame(const std::uint8_t* data, std::size_t len,
           !r.u32(initial_ttl) || initial_ttl > net::kMaxTtl) {
         return false;
       }
-      payload = pools.requests.acquire(name, requestor, dist,
-                                       static_cast<int>(initial_ttl));
+      payload = std::make_shared<RequestMessage>(
+          name, requestor, dist, static_cast<int>(initial_ttl));
       break;
     }
     case RepairMessage::kKind: {
@@ -319,10 +319,9 @@ bool decode_frame(const std::uint8_t* data, std::size_t len,
           step_one > 1) {
         return false;
       }
-      payload = pools.repairs.acquire(name, std::move(bytes), responder,
-                                      first_requestor, dist,
-                                      static_cast<int>(initial_ttl),
-                                      step_one != 0);
+      payload = std::make_shared<RepairMessage>(
+          name, std::move(bytes), responder, first_requestor, dist,
+          static_cast<int>(initial_ttl), step_one != 0);
       break;
     }
     case SessionMessage::kKind: {

@@ -19,11 +19,9 @@
 // time or a distance.  Decoding is defensive: any truncated, oversized or
 // unknown frame, or one carrying a non-finite or negative double, is rejected
 // (decode returns false) rather than trusted — the socket is a public
-// input.  Decoded REQUEST/REPAIR messages come from net::MessagePool
-// freelists (DecodePools), mirroring the send-side pooling in
-// srm::SrmAgent.  A SESSION message is built fresh, each table at the size
-// its frame declares, and freed with its last delivery, as a sender builds
-// it.
+// input.  Each decoded message is built fresh with std::make_shared, as a
+// sender builds it, and freed with its last delivery; a SESSION message
+// gets each table at the size its frame declares.
 #pragma once
 
 #include <cstdint>
@@ -39,14 +37,6 @@ inline constexpr std::uint8_t kWireVersion = 1;
 // One frame must fit one UDP datagram with headroom for UDP/IP headers.
 inline constexpr std::size_t kMaxFrameBytes = 60000;
 
-// Per-transport receive-side message freelists (the pool contract requires
-// rebind(); DATA, SESSION and the page messages are constructed fresh —
-// they carry tables or shared payload that deliveries keep referencing).
-struct DecodePools {
-  net::MessagePool<RequestMessage> requests;
-  net::MessagePool<RepairMessage> repairs;
-};
-
 // Serializes `packet` (source/group/ttl/scope + typed SRM payload) into
 // `out` (cleared first; capacity retained).  Returns false when the payload
 // is not one of the six SRM message types or the frame would exceed
@@ -54,9 +44,9 @@ struct DecodePools {
 bool encode_frame(const net::Packet& packet, std::vector<std::uint8_t>& out);
 
 // Parses one datagram back into a packet.  On success `out.payload` holds a
-// freshly decoded message (pooled where possible) and header fields are
-// restored; on failure `out` is untouched and false is returned.
+// freshly decoded message and header fields are restored; on failure `out`
+// is untouched and false is returned.
 bool decode_frame(const std::uint8_t* data, std::size_t len,
-                  DecodePools& pools, net::Packet& out);
+                  net::Packet& out);
 
 }  // namespace srm::transport

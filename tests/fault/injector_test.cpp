@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/plan.h"
@@ -339,6 +341,37 @@ TEST_F(InjectorTest, RejectsMismatchedTopology) {
   EXPECT_THROW(FaultInjector(queue_, other, *net_, FaultPlan{},
                              util::Rng(1)),
                std::invalid_argument);
+}
+
+TEST_F(InjectorTest, RefusesIdsTheTopologyLacks) {
+  build_chain(4);  // nodes 0..3, links 0..2
+  const std::vector<std::pair<FaultPlan, std::string>> bad = {
+      {FaultPlan().link_down(5.0, 3), "link_down at 5 names link 3"},
+      {FaultPlan().link_up(5.0, 99999), "link_up at 5 names link 99999"},
+      {FaultPlan().partition(5.0, {2, 4}), "partition at 5 names node 4"},
+      {FaultPlan().join(5.0, 99999), "join at 5 names node 99999"},
+      {FaultPlan().leave(5.0, 4), "leave at 5 names node 4"},
+      {FaultPlan().crash(5.0, 99999), "crash at 5 names node 99999"},
+      {FaultPlan().rejoin(5.0, 4), "rejoin at 5 names node 4"},
+  };
+  for (const auto& [plan, message] : bad) {
+    // A valid event earlier in the plan is not scheduled either.
+    FaultPlan with_valid = FaultPlan().link_down(1.0, 0).merge(plan);
+    auto injector = make_injector(std::move(with_valid));
+    try {
+      injector.arm();
+      ADD_FAILURE() << message << ": armed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(queue_.pending_events(), 0u) << message;
+  }
+  // The last node and link are in range.
+  auto injector = make_injector(
+      FaultPlan().link_down(1.0, 2).partition(2.0, {3}).crash(3.0, 3));
+  injector.arm();
+  EXPECT_EQ(queue_.pending_events(), 3u);
 }
 
 }  // namespace

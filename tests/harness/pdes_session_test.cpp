@@ -586,12 +586,13 @@ BurstOutcome run_burst(std::uint64_t seed, unsigned kernel_threads) {
   return out;
 }
 
-// A pooled request or repair is often released by another region's worker
-// (the one firing the last delivery of a remote chain) while the sender's
-// worker acquires from the same freelist.  Under ThreadSanitizer an
-// unguarded net::MessagePool freelist is reported here as a data race.
-// Several worlds, because whether two workers meet at a freelist depends on
-// wall-clock scheduling.
+// The last reference to a request or repair is often dropped by another
+// region's worker (the one firing the last delivery of a remote chain)
+// while the sender's worker builds its next message.  The two workers share
+// nothing for a message but the shared_ptr's atomic reference count, so
+// under ThreadSanitizer any other state a message comes to share across
+// regions is reported here as a data race.  Several worlds, because whether
+// two workers meet on one message depends on wall-clock scheduling.
 TEST(PdesPoolTest, CrossRegionRequestRepairTrafficOnFourWorkers) {
   for (std::uint64_t seed : {12, 13, 14}) {
     SCOPED_TRACE(seed);

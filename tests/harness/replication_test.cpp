@@ -140,59 +140,22 @@ TEST(ReplicationRunnerTest, ThreadCountDoesNotChangeStatistics) {
   }
 }
 
-TEST(PdesThreadBudgetTest, ProductNeverExceedsHardware) {
-  // 8 cores, 4 kernel threads per session: at most 2 replication workers.
-  const auto b = plan_thread_budget(8, 4, /*hardware=*/8);
-  EXPECT_EQ(b.replication_threads, 2u);
-  EXPECT_EQ(b.kernel_threads, 4u);
-  EXPECT_TRUE(b.reduced);
-  EXPECT_LE(b.replication_threads * std::max(1u, b.kernel_threads), 8u);
-}
-
-TEST(PdesThreadBudgetTest, ReplicationYieldsBeforeKernel) {
-  // The kernel side is what PDES benches measure; the replication side is
-  // squeezed first, down to 1 if necessary.
-  const auto b = plan_thread_budget(16, 8, /*hardware=*/8);
-  EXPECT_EQ(b.kernel_threads, 8u);
-  EXPECT_EQ(b.replication_threads, 1u);
-  EXPECT_TRUE(b.reduced);
-}
-
 TEST(PdesThreadBudgetTest, KernelCappedAtHardware) {
-  const auto b = plan_thread_budget(1, 32, /*hardware=*/4);
-  EXPECT_EQ(b.kernel_threads, 4u);
-  EXPECT_EQ(b.replication_threads, 1u);
-  EXPECT_TRUE(b.reduced);
+  EXPECT_EQ(cap_kernel_threads(32, /*hardware=*/4), 4u);
 }
 
 TEST(PdesThreadBudgetTest, FitsWithinBudgetUnchanged) {
-  const auto b = plan_thread_budget(2, 3, /*hardware=*/8);
-  EXPECT_EQ(b.replication_threads, 2u);
-  EXPECT_EQ(b.kernel_threads, 3u);
-  EXPECT_FALSE(b.reduced);
-}
-
-TEST(PdesThreadBudgetTest, ZeroReplicationPicksLargestAllowed) {
-  const auto a = plan_thread_budget(0, 0, /*hardware=*/8);
-  EXPECT_EQ(a.replication_threads, 8u);
-  EXPECT_EQ(a.kernel_threads, 0u);  // sequential kernel passes through
-  EXPECT_FALSE(a.reduced);
-  const auto b = plan_thread_budget(0, 2, /*hardware=*/8);
-  EXPECT_EQ(b.replication_threads, 4u);
-  EXPECT_EQ(b.kernel_threads, 2u);
-  EXPECT_FALSE(b.reduced);
+  EXPECT_EQ(cap_kernel_threads(3, /*hardware=*/8), 3u);
+  EXPECT_EQ(cap_kernel_threads(8, /*hardware=*/8), 8u);
+  EXPECT_EQ(cap_kernel_threads(0, /*hardware=*/8), 0u);  // sequential kernel
 }
 
 TEST(PdesThreadBudgetTest, SingleCoreDegeneratesToSerial) {
-  const auto b = plan_thread_budget(4, 2, /*hardware=*/1);
-  EXPECT_EQ(b.replication_threads, 1u);
-  EXPECT_EQ(b.kernel_threads, 1u);
-  EXPECT_TRUE(b.reduced);
+  EXPECT_EQ(cap_kernel_threads(2, /*hardware=*/1), 1u);
 }
 
 TEST(PdesThreadBudgetTest, DefaultHardwareIsRealConcurrency) {
-  const auto b = plan_thread_budget(0, 0);
-  EXPECT_EQ(b.replication_threads, default_thread_count());
+  EXPECT_EQ(cap_kernel_threads(1u << 20), default_thread_count());
 }
 
 }  // namespace

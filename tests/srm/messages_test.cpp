@@ -113,33 +113,5 @@ TEST(MessagesTest, PolymorphicDispatchViaBasePointer) {
   matches_rtti(static_cast<baseline::NackMessage*>(nullptr), 6);
 }
 
-TEST(MessagePoolTest, StoreBuiltOnFirstAcquireAndRecycles) {
-  net::MessagePool<RequestMessage> pool;
-  EXPECT_EQ(pool.free_count(), 0u);  // nothing built before the first send
-  const RequestMessage* first = nullptr;
-  {
-    const auto m = pool.acquire(DataName{1, PageId{1, 0}, 2}, 3, 4.0, 5);
-    first = m.get();
-    EXPECT_EQ(pool.free_count(), 0u);
-  }
-  EXPECT_EQ(pool.free_count(), 1u);  // the last reference returned it
-  const auto again = pool.acquire(DataName{6, PageId{6, 0}, 7}, 8, 9.0, 10);
-  EXPECT_EQ(again.get(), first);
-  EXPECT_EQ(again->name(), (DataName{6, PageId{6, 0}, 7}));
-  EXPECT_EQ(again->requestor(), 8u);
-  EXPECT_DOUBLE_EQ(again->requestor_dist_to_source(), 9.0);
-  EXPECT_EQ(again->initial_ttl(), 10);
-  EXPECT_EQ(pool.free_count(), 0u);
-
-  // A message outliving its pool is freed normally when released.
-  net::MessagePtr survivor;
-  {
-    net::MessagePool<RequestMessage> short_lived;
-    survivor = short_lived.acquire(DataName{}, 0, 0.0, 1);
-  }
-  EXPECT_EQ(survivor->trace_kind(), RequestMessage::kKind);
-  survivor.reset();
-}
-
 }  // namespace
 }  // namespace srm

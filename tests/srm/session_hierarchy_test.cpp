@@ -194,23 +194,23 @@ TEST(SessionHierarchyTest, WheelOccupancyGrowsWithAreasNotMembers) {
   hcfg.enabled = true;
   hcfg.local_ttl = 2;
   hcfg.report_interval = 10.0;
-  hcfg.wheel_buckets = 8;
   HierWorld w(std::move(tl.topo), tl.workstations, hcfg, /*areas=*/1,
               /*seed=*/9);
   std::vector<std::uint32_t> areas(64, 0);
   w.attach_all(areas);
 
   // After start(): every member has a pending report but the initial
-  // stagger spans one interval, so at most wheel_buckets+1 heap entries.
+  // stagger spans one interval, so at most kWheelBuckets+1 heap entries.
   EXPECT_EQ(w.hierarchy.pending_wheel_items(), 64u);
-  EXPECT_LE(w.hierarchy.pending_wheel_buckets(), hcfg.wheel_buckets + 1);
+  EXPECT_LE(w.hierarchy.pending_wheel_buckets(),
+            SessionHierarchy::kWheelBuckets + 1);
 
   // Steady state: intervals spread over [0.5, 1.5] x interval, still
   // bounded by the bucket count of that window, independent of G.
   w.session.queue().run_until(100.0);
   EXPECT_EQ(w.hierarchy.pending_wheel_items(), 64u);
   EXPECT_LE(w.hierarchy.pending_wheel_buckets(),
-            2 * hcfg.wheel_buckets + 2);
+            2 * SessionHierarchy::kWheelBuckets + 2);
 }
 
 TEST(SessionHierarchyTest, ReducesWideAreaSessionTraffic) {

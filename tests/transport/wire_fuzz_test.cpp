@@ -151,7 +151,6 @@ TEST(WireFuzz, MutantsAreRejectedOrReencodeToAFixedPoint) {
 
   constexpr int kMutants = 400000;
   util::Rng rng(0x5EED);
-  DecodePools pools;
   std::vector<std::uint8_t> mutant, first, second;
   int accepted = 0;
   for (int i = 0; i < kMutants; ++i) {
@@ -163,14 +162,14 @@ TEST(WireFuzz, MutantsAreRejectedOrReencodeToAFixedPoint) {
     }
 
     net::Packet decoded;
-    if (!decode_frame(mutant.data(), mutant.size(), pools, decoded)) {
+    if (!decode_frame(mutant.data(), mutant.size(), decoded)) {
       ASSERT_EQ(decoded.payload, nullptr) << "mutant " << i;
       continue;
     }
     ++accepted;
     ASSERT_TRUE(encode_frame(decoded, first)) << "mutant " << i;
     net::Packet again;
-    ASSERT_TRUE(decode_frame(first.data(), first.size(), pools, again))
+    ASSERT_TRUE(decode_frame(first.data(), first.size(), again))
         << "mutant " << i;
     ASSERT_TRUE(encode_frame(again, second)) << "mutant " << i;
     ASSERT_EQ(first, second) << "mutant " << i;
@@ -206,9 +205,8 @@ TEST(WireFuzz, FarSequenceNumbersAreIgnoredAndCounted) {
     for (const net::MessagePtr& message : messages) {
       std::vector<std::uint8_t> frame;
       ASSERT_TRUE(encode_frame(packet_of(message, net::kMaxTtl), frame));
-      DecodePools pools;
       net::Packet packet;
-      ASSERT_TRUE(decode_frame(frame.data(), frame.size(), pools, packet));
+      ASSERT_TRUE(decode_frame(frame.data(), frame.size(), packet));
 
       harness::SimSession s(topo::make_chain(2),
                             std::vector<net::NodeId>{0, 1},

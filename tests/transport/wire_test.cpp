@@ -30,9 +30,8 @@ net::Packet base_packet(net::MessagePtr payload) {
 net::Packet round_trip(const net::Packet& in) {
   std::vector<std::uint8_t> frame;
   EXPECT_TRUE(encode_frame(in, frame));
-  DecodePools pools;
   net::Packet out;
-  EXPECT_TRUE(decode_frame(frame.data(), frame.size(), pools, out));
+  EXPECT_TRUE(decode_frame(frame.data(), frame.size(), out));
   EXPECT_EQ(out.source, in.source);
   EXPECT_EQ(out.group, in.group);
   EXPECT_EQ(out.ttl, in.ttl);
@@ -165,26 +164,25 @@ TEST(WireCodec, RejectsMalformedFrames) {
   std::vector<std::uint8_t> frame;
   ASSERT_TRUE(encode_frame(in, frame));
 
-  DecodePools pools;
   net::Packet out;
   // Truncation at every prefix length must fail cleanly, never crash.
   for (std::size_t len = 0; len < frame.size(); ++len) {
-    EXPECT_FALSE(decode_frame(frame.data(), len, pools, out)) << len;
+    EXPECT_FALSE(decode_frame(frame.data(), len, out)) << len;
   }
   // Trailing garbage is rejected (full-consumption rule).
   auto padded = frame;
   padded.push_back(0);
-  EXPECT_FALSE(decode_frame(padded.data(), padded.size(), pools, out));
+  EXPECT_FALSE(decode_frame(padded.data(), padded.size(), out));
   // Bad magic / version / kind.
   auto bad = frame;
   bad[0] ^= 0xFF;
-  EXPECT_FALSE(decode_frame(bad.data(), bad.size(), pools, out));
+  EXPECT_FALSE(decode_frame(bad.data(), bad.size(), out));
   bad = frame;
   bad[4] = 99;  // version
-  EXPECT_FALSE(decode_frame(bad.data(), bad.size(), pools, out));
+  EXPECT_FALSE(decode_frame(bad.data(), bad.size(), out));
   bad = frame;
   bad[5] = 77;  // kind
-  EXPECT_FALSE(decode_frame(bad.data(), bad.size(), pools, out));
+  EXPECT_FALSE(decode_frame(bad.data(), bad.size(), out));
 }
 
 TEST(WireCodec, RejectsNonFiniteOrNegativeTimes) {
@@ -209,12 +207,11 @@ TEST(WireCodec, RejectsNonFiniteOrNegativeTimes) {
       session(2.75, SessionMessage::Echo{1.5, nan}),
       session(2.75, SessionMessage::Echo{1.5, -1.0}),
   };
-  DecodePools pools;
   for (std::size_t i = 0; i < hostile.size(); ++i) {
     std::vector<std::uint8_t> frame;
     ASSERT_TRUE(encode_frame(base_packet(hostile[i]), frame)) << i;
     net::Packet out;
-    EXPECT_FALSE(decode_frame(frame.data(), frame.size(), pools, out)) << i;
+    EXPECT_FALSE(decode_frame(frame.data(), frame.size(), out)) << i;
     EXPECT_EQ(out.payload, nullptr) << i;
   }
   // Zero is a legal time and distance.
@@ -222,7 +219,7 @@ TEST(WireCodec, RejectsNonFiniteOrNegativeTimes) {
   ASSERT_TRUE(encode_frame(
       base_packet(session(0.0, SessionMessage::Echo{0.0, 0.0})), frame));
   net::Packet out;
-  EXPECT_TRUE(decode_frame(frame.data(), frame.size(), pools, out));
+  EXPECT_TRUE(decode_frame(frame.data(), frame.size(), out));
 }
 
 TEST(WireCodec, RejectsOversizedCounts) {
@@ -238,27 +235,8 @@ TEST(WireCodec, RejectsOversizedCounts) {
   auto bad = frame;
   bad.resize(count_off + 4);
   for (int i = 0; i < 4; ++i) bad[count_off + i] = 0xFF;
-  DecodePools pools;
   net::Packet out;
-  EXPECT_FALSE(decode_frame(bad.data(), bad.size(), pools, out));
-}
-
-TEST(WireCodec, ReusesPooledMessages) {
-  const DataName name{9, PageId{9, 1}, 5};
-  const auto in = base_packet(
-      std::make_shared<RequestMessage>(name, 4, 0.125, 31));
-  std::vector<std::uint8_t> frame;
-  ASSERT_TRUE(encode_frame(in, frame));
-  DecodePools pools;
-  const net::Message* first = nullptr;
-  {
-    net::Packet out;
-    ASSERT_TRUE(decode_frame(frame.data(), frame.size(), pools, out));
-    first = out.payload.get();
-  }  // releases the message back to the pool
-  net::Packet out;
-  ASSERT_TRUE(decode_frame(frame.data(), frame.size(), pools, out));
-  EXPECT_EQ(out.payload.get(), first);  // same object, rebound
+  EXPECT_FALSE(decode_frame(bad.data(), bad.size(), out));
 }
 
 }  // namespace
